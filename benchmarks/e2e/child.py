@@ -1,10 +1,18 @@
 """Workload process started by run.py: prepares one workload and times its calls.
 
 ``python child.py --workload W --seed S --workdir D [--trace-dir T]``
-serves blocks of calls: it reads one JSON request per line on stdin and
-answers with one JSON line on stdout.  ``--cold --expect DIGEST`` makes
-a single cold call instead and exits.  run.py pins the BLAS thread
+prepares the inputs, times its first (cold) call and a few warm-up calls,
+and then serves blocks of calls: it reads one JSON request per line on
+stdin (``{"op": "run", "calls": n}`` or ``{"op": "finish"}``) and
+answers each with one JSON line on stdout.  run.py pins the BLAS thread
 counts in this process's environment before it imports numpy.
+
+With ``--cold --expect DIGEST`` the process never calls the API itself:
+each call it is asked for runs in a child forked from it, so every one
+is the first call of a process that has imported the library and
+generated the inputs, without repeating the interpreter start-up and the
+input generation.  This runs apart from the serving process, whose peak
+RSS would otherwise count the forked children.
 """
 
 from __future__ import annotations
@@ -39,12 +47,9 @@ SPILL_PREFIX = "repro-spill-"
 
 def leftovers() -> set:
     """Shared-memory segments and spill directories present right now."""
-    found = set()
-    if os.path.isdir("/dev/shm"):
-        found |= {f"/dev/shm/{n}" for n in os.listdir("/dev/shm") if n.startswith(SHM_PREFIXES)}
-    tmp = tempfile.gettempdir()
-    found |= {f"{tmp}/{n}" for n in os.listdir(tmp) if n.startswith(SPILL_PREFIX)}
-    return found
+    shm = os.listdir("/dev/shm") if os.path.isdir("/dev/shm") else []
+    return measure.leftover_names(shm, os.listdir(tempfile.gettempdir()),
+                                  SHM_PREFIXES, SPILL_PREFIX)
 
 
 def cpu_seconds() -> float:
@@ -103,6 +108,36 @@ def timed_call(workload, tracer=None) -> Outcome:
     return outcome
 
 
+def forked_cold_call(workload: workloads.Workload, tracer=None) -> Outcome:
+    """Time the first call of a child forked from this call-free process."""
+    read_fd, write_fd = os.pipe()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            outcome = timed_call(workload)
+            with os.fdopen(write_fd, "w") as pipe:
+                json.dump([outcome.wall_s, outcome.cpu_s, outcome.digest, outcome.error], pipe)
+            status = 0
+        finally:
+            os._exit(status)  # never unwind into the parent's frames
+    os.close(write_fd)
+    with os.fdopen(read_fd) as pipe:
+        text = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if not text:
+        raise RuntimeError(f"cold-call process ended with status {status} and no result")
+    return Outcome(*json.loads(text))
+
+
+def errors_of(outcomes: List[Outcome], expected: str) -> List[str]:
+    """Why each failed call failed: its exception, or a wrong output."""
+    return [o.error or "output differs from the serial reference"
+            for o in outcomes if o.digest != expected]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workload", required=True, choices=workloads.NAMES)
@@ -119,42 +154,45 @@ def main() -> None:
         protocol.write(json.dumps(message) + "\n")
         protocol.flush()
 
-    before = leftovers()
+    # each watch covers this process's own calls only: the other workload
+    # processes are idle while it serves a request
+    leaks = measure.LeakCounter(leftovers)
     workload = workloads.prepare(args.workload, args.seed, args.workdir)
-    cold = timed_call(workload)
     if args.cold:
-        reply({"setup_s": cold.wall_s, "failed": measure.count_failed([cold.digest], args.expect),
-               "error": cold.error, "leaked": len(leftovers() - before)})
-        return
-    expected = workloads.digest(workload.reference())
-    warmup = [timed_call(workload) for _ in range(WARMUP_CALLS)]
+        # not even the reference: psa_serial shares the kernels with the call
+        expected, first, call = args.expect, [], forked_cold_call
+    else:
+        with leaks.watch():
+            cold = timed_call(workload)
+        expected = workloads.digest(workload.reference())
+        with leaks.watch():
+            first = [cold] + [timed_call(workload) for _ in range(WARMUP_CALLS)]
+        call = timed_call
     tracer = None
     if args.trace_dir is not None:
         tracer = spans.Tracer(args.trace_dir)
         spans.install(tracer)
-    reply({"setup_s": cold.wall_s, "expect": expected, "attempted": 1 + WARMUP_CALLS,
-           "failed": measure.count_failed([o.digest for o in [cold, *warmup]], expected),
-           "errors": [o.error for o in [cold, *warmup] if o.error]})
+    reply({"setup_s": first[0].wall_s if first else None, "expect": expected,
+           "attempted": len(first),
+           "failed": measure.count_failed([o.digest for o in first], expected),
+           "errors": errors_of(first, expected)})
     last_spans = None
     for line in sys.stdin:
         request = json.loads(line)
         if request["op"] == "finish":
             break
-        block = []
-        deadline = time.perf_counter() + request["budget_s"]
-        while len(block) < request["calls"] and time.perf_counter() < deadline:
-            block.append(timed_call(workload, tracer))
+        with leaks.watch():
+            block = [call(workload, tracer) for _ in range(request["calls"])]
         last_spans = next((o.spans for o in reversed(block) if o.spans), last_spans)
         reply({"walls": [o.wall_s for o in block], "cpus": [o.cpu_s for o in block],
                "failed": measure.count_failed([o.digest for o in block], expected),
-               "errors": [o.error or "output differs from the serial reference"
-                          for o in block if o.digest != expected],
+               "errors": errors_of(block, expected),
                "layers": [o.layers for o in block if o.layers is not None]})
     if last_spans:
         (args.trace_dir / "last_call.json").write_text(json.dumps(spans.chrome_trace(last_spans)))
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    reply({"peak_rss_mb": (own + workers) / 1024.0, "leaked": len(leftovers() - before)})
+    reply({"peak_rss_mb": (own + workers) / 1024.0, "leaked": leaks.count})
 
 
 if __name__ == "__main__":

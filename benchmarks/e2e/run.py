@@ -2,25 +2,31 @@
 
 Run from the repository root::
 
-    python3 benchmarks/e2e/run.py [--workload W] [--seed S] [--seconds N]
-                                  [--trace [0|1]] [--quick] [--check] [--out F]
+    python3 benchmarks/e2e/run.py [--workload W] [--seed S] [--trace [0|1]]
+                                  [--quick] [--check] [--out F]
 
 A closed loop: one client, one call at a time, no think time.  Every
 workload runs in its own long-lived process (``child.py``) with the BLAS
-thread counts pinned to 1; with several workloads the processes take
-turns in blocks of ten calls, one active at a time, so drift of a shared
-machine spreads over all of them.  Every output is checked bit for bit
-against the serial reference.
+thread counts pinned to 1 and makes a fixed number of timed calls
+(``workloads.TIMED_CALLS``) in rounds of ten.  Only one process is active
+at a time: a workload's other processes spread their calls evenly over
+the same rounds, and with several workloads the rounds take turns, so
+drift of a shared machine spreads over all of them.  Every output is
+checked bit for bit against the serial reference.
 
-Without ``--trace`` the run reports the end-to-end metrics: wall and CPU
-time of the run's fastest call, peak RSS, and ``setup_s``, the first
-call of a fresh process (median over the serving process and four
-more).  ``--trace`` (or ``--trace 1``) reports the per-layer
-metrics instead: a second process per workload runs the same calls with
-every layer's callables wrapped in spans (``spans.py``), interleaved
-with the untraced one so that ``trace.overhead`` compares like with
-like.  The last line of standard output is one JSON object with
-``correct``, ``attempted``, ``failed`` and ``metrics``.
+Without ``--trace`` the run reports the end-to-end metrics: the peak
+RSS and ``setup_s``, the median of 21 cold calls.  A cold call is the
+first call of a process that has imported the library and generated the
+inputs: the untraced process's own, and 20 made by another process, each
+in a child forked from it.  ``--trace`` (or ``--trace 1``) reports the
+per-layer metrics instead: the untraced calls' wall and CPU time, and
+the layer split of 30 calls made by a second process with every layer's
+callables wrapped in spans (``spans.py``), so that ``trace.overhead``
+compares like with like.  ``--seconds`` is accepted for callers that
+pass the run length and must equal ``run_seconds`` of BENCHMARK.json,
+the length the call counts are sized to.  The last line of standard
+output is one JSON object with ``correct``, ``attempted``, ``failed``
+and ``metrics``.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ import shutil
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -49,30 +54,29 @@ from repro.bench.stats import median  # noqa: E402
 
 #: the default seed; seed 7 is held out to check claims made on this one
 DEFAULT_SEED = 2018
-DEFAULT_SECONDS = 20.0
 BLOCK_CALLS = 10
+TRACED_CALLS = 30
 QUICK_CALLS = 5
-#: fresh processes besides the serving one that each time one cold call
-COLD_PROCESSES = 4
+#: cold calls made by one more process per workload, besides the first
+#: call of the untraced process
+COLD_CALLS = 20
 REPLY_TIMEOUT_S = 150.0
 
-#: end-to-end metrics.  The timings are the best call of the run: on a
-#: shared two-core VM, host contention moves a run's median by 5-25%
-#: from run to run but its minimum by 2-12% (README.md has the table)
+#: end-to-end metrics: the ones steady enough across runs for a bound of
+#: 0.1 or less on the shared reference machine (README.md has the spreads)
 E2E_UNITS = {
-    "wall_s_min": "s",
-    "cpu_s_min": "s",
     "peak_rss_mb": "MB",
     "setup_s": "s",
 }
-#: the run's median and tail, which a traced run reports per layer
-DISTRIBUTION_UNITS = {
+#: the untraced calls' time, which misses a 0.1 bound there: reported
+#: with the per-layer metrics
+CALL_UNITS = {
     "wall_s_p50": "s",
-    "wall_s_p80": "s",
-    "cpu_s_p50": "s",
+    "wall_s_p90": "s",
+    "cpu_s_per_op": "s",
 }
 PER_LAYER_UNITS = {
-    **DISTRIBUTION_UNITS,
+    **CALL_UNITS,
     **spans.CALL_METRIC_UNITS,
     **spans.COUNTER_UNITS,
     "trace.overhead": "fraction",
@@ -122,19 +126,24 @@ class Child:
 
 
 class Serving:
-    """Calls collected from one long-lived workload process."""
+    """Calls collected from one long-lived workload process.
 
-    def __init__(self, workload: str, traced: bool) -> None:
+    ``role`` is ``plain`` (the untraced calls), ``traced`` (calls split
+    into layers) or ``cold`` (cold calls, each in a forked child).
+    """
+
+    def __init__(self, workload: str, role: str, total: int) -> None:
         self.workload = workload
-        self.traced = traced
+        self.role = role
+        self.total = total
         self.child = None
+        self.setup_s = None
         self.walls: list = []
         self.cpus: list = []
         self.layers: list = []
         self.errors: list = []
         self.attempted = 0
         self.failed = 0
-        self.spent_s = 0.0
         self.final: dict = {}
 
     def absorb(self, reply: dict) -> None:
@@ -152,86 +161,74 @@ def child_env(tmp: Path) -> dict:
                 OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
-def run_workloads(names, seed: int, seconds: float, quick: bool, trace: bool,
-                  rundir: Path) -> dict:
+def plan(names, quick: bool, trace: bool):
+    """The servings of a run, each with its number of calls."""
+    servings = []
+    for w in names:
+        servings.append(Serving(w, "plain", QUICK_CALLS if quick else workloads.TIMED_CALLS[w]))
+        if trace:
+            servings.append(Serving(w, "traced", TRACED_CALLS))
+        elif not quick:
+            servings.append(Serving(w, "cold", COLD_CALLS))
+    return servings
+
+
+def run_workloads(names, seed: int, quick: bool, trace: bool, rundir: Path) -> dict:
     """Run the workloads; ``{workload: summary}`` (see :func:`summarize`)."""
     env = child_env(rundir / "tmp")
-    servings = [Serving(w, traced) for w in names for traced in ([False, True] if trace else [False])]
-    setups = {w: [] for w in names}
-    cold_failed = {w: 0 for w in names}
-    leaked = {w: 0 for w in names}
+    servings = plan(names, quick, trace)
     expect = {}
     try:
         for i, s in enumerate(servings):
             args = ["--workload", s.workload, "--seed", str(seed),
                     "--workdir", str(rundir / f"work{i}")]
-            if s.traced:
-                trace_dir = rundir / f"trace{i}"
-                trace_dir.mkdir()
-                args += ["--trace-dir", str(trace_dir)]
+            if s.role == "traced":
+                (rundir / f"trace{i}").mkdir()
+                args += ["--trace-dir", str(rundir / f"trace{i}")]
+            elif s.role == "cold":
+                args += ["--cold", "--expect", expect[s.workload]]
             s.child = Child(args, env)
             ready = s.child.reply()
             s.absorb(ready)
-            expect[s.workload] = ready["expect"]
-            if not s.traced:
-                setups[s.workload].append(ready["setup_s"])
-        # trace mode splits each workload's time between its two processes
-        budget = seconds / (2 if trace else 1)
-        pending = list(servings)
-        while pending:
-            for s in list(pending):
-                if quick:
-                    calls, remaining = QUICK_CALLS - len(s.walls), float("inf")
-                else:
-                    calls, remaining = BLOCK_CALLS, budget - s.spent_s
-                start = time.perf_counter()
-                s.absorb(s.child.request({"op": "run", "calls": calls, "budget_s": remaining}))
-                s.spent_s += time.perf_counter() - start
-                if (len(s.walls) >= QUICK_CALLS) if quick else (s.spent_s >= budget):
-                    pending.remove(s)
+            s.setup_s = ready["setup_s"]
+            expect.setdefault(s.workload, ready["expect"])
+        # a workload runs in rounds of one block of its untraced calls; its
+        # other servings spread their calls evenly over the same rounds
+        rounds = {s.workload: -(-s.total // BLOCK_CALLS) for s in servings if s.role == "plain"}
+        for r in range(max(rounds.values())):
+            for s in servings:
+                n = rounds[s.workload]
+                calls = measure.share(s.total, n, r) if r < n else 0
+                if calls:
+                    s.absorb(s.child.request({"op": "run", "calls": calls}))
         for i, s in enumerate(servings):
             s.final = s.child.request({"op": "finish"})
-            leaked[s.workload] += s.final["leaked"]
-            if s.traced:
-                dump = rundir / f"trace{i}" / "last_call.json"
-                if dump.exists():
-                    shutil.copy(dump, RESULTS / f"trace-{s.workload}.json")
-        if not (trace or quick):
-            for i in range(COLD_PROCESSES):
-                for w in names:
-                    cold = Child(["--workload", w, "--seed", str(seed), "--cold",
-                                  "--expect", expect[w], "--workdir", str(rundir / f"cold{i}-{w}")],
-                                 env)
-                    try:
-                        reply = cold.reply()
-                    finally:
-                        cold.stop()
-                    setups[w].append(reply["setup_s"])
-                    cold_failed[w] += reply["failed"]
-                    leaked[w] += reply["leaked"]
+            dump = rundir / f"trace{i}" / "last_call.json"
+            if dump.exists():
+                shutil.copy(dump, RESULTS / f"trace-{s.workload}.json")
     finally:
         for s in servings:
             if s.child is not None:
                 s.child.stop()
-    return {w: summarize([s for s in servings if s.workload == w], setups[w],
-                         cold_failed[w], leaked[w], trace)
-            for w in names}
+    return {w: summarize([s for s in servings if s.workload == w], trace) for w in names}
 
 
-def summarize(servings, setups, cold_failed: int, leaked: int, trace: bool) -> dict:
+def summarize(servings, trace: bool) -> dict:
     """One workload's result: the four result keys plus what stands behind them."""
-    plain = next(s for s in servings if not s.traced)
-    # setups[0] is the serving process's own first call, already counted
-    attempted = sum(s.attempted for s in servings) + len(setups) - 1
-    failed = sum(s.failed for s in servings) + cold_failed
-    p80, beyond = measure.percentile(plain.walls, 0.8)
-    values = {"wall_s_min": min(plain.walls), "wall_s_p50": median(plain.walls),
-              "wall_s_p80": p80, "cpu_s_min": min(plain.cpus), "cpu_s_p50": median(plain.cpus),
+    role = {s.role: s for s in servings}
+    plain = role["plain"]
+    setups = [plain.setup_s] + (role["cold"].walls if "cold" in role else [])
+    attempted = sum(s.attempted for s in servings)
+    failed = sum(s.failed for s in servings)
+    leaked = sum(s.final["leaked"] for s in servings)
+    p90, beyond = measure.percentile(plain.walls, 0.9)
+    values = {"wall_s_p50": median(plain.walls), "wall_s_p90": p90,
+              "cpu_s_per_op": sum(plain.cpus) / len(plain.cpus),
               "peak_rss_mb": plain.final["peak_rss_mb"], "setup_s": median(setups)}
     samples = {"wall_s": plain.walls, "cpu_s": plain.cpus, "setup_s": setups,
-               "beyond_p80": beyond}
+               "beyond_p90": beyond}
     if trace:
-        traced = next(s for s in servings if s.traced)
+        traced = role["traced"]
         for name in {**spans.CALL_METRIC_UNITS, **spans.COUNTER_UNITS}:
             values[name] = median([layer[name] for layer in traced.layers]) if traced.layers else 0.0
         values["trace.overhead"] = median(traced.walls) / median(plain.walls) - 1
@@ -241,8 +238,8 @@ def summarize(servings, setups, cold_failed: int, leaked: int, trace: bool) -> d
     return {"correct": failed == 0, "attempted": attempted, "failed": failed,
             "metrics": {name: {"value": values[name], "unit": unit}
                         for name, unit in sorted(units.items())},
-            "distribution": {name: values[name] for name in DISTRIBUTION_UNITS},
-            "leaked": leaked, "errors": sorted(set(e for s in servings for e in s.errors)),
+            "calls": {name: values[name] for name in CALL_UNITS},
+            "leaked": leaked, "errors": sorted({e for s in servings for e in s.errors}),
             "samples": samples}
 
 
@@ -256,13 +253,13 @@ def report(name: str, summary: dict, seed: int) -> None:
           f"leaked={summary['leaked']}")
     rows = [(m, e["value"], e["unit"]) for m, e in summary["metrics"].items()]
     if "wall_s_p50" not in summary["metrics"]:
-        rows += [(m, v, DISTRIBUTION_UNITS[m]) for m, v in summary["distribution"].items()]
+        rows += [(m, v, CALL_UNITS[m]) for m, v in summary["calls"].items()]
     for metric, value, unit in rows:
         note = ""
-        if metric == "wall_s_p80":
-            note = f"  ({samples['beyond_p80']} samples beyond)"
+        if metric == "wall_s_p90":
+            note = f"  ({samples['beyond_p90']} samples beyond)"
         elif metric == "setup_s":
-            note = f"  (median of {len(samples['setup_s'])} fresh processes)"
+            note = f"  (median of {len(samples['setup_s'])} cold calls)"
         print(f"  {metric:<30} {value:>14.6g} {unit}{note}")
     for error in summary["errors"][:5]:
         print(f"  error: {error}")
@@ -274,12 +271,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         help="workload to run (repeatable; default: all four)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=DEFAULT_SECONDS,
-                        help="measured seconds per workload")
+    parser.add_argument("--seconds", type=int,
+                        help="must equal run_seconds of BENCHMARK.json if given")
     parser.add_argument("--trace", type=int, nargs="?", const=1, default=0, choices=(0, 1),
-                        help="report the per-layer metrics of a traced run")
+                        help=f"report the per-layer metrics of {TRACED_CALLS} traced calls")
     parser.add_argument("--quick", action="store_true",
-                        help=f"{QUICK_CALLS} calls per workload and no extra set-up processes")
+                        help=f"{QUICK_CALLS} calls per workload and one cold call")
     parser.add_argument("--check", action="store_true",
                         help="fail unless the metrics match BENCHMARK.json and nothing leaked")
     parser.add_argument("--out", type=Path, help="also write the full result as JSON here")
@@ -288,22 +285,24 @@ def main(argv=None) -> int:
     unknown = sorted(set(names) - set(workloads.NAMES))
     if unknown:
         parser.error(f"unknown workload(s) {unknown}; choose from {workloads.NAMES}")
-    if args.seconds <= 0:
-        parser.error("--seconds must be positive")
+    if args.seconds is not None and args.seconds != measure.load_run_seconds():
+        parser.error(f"--seconds {args.seconds} differs from run_seconds "
+                     f"{measure.load_run_seconds()} of BENCHMARK.json; the timed call "
+                     "counts are fixed")
     RESULTS.mkdir(exist_ok=True)
     rundir = RESULTS / f"run-{os.getpid()}"
     (rundir / "tmp").mkdir(parents=True)
     try:
-        summaries = run_workloads(names, args.seed, args.seconds, args.quick, bool(args.trace), rundir)
+        summaries = run_workloads(names, args.seed, args.quick, bool(args.trace), rundir)
     finally:
         shutil.rmtree(rundir, ignore_errors=True)
 
     for name, summary in summaries.items():
         report(name, summary, args.seed)
     if args.out is not None:
-        args.out.write_text(json.dumps({"seed": args.seed, "seconds": args.seconds,
-                                        "trace": args.trace, "quick": args.quick,
-                                        "workloads": summaries}, indent=1))
+        args.out.write_text(json.dumps({"seed": args.seed, "trace": args.trace,
+                                        "quick": args.quick, "workloads": summaries},
+                                       indent=1))
     status = 0
     if args.check:
         section = "per_layer" if args.trace else "end_to_end"

@@ -18,13 +18,13 @@ def span(id, parent, kind, start, end, pid=1, tid=1, **attrs):
 
 
 # --------------------------------------------------------------------- #
-# percentiles and error accounting
+# percentiles, error and leak accounting
 # --------------------------------------------------------------------- #
 def test_percentile_counts_the_samples_beyond_it():
     samples = [float(x) for x in range(100, 0, -1)]
-    value, beyond = measure.percentile(samples, 0.8)
-    assert value == quantile(samples, 0.8) == pytest.approx(80.2)
-    assert beyond == 20
+    value, beyond = measure.percentile(samples, 0.9)
+    assert value == quantile(samples, 0.9) == pytest.approx(90.1)
+    assert beyond == 10
 
 
 def test_percentile_with_ties_counts_only_strictly_larger_samples():
@@ -41,6 +41,56 @@ def test_exceptions_and_mismatches_both_fail_and_attempts_are_the_denominator():
 def test_error_rate_needs_an_attempt():
     with pytest.raises(ValueError):
         measure.error_rate(0, 0)
+
+
+@pytest.mark.parametrize("total,rounds", [(200, 20), (30, 20), (20, 10), (20, 15), (5, 1)])
+def test_calls_spread_evenly_over_the_rounds(total, rounds):
+    parts = [measure.share(total, rounds, r) for r in range(rounds)]
+    assert sum(parts) == total
+    assert max(parts) - min(parts) <= 1
+
+
+class FakeListing:
+    """Leftover listings that a test changes between calls."""
+
+    def __init__(self):
+        self.present = set()
+
+    def __call__(self):
+        return set(self.present)
+
+
+def test_leftover_names_keep_only_segment_and_spill_prefixes():
+    found = measure.leftover_names(["psm_1", "rpub2", "other", "sem.x"],
+                                   ["repro-spill-a", "repro_pilot_b", "x"],
+                                   ("psm_", "rpub"), "repro-spill-")
+    assert found == {"shm/psm_1", "shm/rpub2", "tmp/repro-spill-a"}
+
+
+def test_leaks_count_only_what_appears_inside_a_watch_and_stays():
+    listing = FakeListing()
+    listing.present = {"shm/psm_old"}             # left before the first watch
+    leaks = measure.LeakCounter(listing)
+    with leaks.watch():
+        listing.present |= {"shm/psm_a", "shm/psm_b"}
+        listing.present -= {"shm/psm_b"}          # made and removed: no leak
+    assert leaks.count == 1
+    listing.present |= {"shm/psm_other"}          # another process, between watches
+    with leaks.watch():
+        listing.present -= {"shm/psm_a"}          # a later call cleans an earlier leak
+    assert leaks.count == 1
+    with leaks.watch():
+        listing.present |= {"tmp/repro-spill-x"}
+    assert leaks.count == 2
+
+
+def test_a_leak_is_counted_even_when_the_watched_body_raises():
+    listing = FakeListing()
+    leaks = measure.LeakCounter(listing)
+    with pytest.raises(RuntimeError), leaks.watch():
+        listing.present.add("shm/psm_a")
+        raise RuntimeError("call failed")
+    assert leaks.count == 1
 
 
 # --------------------------------------------------------------------- #
@@ -182,3 +232,12 @@ def test_benchmark_json_declares_what_the_code_emits():
     declared = measure.load_declared()
     assert {n: m["unit"] for n, m in declared["end_to_end"].items()} == run.E2E_UNITS
     assert {n: m["unit"] for n, m in declared["per_layer"].items()} == run.PER_LAYER_UNITS
+
+
+def test_a_run_length_other_than_the_declared_one_is_refused(capsys):
+    import run
+
+    with pytest.raises(SystemExit) as exit_:
+        run.main(["--seconds", str(measure.load_run_seconds() + 1), "--quick"])
+    assert exit_.value.code == 2
+    assert "run_seconds" in capsys.readouterr().err

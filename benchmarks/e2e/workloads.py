@@ -25,6 +25,12 @@ from repro.trajectory.streaming import open_streaming_ensemble, write_frame_chun
 
 NAMES = ("psa_batch", "psa_pilot_fine", "leaflet_tree", "stream_spill")
 
+#: timed calls of one untraced run, the same on every commit so that the
+#: parent and the change are summarized over the same number of samples;
+#: each takes 10-20 s on the reference machine
+TIMED_CALLS = {"psa_batch": 200, "psa_pilot_fine": 100, "leaflet_tree": 150,
+               "stream_spill": 150}
+
 #: pool size of every workload: the two cores of the reference machine
 WORKERS = 2
 
