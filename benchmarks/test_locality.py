@@ -94,8 +94,8 @@ def _run_once(store, tasks, policy):
         start = time.perf_counter()
         results = ex.map_tasks(hub_spoke_distance, tasks)
         elapsed = time.perf_counter() - start
-        placed = (ex.total_tasks_local, ex.total_tasks_remote,
-                  ex.total_bytes_spill_reads_avoided)
+        placed = (ex.totals().tasks_local, ex.totals().tasks_remote,
+                  ex.totals().bytes_spill_reads_avoided)
     finally:
         ex.shutdown()
     return elapsed, results, placed

@@ -22,12 +22,13 @@ algorithms use them where the paper's implementation did.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .cluster import ClusterSpec, local_cluster
+from .counters import COUNTERS, MIRROR, SUM, TaskCounters
 from .executors import (
     ExecutorBase,
     ProcessExecutor,
@@ -56,8 +57,18 @@ __all__ = ["RunMetrics", "BroadcastHandle", "TaskFramework"]
 
 
 @dataclass
-class RunMetrics:
+class RunMetrics(TaskCounters):
     """Accumulated measurements for one framework operation.
+
+    Carries every per-task counter of
+    :class:`~repro.frameworks.counters.TaskCounters` — the task- and
+    result-direction ``*_pickled`` / ``*_shared`` byte splits, the
+    ``spill_wait_seconds`` / ``spill_hidden_seconds`` stall split,
+    retries, speculation and locality placement — summed over the
+    operation's tasks and combined per each counter's declared rule.
+    Process pools measure real pickled sizes; in-process executors
+    estimate with :func:`~repro.frameworks.serialization.nbytes_of`, the
+    same would-move convention used for broadcast/shuffle volumes.
 
     Attributes
     ----------
@@ -75,19 +86,6 @@ class RunMetrics:
         Communication volumes, measured with
         :func:`repro.frameworks.serialization.nbytes_of` /
         ``serialized_size`` depending on the substrate.
-    bytes_pickled / bytes_shared:
-        Data-plane split for *task payloads*: bytes that cross (or, for
-        in-process executors, *would* cross) a process boundary
-        serialized, vs array bytes accessed zero-copy through the
-        shared-memory plane (:mod:`repro.frameworks.shm`).  Process
-        pools measure real pickled sizes; in-process executors estimate
-        with :func:`~repro.frameworks.serialization.nbytes_of`, the same
-        would-move convention used for broadcast/shuffle volumes.
-    bytes_results_pickled / bytes_shared_results:
-        The same split for the *result* direction: result-payload bytes
-        serialized back to the driver (on the shm plane just the refs)
-        vs array bytes returned through shared segments the driver
-        resolves zero-copy.
     bytes_spilled:
         Cumulative bytes the framework's store moved to its disk tier
         (non-zero only when a ``store_capacity_bytes`` watermark is
@@ -98,48 +96,12 @@ class RunMetrics:
         (:meth:`~repro.frameworks.shm.SharedMemoryStore.ingest`), and
         the residency high-water mark over the run.  An out-of-core run
         shows ``peak_resident_bytes`` well below ``bytes_ingested``.
-        Like the spill counters, these mirror the store's cumulative
+        Like ``bytes_spilled``, these mirror the store's cumulative
         values.
-    spill_wait_seconds / spill_hidden_seconds:
-        The write-behind split of the spill cost: seconds eviction
-        stalled the task/result hot path (the whole file write for
-        synchronous stores, backpressure blocking for write-behind
-        stores) vs seconds the spill-writer thread spent writing in the
-        background.  Like ``bytes_spilled``, these mirror the store's
-        cumulative counters.
-    tasks_retried / tasks_lost:
-        Resilience counters: task re-executions performed by the fault
-        policy, and how many failures were worker deaths or lost data
-        blocks (as opposed to in-task exceptions).  A fault-free run
-        reports 0 / 0.
-    recovery_seconds:
-        Driver-observed time spent recovering: retry backoffs, block
-        healing, orphan-segment sweeps and process-pool rebuilds — the
-        resilience overhead an experiment subtracts to compare against
-        a fault-free run.
-    tasks_speculated / speculation_wins:
-        Straggler mitigation: duplicate attempts launched because a
-        task overran the policy's ``speculation_factor`` threshold, and
-        how many of those duplicates produced the winning result.
     tasks_restored / restore_seconds:
         Checkpoint/restart accounting: tasks whose results were
         replayed from a :class:`~repro.frameworks.checkpoint.RunJournal`
         instead of re-executed, and the driver time spent replaying.
-    tasks_local / tasks_remote:
-        Placement accounting (non-zero only with
-        ``FaultPolicy.locality``): tasks the locality scheduler placed
-        on a lane whose resident set covered every spilled input block
-        (*local*) vs tasks that had to pay at least one cold spill read
-        (*remote*).  A task with no spilled inputs counts local, so
-        ``tasks_local + tasks_remote`` equals the tasks placed.
-    bytes_spill_reads_avoided:
-        Spilled-block bytes that affinity placement found already
-        mapped on the chosen worker — cold disk reads the run did not
-        pay.
-    prefetch_hints_dropped:
-        Prefetch hints discarded because the hint queue was full
-        (observability for tuning prefetch depth vs
-        ``spill_queue_depth``).
     events:
         Free-form ``(label, value)`` pairs recorded by substrates
         (e.g. per-stage timings, database round-trips).
@@ -153,26 +115,11 @@ class RunMetrics:
     bytes_broadcast: int = 0
     bytes_shuffled: int = 0
     bytes_staged: int = 0
-    bytes_pickled: int = 0
-    bytes_shared: int = 0
-    bytes_results_pickled: int = 0
-    bytes_shared_results: int = 0
-    bytes_spilled: int = 0
-    bytes_ingested: int = 0
-    peak_resident_bytes: int = 0
-    spill_wait_seconds: float = 0.0
-    spill_hidden_seconds: float = 0.0
-    tasks_retried: int = 0
-    tasks_lost: int = 0
-    recovery_seconds: float = 0.0
-    tasks_speculated: int = 0
-    speculation_wins: int = 0
+    bytes_spilled: int = field(default=0, metadata={"rule": MIRROR})
+    bytes_ingested: int = field(default=0, metadata={"rule": MIRROR})
+    peak_resident_bytes: int = field(default=0, metadata={"rule": MIRROR})
     tasks_restored: int = 0
     restore_seconds: float = 0.0
-    tasks_local: int = 0
-    tasks_remote: int = 0
-    bytes_spill_reads_avoided: int = 0
-    prefetch_hints_dropped: int = 0
     events: List[tuple] = field(default_factory=list)
 
     def record_event(self, label: str, value: Any) -> None:
@@ -180,76 +127,23 @@ class RunMetrics:
         self.events.append((label, value))
 
     def merge(self, other: "RunMetrics") -> "RunMetrics":
-        """Combine two metric records (used when an algorithm runs stages)."""
-        merged = RunMetrics(
-            tasks_submitted=self.tasks_submitted + other.tasks_submitted,
-            tasks_completed=self.tasks_completed + other.tasks_completed,
-            wall_time_s=self.wall_time_s + other.wall_time_s,
-            task_time_s=self.task_time_s + other.task_time_s,
-            overhead_s=self.overhead_s + other.overhead_s,
-            bytes_broadcast=self.bytes_broadcast + other.bytes_broadcast,
-            bytes_shuffled=self.bytes_shuffled + other.bytes_shuffled,
-            bytes_staged=self.bytes_staged + other.bytes_staged,
-            bytes_pickled=self.bytes_pickled + other.bytes_pickled,
-            bytes_shared=self.bytes_shared + other.bytes_shared,
-            bytes_results_pickled=self.bytes_results_pickled + other.bytes_results_pickled,
-            bytes_shared_results=self.bytes_shared_results + other.bytes_shared_results,
-            bytes_spilled=max(self.bytes_spilled, other.bytes_spilled),
-            bytes_ingested=max(self.bytes_ingested, other.bytes_ingested),
-            peak_resident_bytes=max(self.peak_resident_bytes,
-                                    other.peak_resident_bytes),
-            spill_wait_seconds=max(self.spill_wait_seconds, other.spill_wait_seconds),
-            spill_hidden_seconds=max(self.spill_hidden_seconds,
-                                     other.spill_hidden_seconds),
-            tasks_retried=self.tasks_retried + other.tasks_retried,
-            tasks_lost=self.tasks_lost + other.tasks_lost,
-            recovery_seconds=self.recovery_seconds + other.recovery_seconds,
-            tasks_speculated=self.tasks_speculated + other.tasks_speculated,
-            speculation_wins=self.speculation_wins + other.speculation_wins,
-            tasks_restored=self.tasks_restored + other.tasks_restored,
-            restore_seconds=self.restore_seconds + other.restore_seconds,
-            tasks_local=self.tasks_local + other.tasks_local,
-            tasks_remote=self.tasks_remote + other.tasks_remote,
-            bytes_spill_reads_avoided=self.bytes_spill_reads_avoided
-            + other.bytes_spill_reads_avoided,
-            prefetch_hints_dropped=self.prefetch_hints_dropped
-            + other.prefetch_hints_dropped,
-            events=self.events + other.events,
-        )
+        """Combine two metric records (used when an algorithm runs stages).
+
+        Store mirrors keep the larger reading, since a later one already
+        includes the earlier; every other field adds, and the events
+        concatenate.
+        """
+        merged = RunMetrics(events=self.events + other.events)
+        for f in fields(self):
+            if f.name != "events":
+                a, b = getattr(self, f.name), getattr(other, f.name)
+                setattr(merged, f.name,
+                        max(a, b) if f.metadata.get("rule") == MIRROR else a + b)
         return merged
 
     def as_dict(self) -> dict:
-        """Plain-dict view for reports."""
-        return {
-            "tasks_submitted": self.tasks_submitted,
-            "tasks_completed": self.tasks_completed,
-            "wall_time_s": self.wall_time_s,
-            "task_time_s": self.task_time_s,
-            "overhead_s": self.overhead_s,
-            "bytes_broadcast": self.bytes_broadcast,
-            "bytes_shuffled": self.bytes_shuffled,
-            "bytes_staged": self.bytes_staged,
-            "bytes_pickled": self.bytes_pickled,
-            "bytes_shared": self.bytes_shared,
-            "bytes_results_pickled": self.bytes_results_pickled,
-            "bytes_shared_results": self.bytes_shared_results,
-            "bytes_spilled": self.bytes_spilled,
-            "bytes_ingested": self.bytes_ingested,
-            "peak_resident_bytes": self.peak_resident_bytes,
-            "spill_wait_seconds": self.spill_wait_seconds,
-            "spill_hidden_seconds": self.spill_hidden_seconds,
-            "tasks_retried": self.tasks_retried,
-            "tasks_lost": self.tasks_lost,
-            "recovery_seconds": self.recovery_seconds,
-            "tasks_speculated": self.tasks_speculated,
-            "speculation_wins": self.speculation_wins,
-            "tasks_restored": self.tasks_restored,
-            "restore_seconds": self.restore_seconds,
-            "tasks_local": self.tasks_local,
-            "tasks_remote": self.tasks_remote,
-            "bytes_spill_reads_avoided": self.bytes_spill_reads_avoided,
-            "prefetch_hints_dropped": self.prefetch_hints_dropped,
-        }
+        """Plain-dict view for reports (every field but ``events``)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "events"}
 
 
 @dataclass
@@ -547,55 +441,31 @@ class TaskFramework:
         return results
 
     # ------------------------------------------------------------------ #
-    def _collect_executor_bytes(self) -> None:
-        """Fold the executor's per-task byte and spill accounting into the metrics.
+    def _collect_executor_bytes(self, measured: TaskCounters | None = None) -> None:
+        """Fold the executor's per-task counters into the metrics.
 
-        ``_apply_data_plane`` estimates payload bytes driver-side and a
-        process-based executor measures the same payloads as they cross;
-        both describe one crossing, so take the larger rather than
-        summing them.  The same applies to the spill split: the store's
-        cumulative counters and the executor's per-task attribution
-        describe the same stalls, and the executor totals are the only
-        source when a :class:`SharedMemoryExecutor` runs under a
+        ``measured`` defaults to the executor's totals for its last
+        ``map_tasks`` call; pilot passes its agent's rollup instead,
+        which spans every batch of the operation.  The framework-side
+        fault counters (retry wrappers, pilot unit rescheduling) record
+        events disjoint from the executor's, so they add to it.  Each
+        counter then meets what the framework recorded itself by its
+        declared rule: ``sum`` counters add; for ``max`` counters
+        ``_apply_data_plane`` estimated the crossing that a process
+        executor measured, so the larger wins; for ``mirror`` counters
+        the store's cumulative reading and the executor's per-task
+        attribution describe the same stalls, and the executor is the
+        only source when a :class:`SharedMemoryExecutor` runs under a
         framework whose own plane is ``"pickle"`` (its internal plane
         still spills, but ``_finish_results`` never consults the store).
         """
-        self.metrics.bytes_pickled = max(self.metrics.bytes_pickled,
-                                         self.executor.total_bytes_pickled)
-        self.metrics.bytes_shared = max(self.metrics.bytes_shared,
-                                        self.executor.total_bytes_shared)
-        self.metrics.bytes_results_pickled = max(self.metrics.bytes_results_pickled,
-                                                 self.executor.total_bytes_results_pickled)
-        self.metrics.bytes_shared_results = max(self.metrics.bytes_shared_results,
-                                                self.executor.total_bytes_results_shared)
-        self.metrics.spill_wait_seconds = max(self.metrics.spill_wait_seconds,
-                                              self.executor.total_spill_wait_seconds)
-        self.metrics.spill_hidden_seconds = max(self.metrics.spill_hidden_seconds,
-                                                self.executor.total_spill_hidden_seconds)
-        # resilience counters: executor-run substrates record retries in
-        # the per-task timings, wrapping substrates (and pilot's unit
-        # rescheduling) in the framework-side counters — the two sources
-        # describe disjoint events, so they sum
-        self.metrics.tasks_retried += (self.executor.total_tasks_retried
-                                       + self._fault_counters.tasks_retried)
-        self.metrics.tasks_lost += (self.executor.total_tasks_lost
-                                    + self._fault_counters.tasks_lost)
-        self.metrics.recovery_seconds += (self.executor.total_recovery_seconds
-                                          + self._fault_counters.recovery_seconds)
-        self.metrics.tasks_speculated += (self.executor.total_tasks_speculated
-                                          + self._fault_counters.tasks_speculated)
-        self.metrics.speculation_wins += (self.executor.total_speculation_wins
-                                          + self._fault_counters.speculation_wins)
-        self.metrics.tasks_local += (self.executor.total_tasks_local
-                                     + self._fault_counters.tasks_local)
-        self.metrics.tasks_remote += (self.executor.total_tasks_remote
-                                      + self._fault_counters.tasks_remote)
-        self.metrics.bytes_spill_reads_avoided += (
-            self.executor.total_bytes_spill_reads_avoided
-            + self._fault_counters.bytes_spill_reads_avoided)
-        self.metrics.prefetch_hints_dropped += (
-            self.executor.total_prefetch_hints_dropped
-            + self._fault_counters.prefetch_hints_dropped)
+        if measured is None:
+            measured = self.executor.totals()
+        measured.add(self._fault_counters)
+        for f in COUNTERS:
+            ours, theirs = getattr(self.metrics, f.name), getattr(measured, f.name)
+            setattr(self.metrics, f.name,
+                    ours + theirs if f.metadata["rule"] == SUM else max(ours, theirs))
         # folded into this operation's metrics: start the next one clean
         self._fault_counters.reset()
 

@@ -26,7 +26,7 @@ report scheduling overhead separately from useful work; the process-based
 executors additionally record, per task, ``bytes_pickled`` /
 ``bytes_results_pickled`` (payload bytes that crossed the process
 boundary serialized, in each direction) and ``bytes_shared`` /
-``bytes_results_shared`` (array bytes the task accessed or returned
+``bytes_shared_results`` (array bytes the task accessed or returned
 through shared memory instead).
 
 Fault tolerance
@@ -43,8 +43,8 @@ heartbeat went stale) marks that lane's in-flight task lost, the
 orphaned result segments of the dead worker are swept, the lane is
 rebuilt, and the lost task is resubmitted — the other lanes keep
 executing throughout, so one killed worker costs one task re-execution
-instead of the whole run.  Per-task ``retries`` / ``lost`` /
-``recovery_seconds`` land in the :class:`TaskTiming` records and roll
+instead of the whole run.  Per-task ``tasks_retried`` / ``tasks_lost``
+/ ``recovery_seconds`` land in the :class:`TaskTiming` records and roll
 up into :class:`~repro.frameworks.base.RunMetrics`.
 
 Locality-aware placement
@@ -81,6 +81,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bench.stats import median as _median
+from .counters import TaskCounters
 from .faults import (
     NO_RETRIES,
     RESIDENT_PREFIX,
@@ -90,14 +91,15 @@ from .faults import (
     FaultSpec,
     WorkerLost,
     apply_block_fault,
+    call_in_process,
     clear_heartbeat,
     execute_worker_fault,
     kill_heartbeat_workers,
     kill_stale_workers,
+    prepare_retry,
     read_resident_set,
     reap_dead_heartbeats,
     report_resident_set,
-    simulate_in_process_fault,
     unlink_result_refs,
     write_heartbeat,
 )
@@ -146,95 +148,27 @@ def default_worker_count() -> int:
 
 
 @dataclass
-class TaskTiming:
-    """Wall-clock timing and data-plane accounting of one executed task.
+class TaskTiming(TaskCounters):
+    """Wall-clock timing and counters of one executed task.
+
+    Besides the fields below, a timing carries every per-task counter
+    of :class:`~repro.frameworks.counters.TaskCounters`: the data-plane
+    byte split, the spill stall split, retries, speculation and
+    placement.
 
     Parameters
     ----------
     index : int
         Position of the task in the submitted batch.
     start, stop : float
-        ``perf_counter`` timestamps bracketing the task (including its
-        payload deserialization and result serialization, where a real
-        deployment pays them).
-    bytes_pickled : int, optional
-        The task's *input payload* bytes serialized across a process
-        boundary.
-    bytes_shared : int, optional
-        Array bytes the task accessed through the shared-memory plane
-        instead of receiving them in the payload.
-    bytes_results_pickled : int, optional
-        The task's *result payload* bytes serialized back across the
-        boundary (for the shm plane this is just the refs).
-    bytes_results_shared : int, optional
-        Array bytes the task returned through shared memory instead of
-        the result payload.
-    spill_wait_seconds : float, optional
-        Seconds the driver's store stalled the hot path on spill
-        eviction while staging this task's payload and adopting its
-        results (the full file write for synchronous stores,
-        backpressure blocking for write-behind stores).
-    spill_hidden_seconds : float, optional
-        Spill-writer seconds that elapsed in the background during the
-        same windows — file writes the write-behind pipeline hid from
-        the put path.
-    retries : int, optional
-        Times this task was re-executed before the recorded (successful)
-        attempt; ``start``/``stop`` bracket the final attempt only.
-    lost : int, optional
-        How many of those failures were worker deaths or lost blocks
-        (the resilience layer's ``tasks_lost`` events).
-    recovery_seconds : float, optional
-        Driver-observed recovery time attributed to this task: backoff
-        pauses, block healing, and (for the task that triggered it) the
-        process-pool rebuild after a worker death.
-    speculated : int, optional
-        Speculative duplicate attempts launched because this task
-        straggled past the policy's ``speculation_factor`` threshold.
-    speculation_won : int, optional
-        1 when the recorded result came from a speculative duplicate
-        that beat the original attempt.
-    placed_local : int, optional
-        1 when locality-aware placement ran this task on a lane whose
-        resident set covered every spilled input block (no cold disk
-        read required; tasks without spilled inputs count local too).
-    placed_remote : int, optional
-        1 when the task was placed despite uncovered spilled inputs —
-        the first toucher of a cold block, or a steal after the
-        delay-scheduling bound expired.
-    bytes_spill_reads_avoided : int, optional
-        Spilled-block bytes this task found already mapped on its
-        chosen lane instead of reading them cold from disk.
-    prefetch_hints_dropped : int, optional
-        Read-ahead hints dropped on a full prefetch queue while
-        dispatching or executing this task (driver- and worker-side
-        drops combined) — the observable for tuning the prefetch depth
-        against ``spill_queue_depth``.
-
-    Notes
-    -----
-    All byte and spill counters stay 0 for in-process executors, where
-    no boundary is crossed and the framework's store is driven directly.
+        ``perf_counter`` timestamps bracketing the task's final attempt
+        (including its payload deserialization and result
+        serialization, where a real deployment pays them).
     """
 
     index: int
     start: float
     stop: float
-    bytes_pickled: int = 0
-    bytes_shared: int = 0
-    bytes_results_pickled: int = 0
-    bytes_results_shared: int = 0
-    spill_wait_seconds: float = 0.0
-    spill_hidden_seconds: float = 0.0
-    retries: int = 0
-    lost: int = 0
-    recovery_seconds: float = 0.0
-    speculated: int = 0
-    speculation_won: int = 0
-    placed_local: int = 0
-    placed_remote: int = 0
-    bytes_spill_reads_avoided: int = 0
-    prefetch_hints_dropped: int = 0
 
     @property
     def duration(self) -> float:
@@ -284,90 +218,14 @@ class ExecutorBase:
         """
         raise NotImplementedError
 
-    def map_with_args(self, fn: Callable[..., Any],
-                      items: Sequence[tuple]) -> List[Any]:
-        """Run ``fn(*args)`` for every argument tuple in ``items``."""
-        return self.map_tasks(lambda args: fn(*args), items)
-
     @property
     def total_task_time(self) -> float:
         """Sum of task durations from the last ``map_tasks`` call."""
         return sum(t.duration for t in self.timings)
 
-    @property
-    def total_bytes_pickled(self) -> int:
-        """Input payload bytes pickled across process boundaries (last call)."""
-        return sum(t.bytes_pickled for t in self.timings)
-
-    @property
-    def total_bytes_shared(self) -> int:
-        """Array bytes accessed through shared memory (last call)."""
-        return sum(t.bytes_shared for t in self.timings)
-
-    @property
-    def total_bytes_results_pickled(self) -> int:
-        """Result payload bytes pickled back across the boundary (last call)."""
-        return sum(t.bytes_results_pickled for t in self.timings)
-
-    @property
-    def total_bytes_results_shared(self) -> int:
-        """Array bytes returned through shared memory (last call)."""
-        return sum(t.bytes_results_shared for t in self.timings)
-
-    @property
-    def total_spill_wait_seconds(self) -> float:
-        """Seconds spill eviction stalled the hot path (last call)."""
-        return sum(t.spill_wait_seconds for t in self.timings)
-
-    @property
-    def total_spill_hidden_seconds(self) -> float:
-        """Background spill-writer seconds observed during the last call."""
-        return sum(t.spill_hidden_seconds for t in self.timings)
-
-    @property
-    def total_tasks_retried(self) -> int:
-        """Task re-executions performed during the last call."""
-        return sum(t.retries for t in self.timings)
-
-    @property
-    def total_tasks_lost(self) -> int:
-        """Worker-death / lost-block failures recovered during the last call."""
-        return sum(t.lost for t in self.timings)
-
-    @property
-    def total_recovery_seconds(self) -> float:
-        """Driver-observed recovery time spent during the last call."""
-        return sum(t.recovery_seconds for t in self.timings)
-
-    @property
-    def total_tasks_speculated(self) -> int:
-        """Speculative duplicate attempts launched during the last call."""
-        return sum(t.speculated for t in self.timings)
-
-    @property
-    def total_speculation_wins(self) -> int:
-        """Speculative duplicates that beat their original (last call)."""
-        return sum(t.speculation_won for t in self.timings)
-
-    @property
-    def total_tasks_local(self) -> int:
-        """Tasks placed with full spilled-input coverage (last call)."""
-        return sum(t.placed_local for t in self.timings)
-
-    @property
-    def total_tasks_remote(self) -> int:
-        """Tasks placed despite uncovered spilled inputs (last call)."""
-        return sum(t.placed_remote for t in self.timings)
-
-    @property
-    def total_bytes_spill_reads_avoided(self) -> int:
-        """Cold disk reads locality placement steered around (last call)."""
-        return sum(t.bytes_spill_reads_avoided for t in self.timings)
-
-    @property
-    def total_prefetch_hints_dropped(self) -> int:
-        """Read-ahead hints dropped on a full queue (last call)."""
-        return sum(t.prefetch_hints_dropped for t in self.timings)
+    def totals(self) -> TaskCounters:
+        """Every per-task counter summed over the last ``map_tasks`` call."""
+        return TaskCounters.total(self.timings)
 
     def _fault_context(self) -> Tuple[FaultPolicy, Optional[FaultInjector],
                                       Optional[SharedMemoryStore]]:
@@ -379,11 +237,10 @@ class ExecutorBase:
                        item: Any) -> Tuple[Any, TaskTiming]:
         """Run one task in-process under the executor's fault policy.
 
-        Claims the dispatch's fault from the injector (simulating
-        ``kill_worker`` as :class:`~repro.frameworks.faults.WorkerLost`,
-        since a real kill would take the driver down), re-executes per
-        the policy, and heals lost payload blocks from their registered
-        source arrays between attempts.
+        See :func:`~repro.frameworks.faults.call_in_process`: an injected
+        ``kill_worker`` is simulated as
+        :class:`~repro.frameworks.faults.WorkerLost`, since a real kill
+        would take the driver down.
 
         Parameters
         ----------
@@ -401,46 +258,10 @@ class ExecutorBase:
         timing : TaskTiming
             Timing of the final attempt, carrying the retry counters.
         """
-        policy, injector, store = self._fault_context()
-        retries = lost = 0
-        recovery = 0.0
-        speculated = spec_won = 0
-        attempt = 0
-        while True:
-            spec = injector.claim(attempt) if injector is not None else None
-            start = time.perf_counter()
-            try:
-                if spec is not None:
-                    if spec.is_block_fault:
-                        apply_block_fault(spec, store)
-                    elif (spec.kind == "delay"
-                          and policy.speculation_factor is not None):
-                        # in-process straggler simulation: a real pool
-                        # would race a duplicate attempt and take its
-                        # result; here the duplicate "wins" immediately
-                        # instead of sleeping out the injected delay
-                        speculated = spec_won = 1
-                    else:
-                        simulate_in_process_fault(spec)
-                result = fn(item)
-                return result, TaskTiming(index, start, time.perf_counter(),
-                                          retries=retries, lost=lost,
-                                          recovery_seconds=recovery,
-                                          speculated=speculated,
-                                          speculation_won=spec_won)
-            except Exception as exc:  # noqa: BLE001 - the policy decides
-                if not policy.should_retry(exc, attempt):
-                    raise
-                recover_start = time.perf_counter()
-                if isinstance(exc, BlockLost) and store is not None:
-                    store.recover_spilled_block(exc.segment)
-                pause = policy.backoff_for(attempt)
-                if pause:
-                    time.sleep(pause)
-                attempt += 1
-                retries += 1
-                lost += int(isinstance(exc, (WorkerLost, BlockLost)))
-                recovery += time.perf_counter() - recover_start
+        timing = TaskTiming(index, 0.0, 0.0)
+        result, timing.start = call_in_process(fn, item, *self._fault_context(), timing)
+        timing.stop = time.perf_counter()
+        return result, timing
 
     def _after_pool_break(self) -> None:
         """Hook run between reaping a broken pool and rebuilding it.
@@ -662,11 +483,17 @@ class _PooledMapEngine:
     ``target="result"``, remembered and applied to the returned refs
     before adoption).  Speculative duplicates never touch the injector:
     the exactly-once injection contract counts real dispatches only.
+
+    The per-task state is ``timings``, one :class:`TaskTiming` per task
+    that the owner returns as its own: the engine counts retries,
+    speculation and placement into it and stamps ``start``/``stop``,
+    ``on_result`` adds the byte counters, and a task's attempt number is
+    its ``tasks_retried``.
     """
 
     def __init__(self, owner: "ExecutorBase", worker_fn: Callable[[tuple], tuple],
                  payload_for: Callable[[int, Optional[FaultSpec], Optional[str]], tuple],
-                 on_result: Callable[[int, tuple, Optional[FaultSpec], tuple], None],
+                 on_result: Callable[[int, tuple, Optional[FaultSpec], TaskTiming], None],
                  n_tasks: int,
                  on_discard: Optional[Callable[[tuple], None]] = None,
                  task_refs: Optional[List[List[BlockRef]]] = None) -> None:
@@ -680,16 +507,7 @@ class _PooledMapEngine:
         self.policy = policy
         self.injector = injector
         self.store = store
-        self.attempts = [0] * n_tasks
-        self.retries = [0] * n_tasks
-        self.lost = [0] * n_tasks
-        self.recovery = [0.0] * n_tasks
-        self.speculated = [0] * n_tasks
-        self.spec_won = [0] * n_tasks
-        self.placed_local = [0] * n_tasks
-        self.placed_remote = [0] * n_tasks
-        self.bytes_avoided = [0] * n_tasks
-        self.hints_dropped = [0] * n_tasks
+        self.timings = [TaskTiming(i, 0.0, 0.0) for i in range(n_tasks)]
         self.result_faults: Dict[int, FaultSpec] = {}
         self._durations: List[float] = []
         self._completed: set = set()
@@ -704,19 +522,8 @@ class _PooledMapEngine:
     def _fail(self, index: int, exc: BaseException, pending: "deque[int]",
               front: bool = False) -> None:
         """Handle one task failure: schedule a retry or re-raise."""
-        if not self.policy.should_retry(exc, self.attempts[index]):
+        if not prepare_retry(exc, self.policy, self.store, self.timings[index]):
             raise exc
-        recover_start = time.perf_counter()
-        is_lost = isinstance(exc, (WorkerLost, BlockLost))
-        if isinstance(exc, BlockLost) and self.store is not None:
-            self.store.recover_spilled_block(exc.segment)
-        pause = self.policy.backoff_for(self.attempts[index])
-        if pause:
-            time.sleep(pause)
-        self.attempts[index] += 1
-        self.retries[index] += 1
-        self.lost[index] += int(is_lost)
-        self.recovery[index] += time.perf_counter() - recover_start
         if front:
             pending.appendleft(index)
         else:
@@ -726,7 +533,7 @@ class _PooledMapEngine:
         """Claim and pre-process this dispatch's fault; the worker-side part."""
         if self.injector is None:
             return None
-        spec = self.injector.claim(self.attempts[index])
+        spec = self.injector.claim(self.timings[index].tasks_retried)
         if spec is None:
             return None
         if spec.is_block_fault:
@@ -736,14 +543,6 @@ class _PooledMapEngine:
                 apply_block_fault(spec, self.store)
             return None
         return spec
-
-    def stats_for(self, index: int) -> tuple:
-        """Per-task (retries, lost, recovery_seconds, speculated, wins,
-        local, remote, bytes_avoided, hints_dropped)."""
-        return (self.retries[index], self.lost[index], self.recovery[index],
-                self.speculated[index], self.spec_won[index],
-                self.placed_local[index], self.placed_remote[index],
-                self.bytes_avoided[index], self.hints_dropped[index])
 
     # ------------------------------------------------------------------ #
     def run(self) -> None:
@@ -785,7 +584,7 @@ class _PooledMapEngine:
         (the exactly-once dispatch counter stays exact), and the lane is
         handed to recovery.
         """
-        first_attempt = self.attempts[index] == 0
+        first_attempt = self.timings[index].tasks_retried == 0
         spec = self._dispatch_spec(index)
         try:
             lane.future = lane.pool.submit(
@@ -839,21 +638,21 @@ class _PooledMapEngine:
                 if placement is None:
                     continue  # hold: better-affine lanes may free in time
                 pending.remove(placement.index)
+                timing = self.timings[placement.index]
                 if placement.missing and self._task_refs is not None:
                     missing_refs = [r for r in self._task_refs[placement.index]
                                     if r.segment in placement.missing]
                     drops0 = prefetch_hints_dropped()
                     prefetch_refs(missing_refs)
-                    self.hints_dropped[placement.index] += (
-                        prefetch_hints_dropped() - drops0)
+                    timing.prefetch_hints_dropped += prefetch_hints_dropped() - drops0
                 if self._dispatch(lane, placement.index, pending, hb_dir,
                                   broken):
                     # last dispatch wins: a retried task re-scores, so the
                     # flags describe the attempt that actually produced
                     # the result
-                    self.placed_local[placement.index] = int(placement.local)
-                    self.placed_remote[placement.index] = int(not placement.local)
-                    self.bytes_avoided[placement.index] += placement.bytes_avoided
+                    timing.tasks_local = int(placement.local)
+                    timing.tasks_remote = int(not placement.local)
+                    timing.bytes_spill_reads_avoided += placement.bytes_avoided
                     lane.resident = lane.resident | self._scheduler.names_for(
                         placement.index)
                     progress = True
@@ -915,19 +714,20 @@ class _PooledMapEngine:
                     self.on_discard(out)
                 continue
             self._completed.add(index)
+            timing = self.timings[index]
             if was_dup:
-                self.spec_won[index] += 1
+                timing.speculation_wins += 1
             if self.policy.speculation_factor is not None:
                 self._durations.append(max(0.0, out[3] - out[2]))
+            timing.start, timing.stop = out[2], out[3]
             try:
-                self.on_result(index, out, self.result_faults.pop(index, None),
-                               self.stats_for(index))
+                self.on_result(index, out, self.result_faults.pop(index, None), timing)
             except BlockLost as exc:
                 # the result's segments vanished before adoption:
                 # re-execute the producing task
                 self._completed.discard(index)
-                if was_dup and self.spec_won[index]:
-                    self.spec_won[index] -= 1
+                if was_dup and timing.speculation_wins:
+                    timing.speculation_wins -= 1
                 self._fail(index, exc, pending)
         if broken:
             return broken
@@ -946,7 +746,7 @@ class _PooledMapEngine:
         pid, dropped = out[5], out[6]
         lane.pid = pid
         if dropped:
-            self.hints_dropped[index] += dropped
+            self.timings[index].prefetch_hints_dropped += dropped
         if self._scheduler is not None and hb_dir is not None:
             names = read_resident_set(hb_dir, pid)
             if names is not None:
@@ -976,7 +776,7 @@ class _PooledMapEngine:
             if not lane.busy:
                 continue
             index = lane.index
-            if (lane.is_dup or self.speculated[index]
+            if (lane.is_dup or self.timings[index].tasks_speculated
                     or index in self._completed):
                 continue
             if now - lane.launched <= threshold:
@@ -991,7 +791,7 @@ class _PooledMapEngine:
             dup_lane.index = index
             dup_lane.is_dup = True
             dup_lane.launched = now
-            self.speculated[index] += 1
+            self.timings[index].tasks_speculated += 1
 
     def _recover(self, broken: List[_WorkerLane], pending: "deque[int]",
                  hb_dir: Optional[str]) -> None:
@@ -1022,7 +822,7 @@ class _PooledMapEngine:
         for lane in broken:
             lane.rebuild()
         if alive:
-            self.recovery[alive[0]] += time.perf_counter() - recover_start
+            self.timings[alive[0]].recovery_seconds += time.perf_counter() - recover_start
 
 
 class ProcessExecutor(ExecutorBase):
@@ -1056,30 +856,19 @@ class ProcessExecutor(ExecutorBase):
         blobs = [pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
                  for item in items]
         results: List[Any] = [None] * len(items)
-        timings: List[Optional[TaskTiming]] = [None] * len(items)
 
         def payload_for(i: int, spec: Optional[FaultSpec],
                         hb_dir: Optional[str]) -> tuple:
             return (i, fn, blobs[i], spec, hb_dir)
 
         def on_result(i: int, out_tuple: tuple, result_fault: Optional[FaultSpec],
-                      stats: tuple) -> None:
-            _, out, start, stop = out_tuple[:4]
+                      timing: TaskTiming) -> None:
+            out = out_tuple[1]
             # result-target block faults act on shm segments; the pickle
             # plane has none, so they are inert here
             results[i] = pickle.loads(out)
-            (retries, lost, recovery, speculated, spec_won,
-             local, remote, avoided, hints_dropped) = stats
-            timings[i] = TaskTiming(i, start, stop,
-                                    bytes_pickled=len(blobs[i]),
-                                    bytes_results_pickled=len(out),
-                                    retries=retries, lost=lost,
-                                    recovery_seconds=recovery,
-                                    speculated=speculated,
-                                    speculation_won=spec_won,
-                                    placed_local=local, placed_remote=remote,
-                                    bytes_spill_reads_avoided=avoided,
-                                    prefetch_hints_dropped=hints_dropped)
+            timing.bytes_pickled = len(blobs[i])
+            timing.bytes_results_pickled = len(out)
 
         # the pickle plane carries no BlockRefs unless the caller put
         # some in the payloads (mixed plane); collect them so locality
@@ -1087,9 +876,10 @@ class ProcessExecutor(ExecutorBase):
         task_refs = None
         if self.fault_policy is not None and self.fault_policy.locality:
             task_refs = [collect_refs(item) for item in items]
-        _PooledMapEngine(self, _timed_call, payload_for, on_result,
-                         len(items), task_refs=task_refs).run()
-        self.timings = [t for t in timings if t is not None]
+        engine = _PooledMapEngine(self, _timed_call, payload_for, on_result,
+                                  len(items), task_refs=task_refs)
+        engine.run()
+        self.timings = engine.timings
         return results
 
 
@@ -1235,15 +1025,14 @@ class SharedMemoryExecutor(ExecutorBase):
                  for item in shared_items]
         shared_sizes = [refs_nbytes(item) for item in shared_items]
         results: List[Any] = [None] * len(items)
-        timings: List[Optional[TaskTiming]] = [None] * len(items)
 
         def payload_for(i: int, spec: Optional[FaultSpec],
                         hb_dir: Optional[str]) -> tuple:
             return (i, fn, blobs[i], spec, hb_dir)
 
         def on_result(i: int, out_tuple: tuple, result_fault: Optional[FaultSpec],
-                      stats: tuple) -> None:
-            _, out, start, stop, shared = out_tuple[:5]
+                      timing: TaskTiming) -> None:
+            out, shared = out_tuple[1], out_tuple[4]
             payload = pickle.loads(out)
             if result_fault is not None:
                 # injected handoff crash: the refs' segments vanish before
@@ -1254,23 +1043,14 @@ class SharedMemoryExecutor(ExecutorBase):
             wait0 = self.store.spill_wait_seconds
             hidden0 = self.store.spill_hidden_seconds
             results[i] = adopt_payload(payload, self.store)
-            (retries, lost, recovery, speculated, spec_won,
-             local, remote, avoided, hints_dropped) = stats
-            timings[i] = TaskTiming(
-                i, start, stop,
-                bytes_pickled=len(blobs[i]),
-                bytes_shared=shared_sizes[i],
-                bytes_results_pickled=len(out),
-                bytes_results_shared=shared,
-                spill_wait_seconds=stage_waits[i]
-                + self.store.spill_wait_seconds - wait0,
-                spill_hidden_seconds=stage_hidden[i]
-                + self.store.spill_hidden_seconds - hidden0,
-                retries=retries, lost=lost, recovery_seconds=recovery,
-                speculated=speculated, speculation_won=spec_won,
-                placed_local=local, placed_remote=remote,
-                bytes_spill_reads_avoided=avoided,
-                prefetch_hints_dropped=hints_dropped)
+            timing.bytes_pickled = len(blobs[i])
+            timing.bytes_shared = shared_sizes[i]
+            timing.bytes_results_pickled = len(out)
+            timing.bytes_shared_results = shared
+            timing.spill_wait_seconds = (stage_waits[i]
+                                         + self.store.spill_wait_seconds - wait0)
+            timing.spill_hidden_seconds = (stage_hidden[i]
+                                           + self.store.spill_hidden_seconds - hidden0)
 
         def on_discard(out_tuple: tuple) -> None:
             # a beaten speculative attempt still published its result
@@ -1284,10 +1064,11 @@ class SharedMemoryExecutor(ExecutorBase):
         task_refs = None
         if self.fault_policy is not None and self.fault_policy.locality:
             task_refs = [collect_refs(item) for item in shared_items]
-        _PooledMapEngine(self, _shm_timed_call, payload_for, on_result,
-                         len(items), on_discard=on_discard,
-                         task_refs=task_refs).run()
-        self.timings = [t for t in timings if t is not None]
+        engine = _PooledMapEngine(self, _shm_timed_call, payload_for, on_result,
+                                  len(items), on_discard=on_discard,
+                                  task_refs=task_refs)
+        engine.run()
+        self.timings = engine.timings
         return results
 
     def shutdown(self) -> None:

@@ -19,11 +19,15 @@ infrastructure to prove it:
   dispatched*, *delay the k-th task*.  The injector is consumed
   driver-side at dispatch time, so a retried task never re-triggers its
   fault and a fault-free re-run of the same workload is bit-identical.
-* :class:`RetryingCall` is the in-process retry wrapper used by the
-  substrates whose tasks do not run on the shared executor layer
-  (dasklite's graph scheduler, mpilite's rank threads); the executors
-  implement the same loop natively, including real process-pool
-  recovery (see :mod:`repro.frameworks.executors`).
+* :func:`prepare_retry` is the one recovery step every retry path
+  shares (policy check, block healing, backoff, accounting), and
+  :func:`call_in_process` the one in-process attempt loop around it:
+  the in-process executors run it directly, and :class:`RetryingCall`
+  wraps it for the substrates whose tasks do not run on the shared
+  executor layer (dasklite's graph scheduler, mpilite's rank threads).
+  The process pools (see :mod:`repro.frameworks.executors`) and pilot's
+  unit rescheduling launch attempts their own way and recover through
+  :func:`prepare_retry`.
 
 Failure taxonomy
 ----------------
@@ -49,6 +53,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+from .counters import COUNTERS, TaskCounters
 from .shm import (
     BlockLost,
     SharedMemoryStore,
@@ -67,6 +72,8 @@ __all__ = [
     "FaultSpec",
     "FaultInjector",
     "FaultCounters",
+    "prepare_retry",
+    "call_in_process",
     "RetryingCall",
     "as_injector",
     "apply_block_fault",
@@ -527,76 +534,130 @@ def unlink_result_refs(payload: Any) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# counters and the in-process retry wrapper
+# recovery, counters and the in-process retry wrapper
 # --------------------------------------------------------------------------- #
-@dataclass
-class FaultCounters:
-    """Thread-safe resilience counters for one ``map_tasks`` operation.
+def prepare_retry(exc: BaseException, policy: FaultPolicy,
+                  store: Optional[SharedMemoryStore], counts: TaskCounters) -> bool:
+    """Get a failed task ready to rerun, or report that the policy gives up.
 
-    Attributes
+    The recovery step every retry path shares: ask the policy (the
+    failed attempt's number is ``counts.tasks_retried``), heal a lost
+    payload block from its registered source array, back off, and count
+    the retry, the loss (worker death or lost block) and the time spent
+    into ``counts``.  Launching the next attempt is the caller's part.
+
+    Parameters
     ----------
-    tasks_retried : int
-        Task re-executions performed (every retry counts once).
-    tasks_lost : int
-        Failures attributed to lost workers or lost blocks (each lost
-        event counts once; the matching re-execution also appears in
-        ``tasks_retried``).
-    recovery_seconds : float
-        Driver-observed time spent recovering: backoff pauses, block
-        healing, orphan sweeps, and process-pool rebuilds.
-    tasks_speculated : int
-        Speculative duplicate attempts launched against stragglers.
-    speculation_wins : int
-        Speculative duplicates whose result beat the original attempt.
-    tasks_local : int
-        Locality placements that covered every spilled input block.
-    tasks_remote : int
-        Locality placements that paid at least one cold spill read.
-    bytes_spill_reads_avoided : int
-        Spilled bytes found resident on the chosen worker.
-    prefetch_hints_dropped : int
-        Prefetch hints discarded because the hint queue was full.
+    exc : BaseException
+        The failure.
+    policy : FaultPolicy
+        The run's policy.
+    store : SharedMemoryStore or None
+        The store the payload refs came from, for block healing.
+    counts : TaskCounters
+        The failed task's own counters.
+
+    Returns
+    -------
+    bool
+        ``False`` when the task must not rerun; the caller surfaces
+        ``exc``.
+    """
+    attempt = counts.tasks_retried
+    if not policy.should_retry(exc, attempt):
+        return False
+    start = time.perf_counter()
+    if isinstance(exc, BlockLost) and store is not None:
+        store.recover_spilled_block(exc.segment)
+    pause = policy.backoff_for(attempt)
+    if pause:
+        time.sleep(pause)
+    counts.tasks_retried += 1
+    counts.tasks_lost += int(isinstance(exc, (WorkerLost, BlockLost)))
+    counts.recovery_seconds += time.perf_counter() - start
+    return True
+
+
+def call_in_process(fn: Callable[[Any], Any], item: Any, policy: FaultPolicy,
+                    injector: Optional[FaultInjector],
+                    store: Optional[SharedMemoryStore],
+                    counts: TaskCounters) -> Tuple[Any, float]:
+    """Run one task in the calling process, retrying per ``policy``.
+
+    The first attempt claims its fault from the injector and simulates
+    it here: block faults sabotage the store, an injected ``"delay"``
+    under a speculative policy is a straggler whose duplicate wins at
+    once (a real pool would race a duplicate attempt; here it wins
+    instead of sleeping out the delay), and any other task-side fault
+    goes through :func:`simulate_in_process_fault`.  Failures go through
+    :func:`prepare_retry`.
+
+    Parameters
+    ----------
+    fn : callable
+        Task function.
+    item : Any
+        Task payload.
+    policy : FaultPolicy
+        Retry policy.
+    injector : FaultInjector or None
+        Deterministic fault source.
+    store : SharedMemoryStore or None
+        The run's store, for block faults and lost-block healing.
+    counts : TaskCounters
+        The task's counters; retries and speculation are counted here.
+
+    Returns
+    -------
+    result : Any
+        The successful attempt's return value.
+    start : float
+        ``perf_counter`` stamp at the start of that attempt.
+    """
+    while True:
+        spec = injector.claim(counts.tasks_retried) if injector is not None else None
+        start = time.perf_counter()
+        try:
+            if spec is not None:
+                if spec.is_block_fault:
+                    apply_block_fault(spec, store)
+                elif spec.kind == "delay" and policy.speculation_factor is not None:
+                    counts.tasks_speculated += 1
+                    counts.speculation_wins += 1
+                else:
+                    simulate_in_process_fault(spec)
+            return fn(item), start
+        except Exception as exc:  # noqa: BLE001 - the policy decides
+            if not prepare_retry(exc, policy, store, counts):
+                raise
+
+
+@dataclass
+class FaultCounters(TaskCounters):
+    """Thread-safe :class:`~repro.frameworks.counters.TaskCounters` for one operation.
+
+    Filled driver-side by :class:`RetryingCall` and by pilot's unit
+    rescheduling; the framework folds them into
+    :class:`~repro.frameworks.base.RunMetrics` and resets them.
     """
 
-    tasks_retried: int = 0
-    tasks_lost: int = 0
-    recovery_seconds: float = 0.0
-    tasks_speculated: int = 0
-    speculation_wins: int = 0
-    tasks_local: int = 0
-    tasks_remote: int = 0
-    bytes_spill_reads_avoided: int = 0
-    prefetch_hints_dropped: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
+                                  compare=False)
 
-    def record(self, *, retried: int = 0, lost: int = 0,
-               seconds: float = 0.0, speculated: int = 0,
-               wins: int = 0, local: int = 0, remote: int = 0,
-               bytes_avoided: int = 0, hints_dropped: int = 0) -> None:
-        """Accumulate retry/loss/speculation/placement events."""
+    def add(self, other: TaskCounters) -> None:
+        """Add every counter of ``other`` (thread-safe)."""
         with self._lock:
-            self.tasks_retried += retried
-            self.tasks_lost += lost
-            self.recovery_seconds += seconds
-            self.tasks_speculated += speculated
-            self.speculation_wins += wins
-            self.tasks_local += local
-            self.tasks_remote += remote
-            self.bytes_spill_reads_avoided += bytes_avoided
-            self.prefetch_hints_dropped += hints_dropped
+            super().add(other)
+
+    def record(self, **counts: float) -> None:
+        """Add the named counters, e.g. ``record(tasks_retried=1)``."""
+        self.add(TaskCounters(**counts))
 
     def reset(self) -> None:
-        """Zero the counters (start of a new operation)."""
+        """Zero every counter (start of a new operation)."""
         with self._lock:
-            self.tasks_retried = 0
-            self.tasks_lost = 0
-            self.recovery_seconds = 0.0
-            self.tasks_speculated = 0
-            self.speculation_wins = 0
-            self.tasks_local = 0
-            self.tasks_remote = 0
-            self.bytes_spill_reads_avoided = 0
-            self.prefetch_hints_dropped = 0
+            for f in COUNTERS:
+                setattr(self, f.name, f.default)
 
 
 class RetryingCall:
@@ -604,11 +665,9 @@ class RetryingCall:
 
     dasklite's graph scheduler and mpilite's rank threads execute tasks
     on their own machinery rather than on the shared executor layer, so
-    the framework wraps the task function with this callable: each
-    invocation claims its fault from the injector (first attempts only),
-    simulates task-side faults, applies block faults to the store, and
-    re-executes per the policy — healing lost payload blocks from their
-    registered sources on the way.
+    the framework wraps the task function with this callable, which runs
+    each invocation through :func:`call_in_process` and adds the task's
+    counts to ``counters``.
 
     Parameters
     ----------
@@ -637,34 +696,12 @@ class RetryingCall:
 
     def __call__(self, item: Any) -> Any:
         """Run the task, retrying per the policy; the task's result."""
-        attempt = 0
-        while True:
-            spec = self.injector.claim(attempt) if self.injector else None
-            try:
-                if spec is not None:
-                    if spec.is_block_fault:
-                        apply_block_fault(spec, self.store)
-                    elif (spec.kind == "delay"
-                          and self.policy.speculation_factor is not None):
-                        # in-process straggler simulation: the duplicate
-                        # attempt wins immediately instead of sleeping
-                        self.counters.record(speculated=1, wins=1)
-                    else:
-                        simulate_in_process_fault(spec)
-                return self.fn(item)
-            except Exception as exc:  # noqa: BLE001 - the policy decides
-                if not self.policy.should_retry(exc, attempt):
-                    raise
-                recover_start = time.perf_counter()
-                lost = isinstance(exc, (WorkerLost, BlockLost))
-                if isinstance(exc, BlockLost) and self.store is not None:
-                    self.store.recover_spilled_block(exc.segment)
-                pause = self.policy.backoff_for(attempt)
-                if pause:
-                    time.sleep(pause)
-                attempt += 1
-                self.counters.record(retried=1, lost=int(lost),
-                                     seconds=time.perf_counter() - recover_start)
+        counts = TaskCounters()
+        try:
+            return call_in_process(self.fn, item, self.policy, self.injector,
+                                   self.store, counts)[0]
+        finally:
+            self.counters.add(counts)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,9 +11,10 @@ every batch pulled and every state pushed is a database round trip.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict
 
+from ..counters import TaskCounters
 from ..executors import ExecutorBase, SerialExecutor
 from .database import StateDatabase
 from .units import ComputeUnit, UnitState
@@ -22,45 +23,23 @@ __all__ = ["AgentStats", "PilotAgent"]
 
 
 @dataclass
-class AgentStats:
+class AgentStats(TaskCounters):
     """Counters describing one agent's activity.
 
-    The three resilience counters accumulate the executor's per-batch
-    retry accounting across the whole drain (the executor itself only
-    reports its most recent ``map_tasks`` call).
+    Besides its own four fields, it carries every per-task counter of
+    :class:`~repro.frameworks.counters.TaskCounters`, accumulated over
+    every batch the agent drained (the executor itself only reports its
+    most recent ``map_tasks`` call).
     """
 
     units_executed: int = 0
     batches_pulled: int = 0
     execution_time_s: float = 0.0
     scheduling_time_s: float = 0.0
-    tasks_retried: int = 0
-    tasks_lost: int = 0
-    recovery_seconds: float = 0.0
-    tasks_speculated: int = 0
-    speculation_wins: int = 0
-    tasks_local: int = 0
-    tasks_remote: int = 0
-    bytes_spill_reads_avoided: int = 0
-    prefetch_hints_dropped: int = 0
 
     def as_dict(self) -> dict:
         """Plain-dict view for metric events."""
-        return {
-            "units_executed": self.units_executed,
-            "batches_pulled": self.batches_pulled,
-            "execution_time_s": self.execution_time_s,
-            "scheduling_time_s": self.scheduling_time_s,
-            "tasks_retried": self.tasks_retried,
-            "tasks_lost": self.tasks_lost,
-            "recovery_seconds": self.recovery_seconds,
-            "tasks_speculated": self.tasks_speculated,
-            "speculation_wins": self.speculation_wins,
-            "tasks_local": self.tasks_local,
-            "tasks_remote": self.tasks_remote,
-            "bytes_spill_reads_avoided": self.bytes_spill_reads_avoided,
-            "prefetch_hints_dropped": self.prefetch_hints_dropped,
-        }
+        return asdict(self)
 
 
 class PilotAgent:
@@ -119,19 +98,9 @@ class PilotAgent:
             exec_start = time.perf_counter()
             outcomes = self.executor.map_tasks(_run_unit, batch_units)
             self.stats.execution_time_s += time.perf_counter() - exec_start
-            # the executor's fault accounting is per-call; roll it up so
-            # retries in early batches survive the later ones
-            self.stats.tasks_retried += self.executor.total_tasks_retried
-            self.stats.tasks_lost += self.executor.total_tasks_lost
-            self.stats.recovery_seconds += self.executor.total_recovery_seconds
-            self.stats.tasks_speculated += self.executor.total_tasks_speculated
-            self.stats.speculation_wins += self.executor.total_speculation_wins
-            self.stats.tasks_local += self.executor.total_tasks_local
-            self.stats.tasks_remote += self.executor.total_tasks_remote
-            self.stats.bytes_spill_reads_avoided += (
-                self.executor.total_bytes_spill_reads_avoided)
-            self.stats.prefetch_hints_dropped += (
-                self.executor.total_prefetch_hints_dropped)
+            # the executor's counters are per-call; roll them up so
+            # early batches survive the later ones
+            self.stats.add(self.executor.totals())
             final_states: Dict[str, dict] = {}
             for unit, (ok, payload) in zip(batch_units, outcomes):
                 if ok:

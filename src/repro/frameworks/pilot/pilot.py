@@ -16,9 +16,11 @@ here mirror RADICAL-Pilot's public API surface:
 
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 import pickle
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass
@@ -26,7 +28,9 @@ from typing import Any, Callable, Dict, List, Sequence
 
 from ..base import BroadcastHandle, RunMetrics, TaskFramework
 from ..cluster import ClusterSpec
+from ..counters import TaskCounters
 from ..executors import ExecutorBase
+from ..faults import NO_RETRIES, prepare_retry
 from ..serialization import nbytes_of, serialized_size
 from ..shm import BlockRef
 from .agent import PilotAgent
@@ -228,7 +232,10 @@ class PilotFramework(TaskFramework):
         self.pilot = self.pilot_manager.submit_pilots(pilot_desc)[0]
         self.unit_manager = UnitManager(self.session)
         self.unit_manager.add_pilots(self.pilot)
-        self._staging_dir = staging_dir or tempfile.mkdtemp(prefix="repro_pilot_")
+        # a private scratch directory is made on the first file stage and
+        # removed on close; a caller's staging_dir is left alone
+        self._staging_dir = staging_dir
+        self._owns_staging_dir = False
 
     # ------------------------------------------------------------------ #
     # uniform TaskFramework surface
@@ -246,39 +253,10 @@ class PilotFramework(TaskFramework):
             for i, item in enumerate(items)
         ]
         stats = self.pilot.agent.stats
-        base_retried = stats.tasks_retried
-        base_lost = stats.tasks_lost
-        base_recovery = stats.recovery_seconds
-        base_speculated = stats.tasks_speculated
-        base_wins = stats.speculation_wins
-        base_local = stats.tasks_local
-        base_remote = stats.tasks_remote
-        base_avoided = stats.bytes_spill_reads_avoided
-        base_dropped = stats.prefetch_hints_dropped
+        before = copy.copy(stats)
         units = list(self.unit_manager.submit_units(descriptions))
         self.unit_manager.wait_units(units)
         self._reschedule_failed_units(units)
-        # the agent accumulated the executor's per-batch retry counts;
-        # _collect_executor_bytes will add the *last* batch's totals
-        # again, so record only the earlier batches here
-        self._fault_counters.record(
-            retried=(stats.tasks_retried - base_retried
-                     - self.executor.total_tasks_retried),
-            lost=(stats.tasks_lost - base_lost - self.executor.total_tasks_lost),
-            seconds=(stats.recovery_seconds - base_recovery
-                     - self.executor.total_recovery_seconds),
-            speculated=(stats.tasks_speculated - base_speculated
-                        - self.executor.total_tasks_speculated),
-            wins=(stats.speculation_wins - base_wins
-                  - self.executor.total_speculation_wins),
-            local=(stats.tasks_local - base_local
-                   - self.executor.total_tasks_local),
-            remote=(stats.tasks_remote - base_remote
-                    - self.executor.total_tasks_remote),
-            bytes_avoided=(stats.bytes_spill_reads_avoided - base_avoided
-                           - self.executor.total_bytes_spill_reads_avoided),
-            hints_dropped=(stats.prefetch_hints_dropped - base_dropped
-                           - self.executor.total_prefetch_hints_dropped))
         failed = [u for u in units if u.state == UnitState.FAILED]
         if failed:
             raise failed[0].exception  # surface the first task failure
@@ -294,7 +272,9 @@ class PilotFramework(TaskFramework):
         self.metrics.overhead_s = max(0.0, wall - self.metrics.task_time_s / workers)
         self.metrics.record_event("database", self.session.database.stats.as_dict())
         self.metrics.record_event("agent", self.pilot.agent.stats.as_dict())
-        self._collect_executor_bytes()
+        # the executor reports only the agent's last batch; the agent's
+        # rollup over this call covers every batch
+        self._collect_executor_bytes(stats.since(before))
         return results
 
     def _reschedule_failed_units(self, units: List[ComputeUnit]) -> None:
@@ -306,43 +286,31 @@ class PilotFramework(TaskFramework):
         through the full state model (and billed the same database round
         trips).  ``units`` is updated in place so the caller collects
         results positionally; exhausted retries leave the unit FAILED
-        for the caller to surface.  Retry and loss counts land in the
-        framework's fault counters, which ``_collect_executor_bytes``
-        folds into the run metrics.
+        for the caller to surface.  Each failure goes through
+        :func:`~repro.frameworks.faults.prepare_retry`; the counts land
+        in the framework's fault counters, which
+        ``_collect_executor_bytes`` folds into the run metrics.
         """
-        from ..faults import NO_RETRIES, WorkerLost
-        from ..shm import BlockLost
-
         policy = self.fault_policy or NO_RETRIES
-        attempts: Dict[int, int] = {}
+        counts = [TaskCounters() for _ in units]
         while True:
             failed = [(i, unit) for i, unit in enumerate(units)
                       if unit.state == UnitState.FAILED
-                      and policy.should_retry(unit.exception, attempts.get(i, 0))]
+                      and prepare_retry(unit.exception, policy, self.store, counts[i])]
             if not failed:
-                return
-            recover_start = time.perf_counter()
-            lost = 0
-            redo: List[ComputeUnitDescription] = []
+                break
+            redo = []
             for i, unit in failed:
-                exc = unit.exception
-                lost += int(isinstance(exc, (WorkerLost, BlockLost)))
-                if isinstance(exc, BlockLost) and self.store is not None:
-                    self.store.recover_spilled_block(exc.segment)
-                pause = policy.backoff_for(attempts.get(i, 0))
-                if pause:
-                    time.sleep(pause)
-                attempts[i] = attempts.get(i, 0) + 1
                 desc = unit.description
                 redo.append(ComputeUnitDescription(
                     callable_=desc.callable_, args=desc.args, kwargs=desc.kwargs,
-                    cores=desc.cores, name=f"{desc.name}~retry{attempts[i]}"))
+                    cores=desc.cores, name=f"{desc.name}~retry{counts[i].tasks_retried}"))
             replacements = self.unit_manager.submit_units(redo)
-            self._fault_counters.record(retried=len(redo), lost=lost,
-                                        seconds=time.perf_counter() - recover_start)
             self.unit_manager.wait_units(replacements)
             for (i, _), replacement in zip(failed, replacements):
                 units[i] = replacement
+        for task_counts in counts:
+            self._fault_counters.add(task_counts)
 
     def broadcast(self, value: Any) -> BroadcastHandle:
         """RP has no broadcast: data is staged to the shared filesystem.
@@ -389,6 +357,9 @@ class PilotFramework(TaskFramework):
             self.metrics.bytes_staged += serialized_size(ref)
             self.metrics.bytes_shared += ref.nbytes
             return path
+        if self._staging_dir is None:
+            self._staging_dir = tempfile.mkdtemp(prefix="repro_pilot_")
+            self._owns_staging_dir = True
         os.makedirs(self._staging_dir, exist_ok=True)
         path = os.path.join(self._staging_dir, f"{label}_{time.monotonic_ns()}.pkl")
         with open(path, "wb") as fh:
@@ -407,7 +378,9 @@ class PilotFramework(TaskFramework):
             return pickle.load(fh)
 
     def close(self) -> None:
-        """Cancel the pilot and close the session."""
+        """Cancel the pilot, close the session and drop a private staging directory."""
         self.pilot.cancel()
         self.session.close()
+        if self._owns_staging_dir:
+            shutil.rmtree(self._staging_dir, ignore_errors=True)
         super().close()

@@ -89,27 +89,22 @@ class TestExecutorContract:
         expected = [float(i * 60) for i in range(5)]
         assert executor.map_tasks(array_total, items) == expected
 
-    def test_map_with_args(self, executor):
-        if isinstance(executor, (ProcessExecutor, SharedMemoryExecutor)):
-            pytest.skip("map_with_args uses a closure; in-process executors only")
-        assert executor.map_with_args(lambda a, b: a + b, [(1, 2), (3, 4)]) == [3, 7]
-
 
 class TestByteAccounting:
     def test_in_process_executors_move_nothing(self):
         for kind in ("serial", "threads"):
             ex = make(kind)
             ex.map_tasks(square, [1, 2, 3])
-            assert ex.total_bytes_pickled == 0
-            assert ex.total_bytes_shared == 0
+            assert ex.totals().bytes_pickled == 0
+            assert ex.totals().bytes_shared == 0
 
     def test_process_executor_counts_pickled_payloads(self):
         ex = ProcessExecutor(workers=2)
         items = [[np.zeros((50, 3))] for _ in range(4)]
         ex.map_tasks(array_total, items)
         # each payload carries its 1200-byte array plus pickle framing
-        assert ex.total_bytes_pickled > 4 * 50 * 3 * 8
-        assert ex.total_bytes_shared == 0
+        assert ex.totals().bytes_pickled > 4 * 50 * 3 * 8
+        assert ex.totals().bytes_shared == 0
 
     def test_shm_executor_shares_instead_of_pickling(self):
         ex = SharedMemoryExecutor(workers=2)
@@ -117,8 +112,8 @@ class TestByteAccounting:
         items = [[np.zeros((50, 3))] for _ in range(4)]
         try:
             assert ex.map_tasks(array_total, items) == pex.map_tasks(array_total, items)
-            assert ex.total_bytes_shared == 4 * 50 * 3 * 8
-            assert 0 < ex.total_bytes_pickled < pex.total_bytes_pickled
+            assert ex.totals().bytes_shared == 4 * 50 * 3 * 8
+            assert 0 < ex.totals().bytes_pickled < pex.totals().bytes_pickled
         finally:
             ex.shutdown()
 
@@ -128,7 +123,7 @@ class TestByteAccounting:
         try:
             ex.map_tasks(array_total, [[shared] for _ in range(8)])
             # every task references the array, but only one segment exists
-            assert ex.total_bytes_shared == 8 * shared.nbytes
+            assert ex.totals().bytes_shared == 8 * shared.nbytes
             assert len(ex.store) == 1
         finally:
             ex.shutdown()

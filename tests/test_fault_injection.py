@@ -375,9 +375,9 @@ class TestRealWorkerDeath:
         try:
             results = ex.map_tasks(square, list(range(6)))
             assert results == [0, 1, 4, 9, 16, 25]
-            assert ex.total_tasks_lost == 1
-            assert ex.total_tasks_retried == 1
-            assert ex.total_recovery_seconds > 0.0
+            assert ex.totals().tasks_lost == 1
+            assert ex.totals().tasks_retried == 1
+            assert ex.totals().recovery_seconds > 0.0
         finally:
             ex.shutdown()
 
@@ -388,8 +388,8 @@ class TestRealWorkerDeath:
         try:
             results = ex.map_tasks(square, list(range(10)))
             assert results == [x * x for x in range(10)]
-            assert ex.total_tasks_lost >= 1
-            assert ex.total_tasks_retried >= 1
+            assert ex.totals().tasks_lost >= 1
+            assert ex.totals().tasks_retried >= 1
         finally:
             ex.shutdown()
 
@@ -412,7 +412,7 @@ class TestRealWorkerDeath:
             results = ex.map_tasks(make_block, list(range(4)))
             for i, block in enumerate(results):
                 assert np.array_equal(block, make_block(i))
-            assert ex.total_tasks_lost == 1
+            assert ex.totals().tasks_lost == 1
         finally:
             ex.shutdown()
         assert shm_entries() == before
@@ -428,8 +428,8 @@ class TestRealWorkerDeath:
             results = ex.map_tasks(make_block, list(range(4)))
             for i, block in enumerate(results):
                 assert np.array_equal(block, make_block(i))
-            assert ex.total_tasks_lost == 1
-            assert ex.total_tasks_retried == 1
+            assert ex.totals().tasks_lost == 1
+            assert ex.totals().tasks_retried == 1
         finally:
             ex.shutdown()
         leaked = {name for name in shm_entries() - before
@@ -448,7 +448,7 @@ class TestRealWorkerDeath:
         try:
             results = ex.map_tasks(square, list(range(3)))
             assert results == [0, 1, 4]
-            assert ex.total_tasks_lost == 1
+            assert ex.totals().tasks_lost == 1
             assert time.monotonic() - start < 30.0  # nowhere near the 60s hang
         finally:
             ex.shutdown()
@@ -482,8 +482,8 @@ class TestLostBlocks:
             results = ex.map_tasks(make_block, list(range(3)))
             for i, block in enumerate(results):
                 assert np.array_equal(block, make_block(i))
-            assert ex.total_tasks_lost == 1
-            assert ex.total_tasks_retried == 1
+            assert ex.totals().tasks_lost == 1
+            assert ex.totals().tasks_retried == 1
         finally:
             ex.shutdown()
         assert shm_entries() == before
@@ -640,7 +640,7 @@ class TestSpillWriterFailure:
             results = ex.map_tasks(make_block, list(range(3)))
             for i, block in enumerate(results):
                 assert np.array_equal(block, make_block(i))
-            assert ex.total_tasks_lost == 1
+            assert ex.totals().tasks_lost == 1
         finally:
             ex.shutdown()
             store.cleanup()
@@ -686,10 +686,10 @@ class TestResilienceMetrics:
         try:
             ex.map_tasks(square, list(range(3)))
             timing = ex.timings[1]
-            assert timing.retries == 1
-            assert timing.lost == 1
+            assert timing.tasks_retried == 1
+            assert timing.tasks_lost == 1
             assert timing.recovery_seconds > 0.0
-            assert ex.timings[0].retries == 0
+            assert ex.timings[0].tasks_retried == 0
         finally:
             ex.shutdown()
 
@@ -893,8 +893,8 @@ class TestSpeculation:
         try:
             results = ex.map_tasks(slow_square, list(range(6)))
             assert results == [x * x for x in range(6)]
-            assert ex.total_tasks_speculated == 1
-            assert ex.total_speculation_wins == 1
+            assert ex.totals().tasks_speculated == 1
+            assert ex.totals().speculation_wins == 1
             assert time.monotonic() - start < 30.0
             assert ex.last_hb_leftovers == []  # straggler's heartbeat reaped
         finally:
@@ -910,7 +910,7 @@ class TestSpeculation:
             results = ex.map_tasks(make_block, list(range(6)))
             for i, block in enumerate(results):
                 assert np.array_equal(block, make_block(i))
-            assert ex.total_tasks_speculated == 1
+            assert ex.totals().tasks_speculated == 1
         finally:
             ex.shutdown()
         assert shm_entries() == before
@@ -999,8 +999,8 @@ class TestLaneFailureDomain:
         try:
             results = ex.map_tasks(square, list(range(12)))
             assert results == [x * x for x in range(12)]
-            assert ex.total_tasks_lost == 1
-            assert ex.total_tasks_retried == 1
+            assert ex.totals().tasks_lost == 1
+            assert ex.totals().tasks_retried == 1
         finally:
             ex.shutdown()
 
@@ -1013,8 +1013,8 @@ class TestLaneFailureDomain:
             results = ex.map_tasks(make_block, list(range(12)))
             for i, block in enumerate(results):
                 assert np.array_equal(block, make_block(i))
-            assert ex.total_tasks_lost == 1
-            assert ex.total_tasks_retried == 1
+            assert ex.totals().tasks_lost == 1
+            assert ex.totals().tasks_retried == 1
         finally:
             ex.shutdown()
         assert shm_entries() == before
@@ -1037,9 +1037,9 @@ class TestLaneFailureDomain:
             results = ex.map_tasks(scale_block, blocks)
             for i, block in enumerate(results):
                 assert np.array_equal(block, blocks[i] * 2.0)
-            assert ex.total_tasks_lost == 1
-            assert ex.total_tasks_retried == 1
-            assert (ex.total_tasks_local + ex.total_tasks_remote) == 12
+            assert ex.totals().tasks_lost == 1
+            assert ex.totals().tasks_retried == 1
+            assert (ex.totals().tasks_local + ex.totals().tasks_remote) == 12
             assert ex.last_hb_leftovers == []
         finally:
             ex.shutdown()

@@ -89,11 +89,6 @@ class TestExecutors:
         elapsed = time.perf_counter() - start
         assert elapsed < 0.05 * 4  # strictly less than serial time
 
-    def test_map_with_args(self):
-        ex = SerialExecutor()
-        results = ex.map_with_args(lambda a, b: a + b, [(1, 2), (3, 4)])
-        assert results == [3, 7]
-
     def test_make_executor_unknown(self):
         with pytest.raises(ValueError):
             make_executor("gpu")

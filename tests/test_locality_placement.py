@@ -281,9 +281,9 @@ class TestPlacementAccounting:
             assert results == [float(a.sum())] * 4
             # the first toucher pays the cold read; with one lane every
             # later task finds A resident there
-            assert ex.total_tasks_remote == 1
-            assert ex.total_tasks_local == 3
-            assert ex.total_bytes_spill_reads_avoided == 3 * a.nbytes
+            assert ex.totals().tasks_remote == 1
+            assert ex.totals().tasks_local == 3
+            assert ex.totals().bytes_spill_reads_avoided == 3 * a.nbytes
             assert ex.last_hb_leftovers == []
         finally:
             ex.shutdown()
@@ -296,9 +296,9 @@ class TestPlacementAccounting:
             arrays = [np.full(64, float(i)) for i in range(6)]
             results = ex.map_tasks(block_sum, arrays)
             assert results == [float(arr.sum()) for arr in arrays]
-            assert ex.total_tasks_local == 6
-            assert ex.total_tasks_remote == 0
-            assert ex.total_bytes_spill_reads_avoided == 0
+            assert ex.totals().tasks_local == 6
+            assert ex.totals().tasks_remote == 0
+            assert ex.totals().bytes_spill_reads_avoided == 0
             assert ex.last_hb_leftovers == []
         finally:
             ex.shutdown()
@@ -307,8 +307,8 @@ class TestPlacementAccounting:
         ex = SharedMemoryExecutor(workers=2, fault_policy=FaultPolicy())
         try:
             ex.map_tasks(block_sum, [np.full(64, 1.0), np.full(64, 2.0)])
-            assert ex.total_tasks_local == 0
-            assert ex.total_tasks_remote == 0
+            assert ex.totals().tasks_local == 0
+            assert ex.totals().tasks_remote == 0
         finally:
             ex.shutdown()
 
@@ -325,7 +325,7 @@ class TestPlacementAccounting:
         try:
             results = ex.map_tasks(block_sum, [ref_a, ref_a])
             assert results == [float(a.sum())] * 2
-            assert ex.total_prefetch_hints_dropped >= 1
+            assert ex.totals().prefetch_hints_dropped >= 1
         finally:
             ex.shutdown()
         store.cleanup()
@@ -355,7 +355,8 @@ class TestLocalityMetrics:
 
     def test_fault_counters_record_and_reset_placement_fields(self):
         counters = FaultCounters()
-        counters.record(local=2, remote=1, bytes_avoided=512, hints_dropped=4)
+        counters.record(tasks_local=2, tasks_remote=1, bytes_spill_reads_avoided=512,
+                        prefetch_hints_dropped=4)
         assert counters.tasks_local == 2
         assert counters.tasks_remote == 1
         assert counters.bytes_spill_reads_avoided == 512

@@ -1,7 +1,12 @@
 """Unit tests for the pilot substrate (units, database, agent, managers, facade)."""
 
+import glob
+import os
+import tempfile
+
 import pytest
 
+from repro.frameworks import make_framework
 from repro.frameworks.pilot import (
     ComputeUnit,
     ComputeUnitDescription,
@@ -205,6 +210,23 @@ class TestPilotFramework:
         assert fw.load_staged(path) == payload
         assert fw.metrics.bytes_staged > 0
         fw.close()
+
+    def test_close_removes_its_own_staging_dir(self):
+        def staging_dirs():
+            return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro_pilot_*")))
+
+        before = staging_dirs()
+        fw = make_framework("pilot")
+        path = fw.stage_data({"positions": [1, 2, 3]})
+        assert os.path.exists(path)
+        fw.close()
+        assert staging_dirs() <= before
+
+    def test_close_leaves_a_given_staging_dir(self, tmp_path):
+        fw = PilotFramework(executor="serial", staging_dir=str(tmp_path))
+        path = fw.stage_data([1.0])
+        fw.close()
+        assert os.path.exists(path)
 
     def test_broadcast_counts_as_staging(self, tmp_path):
         fw = PilotFramework(executor="serial", staging_dir=str(tmp_path))

@@ -400,9 +400,9 @@ class TestMetricsAndAcceptance:
             for i, out in enumerate(results):
                 assert np.array_equal(out, items[i] * 2)
             assert any(t.spill_wait_seconds > 0.0 for t in ex.timings)
-            assert ex.total_spill_wait_seconds > 0.0
-            assert ex.total_spill_hidden_seconds == 0.0  # synchronous store
-            assert fw.metrics.spill_wait_seconds >= ex.total_spill_wait_seconds
+            assert ex.totals().spill_wait_seconds > 0.0
+            assert ex.totals().spill_hidden_seconds == 0.0  # synchronous store
+            assert fw.metrics.spill_wait_seconds >= ex.totals().spill_wait_seconds
         finally:
             fw.close()
 
@@ -467,8 +467,8 @@ class TestMetricsAndAcceptance:
             for i, out in enumerate(results):
                 assert np.array_equal(out, items[i] * 2)
             assert ex.store.bytes_spilled > 0
-            assert ex.total_bytes_results_shared == 4 * 30 * 10 * 8
-            assert 0 < ex.total_bytes_results_pickled < ex.total_bytes_results_shared
+            assert ex.totals().bytes_shared_results == 4 * 30 * 10 * 8
+            assert 0 < ex.totals().bytes_results_pickled < ex.totals().bytes_shared_results
         finally:
             ex.shutdown()
         assert shm_entries() <= before  # nothing leaked
