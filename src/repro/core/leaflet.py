@@ -47,7 +47,7 @@ from ..analysis.pairwise import edges_from_block
 from ..frameworks.base import TaskFramework
 from ..frameworks.checkpoint import RunJournal, checkpointed_map, run_fingerprint
 from ..frameworks.serialization import nbytes_of
-from ..frameworks.shm import DATA_PLANES, BlockRef, SharedMemoryStore, maybe_resolve
+from ..frameworks.shm import BlockRef, SharedMemoryStore, maybe_resolve
 from .partitioning import BlockTask, choose_group_size, one_dimensional_partition, two_dimensional_partition
 from .results import LeafletResult, RunReport
 
@@ -211,11 +211,9 @@ def _map_leaflet_tasks(framework: TaskFramework, tasks: List) -> List:
     """Dispatch a leaflet map phase, journalling results when a run journal
     is active (attached by :func:`run_leaflet_finder` /
     :func:`run_leaflet_stream` for the duration of the run)."""
-    journal = getattr(framework, "_active_journal", None)
-    if journal is not None:
-        return checkpointed_map(framework, _run_task, tasks, journal,
-                                leaflet_task_key)
-    return framework.map_tasks(_run_task, tasks)
+    return checkpointed_map(framework, _run_task, tasks,
+                            getattr(framework, "_active_journal", None),
+                            leaflet_task_key)
 
 
 # --------------------------------------------------------------------------- #
@@ -463,9 +461,8 @@ def run_leaflet_finder(positions: np.ndarray, cutoff: float,
     """Run the Leaflet Finder with the named architectural approach.
 
     ``data_plane`` defaults to the framework's configured plane; passing
-    ``"pickle"`` or ``"shm"`` temporarily overrides it for this run (an
-    shm override on a pickle-configured framework attaches an ephemeral
-    store for the duration).
+    ``"pickle"`` or ``"shm"`` overrides it for this run only (see
+    :meth:`~repro.frameworks.base.TaskFramework.run_plane`).
 
     ``checkpoint_dir`` enables checkpoint/restart: every map-phase block
     result (edge list or partial-component set) is journalled as it
@@ -479,40 +476,22 @@ def run_leaflet_finder(positions: np.ndarray, cutoff: float,
         raise ValueError(
             f"unknown approach {approach!r}; choose from {sorted(LEAFLET_APPROACHES)}"
         )
-    if data_plane is not None and data_plane not in DATA_PLANES:
-        raise ValueError(f"unknown data_plane {data_plane!r}; choose from {DATA_PLANES}")
     impl = LEAFLET_APPROACHES[approach]
-    configured_plane = getattr(framework, "data_plane", None)
-    override = (data_plane is not None and configured_plane is not None
-                and configured_plane != data_plane)
-    plane = data_plane if data_plane is not None else (configured_plane or "pickle")
-    ephemeral_store = None
-    journal = None
-    if checkpoint_dir is not None:
-        fingerprint = run_fingerprint(
-            arrays=[np.asarray(positions, dtype=np.float64)],
-            algorithm="leaflet_finder", approach=approach, cutoff=float(cutoff),
-            n_tasks=n_tasks, data_plane=plane, substrate=framework.name,
-            kernel_method=get_kernel_method(),
-            extras=tuple(sorted((k, repr(v)) for k, v in kwargs.items())))
-        journal = RunJournal(checkpoint_dir, fingerprint).open()
-    try:
-        if override:
-            framework.data_plane = data_plane
-            if data_plane == "shm" and getattr(framework, "store", None) is None:
-                ephemeral_store = SharedMemoryStore()
-                framework.store = ephemeral_store
-        if journal is not None:
-            framework._active_journal = journal
-        return impl(positions, cutoff, framework, n_tasks=n_tasks, **kwargs)
-    finally:
-        if journal is not None:
+    with framework.run_plane(data_plane):
+        journal = None
+        if checkpoint_dir is not None:
+            fingerprint = run_fingerprint(
+                arrays=[np.asarray(positions, dtype=np.float64)],
+                algorithm="leaflet_finder", approach=approach, cutoff=float(cutoff),
+                n_tasks=n_tasks, data_plane=framework.data_plane,
+                substrate=framework.name, kernel_method=get_kernel_method(),
+                extras=tuple(sorted((k, repr(v)) for k, v in kwargs.items())))
+            journal = RunJournal(checkpoint_dir, fingerprint).open()
+        framework._active_journal = journal
+        try:
+            return impl(positions, cutoff, framework, n_tasks=n_tasks, **kwargs)
+        finally:
             framework._active_journal = None
-        if override:
-            framework.data_plane = configured_plane
-            if ephemeral_store is not None:
-                framework.store = None
-                ephemeral_store.cleanup()
 
 
 def run_leaflet_stream(chunked, cutoff: float, framework: TaskFramework, *,
@@ -560,78 +539,56 @@ def run_leaflet_stream(chunked, cutoff: float, framework: TaskFramework, *,
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    if data_plane is not None and data_plane not in DATA_PLANES:
-        raise ValueError(f"unknown data_plane {data_plane!r}; choose from {DATA_PLANES}")
     n = chunked.n_atoms
     n_chunks = chunked.n_chunks
-    configured_plane = getattr(framework, "data_plane", None)
-    plane = data_plane if data_plane is not None else (configured_plane or "pickle")
-    override = configured_plane is not None and configured_plane != plane
-    store = None
-    owns_store = False
-    if plane == "shm":
-        store = getattr(framework, "store", None)
-        if store is None:
-            store = SharedMemoryStore()
-            owns_store = True
-
-    def payload(index: int):
-        if store is not None:
-            return chunked.ingest_chunk(store, index)
-        return chunked.load_chunk(index)
-
-    journal = None
-    if checkpoint_dir is not None:
-        fingerprint = run_fingerprint(
-            algorithm="leaflet_stream", cutoff=float(cutoff),
-            path=os.path.abspath(getattr(chunked, "path", "")),
-            n_atoms=n, n_chunks=n_chunks, data_plane=plane,
-            substrate=framework.name, kernel_method=get_kernel_method())
-        journal = RunJournal(checkpoint_dir, fingerprint).open()
-
     state: List[np.ndarray] = []
     totals = None
-    start_all = time.perf_counter()
     map_time = 0.0
     reduce_time = 0.0
     waves = 0
-    try:
-        if override:
-            framework.data_plane = plane
-            if owns_store:
-                framework.store = store
-        if journal is not None:
-            framework._active_journal = journal
-        for w in range(n_chunks):
-            w_start, w_stop = chunked.chunk_range(w)
-            pay_w = payload(w)
-            tasks = [_BlockPairTask(block=BlockTask(w_start, w_stop, w_start, w_stop),
-                                    rows=pay_w, cols=pay_w, cutoff=cutoff,
-                                    partial_components=True)]
-            for v in range(w):
-                v_start, v_stop = chunked.chunk_range(v)
-                tasks.append(_BlockPairTask(
-                    block=BlockTask(v_start, v_stop, w_start, w_stop),
-                    rows=payload(v), cols=pay_w, cutoff=cutoff,
-                    partial_components=True))
-            map_start = time.perf_counter()
-            partials = _map_leaflet_tasks(framework, tasks)
-            map_time += time.perf_counter() - map_start
-            reduce_start = time.perf_counter()
-            state = merge_component_sets([state, *partials])
-            reduce_time += time.perf_counter() - reduce_start
-            totals = framework.metrics if totals is None else totals.merge(framework.metrics)
-            waves += 1
-        components = _with_singletons(state, n)
-    finally:
-        if journal is not None:
+    with framework.run_plane(data_plane) as store:
+        plane = framework.data_plane
+
+        def payload(index: int):
+            if store is not None:
+                return chunked.ingest_chunk(store, index)
+            return chunked.load_chunk(index)
+
+        journal = None
+        if checkpoint_dir is not None:
+            fingerprint = run_fingerprint(
+                algorithm="leaflet_stream", cutoff=float(cutoff),
+                path=os.path.abspath(getattr(chunked, "path", "")),
+                n_atoms=n, n_chunks=n_chunks, data_plane=plane,
+                substrate=framework.name, kernel_method=get_kernel_method())
+            journal = RunJournal(checkpoint_dir, fingerprint).open()
+
+        start_all = time.perf_counter()
+        framework._active_journal = journal
+        try:
+            for w in range(n_chunks):
+                w_start, w_stop = chunked.chunk_range(w)
+                pay_w = payload(w)
+                tasks = [_BlockPairTask(block=BlockTask(w_start, w_stop, w_start, w_stop),
+                                        rows=pay_w, cols=pay_w, cutoff=cutoff,
+                                        partial_components=True)]
+                for v in range(w):
+                    v_start, v_stop = chunked.chunk_range(v)
+                    tasks.append(_BlockPairTask(
+                        block=BlockTask(v_start, v_stop, w_start, w_stop),
+                        rows=payload(v), cols=pay_w, cutoff=cutoff,
+                        partial_components=True))
+                map_start = time.perf_counter()
+                partials = _map_leaflet_tasks(framework, tasks)
+                map_time += time.perf_counter() - map_start
+                reduce_start = time.perf_counter()
+                state = merge_component_sets([state, *partials])
+                reduce_time += time.perf_counter() - reduce_start
+                totals = framework.metrics if totals is None else totals.merge(framework.metrics)
+                waves += 1
+            components = _with_singletons(state, n)
+        finally:
             framework._active_journal = None
-        if override:
-            framework.data_plane = configured_plane
-            if owns_store:
-                framework.store = None
-        if owns_store:
-            store.cleanup()
     wall = time.perf_counter() - start_all
     result = LeafletResult(components, n_atoms=n, n_edges=None)
     metrics = totals if totals is not None else framework.metrics

@@ -34,7 +34,7 @@ from ..analysis.hausdorff import (
 from ..frameworks.base import TaskFramework
 from ..frameworks.checkpoint import RunJournal, checkpointed_map, run_fingerprint
 from ..frameworks.serialization import nbytes_of
-from ..frameworks.shm import DATA_PLANES, SharedMemoryStore, maybe_resolve, refs_nbytes
+from ..frameworks.shm import SharedMemoryStore, maybe_resolve, refs_nbytes
 from ..trajectory.readers import read_trajectory
 from ..trajectory.trajectory import TrajectoryEnsemble
 from .partitioning import BlockTask, choose_group_size, two_dimensional_partition
@@ -299,44 +299,24 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
     ``data_plane`` defaults to the framework's own plane; pass ``"shm"``
     to force zero-copy task payloads (each trajectory enters shared
     memory once, tasks carry refs) or ``"pickle"`` to force whole-array
-    payloads.  Forcing a plane temporarily overrides the framework's
-    configured plane for this run, so the payload conversion and the
-    reported label agree; a :class:`SharedMemoryExecutor`'s transport
-    itself is part of the executor and is not affected.
+    payloads, for this run only (see
+    :meth:`~repro.frameworks.base.TaskFramework.run_plane`).
 
     On the shm plane the *result* direction rides the plane as well:
     each worker's distance block returns as a
     :class:`~repro.frameworks.shm.BlockRef` that the driver resolves
-    zero-copy during assembly, and — when the framework's store is
-    configured with a ``store_capacity_bytes`` watermark — blocks past
-    the watermark spill to disk and the report's ``bytes_spilled``
-    records how much.
+    zero-copy during assembly, and — when the store has a capacity —
+    blocks past the watermark spill to disk and the report's
+    ``bytes_spilled`` records how much.
     """
-    plane = data_plane if data_plane is not None else getattr(framework, "data_plane", "pickle")
-    if plane not in DATA_PLANES:
-        raise ValueError(f"unknown data_plane {plane!r}; choose from {DATA_PLANES}")
-    configured_plane = getattr(framework, "data_plane", None)
-    override = configured_plane is not None and configured_plane != plane
-    store = None
-    owns_store = False
-    if plane == "shm" and paths is None:
-        store = getattr(framework, "store", None)
-        if store is None:
-            store = SharedMemoryStore()
-            owns_store = True
-    try:
-        if override:
-            framework.data_plane = plane
-            if owns_store:
-                # attach the ephemeral store so the framework's payload
-                # and result conversion actually runs on the shm plane
-                # for this run (mirrors run_leaflet_finder)
-                framework.store = store
+    with framework.run_plane(data_plane) as store:
+        plane = framework.data_plane
         tasks = make_psa_tasks(ensemble, group_size=group_size, n_tasks=n_tasks,
                                metric=metric, paths=paths, store=store,
                                window=window)
         n = ensemble.n_trajectories
         start = time.perf_counter()
+        journal = None
         if checkpoint_dir is not None:
             fingerprint = _ensemble_fingerprint(
                 ensemble, algorithm="psa", metric=metric, data_plane=plane,
@@ -344,10 +324,8 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
                 n_tasks_hint=n_tasks, window=window,
                 paths=tuple(paths) if paths is not None else None)
             journal = RunJournal(checkpoint_dir, fingerprint).open()
-            results = checkpointed_map(framework, execute_psa_block, tasks,
-                                       journal, psa_block_key)
-        else:
-            results = framework.map_tasks(execute_psa_block, tasks)
+        results = checkpointed_map(framework, execute_psa_block, tasks, journal,
+                                   psa_block_key)
         wall = time.perf_counter() - start
         # assemble the symmetric matrix from the distance blocks; on the
         # shm plane each block is a zero-copy view of a result segment,
@@ -361,15 +339,6 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
             jj = block[:, 1].astype(np.intp)
             values[ii, jj] = block[:, 2]
             values[jj, ii] = block[:, 2]
-    finally:
-        if override:
-            framework.data_plane = configured_plane
-            if owns_store:
-                framework.store = None
-        if owns_store:
-            # safe to unlink only after assembly: the result views above
-            # point into the ephemeral store's segments
-            store.cleanup()
     matrix = DistanceMatrix(values, labels=ensemble.labels)
     metrics = framework.metrics
     if store is not None:
@@ -520,19 +489,6 @@ def run_psa_windows(ensemble, framework: TaskFramework,
         group_size = choose_group_size(n, n_tasks) if n_tasks is not None else max(1, n // 8)
     blocks = two_dimensional_partition(n, group_size)
 
-    plane = data_plane if data_plane is not None else getattr(framework, "data_plane", "pickle")
-    if plane not in DATA_PLANES:
-        raise ValueError(f"unknown data_plane {plane!r}; choose from {DATA_PLANES}")
-    configured_plane = getattr(framework, "data_plane", None)
-    override = configured_plane is not None and configured_plane != plane
-    store = None
-    owns_store = False
-    if plane == "shm":
-        store = getattr(framework, "store", None)
-        if store is None:
-            store = SharedMemoryStore()
-            owns_store = True
-
     streaming = hasattr(ensemble, "window_payloads")
     if streaming:
         windows = ensemble.windows(window_frames)
@@ -543,11 +499,6 @@ def run_psa_windows(ensemble, framework: TaskFramework,
         windows = [(s, min(n_frames, s + size)) for s in range(0, n_frames, size)]
         arrays = ensemble.as_arrays()
 
-    def payloads(start: int, stop: int) -> List:
-        if streaming:
-            return ensemble.window_payloads(store, start, stop)
-        return [array[start:stop] for array in arrays]
-
     # running per-pair, per-frame minimum squared distances (driver-side
     # state: 2 * n_pairs * n_frames floats, independent of ensemble size)
     fwd = {}
@@ -557,22 +508,25 @@ def run_psa_windows(ensemble, framework: TaskFramework,
             fwd[(i, j)] = np.full(n_frames, np.inf)
             bwd[(i, j)] = np.full(n_frames, np.inf)
 
-    journal = None
-    if checkpoint_dir is not None:
-        fingerprint = _ensemble_fingerprint(
-            ensemble, algorithm="psa_stream", metric=metric, data_plane=plane,
-            substrate=framework.name, group_size=group_size,
-            window_frames=window_frames)
-        journal = RunJournal(checkpoint_dir, fingerprint).open()
-
     totals = None
-    start_t = time.perf_counter()
     waves = 0
-    try:
-        if override:
-            framework.data_plane = plane
-            if owns_store:
-                framework.store = store
+    with framework.run_plane(data_plane) as store:
+        plane = framework.data_plane
+
+        def payloads(start: int, stop: int) -> List:
+            if streaming:
+                return ensemble.window_payloads(store, start, stop)
+            return [array[start:stop] for array in arrays]
+
+        journal = None
+        if checkpoint_dir is not None:
+            fingerprint = _ensemble_fingerprint(
+                ensemble, algorithm="psa_stream", metric=metric, data_plane=plane,
+                substrate=framework.name, group_size=group_size,
+                window_frames=window_frames)
+            journal = RunJournal(checkpoint_dir, fingerprint).open()
+
+        start_t = time.perf_counter()
         for w, (w_start, w_stop) in enumerate(windows):
             pay_w = payloads(w_start, w_stop)
             wave_pairs = [((w_start, w_stop), pay_w, (w_start, w_stop), pay_w)]
@@ -591,11 +545,8 @@ def run_psa_windows(ensemble, framework: TaskFramework,
                 for (row_win, row_pay, col_win, col_pay) in wave_pairs
                 for block in blocks
             ]
-            if journal is not None:
-                results = checkpointed_map(framework, execute_psa_window,
-                                           tasks, journal, psa_window_key)
-            else:
-                results = framework.map_tasks(execute_psa_window, tasks)
+            results = checkpointed_map(framework, execute_psa_window, tasks, journal,
+                                       psa_window_key)
             for result in results:
                 result = np.asarray(result, dtype=np.float64)
                 for row in result.reshape(result.shape[0], -1) if result.size else ():
@@ -616,13 +567,6 @@ def run_psa_windows(ensemble, framework: TaskFramework,
         for (i, j) in fwd:
             d = np.sqrt(max(fwd[(i, j)].max(), bwd[(i, j)].max()) / n_atoms)
             values[i, j] = values[j, i] = float(d)
-    finally:
-        if override:
-            framework.data_plane = configured_plane
-            if owns_store:
-                framework.store = None
-        if owns_store:
-            store.cleanup()
     wall = time.perf_counter() - start_t
     matrix = DistanceMatrix(values, labels=ensemble.labels)
     report = RunReport(

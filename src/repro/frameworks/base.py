@@ -22,14 +22,16 @@ algorithms use them where the paper's implementation did.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .cluster import ClusterSpec, local_cluster
 from .counters import COUNTERS, MIRROR, SUM, TaskCounters
 from .executors import (
+    SHM_KINDS,
     ExecutorBase,
     ProcessExecutor,
     SharedMemoryExecutor,
@@ -54,6 +56,10 @@ from .shm import (
 )
 
 __all__ = ["RunMetrics", "BroadcastHandle", "TaskFramework"]
+
+#: the store settings of a framework constructed without any
+_DEFAULT_STORE_SETTINGS = dict(capacity_bytes=None, spill_dir=None, spill_async=True,
+                               spill_queue_depth=4)
 
 
 @dataclass
@@ -188,24 +194,34 @@ class TaskFramework:
         On the shm plane *results* ride the plane too: tasks return refs
         and the framework resolves them zero-copy before handing results
         back.
-    store_capacity_bytes:
-        Optional watermark for the framework's store: resident segment
-        bytes past it spill least-recently-used-first to memory-mapped
-        files, so workloads larger than ``/dev/shm`` complete instead of
-        crashing.  ``None`` (default) disables spilling.
-    spill_dir:
-        Directory for the spill tier (a private temporary directory when
-        omitted).
-    spill_async:
-        ``True`` (default) makes the spill tier write-behind: evictions
-        enqueue onto a dedicated spill-writer thread instead of writing
-        the file in the putting thread, and the metrics split the cost
-        into ``spill_wait_seconds`` (hot-path stall) vs
-        ``spill_hidden_seconds`` (background writes).  ``False``
-        restores synchronous spilling.
-    spill_queue_depth:
-        Bound on the write-behind queue before eviction applies
-        backpressure (default 4).
+    store_capacity_bytes, spill_dir, spill_async, spill_queue_depth:
+        The store settings.  The framework builds its one
+        :class:`~repro.frameworks.shm.SharedMemoryStore` from them when
+        the shm plane or an ``"shm"`` executor needs a store, hands it
+        down to that executor, and releases it on :meth:`close`; a run
+        that forces the shm plane (:meth:`run_plane`) builds its
+        temporary store from the same settings.
+
+        * ``store_capacity_bytes`` — watermark for resident segment
+          bytes: past it, blocks spill least-recently-used-first to
+          memory-mapped files, so workloads larger than ``/dev/shm``
+          complete instead of crashing.  ``None`` (default) disables
+          spilling.
+        * ``spill_dir`` — directory for the spill tier (a private
+          temporary directory when omitted).
+        * ``spill_async`` — ``True`` (default) makes the spill tier
+          write-behind: evictions enqueue onto a dedicated spill-writer
+          thread instead of writing the file in the putting thread, and
+          the metrics split the cost into ``spill_wait_seconds``
+          (hot-path stall) vs ``spill_hidden_seconds`` (background
+          writes).  ``False`` restores synchronous spilling.
+        * ``spill_queue_depth`` — bound on the write-behind queue before
+          eviction applies backpressure (default 4).
+
+        A pre-built executor that brings its own store (a
+        :class:`SharedMemoryExecutor`) is used with that store's
+        settings, so giving store settings as well raises
+        ``ValueError``.
     fault_policy:
         A :class:`~repro.frameworks.faults.FaultPolicy` opting the
         substrate into the resilience layer: failed tasks are retried
@@ -242,6 +258,21 @@ class TaskFramework:
             raise ValueError(
                 f"unknown data_plane {data_plane!r}; choose from {DATA_PLANES}"
             )
+        self._store_settings = dict(capacity_bytes=store_capacity_bytes,
+                                    spill_dir=spill_dir, spill_async=spill_async,
+                                    spill_queue_depth=spill_queue_depth)
+        # a pre-built SharedMemoryExecutor brings its own store; otherwise
+        # the framework owns the one store its plane or executor needs
+        self.store: SharedMemoryStore | None = getattr(executor, "store", None)
+        if self.store is not None and self._store_settings != _DEFAULT_STORE_SETTINGS:
+            raise ValueError(
+                "the pre-built executor brings its own store, so the store "
+                "settings given here would be ignored; configure that store instead"
+            )
+        self._owns_store = self.store is None and (data_plane == "shm"
+                                                   or executor in SHM_KINDS)
+        if self._owns_store:
+            self.store = self._build_store()
         self.fault_policy = fault_policy
         self.fault_injector = as_injector(faults)
         self._fault_counters = FaultCounters()
@@ -261,29 +292,60 @@ class TaskFramework:
             if self.fault_injector is None:
                 self.fault_injector = self.executor.fault_injector
         else:
-            self.executor = make_executor(executor, workers,
-                                          store_capacity_bytes=store_capacity_bytes,
-                                          spill_dir=spill_dir,
-                                          spill_async=spill_async,
-                                          spill_queue_depth=spill_queue_depth,
+            self.executor = make_executor(executor, workers, store=self.store,
                                           fault_policy=fault_policy,
                                           fault_injector=self.fault_injector)
         self.cluster = cluster or local_cluster(cores=self.executor.workers)
         self.metrics = RunMetrics()
         self.data_plane = data_plane
-        # a SharedMemoryExecutor brings its own store; otherwise the
-        # framework owns one for the lifetime of the substrate
-        self.store: SharedMemoryStore | None = getattr(self.executor, "store", None)
-        self._owns_store = False
-        if self.data_plane == "shm" and self.store is None:
-            self.store = SharedMemoryStore(capacity_bytes=store_capacity_bytes,
-                                           spill_dir=spill_dir,
-                                           spill_async=spill_async,
-                                           spill_queue_depth=spill_queue_depth)
-            self._owns_store = True
         # lost-block healing must reach the store the payload refs came
         # from, wherever the retry loop runs
         self.executor.fault_store = self.store
+
+    def _build_store(self) -> SharedMemoryStore:
+        """A new store with this framework's store settings."""
+        return SharedMemoryStore(**self._store_settings)
+
+    @contextmanager
+    def run_plane(self, data_plane: str | None) -> Iterator[SharedMemoryStore | None]:
+        """Run one analysis on ``data_plane``, restoring the framework after.
+
+        ``None`` keeps the configured plane.  Forcing the other plane
+        switches ``data_plane`` for the duration, so payload conversion
+        and the reported label agree; a forced shm run on a framework
+        without a store gets a temporary one built from the framework's
+        store settings and released when the run ends.  A
+        :class:`SharedMemoryExecutor`'s transport is part of the executor
+        and is not affected.
+
+        Parameters
+        ----------
+        data_plane : str or None
+            ``"pickle"``, ``"shm"`` or ``None``.
+
+        Yields
+        ------
+        SharedMemoryStore or None
+            The store the run's payloads go into on the shm plane;
+            ``None`` on the pickle plane.
+        """
+        plane = self.data_plane if data_plane is None else data_plane
+        if plane not in DATA_PLANES:
+            raise ValueError(f"unknown data_plane {plane!r}; choose from {DATA_PLANES}")
+        configured_plane = self.data_plane
+        temporary = self._build_store() if plane == "shm" and self.store is None else None
+        self.data_plane = plane
+        if temporary is not None:
+            self.store = self.executor.fault_store = temporary
+        try:
+            yield self.store if plane == "shm" else None
+        finally:
+            self.data_plane = configured_plane
+            if temporary is not None:
+                self.store = self.executor.fault_store = None
+                # the run's results are views into these segments, so the
+                # driver consumes them inside its with-block
+                temporary.cleanup()
 
     # ------------------------------------------------------------------ #
     # the uniform surface used by repro.core

@@ -350,7 +350,7 @@ class JournaledTask:
 
 
 def checkpointed_map(framework: Any, fn: Callable[[Any], Any],
-                     items: Sequence[Any], journal: RunJournal,
+                     items: Sequence[Any], journal: RunJournal | None,
                      key_for: Callable[[Any], str]) -> List[Any]:
     """``framework.map_tasks`` with journal restore + record around it.
 
@@ -359,6 +359,8 @@ def checkpointed_map(framework: Any, fn: Callable[[Any], Any],
     splices restored and computed results back into input order.
     ``tasks_restored`` / ``restore_seconds`` are added to the
     framework's metrics *after* ``map_tasks`` (which resets them).
+    Without a journal this is plain ``framework.map_tasks(fn, items)``,
+    so a driver has one dispatch call whether or not it checkpoints.
 
     Parameters
     ----------
@@ -368,8 +370,8 @@ def checkpointed_map(framework: Any, fn: Callable[[Any], Any],
         The task function.
     items : sequence
         Task items, in output order.
-    journal : RunJournal
-        An opened journal.
+    journal : RunJournal or None
+        An opened journal, or ``None`` for an unjournaled run.
     key_for : callable
         Stable task-item → key mapping shared by record and restore.
 
@@ -378,6 +380,8 @@ def checkpointed_map(framework: Any, fn: Callable[[Any], Any],
     list
         One result per item, exactly as an unjournaled ``map_tasks``.
     """
+    if journal is None:
+        return framework.map_tasks(fn, items)
     items = list(items)
     start = time.perf_counter()
     available = journal.restore()

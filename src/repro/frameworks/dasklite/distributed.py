@@ -21,7 +21,6 @@ import time
 from typing import Any, Callable, Iterable, List, Sequence
 
 from ..base import BroadcastHandle, RunMetrics, TaskFramework
-from ..cluster import ClusterSpec
 from ..executors import ExecutorBase
 from ..serialization import nbytes_of, serialized_size
 from ..shm import BlockRef, resolve_payload
@@ -85,22 +84,15 @@ class DaskLiteClient(TaskFramework):
 
     Parameters
     ----------
-    cluster, executor, workers:
-        See :class:`~repro.frameworks.base.TaskFramework`.  The executor
-        choice also selects the graph scheduler: ``"serial"`` maps to the
-        synchronous scheduler, anything else to the threaded
-        dependency-driven scheduler.
-    data_plane, store_capacity_bytes, spill_dir, spill_async, spill_queue_depth:
-        Data-plane and spill-tier configuration (see
-        :class:`~repro.frameworks.base.TaskFramework`).  On the shm
-        plane the store also backs streamed ingestion
-        (:meth:`~repro.frameworks.shm.SharedMemoryStore.ingest`): chunk
-        blocks dedup by fingerprint, spill under the same watermark, and
-        surface as ``bytes_ingested`` / ``peak_resident_bytes`` in the
-        run metrics.
-    fault_policy, faults:
-        Resilience configuration (see
-        :class:`~repro.frameworks.base.TaskFramework`).
+    executor:
+        See :class:`~repro.frameworks.base.TaskFramework` (default
+        ``"threads"``).  The executor choice also selects the graph
+        scheduler: ``"serial"`` maps to the synchronous scheduler,
+        anything else to the threaded dependency-driven scheduler.
+    **kwargs:
+        ``cluster``, ``workers``, ``data_plane``, the store settings and
+        the resilience options, as in
+        :class:`~repro.frameworks.base.TaskFramework`.
     """
 
     name = "dasklite"
@@ -108,21 +100,8 @@ class DaskLiteClient(TaskFramework):
     # tasks run on the graph scheduler, not on self.executor
     _executor_runs_tasks = False
 
-    def __init__(self, cluster: ClusterSpec | None = None,
-                 executor: str | ExecutorBase = "threads",
-                 workers: int | None = None,
-                 data_plane: str = "pickle",
-                 store_capacity_bytes: int | None = None,
-                 spill_dir: str | None = None,
-                 spill_async: bool = True,
-                 spill_queue_depth: int = 4,
-                 fault_policy=None, faults=None) -> None:
-        super().__init__(cluster=cluster, executor=executor, workers=workers,
-                         data_plane=data_plane,
-                         store_capacity_bytes=store_capacity_bytes,
-                         spill_dir=spill_dir, spill_async=spill_async,
-                         spill_queue_depth=spill_queue_depth,
-                         fault_policy=fault_policy, faults=faults)
+    def __init__(self, *, executor: str | ExecutorBase = "threads", **kwargs) -> None:
+        super().__init__(executor=executor, **kwargs)
         if isinstance(executor, str) and executor == "serial":
             self.scheduler: SchedulerBase = SynchronousScheduler()
         else:

@@ -128,7 +128,14 @@ __all__ = [
     "SharedMemoryExecutor",
     "make_executor",
     "default_worker_count",
+    "PROCESS_KINDS",
+    "SHM_KINDS",
 ]
+
+#: :func:`make_executor` names of :class:`ProcessExecutor`...
+PROCESS_KINDS = ("processes", "process")
+#: ...and of :class:`SharedMemoryExecutor`
+SHM_KINDS = ("shm", "sharedmem", "shared-memory")
 
 
 def default_worker_count() -> int:
@@ -944,19 +951,11 @@ class SharedMemoryExecutor(ExecutorBase):
     workers : int, optional
         Pool size; defaults to :func:`default_worker_count`.
     store : SharedMemoryStore, optional
-        An existing store to register payloads in (shared with a
-        framework, for example).  When omitted the executor owns a
-        private store and unlinks its segments on :meth:`shutdown`.
-    store_capacity_bytes : int, optional
-        Capacity watermark for a privately owned store (ignored when
-        ``store`` is given); segments past it spill to disk.
-    spill_dir : str, optional
-        Spill directory for a privately owned store.
-    spill_async : bool, optional
-        Write-behind spilling for a privately owned store (default
-        ``True``; see :class:`~repro.frameworks.shm.SharedMemoryStore`).
-    spill_queue_depth : int, optional
-        Bounded spill-queue depth for a privately owned store.
+        The store to register payloads in, with whatever capacity and
+        spill settings it was built with; the caller owns it and cleans
+        it up (a framework hands its own store down this way).  When
+        omitted the executor owns a private unbounded store and unlinks
+        its segments on :meth:`shutdown`.
     fault_policy : FaultPolicy, optional
         Opt into worker-death recovery, retries, the heartbeat monitor
         and lost-block handling; ``None`` keeps fail-fast behaviour.
@@ -966,22 +965,12 @@ class SharedMemoryExecutor(ExecutorBase):
 
     def __init__(self, workers: int | None = None,
                  store: SharedMemoryStore | None = None,
-                 store_capacity_bytes: int | None = None,
-                 spill_dir: str | None = None,
-                 spill_async: bool = True,
-                 spill_queue_depth: int = 4,
                  fault_policy: FaultPolicy | None = None,
                  fault_injector: FaultInjector | None = None) -> None:
         super().__init__(workers=workers or default_worker_count(),
                          fault_policy=fault_policy, fault_injector=fault_injector)
-        if store is not None:
-            self.store = store
-        else:
-            self.store = SharedMemoryStore(capacity_bytes=store_capacity_bytes,
-                                           spill_dir=spill_dir,
-                                           spill_async=spill_async,
-                                           spill_queue_depth=spill_queue_depth)
         self._owns_store = store is None
+        self.store = SharedMemoryStore() if store is None else store
 
     def _after_pool_break(self) -> None:
         """Reclaim what a dead worker left behind before resubmitting.
@@ -1078,10 +1067,7 @@ class SharedMemoryExecutor(ExecutorBase):
 
 
 def make_executor(kind: str = "serial", workers: int | None = None,
-                  store_capacity_bytes: int | None = None,
-                  spill_dir: str | None = None,
-                  spill_async: bool = True,
-                  spill_queue_depth: int = 4,
+                  store: SharedMemoryStore | None = None,
                   fault_policy: FaultPolicy | None = None,
                   fault_injector: FaultInjector | None = None) -> ExecutorBase:
     """Build an executor by name.
@@ -1089,12 +1075,14 @@ def make_executor(kind: str = "serial", workers: int | None = None,
     Parameters
     ----------
     kind : str
-        ``"serial"``, ``"threads"``, ``"processes"`` or ``"shm"``.
+        ``"serial"``, ``"threads"``, ``"processes"`` or ``"shm"`` (see
+        :data:`PROCESS_KINDS` / :data:`SHM_KINDS` for the aliases).
     workers : int, optional
         Pool size for the pooled kinds.
-    store_capacity_bytes, spill_dir, spill_async, spill_queue_depth : optional
-        Store and spill-pipeline configuration, forwarded to
-        :class:`SharedMemoryExecutor` (ignored by the other kinds).
+    store : SharedMemoryStore, optional
+        Caller-owned store for :class:`SharedMemoryExecutor` (ignored by
+        the other kinds); when omitted the shm executor owns a private
+        unbounded store.
     fault_policy : FaultPolicy, optional
         Retry/recovery policy for the resilience layer (all kinds).
     fault_injector : FaultInjector, optional
@@ -1111,14 +1099,11 @@ def make_executor(kind: str = "serial", workers: int | None = None,
     if kind in ("threads", "thread"):
         return ThreadExecutor(workers, fault_policy=fault_policy,
                               fault_injector=fault_injector)
-    if kind in ("processes", "process"):
+    if kind in PROCESS_KINDS:
         return ProcessExecutor(workers, fault_policy=fault_policy,
                                fault_injector=fault_injector)
-    if kind in ("shm", "sharedmem", "shared-memory"):
-        return SharedMemoryExecutor(workers,
-                                    store_capacity_bytes=store_capacity_bytes,
-                                    spill_dir=spill_dir, spill_async=spill_async,
-                                    spill_queue_depth=spill_queue_depth,
+    if kind in SHM_KINDS:
+        return SharedMemoryExecutor(workers, store=store,
                                     fault_policy=fault_policy,
                                     fault_injector=fault_injector)
     raise ValueError(f"unknown executor kind {kind!r}")

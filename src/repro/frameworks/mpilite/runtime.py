@@ -15,7 +15,6 @@ import time
 from typing import Any, Callable, List, Optional, Sequence
 
 from ..base import BroadcastHandle, RunMetrics, TaskFramework
-from ..cluster import ClusterSpec
 from ..executors import ExecutorBase
 from ..serialization import nbytes_of, serialized_size
 from ..sparklite.partitioner import split_into_partitions
@@ -89,13 +88,20 @@ class MPIFramework(TaskFramework):
     ``run_spmd`` exposes the raw SPMD runtime for algorithms that need
     explicit collectives (Leaflet Finder approaches with ``Bcast``).
 
-    Data-plane, spill-tier (``store_capacity_bytes`` and friends) and
-    resilience options are forwarded to
-    :class:`~repro.frameworks.base.TaskFramework` unchanged.  On the shm
-    plane the store also backs streamed ingestion
-    (:meth:`~repro.frameworks.shm.SharedMemoryStore.ingest`) — ranks
-    resolve chunk refs zero-copy, and the run metrics report
-    ``bytes_ingested`` / ``peak_resident_bytes``.
+    On the shm plane the collectives move refs instead of arrays, and
+    ranks resolve them zero-copy.
+
+    Parameters
+    ----------
+    executor:
+        See :class:`~repro.frameworks.base.TaskFramework` (default
+        ``"threads"``); it sizes the default rank count.
+    ranks:
+        Number of SPMD ranks (default: the executor's worker count).
+    **kwargs:
+        ``cluster``, ``workers``, ``data_plane``, the store settings and
+        the resilience options, as in
+        :class:`~repro.frameworks.base.TaskFramework`.
     """
 
     name = "mpilite"
@@ -103,22 +109,9 @@ class MPIFramework(TaskFramework):
     # tasks run inside SPMD rank threads, not on self.executor
     _executor_runs_tasks = False
 
-    def __init__(self, cluster: ClusterSpec | None = None,
-                 executor: str | ExecutorBase = "threads",
-                 workers: int | None = None,
-                 ranks: int | None = None,
-                 data_plane: str = "pickle",
-                 store_capacity_bytes: int | None = None,
-                 spill_dir: str | None = None,
-                 spill_async: bool = True,
-                 spill_queue_depth: int = 4,
-                 fault_policy=None, faults=None) -> None:
-        super().__init__(cluster=cluster, executor=executor, workers=workers,
-                         data_plane=data_plane,
-                         store_capacity_bytes=store_capacity_bytes,
-                         spill_dir=spill_dir, spill_async=spill_async,
-                         spill_queue_depth=spill_queue_depth,
-                         fault_policy=fault_policy, faults=faults)
+    def __init__(self, *, executor: str | ExecutorBase = "threads",
+                 ranks: int | None = None, **kwargs) -> None:
+        super().__init__(executor=executor, **kwargs)
         self.ranks = ranks or max(1, self.executor.workers)
         self.last_context: Optional[WorldContext] = None
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Sequence
 
 from ..base import BroadcastHandle, RunMetrics, TaskFramework
-from ..cluster import ClusterSpec
 from ..counters import TaskCounters
 from ..executors import ExecutorBase
 from ..faults import NO_RETRIES, prepare_retry
@@ -182,48 +181,38 @@ class PilotFramework(TaskFramework):
     filesystem-based communication pattern Table 1 lists as RP's
     limitation.
 
+    On the ``"pickle"`` plane data is staged as pickle files on the
+    shared filesystem (RP's pattern); on ``"shm"`` arrays are staged into
+    shared memory and units get ``shm://`` refs — the on-node staging
+    shortcut that removes both the file write and the payload pickling.
+    Unit *results* ride the same plane: output arrays are staged as
+    shared segments and the driver resolves them zero-copy.
+
     Parameters
     ----------
+    executor:
+        See :class:`~repro.frameworks.base.TaskFramework` (default
+        ``"threads"``); the pilot's agent runs its unit batches on it.
     database_latency_s:
         Latency charged per database round trip (0 for unit tests; the
         perfmodel's calibrated value reproduces the paper's throughput
         ceiling).
-    data_plane:
-        ``"pickle"`` stages data as pickle files on the shared filesystem
-        (RP's pattern); ``"shm"`` stages arrays into shared memory and
-        hands units ``shm://`` refs — the on-node staging shortcut that
-        removes both the file write and the payload pickling.  Unit
-        *results* ride the same plane: output arrays are staged as
-        shared segments and the driver resolves them zero-copy.
-    store_capacity_bytes, spill_dir, spill_async, spill_queue_depth:
-        Spill-tier configuration for the shm store, including the
-        write-behind pipeline (see
-        :class:`~repro.frameworks.base.TaskFramework`).  Streamed input
-        chunks (:meth:`~repro.frameworks.shm.SharedMemoryStore.ingest`)
-        share the same watermark, so an out-of-core campaign's units see
-        ``shm://`` refs while the run metrics record ``bytes_ingested``
-        and ``peak_resident_bytes``.
+    staging_dir:
+        Directory for file staging; a private temporary directory is
+        made on the first file stage and removed on :meth:`close` when
+        omitted.
+    **kwargs:
+        ``cluster``, ``workers``, ``data_plane``, the store settings and
+        the resilience options, as in
+        :class:`~repro.frameworks.base.TaskFramework`.
     """
 
     name = "pilot"
 
-    def __init__(self, cluster: ClusterSpec | None = None,
-                 executor: str | ExecutorBase = "threads",
-                 workers: int | None = None,
+    def __init__(self, *, executor: str | ExecutorBase = "threads",
                  database_latency_s: float = 0.0,
-                 staging_dir: str | None = None,
-                 data_plane: str = "pickle",
-                 store_capacity_bytes: int | None = None,
-                 spill_dir: str | None = None,
-                 spill_async: bool = True,
-                 spill_queue_depth: int = 4,
-                 fault_policy=None, faults=None) -> None:
-        super().__init__(cluster=cluster, executor=executor, workers=workers,
-                         data_plane=data_plane,
-                         store_capacity_bytes=store_capacity_bytes,
-                         spill_dir=spill_dir, spill_async=spill_async,
-                         spill_queue_depth=spill_queue_depth,
-                         fault_policy=fault_policy, faults=faults)
+                 staging_dir: str | None = None, **kwargs) -> None:
+        super().__init__(executor=executor, **kwargs)
         self._staged_refs: Dict[str, BlockRef] = {}
         self.session = Session(StateDatabase(latency_s=database_latency_s))
         self.pilot_manager = PilotManager(self.session, executor=self.executor)

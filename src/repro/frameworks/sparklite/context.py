@@ -6,8 +6,13 @@ import time
 from typing import Any, Callable, List, Sequence
 
 from ..base import RunMetrics, TaskFramework
-from ..cluster import ClusterSpec
-from ..executors import ExecutorBase
+from ..executors import (
+    PROCESS_KINDS,
+    SHM_KINDS,
+    ExecutorBase,
+    ProcessExecutor,
+    SharedMemoryExecutor,
+)
 from .broadcast import Broadcast
 from .dag import DAGScheduler
 from .rdd import ParallelCollectionRDD, RDD
@@ -26,53 +31,40 @@ class SparkLiteContext(TaskFramework):
     paper's implementations do ("create an RDD with one partition per
     task; the tasks are executed in a map function").
 
+    On the shm data plane broadcast variables, ``map_tasks`` payloads
+    *and collected results* carry shared-memory refs instead of array
+    bytes (see :mod:`repro.frameworks.shm`).  Stage tasks run on the
+    executor, whose retry loop re-executes lost partitions — Spark's
+    lost-task replay at the same granularity.
+
     Parameters
     ----------
-    cluster, executor, workers:
-        See :class:`~repro.frameworks.base.TaskFramework`.  The executor
-        should be ``"serial"`` or ``"threads"``; closures in RDD lineages
-        are not picklable, mirroring PySpark's own reliance on cloudpickle.
+    executor:
+        ``"threads"`` (default), ``"serial"`` or an in-process
+        :class:`~repro.frameworks.executors.ExecutorBase`.  Process-based
+        executors are rejected: RDD lineages are chains of closures,
+        which do not pickle (PySpark relies on cloudpickle for this).
     default_parallelism:
         Default number of partitions for ``parallelize`` when the caller
         does not specify one.
-    data_plane:
-        ``"pickle"`` or ``"shm"``; with ``"shm"`` broadcast variables,
-        ``map_tasks`` payloads *and collected results* carry
-        shared-memory refs instead of array bytes (see
-        :mod:`repro.frameworks.shm`).
-    store_capacity_bytes, spill_dir, spill_async, spill_queue_depth:
-        Spill-tier configuration for the shm store, including the
-        write-behind pipeline (see
-        :class:`~repro.frameworks.base.TaskFramework`).  The same store
-        serves streamed inputs: chunk files ingested through
-        :meth:`~repro.frameworks.shm.SharedMemoryStore.ingest` land as
-        dedup-fingerprinted blocks under the same watermark, and the run
-        metrics report ``bytes_ingested`` / ``peak_resident_bytes``.
-    fault_policy, faults:
-        Resilience configuration (see
-        :class:`~repro.frameworks.base.TaskFramework`); stage tasks run
-        on the executor, whose retry loop re-executes lost partitions —
-        Spark's lost-task replay at the same granularity.
+    **kwargs:
+        ``cluster``, ``workers``, ``data_plane``, the store settings and
+        the resilience options, as in
+        :class:`~repro.frameworks.base.TaskFramework`.
     """
 
     name = "sparklite"
 
-    def __init__(self, cluster: ClusterSpec | None = None,
-                 executor: str | ExecutorBase = "threads",
-                 workers: int | None = None,
-                 default_parallelism: int | None = None,
-                 data_plane: str = "pickle",
-                 store_capacity_bytes: int | None = None,
-                 spill_dir: str | None = None,
-                 spill_async: bool = True,
-                 spill_queue_depth: int = 4,
-                 fault_policy=None, faults=None) -> None:
-        super().__init__(cluster=cluster, executor=executor, workers=workers,
-                         data_plane=data_plane,
-                         store_capacity_bytes=store_capacity_bytes,
-                         spill_dir=spill_dir, spill_async=spill_async,
-                         spill_queue_depth=spill_queue_depth,
-                         fault_policy=fault_policy, faults=faults)
+    def __init__(self, *, executor: str | ExecutorBase = "threads",
+                 default_parallelism: int | None = None, **kwargs) -> None:
+        if (executor in PROCESS_KINDS + SHM_KINDS
+                or isinstance(executor, (ProcessExecutor, SharedMemoryExecutor))):
+            raise ValueError(
+                f"sparklite cannot run on executor {executor!r}: its stage tasks "
+                "are closures, which a process pool cannot pickle; use 'threads' "
+                "or 'serial'"
+            )
+        super().__init__(executor=executor, **kwargs)
         self.default_parallelism = default_parallelism or max(2, self.executor.workers)
         self._scheduler = DAGScheduler(self, self.executor)
         self._rdd_counter = 0

@@ -1026,10 +1026,10 @@ class TestLaneFailureDomain:
         routing never trusts the dead worker's blocks)."""
         before = shm_entries()
         blocks = [np.full((64, 64), float(i)) for i in range(12)]   # 32 KiB each
+        store = SharedMemoryStore(capacity_bytes=64 * 1024, spill_dir=str(tmp_path))
         ex = SharedMemoryExecutor(
             workers=3,
-            store_capacity_bytes=64 * 1024,
-            spill_dir=str(tmp_path),
+            store=store,
             fault_policy=FaultPolicy(locality=True, locality_wait_s=0.02),
             fault_injector=FaultInjector(
                 FaultSpec("kill_worker", at_task=4)))
@@ -1043,6 +1043,7 @@ class TestLaneFailureDomain:
             assert ex.last_hb_leftovers == []
         finally:
             ex.shutdown()
+            store.cleanup()  # caller-owned: shutdown leaves it alone
         assert shm_entries() == before
 
     def test_psa_lane_kill_under_locality(self, chaos_ensemble,

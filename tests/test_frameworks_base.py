@@ -5,11 +5,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.frameworks import FRAMEWORK_NAMES, make_framework
 from repro.frameworks.base import BroadcastHandle, RunMetrics, TaskFramework
 from repro.frameworks.cluster import ClusterSpec, local_cluster
 from repro.frameworks.executors import (
     ProcessExecutor,
     SerialExecutor,
+    SharedMemoryExecutor,
     ThreadExecutor,
     default_worker_count,
     make_executor,
@@ -165,3 +167,59 @@ class TestTaskFrameworkBase:
     def test_cluster_defaults_to_executor_workers(self):
         fw = TaskFramework(executor="threads", workers=3)
         assert fw.cluster.total_cores == 3
+
+
+class TestStoreSettings:
+    """The framework turns the four store settings into its one store."""
+
+    @pytest.mark.parametrize("plane", ["pickle", "shm"])
+    @pytest.mark.parametrize("executor", ["threads", "shm"])
+    @pytest.mark.parametrize("name", FRAMEWORK_NAMES)
+    def test_by_name_keyword_set_reaches_the_store(self, name, executor, plane, tmp_path):
+        # the keyword set psa() / leaflet_finder() / stream_windows() pass
+        # to make_framework, with non-default store settings
+        kwargs = dict(executor=executor, workers=2, data_plane=plane,
+                      store_capacity_bytes=1 << 20, spill_dir=str(tmp_path / "spill"),
+                      spill_async=False, spill_queue_depth=2,
+                      fault_policy=None, faults=None)
+        if name == "sparklite" and executor == "shm":
+            with pytest.raises(ValueError, match="pickle"):
+                make_framework(name, **kwargs)
+            return
+        fw = make_framework(name, **kwargs)
+        try:
+            if executor == "shm":
+                assert fw.store is fw.executor.store
+            # the configured store, or the temporary one of a forced run
+            with fw.run_plane("shm") as store:
+                assert store.capacity_bytes == 1 << 20
+                assert store.spill_dir == str(tmp_path / "spill")
+                assert store.spill_async is False
+                assert store.spill_queue_depth == 2
+        finally:
+            fw.close()
+
+    def test_prebuilt_executor_store_rejects_store_settings(self):
+        ex = SharedMemoryExecutor(workers=2)
+        try:
+            with pytest.raises(ValueError, match="own store"):
+                make_framework("pilot", executor=ex, data_plane="shm",
+                               store_capacity_bytes=4096)
+        finally:
+            ex.shutdown()
+
+    def test_prebuilt_executor_store_is_used_as_is(self):
+        ex = SharedMemoryExecutor(workers=2)
+        fw = make_framework("pilot", executor=ex, data_plane="shm")
+        try:
+            assert fw.store is ex.store
+        finally:
+            fw.close()
+        assert ex.store.closed  # the executor owned it and released it
+
+    def test_framework_owns_the_store_it_hands_down(self):
+        fw = TaskFramework(executor="shm", workers=2)
+        store = fw.store
+        assert store is fw.executor.store
+        fw.close()
+        assert store.closed

@@ -8,11 +8,18 @@ strictly fewer pickled/moved bytes on the shm plane.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.core.leaflet import LEAFLET_APPROACHES, leaflet_serial, run_leaflet_finder
-from repro.core.psa import psa_serial, run_psa
+from repro.core.leaflet import (
+    LEAFLET_APPROACHES,
+    leaflet_serial,
+    run_leaflet_finder,
+    run_leaflet_stream,
+)
+from repro.core.psa import psa_serial, run_psa, run_psa_windows
 from repro.experiments.fig8_broadcast import data_plane_rows
 from repro.frameworks import make_framework
 from repro.frameworks.base import TaskFramework
@@ -31,6 +38,7 @@ from repro.trajectory import (
     make_bilayer,
     make_clustered_ensemble,
 )
+from repro.trajectory.streaming import ChunkedPositions, write_position_chunks
 
 FRAMEWORK_NAMES = ("sparklite", "dasklite", "pilot", "mpilite")
 
@@ -261,6 +269,84 @@ class TestFrameworkDataPlane:
         store = fw.store
         fw.close()
         assert store.closed
+
+
+def shm_entries():
+    """Current /dev/shm segment names (empty set if the dir is absent)."""
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:  # non-Linux fallback: nothing to compare
+        return set()
+
+
+def _canonical_components(result):
+    return sorted(tuple(sorted(c)) for c in result.components)
+
+
+def _run_driver(driver, ensemble, bilayer, chunk_path, fw, plane):
+    """Run one of the four drivers with a forced plane; (matches, report)."""
+    if driver == "psa":
+        matrix, report = run_psa(ensemble, fw, n_tasks=4, data_plane=plane)
+        return np.array_equal(matrix.values, psa_serial(ensemble).values), report
+    if driver == "psa_windows":
+        matrix, report = run_psa_windows(ensemble, fw, window_frames=3,
+                                         n_tasks=4, data_plane=plane)
+        reference = psa_serial(ensemble, metric="hausdorff_windowed")
+        return np.array_equal(matrix.values, reference.values), report
+    reference = _canonical_components(leaflet_serial(bilayer, 15.0))
+    if driver == "leaflet":
+        result, report = run_leaflet_finder(bilayer, 15.0, fw, n_tasks=6,
+                                            data_plane=plane)
+    else:
+        result, report = run_leaflet_stream(ChunkedPositions(chunk_path), 15.0, fw,
+                                            data_plane=plane)
+    return _canonical_components(result) == reference, report
+
+
+class TestPerRunPlaneOverride:
+    """A forced ``data_plane`` holds for one run of any driver, then the
+    framework's own plane and store come back and nothing leaks."""
+
+    @pytest.mark.parametrize("configured,forced", [("pickle", "shm"), ("shm", "pickle")])
+    @pytest.mark.parametrize("driver", ["psa", "psa_windows", "leaflet", "leaflet_stream"])
+    def test_forced_plane_is_scoped_to_the_run(self, driver, configured, forced,
+                                               ensemble, bilayer, tmp_path):
+        chunk_path = write_position_chunks(bilayer, str(tmp_path / "bilayer.fchunk"),
+                                           atoms_per_chunk=120)
+        before_fw = shm_entries()
+        fw = make_framework("dasklite", executor="threads", workers=2,
+                            data_plane=configured)
+        try:
+            store = fw.store
+            before_run = shm_entries()
+            matches, report = _run_driver(driver, ensemble, bilayer, chunk_path, fw,
+                                          forced)
+            assert matches
+            assert report.parameters["data_plane"] == forced
+            assert fw.data_plane == configured
+            assert fw.store is store
+            assert shm_entries() <= before_run
+        finally:
+            fw.close()
+        assert shm_entries() <= before_fw
+
+    def test_forced_shm_honours_configured_capacity(self):
+        """A temporary store built for a forced shm run uses the
+        framework's store settings, so it spills like the configured
+        plane does."""
+        ensemble = make_clustered_ensemble(
+            EnsembleSpec(n_trajectories=6, n_frames=16, n_atoms=32, seed=7))
+        spilled = {}
+        for configured in ("pickle", "shm"):
+            fw = make_framework("dasklite", executor="threads", workers=2,
+                                data_plane=configured, store_capacity_bytes=4096)
+            try:
+                _, report = run_psa(ensemble, fw, data_plane="shm")
+                spilled[configured] = report.metrics.bytes_spilled
+            finally:
+                fw.close()
+        assert spilled["shm"] > 0
+        assert spilled["pickle"] == spilled["shm"]
 
 
 class TestAcceptance:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.frameworks.executors import ProcessExecutor, SharedMemoryExecutor
 from repro.frameworks.sparklite import (
     Broadcast,
     HashPartitioner,
@@ -209,3 +210,19 @@ class TestUniformSurface:
             reduce_fn=lambda a, b: a + b,
         )
         assert out == {0: 20, 1: 25}
+
+
+class TestExecutorChoice:
+    @pytest.mark.parametrize("executor", ["processes", "shm"])
+    def test_rejects_process_executor_kinds(self, executor):
+        with pytest.raises(ValueError, match="cannot pickle"):
+            SparkLiteContext(executor=executor, workers=2)
+
+    @pytest.mark.parametrize("cls", [ProcessExecutor, SharedMemoryExecutor])
+    def test_rejects_process_executor_instances(self, cls):
+        ex = cls(workers=2)
+        try:
+            with pytest.raises(ValueError, match="cannot pickle"):
+                SparkLiteContext(executor=ex)
+        finally:
+            ex.shutdown()

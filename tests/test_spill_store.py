@@ -391,8 +391,8 @@ class TestMetricsAndAcceptance:
         totals into RunMetrics — even on a pickle-plane framework."""
         from repro.frameworks.base import TaskFramework
 
-        ex = SharedMemoryExecutor(workers=2, store_capacity_bytes=2_000,
-                                  spill_async=False)
+        store = SharedMemoryStore(capacity_bytes=2_000, spill_async=False)
+        ex = SharedMemoryExecutor(workers=2, store=store)
         fw = TaskFramework(executor=ex)  # data_plane defaults to "pickle"
         try:
             items = [np.full((30, 10), i, dtype=np.float64) for i in range(4)]
@@ -405,6 +405,7 @@ class TestMetricsAndAcceptance:
             assert fw.metrics.spill_wait_seconds >= ex.totals().spill_wait_seconds
         finally:
             fw.close()
+            store.cleanup()  # caller-owned: neither fw nor ex unlinks it
 
     def test_cleanup_racing_concurrent_puts_leaks_nothing(self):
         """Closing a store out from under putter threads (including ones
@@ -460,7 +461,8 @@ class TestMetricsAndAcceptance:
         """Cross-process: worker-published result blocks spill once the
         driver store runs past its watermark, and still round-trip."""
         before = shm_entries()
-        ex = SharedMemoryExecutor(workers=2, store_capacity_bytes=2_000)
+        store = SharedMemoryStore(capacity_bytes=2_000)
+        ex = SharedMemoryExecutor(workers=2, store=store)
         try:
             items = [np.full((30, 10), i, dtype=np.float64) for i in range(4)]
             results = ex.map_tasks(_double, items)
@@ -471,6 +473,7 @@ class TestMetricsAndAcceptance:
             assert 0 < ex.totals().bytes_results_pickled < ex.totals().bytes_shared_results
         finally:
             ex.shutdown()
+            store.cleanup()  # caller-owned: shutdown leaves it alone
         assert shm_entries() <= before  # nothing leaked
 
 
