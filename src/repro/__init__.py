@@ -32,7 +32,6 @@ from .core import (
     run_leaflet_finder,
     run_leaflet_stream,
     run_psa,
-    run_psa_windows,
     stream_windows,
 )
 from .frameworks import (
@@ -62,7 +61,6 @@ __all__ = [
     "psa",
     "psa_serial",
     "run_psa",
-    "run_psa_windows",
     "stream_windows",
     "leaflet_finder",
     "leaflet_serial",

@@ -49,13 +49,10 @@ from .partitioning import (
 from .psa import (
     PSA_METRICS,
     PSABlockTask,
-    PSAWindowTask,
     execute_psa_block,
-    execute_psa_window,
     make_psa_tasks,
     psa_serial,
     run_psa,
-    run_psa_windows,
 )
 from .results import DistanceMatrix, LeafletResult, RunReport
 
@@ -66,13 +63,10 @@ __all__ = [
     "compare_frameworks",
     "compare_leaflet_approaches",
     "run_psa",
-    "run_psa_windows",
     "psa_serial",
     "make_psa_tasks",
     "execute_psa_block",
     "PSABlockTask",
-    "PSAWindowTask",
-    "execute_psa_window",
     "PSA_METRICS",
     "run_leaflet_finder",
     "run_leaflet_stream",

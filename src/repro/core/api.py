@@ -23,7 +23,7 @@ from ..frameworks import TaskFramework, make_framework
 from ..trajectory.trajectory import TrajectoryEnsemble
 from ..trajectory.universe import Universe
 from .leaflet import LEAFLET_APPROACHES, run_leaflet_finder, run_leaflet_stream
-from .psa import run_psa, run_psa_windows
+from .psa import run_psa
 from .results import DistanceMatrix, LeafletResult, RunReport
 
 __all__ = [
@@ -198,7 +198,8 @@ def stream_windows(source, framework: str | TaskFramework = "dasklite", *,
         PSA only.  Must be ``"hausdorff_windowed"`` — the one registered
         metric whose kernel merges bit-identically over frame windows.
     window_frames : int, optional
-        PSA only: frames per window (default: the chunk size).
+        PSA only: frames per window (default: the chunk size, or
+        ``ceil(n_frames / 4)`` for an in-memory ensemble).
     cutoff : float, optional
         Leaflet only: neighbor cutoff in Angstrom.
     n_tasks / group_size : int, optional
@@ -238,11 +239,12 @@ spill_async, spill_queue_depth, fault_policy, faults :
         if created else framework
     try:
         if analysis == "psa":
-            return run_psa_windows(source, fw, metric=metric,
-                                   window_frames=window_frames,
-                                   n_tasks=n_tasks, group_size=group_size,
-                                   data_plane=data_plane,
-                                   checkpoint_dir=checkpoint_dir)
+            if window_frames is None:
+                first_start, first_stop = source.windows()[0]
+                window_frames = first_stop - first_start
+            return run_psa(source, fw, metric=metric, window_frames=window_frames,
+                           n_tasks=n_tasks, group_size=group_size,
+                           data_plane=data_plane, checkpoint_dir=checkpoint_dir)
         return run_leaflet_stream(source, cutoff, fw, data_plane=data_plane,
                                   checkpoint_dir=checkpoint_dir)
     finally:

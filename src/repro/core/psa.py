@@ -11,11 +11,19 @@ same way: a bag of independent block tasks submitted through
 ``framework.map_tasks`` (task API for RADICAL-Pilot and Dask, a map-only
 RDD job for Spark, a statically partitioned SPMD loop for MPI) —
 exactly the implementations section 4.2 describes.
+
+:func:`run_psa` is the one driver, for in-memory and streamed input
+alike.  A run covers its frames in one or more windows and submits one
+wave of block tasks per window: wave ``w`` compares window ``w`` with
+itself and with every earlier window.  A plain run is one window and so
+one wave of exactly the bag above.  A run of several windows
+(``window_frames=``) lets an out-of-core ensemble be analysed as its
+chunks arrive; its tasks return per-frame minima that the driver folds
+across waves.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -43,48 +51,39 @@ from .results import DistanceMatrix, RunReport
 __all__ = [
     "PSA_METRICS",
     "PSABlockTask",
-    "PSAWindowTask",
+    "execute_psa_block",
     "psa_serial",
     "psa_block_key",
-    "psa_window_key",
     "run_psa",
-    "run_psa_windows",
     "make_psa_tasks",
 ]
 
+Window = Tuple[int, int]
+
 
 def psa_block_key(task: PSABlockTask) -> str:
-    """Stable journal key for a PSA block task (matrix-block granularity)."""
-    return f"psa-{task.block.row_start}-{task.block.col_start}"
+    """Stable journal key for a PSA block task (matrix-block granularity).
 
-
-def psa_window_key(task: PSAWindowTask) -> str:
-    """Stable journal key for a streamed PSA window-pair block task."""
-    r0, r1 = task.row_window
-    c0, c1 = task.col_window
-    return (f"psaw-w{r0}-{r1}x{c0}-{c1}"
-            f"-b{task.block.row_start}-{task.block.col_start}")
+    A task of a multi-window run adds its window pair to the key.
+    """
+    key = f"psa-{task.block.row_start}-{task.block.col_start}"
+    if task.row_window is not None:
+        (r0, r1), (c0, c1) = task.row_window, task.col_window
+        key += f"-w{r0}-{r1}x{c0}-{c1}"
+    return key
 
 
 def _ensemble_fingerprint(ensemble, **params) -> str:
-    """Content fingerprint of an ensemble plus run parameters.
+    """Fingerprint of an ensemble's identity plus run parameters.
 
-    In-memory ensembles hash their position arrays; streaming ensembles
-    are described by member metadata (paths, chunking, frame counts) so
-    fingerprinting never materializes out-of-core data.  The engine-wide
-    kernel method participates so a journal written under one kernel
-    engine is rejected under another.
+    The ensemble supplies its own identity: member digests in memory,
+    member file metadata when streamed, so fingerprinting never
+    materializes out-of-core data.  The engine-wide kernel method
+    participates so a journal written under one kernel engine is
+    rejected under another.
     """
     params.setdefault("kernel_method", get_kernel_method())
-    if hasattr(ensemble, "window_payloads"):
-        members = [
-            (os.path.abspath(member.path), member.n_frames,
-             member.n_atoms, member.frames_per_chunk)
-            for member in ensemble.members
-        ]
-        return run_fingerprint(members=members,
-                               labels=tuple(ensemble.labels), **params)
-    return run_fingerprint(arrays=ensemble.as_arrays(),
+    return run_fingerprint(members=ensemble.identity(),
                            labels=tuple(ensemble.labels), **params)
 
 
@@ -114,9 +113,14 @@ class PSABlockTask:
     """One PSA task: compare the row block against the column block.
 
     The task is self-contained — it carries either the position arrays
-    themselves or the file paths to read them from (``from_files=True``),
-    matching the paper's setup where "each task reads its respective input
-    files in parallel".
+    themselves (or shm refs to them) or the file paths to read them from
+    (``from_files=True``), matching the paper's setup where "each task
+    reads its respective input files in parallel".
+
+    In a run of several frame windows the task also owns one ordered pair
+    of windows (``row_window``, ``col_window``): its payloads hold only
+    those frames, and it returns per-frame minima for the driver to fold
+    instead of finished distances.
     """
 
     block: BlockTask
@@ -124,6 +128,8 @@ class PSABlockTask:
     col_data: List
     metric: str = "hausdorff"
     from_files: bool = False
+    row_window: Window | None = None
+    col_window: Window | None = None
 
     @property
     def nbytes(self) -> int:
@@ -146,43 +152,104 @@ def _load(item, from_files: bool) -> np.ndarray:
 
 
 def execute_psa_block(task: PSABlockTask) -> np.ndarray:
-    """Run one PSA block task and return its distance block.
+    """Run one PSA block task and return its result rows.
 
     Diagonal blocks only compute the upper triangle (the distance is
     symmetric and ``d(i, i) = 0``).
 
-    The block is returned as a ``(n_pairs, 3)`` float64 array of
+    A task without windows returns a ``(n_pairs, 3)`` float64 array of
     ``(i, j, distance)`` triples rather than a list of tuples: a single
     contiguous array is what the result-direction data plane ships as
     one :class:`~repro.frameworks.shm.BlockRef`, so on the shm plane a
     worker's distance block returns to the driver zero-copy instead of
     through pickle.  Iterating the rows still yields unpackable
     ``i, j, d`` triples, so consumers that loop are unaffected.
+
+    A task with windows returns ``(n_pairs, 6 + la + lb)`` rows
+    ``[i, j, row_start, la, col_start, lb, row_min_d2..., col_min_d2...]``
+    — self-describing, so the driver can fold them in any completion
+    order.  Squared distances come from
+    :func:`repro.analysis.hausdorff.window_minima`, whose per-pair
+    difference formula makes the fold bit-identical to a one-window run.
     """
-    metric_fn = PSA_METRICS[task.metric]
     rows = [_load(item, task.from_files) for item in task.row_data]
-    cols = rows if task.block.diagonal else [
-        _load(item, task.from_files) for item in task.col_data
-    ]
-    out: List[Tuple[int, int, float]] = []
+    same = task.block.diagonal and task.row_window == task.col_window
+    cols = rows if same else [_load(item, task.from_files) for item in task.col_data]
+    windowed = task.row_window is not None
+    if windowed:
+        (r0, r1), (c0, c1) = task.row_window, task.col_window
+        head = [r0, r1 - r0, c0, c1 - c0]
+        width = 6 + (r1 - r0) + (c1 - c0)
+    else:
+        metric_fn = PSA_METRICS[task.metric]
+        width = 3
+    out: List = []
     for local_i, traj_i in enumerate(rows):
         global_i = task.block.row_start + local_i
         for local_j, traj_j in enumerate(cols):
             global_j = task.block.col_start + local_j
             if task.block.diagonal and global_j <= global_i:
                 continue
-            out.append((global_i, global_j, float(metric_fn(traj_i, traj_j))))
+            if windowed:
+                row_min, col_min = window_minima(traj_i, traj_j)
+                out.append(np.concatenate(([global_i, global_j, *head], row_min, col_min)))
+            else:
+                out.append((global_i, global_j, float(metric_fn(traj_i, traj_j))))
     if not out:
-        return np.empty((0, 3), dtype=np.float64)
+        return np.empty((0, width), dtype=np.float64)
     return np.asarray(out, dtype=np.float64)
+
+
+def _partition(ensemble, metric: str, group_size: int | None, n_tasks: int | None,
+               paths: Sequence[str] | None, window: Window | None) -> List[BlockTask]:
+    """Validate a PSA request and return its Algorithm 2 blocks."""
+    if metric not in PSA_METRICS:
+        raise ValueError(f"unknown PSA metric {metric!r}; choose from {sorted(PSA_METRICS)}")
+    n = ensemble.n_trajectories
+    if n < 2:
+        raise ValueError("PSA needs at least two trajectories")
+    ensemble.validate_consistent_atoms()
+    if group_size is not None and n_tasks is not None:
+        raise ValueError("give either group_size or n_tasks, not both")
+    if group_size is None:
+        group_size = choose_group_size(n, n_tasks) if n_tasks is not None else max(1, n // 8)
+    if group_size < 1:
+        raise ValueError("group_size must be >= 1")
+    if paths is not None and len(paths) != n:
+        raise ValueError("paths must have one entry per trajectory")
+    if paths is not None and window is not None:
+        raise ValueError("window is not supported with path-based tasks")
+    return two_dimensional_partition(n, group_size)
+
+
+def _payloads(ensemble, paths: Sequence[str] | None,
+              store: SharedMemoryStore | None, window: Window | None) -> List:
+    """Per-member payloads of one frame window (``None``: whole members)."""
+    if paths is not None:
+        return list(paths)
+    start, stop = window or (0, None)
+    return ensemble.window_payloads(store, start, stop)
+
+
+def _block_tasks(blocks: List[BlockTask], rows: List, cols: List, metric: str,
+                 from_files: bool = False,
+                 windows: Tuple[Window, Window] | None = None) -> List[PSABlockTask]:
+    """One task per block over per-member row and column payloads."""
+    row_window, col_window = windows or (None, None)
+    return [PSABlockTask(block=block,
+                         row_data=rows[block.row_start:block.row_stop],
+                         col_data=cols[block.col_start:block.col_stop],
+                         metric=metric, from_files=from_files,
+                         row_window=row_window, col_window=col_window)
+            for block in blocks]
 
 
 def make_psa_tasks(ensemble: TrajectoryEnsemble, *, group_size: int | None = None,
                    n_tasks: int | None = None, metric: str = "hausdorff",
                    paths: Sequence[str] | None = None,
                    store: SharedMemoryStore | None = None,
-                   window: Tuple[int, int] | None = None) -> List[PSABlockTask]:
-    """Build the PSA task list for an ensemble (Algorithm 2 decomposition).
+                   window: Window | None = None) -> List[PSABlockTask]:
+    """Build the PSA task list of one frame window (Algorithm 2 decomposition).
 
     Parameters
     ----------
@@ -206,51 +273,15 @@ def make_psa_tasks(ensemble: TrajectoryEnsemble, *, group_size: int | None = Non
         task payloads — ships refs instead of array copies.
     window:
         Optional ``(start, stop)`` frame window; the analysis is
-        restricted to those frames of every member.  On a
-        :class:`~repro.trajectory.streaming.StreamingEnsemble` the window
-        resolves through chunk ingestion (only the chunks the window
-        touches enter memory); on an in-memory ensemble the members are
-        sliced.  Not supported together with ``paths``.
+        restricted to those frames of every member, resolved by the
+        ensemble's ``window_payloads`` (on a
+        :class:`~repro.trajectory.streaming.StreamingEnsemble` only the
+        chunks the window touches enter memory).  Not supported together
+        with ``paths``.
     """
-    if metric not in PSA_METRICS:
-        raise ValueError(f"unknown PSA metric {metric!r}; choose from {sorted(PSA_METRICS)}")
-    n = ensemble.n_trajectories
-    if n < 2:
-        raise ValueError("PSA needs at least two trajectories")
-    ensemble.validate_consistent_atoms()
-    if group_size is not None and n_tasks is not None:
-        raise ValueError("give either group_size or n_tasks, not both")
-    if group_size is None:
-        group_size = choose_group_size(n, n_tasks) if n_tasks is not None else max(1, n // 8)
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
-    blocks = two_dimensional_partition(n, group_size)
-    from_files = paths is not None
-    if from_files and len(paths) != n:
-        raise ValueError("paths must have one entry per trajectory")
-    if from_files and window is not None:
-        raise ValueError("window is not supported with path-based tasks")
-    if from_files:
-        source: Sequence = paths
-    elif hasattr(ensemble, "window_payloads"):
-        # streaming ensemble: windows resolve as chunk refs (with a
-        # store) or window-sized arrays (without) — never whole members
-        start, stop = window if window is not None else (0, ensemble.n_frames)
-        source = ensemble.window_payloads(store, start, stop)
-    else:
-        source = ensemble.as_arrays()
-        if window is not None:
-            start, stop = window
-            source = [array[start:stop] for array in source]
-        if store is not None:
-            source = [store.put(array) for array in source]
-    tasks = []
-    for block in blocks:
-        row_data = [source[i] for i in range(block.row_start, block.row_stop)]
-        col_data = [source[j] for j in range(block.col_start, block.col_stop)]
-        tasks.append(PSABlockTask(block=block, row_data=row_data, col_data=col_data,
-                                  metric=metric, from_files=from_files))
-    return tasks
+    blocks = _partition(ensemble, metric, group_size, n_tasks, paths, window)
+    source = _payloads(ensemble, paths, store, window)
+    return _block_tasks(blocks, source, source, metric, from_files=paths is not None)
 
 
 def psa_serial(ensemble: TrajectoryEnsemble, metric: str = "hausdorff") -> DistanceMatrix:
@@ -270,320 +301,190 @@ def psa_serial(ensemble: TrajectoryEnsemble, metric: str = "hausdorff") -> Dista
     return DistanceMatrix(values, labels=ensemble.labels)
 
 
+def _scatter(values: np.ndarray, block: np.ndarray) -> None:
+    """Write a block's ``(i, j, distance)`` triples into the symmetric matrix."""
+    block = block.reshape(-1, 3)
+    if block.shape[0] == 0:
+        return
+    ii = block[:, 0].astype(np.intp)
+    jj = block[:, 1].astype(np.intp)
+    values[ii, jj] = block[:, 2]
+    values[jj, ii] = block[:, 2]
+
+
+def _fold(fwd: Dict, bwd: Dict, block: np.ndarray) -> None:
+    """Fold a windowed block's per-frame minima into the running minima."""
+    for row in block.reshape(block.shape[0], -1) if block.size else ():
+        pair = (int(row[0]), int(row[1]))
+        r0, la = int(row[2]), int(row[3])
+        c0, lb = int(row[4]), int(row[5])
+        fwd[pair][r0:r0 + la] = np.minimum(fwd[pair][r0:r0 + la], row[6:6 + la])
+        bwd[pair][c0:c0 + lb] = np.minimum(bwd[pair][c0:c0 + lb], row[6 + la:6 + la + lb])
+
+
 def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
             *, group_size: int | None = None, n_tasks: int | None = None,
             metric: str = "hausdorff",
             paths: Sequence[str] | None = None,
             data_plane: str | None = None,
-            window: Tuple[int, int] | None = None,
+            window: Window | None = None,
+            window_frames: int | None = None,
             checkpoint_dir: str | None = None) -> Tuple[DistanceMatrix, RunReport]:
     """Task-parallel PSA on any framework substrate.
 
-    Returns the symmetric distance matrix and a :class:`RunReport` with the
-    framework's metrics (task counts, wall time, overhead).
+    Parameters
+    ----------
+    ensemble : TrajectoryEnsemble or StreamingEnsemble
+        The input: in memory, or chunk files
+        (:class:`~repro.trajectory.streaming.StreamingEnsemble`) whose
+        frames are ingested window by window.
+    framework : TaskFramework
+        The substrate to run on.
+    group_size, n_tasks : int, optional
+        Algorithm 2 trajectory-block decomposition (see
+        :func:`make_psa_tasks`).
+    metric : str, optional
+        One of :data:`PSA_METRICS`.
+    paths : sequence of str, optional
+        Per-trajectory files that the tasks read themselves (the paper's
+        I/O pattern); not combinable with ``window``/``window_frames``.
+    data_plane : str, optional
+        Defaults to the framework's own plane; pass ``"shm"`` to force
+        zero-copy task payloads (each trajectory enters shared memory
+        once, tasks carry refs) or ``"pickle"`` to force whole-array
+        payloads, for this run only (see
+        :meth:`~repro.frameworks.base.TaskFramework.run_plane`).  On the
+        shm plane the *result* direction rides the plane as well, and
+        with a store capacity blocks past the watermark spill to disk
+        (``bytes_spilled`` in the report).
+    window : tuple of int, optional
+        ``(start, stop)``: analyse only those frames of every member, in
+        one window (any metric).  A window out of any member's bounds
+        raises :class:`IndexError`.
+    window_frames : int, optional
+        Split the frames into windows of this many frames and run one
+        wave per window, in arrival order: wave ``w`` compares window
+        ``w`` with itself and every earlier window (both orders), so no
+        member needs to be resident beyond the chunks the current wave
+        touches and the store is free to spill cold chunks between
+        waves.  Requires ``metric="hausdorff_windowed"``, the one metric
+        whose kernel folds bit-identically over frame windows
+        ("frechet" couples windows through its DP recurrence, and the
+        GEMM-based Hausdorff variants are not bitwise
+        partition-stable).  The matrix equals the one-window run's bit
+        for bit, whatever the window size.
+    checkpoint_dir : str, optional
+        Enables checkpoint/restart: completed blocks are journalled there
+        as they finish, and a re-run with the same ensemble, parameters,
+        plane, substrate and kernel engine replays them
+        (``tasks_restored`` / ``restore_seconds`` in the report; every
+        wave consults the same journal) and submits only the missing
+        blocks.  A journal written under different inputs raises
+        :class:`~repro.frameworks.checkpoint.StaleJournal` instead of
+        being silently reused.
 
-    ``checkpoint_dir`` enables checkpoint/restart: completed distance
-    blocks are journalled there as they finish, and a re-run with the
-    same ensemble, parameters, plane, substrate and kernel engine
-    replays them (``tasks_restored`` / ``restore_seconds`` in the
-    report) and submits only the missing blocks.  A journal written
-    under different inputs raises
-    :class:`~repro.frameworks.checkpoint.StaleJournal` instead of being
-    silently reused.
-
-    ``window=(start, stop)`` restricts the analysis to a frame window of
-    every member (any metric); on a
-    :class:`~repro.trajectory.streaming.StreamingEnsemble` only the
-    chunks the window touches are ingested.
-
-    ``data_plane`` defaults to the framework's own plane; pass ``"shm"``
-    to force zero-copy task payloads (each trajectory enters shared
-    memory once, tasks carry refs) or ``"pickle"`` to force whole-array
-    payloads, for this run only (see
-    :meth:`~repro.frameworks.base.TaskFramework.run_plane`).
-
-    On the shm plane the *result* direction rides the plane as well:
-    each worker's distance block returns as a
-    :class:`~repro.frameworks.shm.BlockRef` that the driver resolves
-    zero-copy during assembly, and — when the store has a capacity —
-    blocks past the watermark spill to disk and the report's
-    ``bytes_spilled`` records how much.
+    Returns
+    -------
+    (DistanceMatrix, RunReport)
+        The symmetric distance matrix and a report whose metrics add up
+        over all waves.  ``n_tasks`` counts every task of the run,
+        restored ones included; ``wall_time_s`` runs from the first
+        dispatch to the assembled matrix; ``n_windows`` / ``n_waves``
+        are 1 for a one-window run.
     """
+    if window_frames is not None:
+        if metric != "hausdorff_windowed":
+            raise ValueError(
+                f"windowed PSA requires metric='hausdorff_windowed' (got {metric!r}): "
+                "it is the only metric whose kernel merges bit-identically over "
+                "frame windows"
+            )
+        if window is not None or paths is not None:
+            raise ValueError("window_frames cannot be combined with window or paths")
+    blocks = _partition(ensemble, metric, group_size, n_tasks, paths, window)
+    n_atoms = ensemble[0].n_atoms
+    windows = [window] if window_frames is None else ensemble.windows(window_frames)
+    fold = len(windows) > 1
+    n = ensemble.n_trajectories
+    values = np.zeros((n, n), dtype=np.float64)
+    if fold:
+        # running per-pair, per-frame minimum squared distances (driver-side
+        # state: 2 * n_pairs * n_frames floats, independent of ensemble size)
+        n_frames = ensemble.n_frames
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        fwd = {pair: np.full(n_frames, np.inf) for pair in pairs}
+        bwd = {pair: np.full(n_frames, np.inf) for pair in pairs}
+
+    totals = None
+    n_total = 0
+    start = None
     with framework.run_plane(data_plane) as store:
         plane = framework.data_plane
-        tasks = make_psa_tasks(ensemble, group_size=group_size, n_tasks=n_tasks,
-                               metric=metric, paths=paths, store=store,
-                               window=window)
-        n = ensemble.n_trajectories
-        start = time.perf_counter()
         journal = None
         if checkpoint_dir is not None:
             fingerprint = _ensemble_fingerprint(
                 ensemble, algorithm="psa", metric=metric, data_plane=plane,
                 substrate=framework.name, group_size=group_size,
-                n_tasks_hint=n_tasks, window=window,
+                n_tasks_hint=n_tasks, window=window, window_frames=window_frames,
                 paths=tuple(paths) if paths is not None else None)
             journal = RunJournal(checkpoint_dir, fingerprint).open()
-        results = checkpointed_map(framework, execute_psa_block, tasks, journal,
-                                   psa_block_key)
+        for w, win_w in enumerate(windows):
+            pay_w = _payloads(ensemble, paths, store, win_w)
+            wave = [(win_w, pay_w, win_w, pay_w)]
+            for win_v in windows[:w]:
+                pay_v = _payloads(ensemble, paths, store, win_v)
+                wave += [(win_v, pay_v, win_w, pay_w), (win_w, pay_w, win_v, pay_v)]
+            tasks = [task
+                     for row_win, row_pay, col_win, col_pay in wave
+                     for task in _block_tasks(blocks, row_pay, col_pay, metric,
+                                              from_files=paths is not None,
+                                              windows=(row_win, col_win) if fold else None)]
+            start = start or time.perf_counter()
+            results = checkpointed_map(framework, execute_psa_block, tasks, journal,
+                                       psa_block_key)
+            # on the shm plane each block is a zero-copy view of a result
+            # segment, and the scatter or fold below is the only copy made
+            for block in results:
+                block = np.asarray(block, dtype=np.float64)
+                if fold:
+                    _fold(fwd, bwd, block)
+                else:
+                    _scatter(values, block)
+            # map_tasks resets the framework metrics each call; fold this
+            # wave into the running totals (spill/ingest counters mirror
+            # the store's cumulative values, so merge() takes their max)
+            metrics = framework.metrics
+            if store is not None and not metrics.bytes_shared:
+                # an executor that ships payloads itself (pilot's agents)
+                # counts only the arrays it shares newly; the refs made
+                # above went through the plane as well
+                metrics.bytes_shared = sum(refs_nbytes(task) for task in tasks)
+            totals = metrics if totals is None else totals.merge(metrics)
+            n_total += len(tasks)
+        if fold:
+            for (i, j) in pairs:
+                d = np.sqrt(max(fwd[(i, j)].max(), bwd[(i, j)].max()) / n_atoms)
+                values[i, j] = values[j, i] = float(d)
         wall = time.perf_counter() - start
-        # assemble the symmetric matrix from the distance blocks; on the
-        # shm plane each block is a zero-copy view of a result segment,
-        # and the vectorized scatter below is the only copy made of it
-        values = np.zeros((n, n), dtype=np.float64)
-        for block in results:
-            block = np.asarray(block, dtype=np.float64).reshape(-1, 3)
-            if block.shape[0] == 0:
-                continue
-            ii = block[:, 0].astype(np.intp)
-            jj = block[:, 1].astype(np.intp)
-            values[ii, jj] = block[:, 2]
-            values[jj, ii] = block[:, 2]
-    matrix = DistanceMatrix(values, labels=ensemble.labels)
-    metrics = framework.metrics
     if store is not None:
-        metrics.bytes_shared = max(metrics.bytes_shared,
-                                   sum(refs_nbytes(task) for task in tasks))
-        metrics.bytes_spilled = max(metrics.bytes_spilled, store.bytes_spilled)
+        totals.bytes_spilled = max(totals.bytes_spilled, store.bytes_spilled)
     report = RunReport(
         algorithm=f"psa[{metric}]",
         framework=framework.name,
         parameters={
             "n_trajectories": n,
             "n_frames": ensemble[0].n_frames,
-            "n_atoms": ensemble[0].n_atoms,
-            "n_tasks": len(tasks),
+            "n_atoms": n_atoms,
+            "n_tasks": n_total,
+            "n_blocks": len(blocks),
+            "n_windows": len(windows),
+            "n_waves": len(windows),
             "metric": metric,
             "data_plane": plane,
             "window": window,
         },
         wall_time_s=wall,
-        n_tasks=len(tasks),
-        metrics=metrics,
+        n_tasks=n_total,
+        metrics=totals,
     )
-    return matrix, report
-
-
-@dataclass
-class PSAWindowTask:
-    """One streamed PSA task: a trajectory-pair block restricted to a window pair.
-
-    The streamed decomposition adds a second axis to Algorithm 2: a task
-    owns an ``n1 x n1`` block of trajectory pairs *and* one ordered pair
-    of frame windows, and contributes the per-frame minimum squared
-    distances of that window pair.  ``row_data`` / ``col_data`` carry the
-    members' window payloads (chunk refs on the shm plane, window arrays
-    on pickle) — never whole trajectories.
-    """
-
-    block: BlockTask
-    row_data: List
-    col_data: List
-    row_window: Tuple[int, int]
-    col_window: Tuple[int, int]
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate payload size shipped to the worker."""
-        return nbytes_of(self.row_data) + nbytes_of(self.col_data)
-
-
-def execute_psa_window(task: PSAWindowTask) -> np.ndarray:
-    """Run one streamed PSA window task.
-
-    Returns a ``(n_pairs, 6 + la + lb)`` float64 array whose rows are
-    ``[i, j, row_start, la, col_start, lb, row_min_d2..., col_min_d2...]``
-    — self-describing, so the driver can merge results regardless of
-    completion order.  Squared distances come from
-    :func:`repro.analysis.hausdorff.window_minima`, whose per-pair
-    difference formula makes the merge bit-identical to a batch pass.
-    """
-    rows = [_load(item, False) for item in task.row_data]
-    same_windows = task.block.diagonal and task.row_window == task.col_window
-    cols = rows if same_windows else [_load(item, False) for item in task.col_data]
-    r_start, r_stop = task.row_window
-    c_start, c_stop = task.col_window
-    la, lb = r_stop - r_start, c_stop - c_start
-    out: List[np.ndarray] = []
-    for local_i, win_a in enumerate(rows):
-        global_i = task.block.row_start + local_i
-        for local_j, win_b in enumerate(cols):
-            global_j = task.block.col_start + local_j
-            if task.block.diagonal and global_j <= global_i:
-                continue
-            row_min, col_min = window_minima(win_a, win_b)
-            out.append(np.concatenate((
-                [global_i, global_j, r_start, la, c_start, lb], row_min, col_min)))
-    if not out:
-        return np.empty((0, 6 + la + lb), dtype=np.float64)
-    return np.asarray(out, dtype=np.float64)
-
-
-def run_psa_windows(ensemble, framework: TaskFramework,
-                    *, metric: str = "hausdorff_windowed",
-                    window_frames: int | None = None,
-                    group_size: int | None = None, n_tasks: int | None = None,
-                    data_plane: str | None = None,
-                    checkpoint_dir: str | None = None) -> Tuple[DistanceMatrix, RunReport]:
-    """Streamed PSA: analyze frame windows as chunks arrive, merge minima.
-
-    The incremental driver for out-of-core ensembles: windows are
-    processed in arrival order, and when window ``w`` arrives one wave of
-    tasks compares it against itself and every earlier window (both
-    orders), so at no point does any member need to be resident beyond
-    the chunks the current wave touches — the store's watermark is free
-    to spill cold chunks between waves.  Per-frame minimum squared
-    distances are merged across waves with ``np.minimum``; because
-    :func:`~repro.analysis.hausdorff.window_minima` is partition
-    independent, the final matrix is bit-identical to the batch
-    ``metric="hausdorff_windowed"`` run regardless of the window size.
-
-    Parameters
-    ----------
-    ensemble:
-        A :class:`~repro.trajectory.streaming.StreamingEnsemble` (chunked
-        ingest) or an in-memory ensemble (windows are slices).
-    framework:
-        The task framework to run on.
-    metric:
-        Must be ``"hausdorff_windowed"`` — the only registered metric
-        whose kernel decomposes over frame windows ("frechet" couples
-        windows through its DP recurrence, and the GEMM-based Hausdorff
-        variants are not bitwise partition-stable).
-    window_frames:
-        Frames per window; defaults to the ensemble's chunk size
-        (in-memory ensembles default to ceil(n_frames / 4)).
-    group_size / n_tasks:
-        Algorithm 2 trajectory-block decomposition, as in
-        :func:`run_psa`.
-    data_plane:
-        Override the framework's data plane, as in :func:`run_psa`.
-    checkpoint_dir:
-        Optional journal directory for checkpoint/restart: each
-        window-pair block result is journalled as it completes, and a
-        resumed run replays finished blocks (all waves consult the same
-        journal) and computes only the missing ones, as in
-        :func:`run_psa`.
-
-    Returns
-    -------
-    (DistanceMatrix, RunReport)
-        The symmetric distance matrix (bit-identical to batch) and a
-        report whose metrics accumulate over all waves —
-        ``bytes_ingested`` / ``peak_resident_bytes`` record the
-        out-of-core behaviour of the run.
-    """
-    if metric != "hausdorff_windowed":
-        raise ValueError(
-            f"streamed PSA requires metric='hausdorff_windowed' (got {metric!r}): "
-            "it is the only metric whose kernel merges bit-identically over "
-            "frame windows"
-        )
-    n = ensemble.n_trajectories
-    if n < 2:
-        raise ValueError("PSA needs at least two trajectories")
-    n_atoms = ensemble.validate_consistent_atoms()
-    if group_size is not None and n_tasks is not None:
-        raise ValueError("give either group_size or n_tasks, not both")
-    if group_size is None:
-        group_size = choose_group_size(n, n_tasks) if n_tasks is not None else max(1, n // 8)
-    blocks = two_dimensional_partition(n, group_size)
-
-    streaming = hasattr(ensemble, "window_payloads")
-    if streaming:
-        windows = ensemble.windows(window_frames)
-        n_frames = ensemble.n_frames
-    else:
-        n_frames = ensemble[0].n_frames
-        size = window_frames or max(1, -(-n_frames // 4))
-        windows = [(s, min(n_frames, s + size)) for s in range(0, n_frames, size)]
-        arrays = ensemble.as_arrays()
-
-    # running per-pair, per-frame minimum squared distances (driver-side
-    # state: 2 * n_pairs * n_frames floats, independent of ensemble size)
-    fwd = {}
-    bwd = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            fwd[(i, j)] = np.full(n_frames, np.inf)
-            bwd[(i, j)] = np.full(n_frames, np.inf)
-
-    totals = None
-    waves = 0
-    with framework.run_plane(data_plane) as store:
-        plane = framework.data_plane
-
-        def payloads(start: int, stop: int) -> List:
-            if streaming:
-                return ensemble.window_payloads(store, start, stop)
-            return [array[start:stop] for array in arrays]
-
-        journal = None
-        if checkpoint_dir is not None:
-            fingerprint = _ensemble_fingerprint(
-                ensemble, algorithm="psa_stream", metric=metric, data_plane=plane,
-                substrate=framework.name, group_size=group_size,
-                window_frames=window_frames)
-            journal = RunJournal(checkpoint_dir, fingerprint).open()
-
-        start_t = time.perf_counter()
-        for w, (w_start, w_stop) in enumerate(windows):
-            pay_w = payloads(w_start, w_stop)
-            wave_pairs = [((w_start, w_stop), pay_w, (w_start, w_stop), pay_w)]
-            for v in range(w):
-                v_start, v_stop = windows[v]
-                pay_v = payloads(v_start, v_stop)
-                wave_pairs.append(((v_start, v_stop), pay_v, (w_start, w_stop), pay_w))
-                wave_pairs.append(((w_start, w_stop), pay_w, (v_start, v_stop), pay_v))
-            tasks = [
-                PSAWindowTask(
-                    block=block,
-                    row_data=[row_pay[i] for i in range(block.row_start, block.row_stop)],
-                    col_data=[col_pay[j] for j in range(block.col_start, block.col_stop)],
-                    row_window=row_win, col_window=col_win,
-                )
-                for (row_win, row_pay, col_win, col_pay) in wave_pairs
-                for block in blocks
-            ]
-            results = checkpointed_map(framework, execute_psa_window, tasks, journal,
-                                       psa_window_key)
-            for result in results:
-                result = np.asarray(result, dtype=np.float64)
-                for row in result.reshape(result.shape[0], -1) if result.size else ():
-                    gi, gj = int(row[0]), int(row[1])
-                    r0, la = int(row[2]), int(row[3])
-                    c0, lb = int(row[4]), int(row[5])
-                    pair = (gi, gj)
-                    fwd[pair][r0:r0 + la] = np.minimum(fwd[pair][r0:r0 + la],
-                                                       row[6:6 + la])
-                    bwd[pair][c0:c0 + lb] = np.minimum(bwd[pair][c0:c0 + lb],
-                                                       row[6 + la:6 + la + lb])
-            # map_tasks resets the framework metrics each call; fold this
-            # wave into the running totals (spill/ingest counters mirror
-            # the store's cumulative values, so merge() takes their max)
-            totals = framework.metrics if totals is None else totals.merge(framework.metrics)
-            waves += 1
-        values = np.zeros((n, n), dtype=np.float64)
-        for (i, j) in fwd:
-            d = np.sqrt(max(fwd[(i, j)].max(), bwd[(i, j)].max()) / n_atoms)
-            values[i, j] = values[j, i] = float(d)
-    wall = time.perf_counter() - start_t
-    matrix = DistanceMatrix(values, labels=ensemble.labels)
-    report = RunReport(
-        algorithm="psa_stream[hausdorff_windowed]",
-        framework=framework.name,
-        parameters={
-            "n_trajectories": n,
-            "n_frames": n_frames,
-            "n_atoms": n_atoms,
-            "n_windows": len(windows),
-            "n_waves": waves,
-            "n_blocks": len(blocks),
-            "metric": metric,
-            "data_plane": plane,
-        },
-        wall_time_s=wall,
-        n_tasks=totals.tasks_submitted if totals is not None else 0,
-        metrics=totals if totals is not None else framework.metrics,
-    )
-    return matrix, report
+    return DistanceMatrix(values, labels=ensemble.labels), report

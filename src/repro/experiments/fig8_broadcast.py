@@ -33,7 +33,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..core.leaflet import leaflet_broadcast_1d
-from ..core.psa import run_psa, run_psa_windows
+from ..core.psa import run_psa
 from ..frameworks import make_framework
 from ..perfmodel.scaling import model_broadcast_breakdown
 from ..trajectory.bilayer import BilayerSpec, make_bilayer
@@ -158,11 +158,12 @@ def streamed_rows(n_trajectories: int = 8, n_frames: int = 32, n_atoms: int = 64
     ensemble = make_clustered_ensemble(spec)
     total_bytes = ensemble.nbytes
     capacity = max(1, int(total_bytes * capacity_fraction))
+    chunk_frames = max(1, n_frames // 4)
     rows: List[dict] = []
     with tempfile.TemporaryDirectory(prefix="repro-fig8-stream-") as tmp:
         paths = [
             write_frame_chunks(array, os.path.join(tmp, f"{label}.fchunk"),
-                               frames_per_chunk=max(1, n_frames // 4), name=label)
+                               frames_per_chunk=chunk_frames, name=label)
             for label, array in zip(ensemble.labels, ensemble.as_arrays())
         ]
         streaming = open_streaming_ensemble(paths)
@@ -177,8 +178,9 @@ def streamed_rows(n_trajectories: int = 8, n_frames: int = 32, n_atoms: int = 64
             fw = make_framework(name, executor="threads", workers=workers,
                                 data_plane="shm", store_capacity_bytes=capacity)
             try:
-                stream_matrix, stream_report = run_psa_windows(
-                    streaming, fw, n_tasks=workers)
+                stream_matrix, stream_report = run_psa(
+                    streaming, fw, metric="hausdorff_windowed",
+                    window_frames=chunk_frames, n_tasks=workers)
             finally:
                 fw.close()
             peak_stream = stream_report.metrics.peak_resident_bytes

@@ -1,7 +1,7 @@
 """Checkpoint/restart of whole runs at matrix-block granularity.
 
 A long fan-out analysis (PSA's distance blocks, the Leaflet Finder's
-partial components) loses everything on a driver crash: PR 5's fault
+partial components) loses everything on a driver crash: the fault
 layer re-executes *tasks* that fail, but a dead driver recomputes the
 whole run.  This module adds the missing durability tier — a
 :class:`RunJournal` that persists each completed task result to disk as
@@ -38,10 +38,11 @@ The journal state machine per entry::
        └──── discarded ◄──────┘◄──────────────────┘ mismatch on replay
 
 :func:`checkpointed_map` is the driver-side integration point used by
-``run_psa`` / ``run_psa_windows`` / ``run_leaflet_finder``: restore the
-journal, map only the missing items, splice restored and computed
-results back into input order, and account ``tasks_restored`` /
-``restore_seconds`` into the run's metrics.
+``run_psa`` (once per wave, so a multi-window run resumes mid-wave) and
+``run_leaflet_finder`` / ``run_leaflet_stream``: restore the journal,
+map only the missing items, splice restored and computed results back
+into input order, and account ``tasks_restored`` / ``restore_seconds``
+into the run's metrics.
 """
 
 from __future__ import annotations

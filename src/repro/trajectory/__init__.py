@@ -8,12 +8,11 @@ lipid bilayers for the Leaflet Finder).
 """
 
 from .topology import Topology, guess_masses
-from .trajectory import Frame, LazyTrajectory, Trajectory, TrajectoryEnsemble
+from .trajectory import Frame, Trajectory, TrajectoryEnsemble
 from .universe import AtomGroup, Universe
 from .selections import SelectionError, parse_selection, select
 from .readers import (
     load_ensemble,
-    open_lazy,
     read_npy,
     read_npz,
     read_trajectory,
@@ -54,7 +53,6 @@ __all__ = [
     "guess_masses",
     "Frame",
     "Trajectory",
-    "LazyTrajectory",
     "TrajectoryEnsemble",
     "Universe",
     "AtomGroup",
@@ -66,7 +64,6 @@ __all__ = [
     "read_xyz",
     "read_trajectory",
     "load_ensemble",
-    "open_lazy",
     "write_npy",
     "write_npz",
     "write_xyz",

@@ -24,7 +24,7 @@ from typing import List
 import numpy as np
 
 from .topology import Topology
-from .trajectory import LazyTrajectory, Trajectory, TrajectoryEnsemble
+from .trajectory import Trajectory, TrajectoryEnsemble
 
 __all__ = [
     "read_npy",
@@ -32,7 +32,6 @@ __all__ = [
     "read_xyz",
     "read_trajectory",
     "load_ensemble",
-    "open_lazy",
 ]
 
 
@@ -123,11 +122,6 @@ def read_trajectory(path: str | os.PathLike, **kwargs) -> Trajectory:
             f"unsupported trajectory format {ext!r}; supported: {sorted(_READERS)}"
         ) from exc
     return reader(path, **kwargs)
-
-
-def open_lazy(path: str | os.PathLike, topology: Topology | None = None) -> LazyTrajectory:
-    """Open a ``.npy`` trajectory lazily (memory-mapped)."""
-    return LazyTrajectory(path, topology=topology)
 
 
 def load_ensemble(paths: List[str | os.PathLike]) -> TrajectoryEnsemble:

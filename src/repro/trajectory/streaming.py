@@ -40,6 +40,8 @@ from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .trajectory import frame_window, frame_windows
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..frameworks.shm import BlockRef, SharedMemoryStore
 
@@ -357,12 +359,11 @@ def write_position_chunks(positions: np.ndarray, path: str | os.PathLike,
 class ChunkedTrajectory:
     """A lazy, chunk-file-backed trajectory that ingests into a store.
 
-    The streaming sibling of
-    :class:`~repro.trajectory.trajectory.LazyTrajectory`: frames stay in
-    the file until a window is requested, and on the shm plane a window
-    resolves to zero-copy :class:`~repro.frameworks.shm.BlockRef` views
-    of store-registered chunk blocks (partial chunks become offset
-    sub-refs via ``slice_rows``) — the file's bytes enter memory at most
+    Frames stay in the file until a window is requested, and on the shm
+    plane a window resolves to zero-copy
+    :class:`~repro.frameworks.shm.BlockRef` views of store-registered
+    chunk blocks (partial chunks become offset sub-refs via
+    ``slice_rows``) — the file's bytes enter memory at most
     one chunk at a time and are governed by the store's spill watermark
     from then on.
 
@@ -427,10 +428,7 @@ class ChunkedTrajectory:
         (:meth:`~repro.frameworks.shm.BlockRef.slice_rows`), so no frame
         outside the window is ever exposed and nothing is copied.
         """
-        if not 0 <= start < stop <= self.n_frames:
-            raise IndexError(
-                f"window [{start}, {stop}) out of bounds for {self.n_frames} frames"
-            )
+        start, stop = frame_window(self.n_frames, start, stop)
         refs: List["BlockRef"] = []
         k = self.frames_per_chunk
         for index in range(start // k, (stop - 1) // k + 1):
@@ -444,7 +442,7 @@ class ChunkedTrajectory:
 
     def load_window(self, start: int, stop: int) -> np.ndarray:
         """Materialize frames ``[start, stop)`` only (no store involved)."""
-        return self.reader.read_frames(start, stop)
+        return self.reader.read_frames(*frame_window(self.n_frames, start, stop))
 
     def load(self) -> np.ndarray:
         """Materialize the whole trajectory (small fixtures and tests only)."""
@@ -520,12 +518,12 @@ class StreamingEnsemble:
     """An ensemble of chunk-file-backed trajectories (the streamed PSA input).
 
     Quacks like :class:`~repro.trajectory.trajectory.TrajectoryEnsemble`
-    where the batch paths need it (``n_trajectories``, ``labels``,
-    ``validate_consistent_atoms``, ``as_arrays``) but never materializes
-    members unless explicitly asked: the PSA task builders call
-    :meth:`window_payloads`, which resolves a frame window per member —
-    as zero-copy chunk refs when a store is given, as window-sized
-    arrays otherwise.
+    (``n_trajectories``, ``labels``, ``validate_consistent_atoms``,
+    ``windows``, ``window_payloads``, ``identity``, ``as_arrays``) but
+    never materializes members unless explicitly asked: the PSA driver
+    calls :meth:`window_payloads`, which resolves a frame window per
+    member — as zero-copy chunk refs when a store is given, as
+    window-sized arrays otherwise.
 
     Parameters
     ----------
@@ -594,23 +592,34 @@ class StreamingEnsemble:
     def windows(self, window_frames: int | None = None) -> List[Tuple[int, int]]:
         """Frame windows in arrival order; defaults to chunk boundaries."""
         self.validate_aligned()
-        n = self.members[0].n_frames
-        size = window_frames or self.members[0].frames_per_chunk
-        if size < 1:
-            raise ValueError("window_frames must be >= 1")
-        return [(start, min(n, start + size)) for start in range(0, n, size)]
+        first = self.members[0]
+        size = first.frames_per_chunk if window_frames is None else window_frames
+        return frame_windows(first.n_frames, size)
 
-    def window_payloads(self, store: "SharedMemoryStore | None", start: int,
-                        stop: int) -> List:
+    def window_payloads(self, store: "SharedMemoryStore | None", start: int = 0,
+                        stop: int | None = None) -> List:
         """Per-member payloads for frames ``[start, stop)``.
 
         With a store: one list of zero-copy chunk refs per member (the
         shm plane).  Without: one window-sized array per member (the
-        pickle plane) — still never the whole trajectory.
+        pickle plane) — still never more than the window.  ``stop=None``
+        is each member's end.
         """
-        if store is not None:
-            return [m.window_refs(store, start, stop) for m in self.members]
-        return [m.load_window(start, stop) for m in self.members]
+        payloads = []
+        for m in self.members:
+            lo, hi = frame_window(m.n_frames, start, stop)
+            payloads.append(m.load_window(lo, hi) if store is None
+                            else m.window_refs(store, lo, hi))
+        return payloads
+
+    def identity(self) -> List[Tuple[str, int, int, int]]:
+        """Per-member file identity for run fingerprints.
+
+        ``(path, n_frames, n_atoms, frames_per_chunk)`` per member:
+        fingerprinting a streamed run never reads the out-of-core bytes.
+        """
+        return [(os.path.abspath(m.path), m.n_frames, m.n_atoms, m.frames_per_chunk)
+                for m in self.members]
 
     def as_arrays(self) -> List[np.ndarray]:
         """Materialize every member (small fixtures and tests only)."""

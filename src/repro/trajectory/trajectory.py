@@ -15,24 +15,72 @@ This module provides:
     a single snapshot with positions, box and time metadata,
 :class:`Trajectory`
     an in-memory trajectory backed by one contiguous NumPy array,
-:class:`LazyTrajectory`
-    a file-backed trajectory that memory-maps frames on demand, mirroring
-    the out-of-core reading pattern used on HPC parallel filesystems, and
 :class:`TrajectoryEnsemble`
-    an ordered collection of trajectories (the unit of work of PSA).
+    an ordered collection of trajectories (the unit of work of PSA), and
+:func:`frame_window` / :func:`frame_windows`
+    the frame-window bounds checks shared by this ensemble and the
+    chunk-file-backed :class:`~repro.trajectory.streaming.StreamingEnsemble`
+    (both expose the same ``windows`` / ``window_payloads`` pair).
+
+On-demand frames of trajectories too large for memory come from the
+chunk format in :mod:`repro.trajectory.streaming`.
 """
 
 from __future__ import annotations
 
-import os
+import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .topology import Topology
 
-__all__ = ["Frame", "Trajectory", "LazyTrajectory", "TrajectoryEnsemble"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from ..frameworks.shm import SharedMemoryStore
+
+__all__ = ["Frame", "Trajectory", "TrajectoryEnsemble", "frame_window", "frame_windows"]
+
+
+def frame_window(n_frames: int, start: int = 0, stop: int | None = None) -> Tuple[int, int]:
+    """Check frames ``[start, stop)`` against an ``n_frames`` trajectory.
+
+    Parameters
+    ----------
+    n_frames : int
+        Frame count of the trajectory the window is cut from.
+    start : int, optional
+        First frame of the window.
+    stop : int, optional
+        One past the last frame; ``None`` means the trajectory's end.
+
+    Returns
+    -------
+    tuple of int
+        ``(start, stop)`` with ``stop`` resolved.
+
+    Raises
+    ------
+    IndexError
+        Unless ``0 <= start < stop <= n_frames``: a window is never empty,
+        negative or clamped.
+    """
+    stop = n_frames if stop is None else stop
+    if not 0 <= start < stop <= n_frames:
+        raise IndexError(f"window [{start}, {stop}) out of bounds for {n_frames} frames")
+    return start, stop
+
+
+def frame_windows(n_frames: int, window_frames: int) -> List[Tuple[int, int]]:
+    """Consecutive windows of ``window_frames`` frames covering ``n_frames``.
+
+    The last window is shorter when ``window_frames`` does not divide
+    ``n_frames``.  Raises :class:`ValueError` unless ``window_frames >= 1``.
+    """
+    if window_frames < 1:
+        raise ValueError("window_frames must be >= 1")
+    return [(start, min(n_frames, start + window_frames))
+            for start in range(0, n_frames, window_frames)]
 
 
 @dataclass
@@ -281,75 +329,6 @@ class Trajectory:
                           dt=self.dt, name=self.name)
 
 
-class LazyTrajectory:
-    """A file-backed trajectory that loads frames on demand.
-
-    The paper's workflows read trajectory files straight off a parallel
-    filesystem inside each task; this class mirrors that access pattern
-    using :func:`numpy.load` with memory mapping so that slicing a chunk
-    of frames does not pull the whole file into memory.
-
-    Parameters
-    ----------
-    path:
-        Path to a ``.npy`` file with an ``(n_frames, n_atoms, 3)`` array
-        (written by :func:`repro.trajectory.writers.write_npy`).
-    topology:
-        Optional topology; uniform by default.
-    name:
-        Label; defaults to the file stem.
-    """
-
-    def __init__(self, path: str | os.PathLike, topology: Topology | None = None,
-                 name: str | None = None) -> None:
-        self.path = os.fspath(path)
-        if not os.path.exists(self.path):
-            raise FileNotFoundError(self.path)
-        self._mmap = np.load(self.path, mmap_mode="r")
-        if self._mmap.ndim != 3 or self._mmap.shape[2] != 3:
-            raise ValueError(
-                f"file {self.path} does not contain an (n_frames, n_atoms, 3) array"
-            )
-        self.name = name or os.path.splitext(os.path.basename(self.path))[0]
-        n_atoms = self._mmap.shape[1]
-        self.topology = topology or Topology.uniform(n_atoms)
-
-    @property
-    def n_frames(self) -> int:
-        """Number of frames in the backing file."""
-        return self._mmap.shape[0]
-
-    @property
-    def n_atoms(self) -> int:
-        """Number of atoms per frame."""
-        return self._mmap.shape[1]
-
-    def __len__(self) -> int:
-        return self.n_frames
-
-    def load(self) -> Trajectory:
-        """Materialize the whole file as an in-memory :class:`Trajectory`."""
-        return Trajectory(np.array(self._mmap), topology=self.topology, name=self.name)
-
-    def load_frames(self, start: int, stop: int) -> Trajectory:
-        """Materialize frames ``[start, stop)`` only."""
-        if not 0 <= start <= stop <= self.n_frames:
-            raise IndexError(
-                f"frame range [{start}, {stop}) out of bounds for {self.n_frames} frames"
-            )
-        return Trajectory(np.array(self._mmap[start:stop]), topology=self.topology,
-                          name=f"{self.name}[{start}:{stop}]")
-
-    def frame(self, index: int) -> Frame:
-        """Load a single frame."""
-        idx = int(index)
-        if idx < 0:
-            idx += self.n_frames
-        if not 0 <= idx < self.n_frames:
-            raise IndexError(f"frame index {index} out of range")
-        return Frame(np.array(self._mmap[idx]), index=idx)
-
-
 @dataclass
 class TrajectoryEnsemble:
     """An ordered collection of trajectories — the unit of work of PSA.
@@ -410,3 +389,77 @@ class TrajectoryEnsemble:
                 f"ensemble members have inconsistent atom counts: {sorted(counts)}"
             )
         return counts.pop()
+
+    @property
+    def n_frames(self) -> int:
+        """Uniform member frame count; :class:`ValueError` if members differ."""
+        if not self.trajectories:
+            raise ValueError("ensemble is empty")
+        counts = {t.n_frames for t in self.trajectories}
+        if len(counts) != 1:
+            raise ValueError(
+                f"windowed analysis requires equal frame counts, got {sorted(counts)}"
+            )
+        return counts.pop()
+
+    def windows(self, window_frames: int | None = None) -> List[Tuple[int, int]]:
+        """Frame windows in order; defaults to ``ceil(n_frames / 4)`` frames each.
+
+        Parameters
+        ----------
+        window_frames : int, optional
+            Frames per window (the last window may be shorter).
+
+        Returns
+        -------
+        list of tuple of int
+            ``(start, stop)`` windows covering every frame once.
+        """
+        n_frames = self.n_frames
+        size = -(-n_frames // 4) if window_frames is None else window_frames
+        return frame_windows(n_frames, size)
+
+    def window_payloads(self, store: "SharedMemoryStore | None", start: int = 0,
+                        stop: int | None = None) -> List:
+        """Per-member payloads for frames ``[start, stop)``.
+
+        Parameters
+        ----------
+        store : SharedMemoryStore or None
+            With a store, each payload is put into it and rides as a
+            :class:`~repro.frameworks.shm.BlockRef` (the shm plane).
+        start, stop : int, optional
+            The frame window; ``stop=None`` is each member's end, so the
+            default is every member whole (members may then differ in
+            length).
+
+        Returns
+        -------
+        list
+            One array (or ref) per member: a zero-copy slice, or the
+            member's own array when the window covers it, so a store
+            deduplicates it across runs.
+        """
+        payloads = []
+        for traj in self.trajectories:
+            lo, hi = frame_window(traj.n_frames, start, stop)
+            array = traj.as_array()
+            if (lo, hi) != (0, traj.n_frames):
+                array = array[lo:hi]
+            payloads.append(array if store is None else store.put(array))
+        return payloads
+
+    def identity(self) -> List[str]:
+        """Per-member content digests (sha256 over dtype, shape and bytes).
+
+        What a run fingerprint records of an in-memory ensemble: two
+        ensembles have equal identities iff their members are elementwise
+        identical.
+        """
+        digests = []
+        for traj in self.trajectories:
+            data = np.ascontiguousarray(traj.as_array())
+            digest = hashlib.sha256(f"{data.dtype.str}{data.shape}".encode())
+            digest.update(data.data)
+            digests.append(digest.hexdigest())
+        return digests

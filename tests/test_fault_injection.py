@@ -36,7 +36,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import leaflet_finder, psa
+from repro.core.api import leaflet_finder, psa, stream_windows
+from repro.core.psa import psa_serial
 from repro.frameworks import make_framework
 from repro.frameworks.checkpoint import StaleJournal
 from repro.frameworks.executors import ProcessExecutor, SharedMemoryExecutor
@@ -59,7 +60,14 @@ from repro.frameworks.shm import (
     SharedMemoryStore,
     sweep_orphan_segments,
 )
-from repro.trajectory import BilayerSpec, EnsembleSpec, make_bilayer, make_clustered_ensemble
+from repro.trajectory import (
+    BilayerSpec,
+    EnsembleSpec,
+    make_bilayer,
+    make_clustered_ensemble,
+    open_streaming_ensemble,
+    write_frame_chunks,
+)
 
 pytestmark = pytest.mark.faults
 
@@ -841,6 +849,58 @@ class TestCheckpointResume:
         assert report.metrics.tasks_retried == 1
         # all six completed (one after retry): all six journalled
         assert len(list(ckpt.glob("e-*.json"))) == 6
+
+
+@pytest.fixture(scope="module")
+def windowed_ensemble():
+    """4 trajectories x 16 frames: four 4-frame windows, 160 block tasks."""
+    return make_clustered_ensemble(
+        EnsembleSpec(n_trajectories=4, n_frames=16, n_atoms=12, seed=7))
+
+
+@pytest.fixture()
+def windowed_chunks(windowed_ensemble, tmp_path):
+    """The windowed ensemble as chunk files, one 4-frame chunk per window."""
+    paths = [
+        write_frame_chunks(traj.as_array(), str(tmp_path / f"{traj.name}.fchunk"),
+                           frames_per_chunk=4, name=traj.name)
+        for traj in windowed_ensemble
+    ]
+    return open_streaming_ensemble(paths)
+
+
+class TestStreamedResume:
+    """A killed multi-window run resumes from its journal, bit-identically."""
+
+    @pytest.mark.parametrize("at_task", [3, 17])
+    @pytest.mark.parametrize("plane", DATA_PLANES)
+    def test_killed_streamed_run_resumes_bit_identical(
+            self, plane, at_task, windowed_ensemble, windowed_chunks, tmp_path):
+        # wave 0 has 10 tasks, wave 1 has 30: the faults land in either
+        ckpt = str(tmp_path / "journal")
+        with pytest.raises(InjectedFault):
+            stream_windows(windowed_chunks, "dasklite", executor="serial",
+                           data_plane=plane, checkpoint_dir=ckpt,
+                           faults=FaultSpec("raise", at_task=at_task))
+        matrix, report = stream_windows(windowed_chunks, "dasklite",
+                                        executor="serial", data_plane=plane,
+                                        checkpoint_dir=ckpt)
+        reference = psa_serial(windowed_ensemble, metric="hausdorff_windowed")
+        assert np.array_equal(matrix.values, reference.values)
+        assert report.metrics.tasks_restored == at_task
+
+    def test_resumed_run_counts_every_task(self, windowed_ensemble, tmp_path):
+        ckpt = str(tmp_path / "journal")
+        with pytest.raises(InjectedFault):
+            stream_windows(windowed_ensemble, "dasklite", executor="serial",
+                           checkpoint_dir=ckpt,
+                           faults=FaultSpec("raise", at_task=3))
+        _, report = stream_windows(windowed_ensemble, "dasklite",
+                                   executor="serial", checkpoint_dir=ckpt)
+        metrics = report.metrics
+        assert metrics.tasks_restored == 3
+        assert report.n_tasks == metrics.tasks_restored + metrics.tasks_submitted
+        assert report.n_tasks == 160
 
 
 # --------------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ from repro.core.leaflet import (
     run_leaflet_finder,
     run_leaflet_stream,
 )
-from repro.core.psa import psa_serial, run_psa, run_psa_windows
+from repro.core.psa import psa_serial, run_psa
 from repro.experiments.fig8_broadcast import data_plane_rows
 from repro.frameworks import make_framework
 from repro.frameworks.base import TaskFramework
@@ -289,8 +289,8 @@ def _run_driver(driver, ensemble, bilayer, chunk_path, fw, plane):
         matrix, report = run_psa(ensemble, fw, n_tasks=4, data_plane=plane)
         return np.array_equal(matrix.values, psa_serial(ensemble).values), report
     if driver == "psa_windows":
-        matrix, report = run_psa_windows(ensemble, fw, window_frames=3,
-                                         n_tasks=4, data_plane=plane)
+        matrix, report = run_psa(ensemble, fw, metric="hausdorff_windowed",
+                                 window_frames=3, n_tasks=4, data_plane=plane)
         reference = psa_serial(ensemble, metric="hausdorff_windowed")
         return np.array_equal(matrix.values, reference.values), report
     reference = _canonical_components(leaflet_serial(bilayer, 15.0))

@@ -21,7 +21,7 @@ import pytest
 from repro.analysis.hausdorff import hausdorff_naive, window_minima
 from repro.core.api import psa, stream_windows
 from repro.core.leaflet import leaflet_serial, run_leaflet_stream
-from repro.core.psa import run_psa_windows
+from repro.core.psa import run_psa
 from repro.frameworks import make_framework
 from repro.frameworks.faults import FaultPolicy, FaultSpec
 from repro.frameworks.shm import SharedMemoryStore
@@ -265,7 +265,8 @@ class TestWindowedPSA:
         fw = make_framework(name, executor="threads", workers=2,
                             data_plane="shm")
         try:
-            matrix, report = run_psa_windows(streaming, fw, n_tasks=4)
+            matrix, report = run_psa(streaming, fw, metric="hausdorff_windowed",
+                                     window_frames=4, n_tasks=4)
         finally:
             fw.close()
         assert np.array_equal(matrix.values, batch_matrix)
@@ -276,7 +277,8 @@ class TestWindowedPSA:
     def test_in_memory_windows_match_batch(self, name, ensemble, batch_matrix):
         fw = make_framework(name, executor="threads", workers=2)
         try:
-            matrix, _ = run_psa_windows(ensemble, fw, window_frames=5)
+            matrix, _ = run_psa(ensemble, fw, metric="hausdorff_windowed",
+                               window_frames=5)
         finally:
             fw.close()
         assert np.array_equal(matrix.values, batch_matrix)
@@ -312,11 +314,30 @@ class TestWindowedPSA:
         assert 0 < report.metrics.peak_resident_bytes < total
         assert report.metrics.bytes_spilled > 0
 
+    @pytest.mark.parametrize("bad, error", [
+        ({"window": (-3, 12)}, IndexError),
+        ({"window": (0, 99)}, IndexError),
+        ({"window": (7, 7)}, IndexError),
+        ({"window_frames": -1}, ValueError),
+        ({"window_frames": 0}, ValueError),
+    ])
+    @pytest.mark.parametrize("source", ["memory", "streaming"])
+    def test_bad_windows_rejected_on_every_input(self, source, bad, error,
+                                                 ensemble, chunk_paths):
+        """In-memory and streamed input agree on which windows are legal."""
+        data = ensemble if source == "memory" else open_streaming_ensemble(chunk_paths)
+        fw = make_framework("dasklite", executor="serial")
+        try:
+            with pytest.raises(error):
+                run_psa(data, fw, metric="hausdorff_windowed", **bad)
+        finally:
+            fw.close()
+
     def test_rejects_non_decomposable_metric(self, ensemble):
         fw = make_framework("dasklite", executor="serial")
         try:
             with pytest.raises(ValueError, match="hausdorff_windowed"):
-                run_psa_windows(ensemble, fw, metric="frechet")
+                run_psa(ensemble, fw, metric="frechet", window_frames=4)
         finally:
             fw.close()
 

@@ -1,15 +1,13 @@
-"""Unit tests for Frame, Trajectory, LazyTrajectory and TrajectoryEnsemble."""
+"""Unit tests for Frame, Trajectory and TrajectoryEnsemble."""
 
 import numpy as np
 import pytest
 
 from repro.trajectory import (
     Frame,
-    LazyTrajectory,
     Topology,
     Trajectory,
     TrajectoryEnsemble,
-    write_npy,
 )
 
 
@@ -135,43 +133,6 @@ class TestTrajectory:
     def test_box_validation(self):
         with pytest.raises(ValueError):
             Trajectory(np.zeros((3, 2, 3)), box=np.zeros((2, 3)))
-
-
-class TestLazyTrajectory:
-    def test_roundtrip(self, tmp_path):
-        traj = make_traj(8, 5, seed=9, name="lazy")
-        path = tmp_path / "lazy.npy"
-        write_npy(traj, path)
-        lazy = LazyTrajectory(path)
-        assert lazy.n_frames == 8
-        assert lazy.n_atoms == 5
-        assert len(lazy) == 8
-        loaded = lazy.load()
-        assert np.allclose(loaded.positions, traj.positions)
-
-    def test_load_frames_range(self, tmp_path):
-        traj = make_traj(10, 3)
-        path = tmp_path / "t.npy"
-        write_npy(traj, path)
-        lazy = LazyTrajectory(path)
-        chunk = lazy.load_frames(2, 5)
-        assert chunk.n_frames == 3
-        assert np.allclose(chunk.positions, traj.positions[2:5])
-        with pytest.raises(IndexError):
-            lazy.load_frames(5, 100)
-
-    def test_single_frame(self, tmp_path):
-        traj = make_traj(4, 3)
-        path = tmp_path / "t.npy"
-        write_npy(traj, path)
-        lazy = LazyTrajectory(path)
-        assert np.allclose(lazy.frame(-1).positions, traj.positions[-1])
-        with pytest.raises(IndexError):
-            lazy.frame(10)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            LazyTrajectory(tmp_path / "missing.npy")
 
 
 class TestTrajectoryEnsemble:

@@ -8,7 +8,6 @@ from repro.trajectory import (
     Trajectory,
     TrajectoryEnsemble,
     load_ensemble,
-    open_lazy,
     read_npy,
     read_npz,
     read_trajectory,
@@ -126,9 +125,3 @@ class TestEnsembleIO:
     def test_write_ensemble_bad_format(self, tmp_path):
         with pytest.raises(ValueError):
             write_ensemble(TrajectoryEnsemble([make_traj()]), tmp_path, fmt="dcd")
-
-    def test_open_lazy(self, tmp_path):
-        ens = TrajectoryEnsemble([make_traj(name="only")])
-        paths = write_ensemble(ens, tmp_path, fmt="npy")
-        lazy = open_lazy(paths[0])
-        assert lazy.n_frames == 4
