@@ -18,7 +18,7 @@ from conftest import framework
 from repro.analysis.hausdorff import hausdorff, hausdorff_earlybreak, hausdorff_naive
 from repro.analysis.neighbors import radius_edges
 from repro.analysis.rmsd import rmsd_matrix, rmsd_matrix_blocked
-from repro.core.leaflet import leaflet_parallel_cc, leaflet_task_2d
+from repro.core.leaflet import run_leaflet_finder
 
 CUTOFF = 15.0
 
@@ -78,8 +78,8 @@ class TestShuffleVolumeAblation:
         fw = framework("dasklite")
 
         def run():
-            _r2, rep2 = leaflet_task_2d(positions, CUTOFF, fw, n_tasks=16)
-            _r3, rep3 = leaflet_parallel_cc(positions, CUTOFF, fw, n_tasks=16)
+            _r2, rep2 = run_leaflet_finder(positions, CUTOFF, fw, approach="task-2d", n_tasks=16)
+            _r3, rep3 = run_leaflet_finder(positions, CUTOFF, fw, approach="parallel-cc", n_tasks=16)
             return rep2.metrics.bytes_shuffled, rep3.metrics.bytes_shuffled
 
         edge_bytes, component_bytes = benchmark(run)

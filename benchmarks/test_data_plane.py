@@ -26,7 +26,7 @@ import pytest
 
 from conftest import BENCH_WORKERS
 from repro.bench import speedup_samples
-from repro.core.leaflet import leaflet_broadcast_1d
+from repro.core.leaflet import run_leaflet_finder
 from repro.core.psa import run_psa
 from repro.experiments.fig8_broadcast import data_plane_rows
 from repro.frameworks import make_framework
@@ -65,7 +65,7 @@ def test_broadcast_data_plane_live(benchmark, bench_bilayer, plane):
                         data_plane=plane)
 
     def run():
-        _result, report = leaflet_broadcast_1d(positions, CUTOFF, fw, n_tasks=16)
+        _result, report = run_leaflet_finder(positions, CUTOFF, fw, approach="broadcast-1d", n_tasks=16)
         return report
 
     report = benchmark(run)

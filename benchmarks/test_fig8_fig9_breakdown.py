@@ -7,7 +7,7 @@ Figure 9: approach 2 on RADICAL-Pilot, where per-unit overheads dominate.
 import pytest
 
 from conftest import framework
-from repro.core.leaflet import leaflet_broadcast_1d, leaflet_task_2d
+from repro.core.leaflet import run_leaflet_finder
 from repro.experiments import fig8_broadcast, fig9_rp_leaflet
 from repro.frameworks.pilot import PilotFramework
 
@@ -21,7 +21,7 @@ def test_fig8_broadcast_approach_live(benchmark, bench_bilayer, name):
     fw = framework(name)
 
     def run():
-        _result, report = leaflet_broadcast_1d(positions, CUTOFF, fw, n_tasks=16)
+        _result, report = run_leaflet_finder(positions, CUTOFF, fw, approach="broadcast-1d", n_tasks=16)
         return report
 
     report = benchmark(run)
@@ -53,7 +53,7 @@ def test_fig9_pilot_overheads_live(benchmark, bench_bilayer):
     fw = PilotFramework(executor="threads", workers=4, database_latency_s=0.001)
 
     def run():
-        _result, report = leaflet_task_2d(positions, CUTOFF, fw, n_tasks=16)
+        _result, report = run_leaflet_finder(positions, CUTOFF, fw, approach="task-2d", n_tasks=16)
         return report
 
     report = benchmark(run)

@@ -30,7 +30,6 @@ from .core import (
     psa_serial,
     recommend_framework,
     run_leaflet_finder,
-    run_leaflet_stream,
     run_psa,
     stream_windows,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "leaflet_finder",
     "leaflet_serial",
     "run_leaflet_finder",
-    "run_leaflet_stream",
     "LeafletFinder",
     "compare_frameworks",
     "compare_leaflet_approaches",

@@ -29,13 +29,8 @@ from .characterization import (
 from .leaflet import (
     LEAFLET_APPROACHES,
     LeafletFinder,
-    leaflet_broadcast_1d,
-    leaflet_parallel_cc,
     leaflet_serial,
-    leaflet_task_2d,
-    leaflet_tree_search,
     run_leaflet_finder,
-    run_leaflet_stream,
 )
 from .partitioning import (
     BlockTask,
@@ -69,12 +64,7 @@ __all__ = [
     "PSABlockTask",
     "PSA_METRICS",
     "run_leaflet_finder",
-    "run_leaflet_stream",
     "leaflet_serial",
-    "leaflet_broadcast_1d",
-    "leaflet_task_2d",
-    "leaflet_parallel_cc",
-    "leaflet_tree_search",
     "LeafletFinder",
     "LEAFLET_APPROACHES",
     "BlockTask",

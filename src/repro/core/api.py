@@ -22,7 +22,7 @@ import numpy as np
 from ..frameworks import TaskFramework, make_framework
 from ..trajectory.trajectory import TrajectoryEnsemble
 from ..trajectory.universe import Universe
-from .leaflet import LEAFLET_APPROACHES, run_leaflet_finder, run_leaflet_stream
+from .leaflet import LEAFLET_APPROACHES, run_leaflet_finder
 from .psa import run_psa
 from .results import DistanceMatrix, LeafletResult, RunReport
 
@@ -245,8 +245,8 @@ spill_async, spill_queue_depth, fault_policy, faults :
             return run_psa(source, fw, metric=metric, window_frames=window_frames,
                            n_tasks=n_tasks, group_size=group_size,
                            data_plane=data_plane, checkpoint_dir=checkpoint_dir)
-        return run_leaflet_stream(source, cutoff, fw, data_plane=data_plane,
-                                  checkpoint_dir=checkpoint_dir)
+        return run_leaflet_finder(source, cutoff, fw, approach="parallel-cc",
+                                  data_plane=data_plane, checkpoint_dir=checkpoint_dir)
     finally:
         # see psa(): frameworks constructed by name are closed here
         if created:

@@ -40,13 +40,14 @@ from ..analysis.hausdorff import (
     window_minima,
 )
 from ..frameworks.base import TaskFramework
-from ..frameworks.checkpoint import RunJournal, checkpointed_map, run_fingerprint
+from ..frameworks.checkpoint import RunJournal, run_fingerprint
 from ..frameworks.serialization import nbytes_of
-from ..frameworks.shm import SharedMemoryStore, maybe_resolve, refs_nbytes
+from ..frameworks.shm import SharedMemoryStore, maybe_resolve
 from ..trajectory.readers import read_trajectory
 from ..trajectory.trajectory import TrajectoryEnsemble
 from .partitioning import BlockTask, choose_group_size, two_dimensional_partition
 from .results import DistanceMatrix, RunReport
+from .waves import run_waves
 
 __all__ = [
     "PSA_METRICS",
@@ -415,9 +416,6 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
         fwd = {pair: np.full(n_frames, np.inf) for pair in pairs}
         bwd = {pair: np.full(n_frames, np.inf) for pair in pairs}
 
-    totals = None
-    n_total = 0
-    start = None
     with framework.run_plane(data_plane) as store:
         plane = framework.data_plane
         journal = None
@@ -428,20 +426,21 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
                 n_tasks_hint=n_tasks, window=window, window_frames=window_frames,
                 paths=tuple(paths) if paths is not None else None)
             journal = RunJournal(checkpoint_dir, fingerprint).open()
-        for w, win_w in enumerate(windows):
-            pay_w = _payloads(ensemble, paths, store, win_w)
-            wave = [(win_w, pay_w, win_w, pay_w)]
-            for win_v in windows[:w]:
-                pay_v = _payloads(ensemble, paths, store, win_v)
-                wave += [(win_v, pay_v, win_w, pay_w), (win_w, pay_w, win_v, pay_v)]
-            tasks = [task
-                     for row_win, row_pay, col_win, col_pay in wave
-                     for task in _block_tasks(blocks, row_pay, col_pay, metric,
-                                              from_files=paths is not None,
-                                              windows=(row_win, col_win) if fold else None)]
-            start = start or time.perf_counter()
-            results = checkpointed_map(framework, execute_psa_block, tasks, journal,
-                                       psa_block_key)
+
+        def waves():
+            for w, win_w in enumerate(windows):
+                pay_w = _payloads(ensemble, paths, store, win_w)
+                wave = [(win_w, pay_w, win_w, pay_w)]
+                for win_v in windows[:w]:
+                    pay_v = _payloads(ensemble, paths, store, win_v)
+                    wave += [(win_v, pay_v, win_w, pay_w), (win_w, pay_w, win_v, pay_v)]
+                yield [task
+                       for row_win, row_pay, col_win, col_pay in wave
+                       for task in _block_tasks(blocks, row_pay, col_pay, metric,
+                                                from_files=paths is not None,
+                                                windows=(row_win, col_win) if fold else None)]
+
+        def fold_wave(results):
             # on the shm plane each block is a zero-copy view of a result
             # segment, and the scatter or fold below is the only copy made
             for block in results:
@@ -450,24 +449,14 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
                     _fold(fwd, bwd, block)
                 else:
                     _scatter(values, block)
-            # map_tasks resets the framework metrics each call; fold this
-            # wave into the running totals (spill/ingest counters mirror
-            # the store's cumulative values, so merge() takes their max)
-            metrics = framework.metrics
-            if store is not None and not metrics.bytes_shared:
-                # an executor that ships payloads itself (pilot's agents)
-                # counts only the arrays it shares newly; the refs made
-                # above went through the plane as well
-                metrics.bytes_shared = sum(refs_nbytes(task) for task in tasks)
-            totals = metrics if totals is None else totals.merge(metrics)
-            n_total += len(tasks)
+
+        run = run_waves(framework, execute_psa_block, psa_block_key, waves(), fold_wave,
+                        journal=journal, store=store)
         if fold:
             for (i, j) in pairs:
                 d = np.sqrt(max(fwd[(i, j)].max(), bwd[(i, j)].max()) / n_atoms)
                 values[i, j] = values[j, i] = float(d)
-        wall = time.perf_counter() - start
-    if store is not None:
-        totals.bytes_spilled = max(totals.bytes_spilled, store.bytes_spilled)
+        wall = time.perf_counter() - run.started
     report = RunReport(
         algorithm=f"psa[{metric}]",
         framework=framework.name,
@@ -475,16 +464,16 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
             "n_trajectories": n,
             "n_frames": ensemble[0].n_frames,
             "n_atoms": n_atoms,
-            "n_tasks": n_total,
+            "n_tasks": run.n_tasks,
             "n_blocks": len(blocks),
             "n_windows": len(windows),
-            "n_waves": len(windows),
+            "n_waves": run.n_waves,
             "metric": metric,
             "data_plane": plane,
             "window": window,
         },
         wall_time_s=wall,
-        n_tasks=n_total,
-        metrics=totals,
+        n_tasks=run.n_tasks,
+        metrics=run.metrics,
     )
     return DistanceMatrix(values, labels=ensemble.labels), report

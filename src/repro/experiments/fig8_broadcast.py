@@ -32,7 +32,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..core.leaflet import leaflet_broadcast_1d
+from ..core.leaflet import run_leaflet_finder
 from ..core.psa import run_psa
 from ..frameworks import make_framework
 from ..perfmodel.scaling import model_broadcast_breakdown
@@ -59,7 +59,7 @@ def measured_rows(n_atoms: int = 3000, cutoff: float = 15.0, n_tasks: int = 16,
     for name in frameworks:
         fw = make_framework(name, executor="threads", workers=workers,
                             data_plane=data_plane)
-        _result, report = leaflet_broadcast_1d(positions, cutoff, fw, n_tasks=n_tasks)
+        _result, report = run_leaflet_finder(positions, cutoff, fw, approach="broadcast-1d", n_tasks=n_tasks)
         broadcast_s = report.parameters.get("phase_broadcast_s", 0.0)
         map_s = report.parameters.get("phase_map_s", 0.0)
         store = getattr(fw, "store", None)

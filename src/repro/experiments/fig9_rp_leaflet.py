@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..core.leaflet import leaflet_task_2d
+from ..core.leaflet import run_leaflet_finder
 from ..frameworks.pilot import PilotFramework
 from ..perfmodel.machines import WRANGLER
 from ..perfmodel.scaling import PAPER_LEAFLET_CORE_COUNTS, model_leaflet_runtime
@@ -58,7 +58,7 @@ def measured_rows(n_atoms: int = 1500, cutoff: float = 15.0, n_tasks: int = 24,
     for latency in (0.0, database_latency_s):
         fw = PilotFramework(executor="threads", workers=workers,
                             database_latency_s=latency)
-        _result, report = leaflet_task_2d(positions, cutoff, fw, n_tasks=n_tasks)
+        _result, report = run_leaflet_finder(positions, cutoff, fw, approach="task-2d", n_tasks=n_tasks)
         db_stats = next((v for k, v in report.metrics.events if k == "database"), {})
         rows.append({
             "database_latency_s": latency,

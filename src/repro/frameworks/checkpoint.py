@@ -37,12 +37,13 @@ The journal state machine per entry::
        │   crash mid-write    │                   │ checksum/shape
        └──── discarded ◄──────┘◄──────────────────┘ mismatch on replay
 
-:func:`checkpointed_map` is the driver-side integration point used by
-``run_psa`` (once per wave, so a multi-window run resumes mid-wave) and
-``run_leaflet_finder`` / ``run_leaflet_stream``: restore the journal,
-map only the missing items, splice restored and computed results back
-into input order, and account ``tasks_restored`` / ``restore_seconds``
-into the run's metrics.
+:func:`checkpointed_map` is the driver-side integration point.  The
+wave loop that ``run_psa`` and ``run_leaflet_finder`` share
+(:func:`repro.core.waves.run_waves`) calls it once per wave, so a
+streamed run resumes mid-stream: restore the journal, map only the
+missing items, splice restored and computed results back into input
+order, and account ``tasks_restored`` / ``restore_seconds`` into the
+run's metrics.
 """
 
 from __future__ import annotations

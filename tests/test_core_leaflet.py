@@ -6,11 +6,7 @@ import pytest
 from repro.core.leaflet import (
     LEAFLET_APPROACHES,
     LeafletFinder,
-    leaflet_broadcast_1d,
-    leaflet_parallel_cc,
     leaflet_serial,
-    leaflet_task_2d,
-    leaflet_tree_search,
     run_leaflet_finder,
 )
 from repro.frameworks import make_framework
@@ -66,6 +62,11 @@ class TestApproachesAgainstSerial:
         assert result.agreement_with(labels) == 1.0
         assert report.n_tasks >= 1
         assert report.wall_time_s > 0.0
+        assert report.algorithm == f"leaflet_finder[{approach}]"
+        assert report.parameters["n_waves"] == 1
+        assert report.parameters["n_blocks"] == report.n_tasks
+        phases = [v for k, v in report.parameters.items() if k.startswith("phase_")]
+        assert sum(phases) <= report.wall_time_s
 
     def test_unknown_approach(self, small_bilayer):
         positions, _ = small_bilayer
@@ -79,7 +80,7 @@ class TestApproachCharacteristics:
     def test_broadcast_approach_reports_broadcast_bytes(self, small_bilayer):
         positions, _ = small_bilayer
         fw = make_framework("sparklite", executor="serial")
-        _result, report = leaflet_broadcast_1d(positions, CUTOFF, fw, n_tasks=4)
+        _result, report = run_leaflet_finder(positions, CUTOFF, fw, approach="broadcast-1d", n_tasks=4)
         assert report.metrics.bytes_broadcast >= positions.nbytes
         assert "phase_broadcast_s" in report.parameters
         fw.close()
@@ -87,7 +88,7 @@ class TestApproachCharacteristics:
     def test_task_2d_has_no_broadcast(self, small_bilayer):
         positions, _ = small_bilayer
         fw = make_framework("sparklite", executor="serial")
-        _result, report = leaflet_task_2d(positions, CUTOFF, fw, n_tasks=4)
+        _result, report = run_leaflet_finder(positions, CUTOFF, fw, approach="task-2d", n_tasks=4)
         assert report.metrics.bytes_broadcast == 0
         fw.close()
 
@@ -95,35 +96,26 @@ class TestApproachCharacteristics:
         """The paper's key claim for approach 3: smaller shuffle volume."""
         positions, _ = small_bilayer
         fw = make_framework("dasklite", executor="serial")
-        _r2, report2 = leaflet_task_2d(positions, CUTOFF, fw, n_tasks=6)
-        _r3, report3 = leaflet_parallel_cc(positions, CUTOFF, fw, n_tasks=6)
+        _r2, report2 = run_leaflet_finder(positions, CUTOFF, fw, approach="task-2d", n_tasks=6)
+        _r3, report3 = run_leaflet_finder(positions, CUTOFF, fw, approach="parallel-cc", n_tasks=6)
         assert report3.metrics.bytes_shuffled < report2.metrics.bytes_shuffled
         fw.close()
 
     def test_tree_search_equals_parallel_cc_result(self, small_bilayer):
         positions, labels = small_bilayer
         fw = make_framework("mpilite", workers=2)
-        r3, _ = leaflet_parallel_cc(positions, CUTOFF, fw, n_tasks=4)
-        r4, _ = leaflet_tree_search(positions, CUTOFF, fw, n_tasks=4)
+        r3, _ = run_leaflet_finder(positions, CUTOFF, fw, approach="parallel-cc", n_tasks=4)
+        r4, _ = run_leaflet_finder(positions, CUTOFF, fw, approach="tree-search", n_tasks=4)
         assert r3.sizes[:2] == r4.sizes[:2]
         assert r4.agreement_with(labels) == 1.0
-        fw.close()
-
-    def test_tree_search_grid_method(self, small_bilayer):
-        positions, labels = small_bilayer
-        fw = make_framework("dasklite", executor="serial")
-        result, _ = leaflet_tree_search(positions, CUTOFF, fw, n_tasks=4, method="grid")
-        assert result.agreement_with(labels) == 1.0
-        with pytest.raises(Exception):
-            leaflet_tree_search(positions, CUTOFF, fw, n_tasks=4, method="octree")
         fw.close()
 
     def test_edge_counts_consistent(self, small_bilayer):
         positions, _ = small_bilayer
         serial = leaflet_serial(positions, CUTOFF, method="brute")
         fw = make_framework("dasklite", executor="serial")
-        r1, _ = leaflet_broadcast_1d(positions, CUTOFF, fw, n_tasks=5)
-        r2, _ = leaflet_task_2d(positions, CUTOFF, fw, n_tasks=5)
+        r1, _ = run_leaflet_finder(positions, CUTOFF, fw, approach="broadcast-1d", n_tasks=5)
+        r2, _ = run_leaflet_finder(positions, CUTOFF, fw, approach="task-2d", n_tasks=5)
         assert r1.n_edges == serial.n_edges
         assert r2.n_edges == serial.n_edges
         fw.close()

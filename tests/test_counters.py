@@ -13,7 +13,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.core.api import psa
+from repro.core.api import leaflet_finder, psa
 from repro.core.psa import psa_serial
 from repro.frameworks import FaultPolicy, FaultSpec, make_framework
 from repro.frameworks.base import RunMetrics, TaskFramework
@@ -26,7 +26,7 @@ from repro.frameworks.pilot import (
     Session,
     UnitManager,
 )
-from repro.trajectory import EnsembleSpec, make_clustered_ensemble
+from repro.trajectory import BilayerSpec, EnsembleSpec, make_bilayer, make_clustered_ensemble
 
 COUNTER_NAMES = [f.name for f in COUNTERS]
 
@@ -143,6 +143,23 @@ def test_pilot_byte_counts_cover_every_batch(fine_ensemble, executor, plane):
         assert getattr(many, name) == getattr(one, name), name
     assert many.bytes_pickled > 0 and many.bytes_results_pickled > 0
     assert (many.bytes_shared_results > 0) == (plane == "shm")
+
+
+@pytest.mark.parametrize("analysis", ["psa", "leaflet"])
+def test_pilot_shm_executor_counts_shared_bytes(fine_ensemble, analysis):
+    """Pilot's agents ship shm payloads themselves, yet the run counts the
+    arrays its tasks reference, as a substrate on the thread pool does."""
+    positions, _ = make_bilayer(BilayerSpec(n_atoms=400, seed=9))
+    shared = {}
+    for name, executor in (("pilot", "shm"), ("dasklite", "threads")):
+        if analysis == "psa":
+            _, report = psa(fine_ensemble, name, executor=executor, workers=2,
+                            data_plane="shm", group_size=1)
+        else:
+            _, report = leaflet_finder(positions, name, executor=executor, workers=2,
+                                       data_plane="shm", approach="tree-search", n_tasks=10)
+        shared[name] = report.metrics.bytes_shared
+    assert shared["pilot"] == shared["dasklite"] > 0
 
 
 @pytest.mark.faults

@@ -37,6 +37,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import leaflet_finder, psa, stream_windows
+from repro.core.leaflet import leaflet_serial
 from repro.core.psa import psa_serial
 from repro.frameworks import make_framework
 from repro.frameworks.checkpoint import StaleJournal
@@ -67,7 +68,9 @@ from repro.trajectory import (
     make_clustered_ensemble,
     open_streaming_ensemble,
     write_frame_chunks,
+    write_position_chunks,
 )
+from repro.trajectory.streaming import ChunkedPositions
 
 pytestmark = pytest.mark.faults
 
@@ -887,6 +890,27 @@ class TestStreamedResume:
                                         checkpoint_dir=ckpt)
         reference = psa_serial(windowed_ensemble, metric="hausdorff_windowed")
         assert np.array_equal(matrix.values, reference.values)
+        assert report.metrics.tasks_restored == at_task
+
+    @pytest.mark.parametrize("at_task", [0, 5])
+    @pytest.mark.parametrize("plane", DATA_PLANES)
+    def test_killed_streamed_leaflet_resumes(self, plane, at_task, tmp_path):
+        # four 100-atom chunks: waves of 1, 2, 3 and 4 tasks, so task 0
+        # is the whole first wave and task 5 lands in the third
+        positions, _ = make_bilayer(BilayerSpec(n_atoms=400, seed=9))
+        chunked = ChunkedPositions(write_position_chunks(
+            positions, str(tmp_path / "bilayer.fchunk"), atoms_per_chunk=100))
+        ckpt = str(tmp_path / "journal")
+        with pytest.raises(InjectedFault):
+            stream_windows(chunked, "dasklite", analysis="leaflet", executor="serial",
+                           data_plane=plane, checkpoint_dir=ckpt,
+                           faults=FaultSpec("raise", at_task=at_task))
+        result, report = stream_windows(chunked, "dasklite", analysis="leaflet",
+                                        executor="serial", data_plane=plane,
+                                        checkpoint_dir=ckpt)
+        reference = leaflet_serial(positions, 15.0)
+        assert (sorted(tuple(sorted(c)) for c in result.components)
+                == sorted(tuple(sorted(c)) for c in reference.components))
         assert report.metrics.tasks_restored == at_task
 
     def test_resumed_run_counts_every_task(self, windowed_ensemble, tmp_path):

@@ -17,7 +17,6 @@ from repro.core.leaflet import (
     LEAFLET_APPROACHES,
     leaflet_serial,
     run_leaflet_finder,
-    run_leaflet_stream,
 )
 from repro.core.psa import psa_serial, run_psa
 from repro.experiments.fig8_broadcast import data_plane_rows
@@ -298,8 +297,8 @@ def _run_driver(driver, ensemble, bilayer, chunk_path, fw, plane):
         result, report = run_leaflet_finder(bilayer, 15.0, fw, n_tasks=6,
                                             data_plane=plane)
     else:
-        result, report = run_leaflet_stream(ChunkedPositions(chunk_path), 15.0, fw,
-                                            data_plane=plane)
+        result, report = run_leaflet_finder(ChunkedPositions(chunk_path), 15.0, fw,
+                                            approach="parallel-cc", data_plane=plane)
     return _canonical_components(result) == reference, report
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro.analysis.hausdorff import hausdorff_naive, window_minima
 from repro.core.api import psa, stream_windows
-from repro.core.leaflet import leaflet_serial, run_leaflet_stream
+from repro.core.leaflet import leaflet_serial, run_leaflet_finder
 from repro.core.psa import run_psa
 from repro.frameworks import make_framework
 from repro.frameworks.faults import FaultPolicy, FaultSpec
@@ -346,8 +346,9 @@ class TestWindowedPSA:
 # streamed leaflet
 # --------------------------------------------------------------------------- #
 class TestStreamedLeaflet:
+    @pytest.mark.parametrize("approach", ["task-2d", "parallel-cc", "tree-search"])
     @pytest.mark.parametrize("name", FRAMEWORK_NAMES)
-    def test_streamed_components_match_serial(self, name, tmp_path):
+    def test_streamed_components_match_serial(self, name, approach, tmp_path):
         positions, _ = make_bilayer(BilayerSpec(n_atoms=400, seed=9))
         path = write_position_chunks(positions,
                                      str(tmp_path / "bilayer.fchunk"),
@@ -357,13 +358,18 @@ class TestStreamedLeaflet:
         fw = make_framework(name, executor="threads", workers=2,
                             data_plane="shm")
         try:
-            result, report = run_leaflet_stream(chunked, 15.0, fw)
+            result, report = run_leaflet_finder(chunked, 15.0, fw, approach=approach)
         finally:
             fw.close()
         canon = sorted(tuple(sorted(c)) for c in result.components)
         expected = sorted(tuple(sorted(c)) for c in reference.components)
         assert canon == expected
         assert report.metrics.bytes_ingested == positions.nbytes
+        assert report.algorithm == f"leaflet_finder[{approach}]"
+        assert report.parameters["n_waves"] == report.parameters["n_chunks"] == 4
+        assert report.n_tasks == report.parameters["n_blocks"] == 10
+        phases = [v for k, v in report.parameters.items() if k.startswith("phase_")]
+        assert sum(phases) <= report.wall_time_s
 
     def test_stream_windows_leaflet_dispatch(self, tmp_path):
         positions, _ = make_bilayer(BilayerSpec(n_atoms=300, seed=10))
@@ -376,6 +382,47 @@ class TestStreamedLeaflet:
         canon = sorted(tuple(sorted(c)) for c in result.components)
         expected = sorted(tuple(sorted(c)) for c in reference.components)
         assert canon == expected
+
+    @pytest.mark.parametrize("bad", [{"approach": "broadcast-1d"},
+                                     {"approach": "parallel-cc", "n_tasks": 10}])
+    def test_chunk_file_rejects_broadcast_and_task_count(self, bad, tmp_path):
+        positions, _ = make_bilayer(BilayerSpec(n_atoms=200, seed=9))
+        path = write_position_chunks(positions, str(tmp_path / "bilayer.fchunk"),
+                                     atoms_per_chunk=100)
+        fw = make_framework("dasklite", executor="serial")
+        try:
+            with pytest.raises(ValueError):
+                run_leaflet_finder(ChunkedPositions(path), 15.0, fw, **bad)
+        finally:
+            fw.close()
+
+    @pytest.mark.parametrize("plane", ["pickle", "shm"])
+    def test_streamed_report_counts_match_batch(self, plane, tmp_path):
+        """Four 100-atom chunks make the same 10 blocks as a 10-task batch
+        run: the shuffle volume agrees, and a run replayed whole from its
+        journal still counts every task."""
+        positions, _ = make_bilayer(BilayerSpec(n_atoms=400, seed=9))
+        path = write_position_chunks(positions, str(tmp_path / "bilayer.fchunk"),
+                                     atoms_per_chunk=100)
+        fw = make_framework("dasklite", executor="threads", workers=2)
+        ckpt = str(tmp_path / "journal")
+        try:
+            _, batch = run_leaflet_finder(positions, 15.0, fw, approach="parallel-cc",
+                                          n_tasks=10, data_plane=plane)
+            _, streamed = run_leaflet_finder(ChunkedPositions(path), 15.0, fw,
+                                             approach="parallel-cc", data_plane=plane,
+                                             checkpoint_dir=ckpt)
+            _, resumed = run_leaflet_finder(ChunkedPositions(path), 15.0, fw,
+                                            approach="parallel-cc", data_plane=plane,
+                                            checkpoint_dir=ckpt)
+        finally:
+            fw.close()
+        assert batch.n_tasks == 10
+        assert streamed.metrics.bytes_shuffled == batch.metrics.bytes_shuffled > 0
+        metrics = resumed.metrics
+        assert metrics.tasks_restored == 10
+        assert resumed.n_tasks == metrics.tasks_restored + metrics.tasks_submitted == 10
+        assert resumed.metrics.bytes_shuffled == batch.metrics.bytes_shuffled
 
 
 # --------------------------------------------------------------------------- #
