@@ -47,6 +47,25 @@ instead of the whole run.  Per-task ``tasks_retried`` / ``tasks_lost``
 / ``recovery_seconds`` land in the :class:`TaskTiming` records and roll
 up into :class:`~repro.frameworks.base.RunMetrics`.
 
+Worker lanes
+------------
+The two process-pool executors run their tasks on worker lanes that
+belong to the executor, not to one ``map_tasks`` call: the lanes fork
+lazily on the first call, stay warm across later calls, and are shut
+down by :meth:`~ExecutorBase.shutdown` (which ``TaskFramework.close()``
+calls).  A lane is rebuilt only when its worker dies; a call that ends
+in an exception shuts every lane down before re-raising, so no
+straggler of the failed call can hand a result to the next one.
+
+Since a warm lane forked before the current call, nothing of a call's
+state may ride on the fork.  Each run ships what its workers need in the
+task payload: the heartbeat directory, the claimed fault spec, and the
+driver's kernel engine (:func:`repro.analysis.engine.get_kernel_method`).
+A worker that sees a new run also closes every shared-memory attachment
+and spill-file mapping whose name the driver has unlinked since
+(:func:`~repro.frameworks.shm.release_stale_mappings`), so a long-lived
+worker never pins the pages of dead blocks.
+
 Locality-aware placement
 ------------------------
 With ``FaultPolicy.locality`` set, the lane layer additionally routes
@@ -56,13 +75,16 @@ pending tasks against each free lane's resident set, and a task whose
 input blocks *spilled* is steered to the lane that still has them
 mapped instead of paying a cold disk read on an arbitrary worker — with
 bounded delay scheduling so affinity never idles a lane (see
-:mod:`repro.frameworks.locality`).  Placement lands in ``tasks_local``
+:mod:`repro.frameworks.locality`).  Resident sets live on the lanes, so
+they carry over from one call to the next — placement can span the
+waves of a streamed run.  Placement lands in ``tasks_local``
 / ``tasks_remote`` and the steered-around reads in
 ``bytes_spill_reads_avoided``.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import shutil
@@ -78,7 +100,7 @@ from concurrent.futures import (
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..bench.stats import median as _median
 from .counters import TaskCounters
@@ -114,6 +136,7 @@ from .shm import (
     prefetch_refs,
     publish_payload,
     refs_nbytes,
+    release_stale_mappings,
     resolve_payload,
     share_payload,
     sweep_orphan_segments,
@@ -270,14 +293,6 @@ class ExecutorBase:
         timing.stop = time.perf_counter()
         return result, timing
 
-    def _after_pool_break(self) -> None:
-        """Hook run between reaping a broken pool and rebuilding it.
-
-        The shm executor sweeps the dead workers' orphaned result
-        segments and settles the spill pipeline here; the base hook does
-        nothing.
-        """
-
     def shutdown(self) -> None:
         """Release any pooled resources (no-op for stateless executors)."""
 
@@ -340,6 +355,42 @@ class ThreadExecutor(ExecutorBase):
         return results
 
 
+class _Run(NamedTuple):
+    """The per-run state every task payload carries to its worker.
+
+    A warm lane forked before the run began, so this is the only way
+    run state reaches it: ``token`` identifies the run (a worker that
+    sees a new token releases stale mappings), ``hb_dir`` is the
+    heartbeat directory (``None`` when no monitor needs one), and
+    ``kernel_method`` the driver's kernel engine for the run.
+    """
+
+    token: int
+    hb_dir: Optional[str]
+    kernel_method: str
+
+
+_RUN_TOKENS = itertools.count(1)
+
+# worker-side: token of the last run this process served
+_served_run: Optional[int] = None
+
+
+def _enter_run(run: _Run) -> None:
+    """Adopt a run's state in a pool worker, before its task executes.
+
+    The kernel engine is set for every task.  The first task of a new
+    run also closes the mappings of blocks unlinked since the worker's
+    previous run (:func:`~repro.frameworks.shm.release_stale_mappings`).
+    """
+    global _served_run
+    from ..analysis.engine import set_kernel_method  # see _PooledMapEngine.run
+    set_kernel_method(run.kernel_method)
+    if run.token != _served_run:
+        _served_run = run.token
+        release_stale_mappings()
+
+
 def _timed_call(payload: tuple) -> tuple:
     """Run one pre-pickled task in a pool worker (pickle plane).
 
@@ -350,9 +401,10 @@ def _timed_call(payload: tuple) -> tuple:
     the driver can account the exact bytes that crossed back.
 
     ``spec`` carries a claimed task-side fault to execute here (a real
-    SIGKILL for ``kill_worker``), and ``hb_dir`` the heartbeat directory
-    this worker stamps for the driver's hung-worker monitor and reports
-    its resident block set into for locality-aware placement.
+    SIGKILL for ``kill_worker``), and ``run`` the per-run state
+    (:class:`_Run`): its ``hb_dir`` is the heartbeat directory this
+    worker stamps for the driver's hung-worker monitor and reports its
+    resident block set into for locality-aware placement.
 
     Both pool shims return the same 7-tuple ``(index, out, start, stop,
     bytes_shared, pid, prefetch_drops)``: the pid keys the worker's
@@ -360,7 +412,9 @@ def _timed_call(payload: tuple) -> tuple:
     is the worker-local delta of read-ahead hints dropped while this
     task ran.
     """
-    index, fn, blob, spec, hb_dir = payload
+    index, fn, blob, spec, run = payload
+    hb_dir = run.hb_dir
+    _enter_run(run)
     write_heartbeat(hb_dir)
     drops_before = prefetch_hints_dropped()
     try:
@@ -405,6 +459,13 @@ class _WorkerLane:
     whose resident set covers the task's blocks.  It also shrinks the
     failure domain — a dead worker breaks its own lane only, and
     recovery rebuilds one process while the other lanes keep executing.
+
+    A lane belongs to its executor (:class:`_PooledExecutor`), not to a
+    ``map_tasks`` call: its worker forks at the lane's first submit and
+    serves every later call until the executor shuts the lane down, so
+    the fork cost is paid once per executor and the worker's mappings
+    (``resident``) stay warm from one call to the next.  What a call
+    needs beyond its task travels in the payload (:class:`_Run`).
     """
 
     __slots__ = ("lane_id", "pool", "future", "index", "is_dup", "launched",
@@ -446,9 +507,16 @@ class _WorkerLane:
 class _PooledMapEngine:
     """Fault-tolerant task feeder shared by the two process-pool executors.
 
-    Runs tasks on ``workers`` single-slot :class:`_WorkerLane` objects
-    (so worker death loses at most the one task on that lane) and
-    implements the whole recovery protocol:
+    Runs one ``map_tasks`` call on the owner's single-slot
+    :class:`_WorkerLane` objects (so worker death loses at most the one
+    task on that lane).  The lanes come from one place,
+    :meth:`_PooledExecutor._worker_lanes`, and outlive the call; the
+    engine only owns the run: its :class:`_Run` state (heartbeat
+    directory, kernel engine), shipped with every payload as
+    ``(index, fn, blob, spec, run)``.  A run that raises shuts every
+    lane down before the exception leaves, so a task still in flight
+    cannot return into a later call.  The engine implements the whole
+    recovery protocol:
 
     * a *task exception* returned by a worker is retried per the policy
       (lost payload blocks are healed from their registered sources
@@ -498,18 +566,20 @@ class _PooledMapEngine:
     its ``tasks_retried``.
     """
 
-    def __init__(self, owner: "ExecutorBase", worker_fn: Callable[[tuple], tuple],
-                 payload_for: Callable[[int, Optional[FaultSpec], Optional[str]], tuple],
+    def __init__(self, owner: "_PooledExecutor", worker_fn: Callable[[tuple], tuple],
+                 fn: Callable[[Any], Any], blobs: List[bytes],
                  on_result: Callable[[int, tuple, Optional[FaultSpec], TaskTiming], None],
-                 n_tasks: int,
                  on_discard: Optional[Callable[[tuple], None]] = None,
                  task_refs: Optional[List[List[BlockRef]]] = None) -> None:
         self.owner = owner
         self.worker_fn = worker_fn
-        self.payload_for = payload_for
+        self.fn = fn
+        self.blobs = blobs
         self.on_result = on_result
         self.on_discard = on_discard
-        self.n_tasks = n_tasks
+        self.n_tasks = n_tasks = len(blobs)
+        self.hb_dir: Optional[str] = None
+        self._run: Optional[_Run] = None
         policy, injector, store = owner._fault_context()
         self.policy = policy
         self.injector = injector
@@ -551,6 +621,10 @@ class _PooledMapEngine:
             return None
         return spec
 
+    def _payload(self, index: int, spec: Optional[FaultSpec]) -> tuple:
+        """The worker payload of one attempt of task ``index``."""
+        return (index, self.fn, self.blobs[index], spec, self._run)
+
     # ------------------------------------------------------------------ #
     def run(self) -> None:
         """Execute every task to completion (or raise the fatal failure)."""
@@ -559,16 +633,25 @@ class _PooledMapEngine:
                 or self.policy.speculation_factor is not None
                 or self._scheduler is not None):
             hb_dir = tempfile.mkdtemp(prefix="repro-hb-")
+        self.hb_dir = hb_dir
+        # imported here: a module-level import would load repro.analysis
+        # ahead of the rest of the package, which measurably raises the
+        # peak RSS of importing repro (about 1.3 MB)
+        from ..analysis.engine import get_kernel_method
+        self._run = _Run(next(_RUN_TOKENS), hb_dir, get_kernel_method())
         pending: "deque[int]" = deque(range(self.n_tasks))
-        lanes = [_WorkerLane(i) for i in range(self.owner.workers)]
+        lanes = self.owner._worker_lanes()
         try:
             while pending or any(lane.busy for lane in lanes):
-                broken = self._pump(lanes, pending, hb_dir)
+                broken = self._pump(lanes, pending)
                 if broken:
-                    self._recover(broken, pending, hb_dir)
+                    self._recover(broken, pending)
+        except BaseException:
+            # lanes outlive the call: drop them all, so an attempt still
+            # in flight cannot hand its result to the next call
+            self.owner._drop_lanes()
+            raise
         finally:
-            for lane in lanes:
-                lane.pool.shutdown(wait=True)
             if hb_dir is not None:
                 try:
                     # res- files are driver-consumed state, not leftovers:
@@ -581,7 +664,6 @@ class _PooledMapEngine:
                 shutil.rmtree(hb_dir, ignore_errors=True)
 
     def _dispatch(self, lane: _WorkerLane, index: int, pending: "deque[int]",
-                  hb_dir: Optional[str],
                   broken: List[_WorkerLane]) -> bool:
         """Submit one first-class attempt of ``index`` on ``lane``.
 
@@ -594,8 +676,8 @@ class _PooledMapEngine:
         first_attempt = self.timings[index].tasks_retried == 0
         spec = self._dispatch_spec(index)
         try:
-            lane.future = lane.pool.submit(
-                self.worker_fn, self.payload_for(index, spec, hb_dir))
+            lane.future = lane.pool.submit(self.worker_fn,
+                                           self._payload(index, spec))
         except BrokenProcessPool:
             if self.injector is not None and first_attempt:
                 self.injector.unclaim(spec or self.result_faults.pop(index, None))
@@ -609,7 +691,7 @@ class _PooledMapEngine:
         return True
 
     def _fill(self, lanes: List[_WorkerLane], pending: "deque[int]",
-              hb_dir: Optional[str], broken: List[_WorkerLane]) -> None:
+              broken: List[_WorkerLane]) -> None:
         """Assign pending tasks to free lanes (locality-aware when enabled).
 
         Without a scheduler this is plain queue order.  With one, each
@@ -626,7 +708,7 @@ class _PooledMapEngine:
                     return
                 if lane.busy or lane in broken:
                     continue
-                self._dispatch(lane, pending.popleft(), pending, hb_dir, broken)
+                self._dispatch(lane, pending.popleft(), pending, broken)
             return
         spilled = (self.store.spilled_names() if self.store is not None
                    else frozenset())
@@ -652,8 +734,7 @@ class _PooledMapEngine:
                     drops0 = prefetch_hints_dropped()
                     prefetch_refs(missing_refs)
                     timing.prefetch_hints_dropped += prefetch_hints_dropped() - drops0
-                if self._dispatch(lane, placement.index, pending, hb_dir,
-                                  broken):
+                if self._dispatch(lane, placement.index, pending, broken):
                     # last dispatch wins: a retried task re-scores, so the
                     # flags describe the attempt that actually produced
                     # the result
@@ -664,8 +745,8 @@ class _PooledMapEngine:
                         placement.index)
                     progress = True
 
-    def _pump(self, lanes: List[_WorkerLane], pending: "deque[int]",
-              hb_dir: Optional[str]) -> List[_WorkerLane]:
+    def _pump(self, lanes: List[_WorkerLane],
+              pending: "deque[int]") -> List[_WorkerLane]:
         """Fill free lanes, wait for completions, and process them.
 
         Returns the lanes found broken this round (empty when none):
@@ -673,8 +754,9 @@ class _PooledMapEngine:
         simultaneous worker deaths cost one sweep-and-rebuild — and
         tasks queued or running on healthy lanes are never disturbed.
         """
+        hb_dir = self.hb_dir
         broken: List[_WorkerLane] = []
-        self._fill(lanes, pending, hb_dir, broken)
+        self._fill(lanes, pending, broken)
         if broken:
             return broken
         busy = [lane for lane in lanes if lane.busy]
@@ -693,7 +775,7 @@ class _PooledMapEngine:
         if not done:
             if hb_dir is not None and self.policy.heartbeat_timeout_s is not None:
                 kill_stale_workers(hb_dir, self.policy.heartbeat_timeout_s)
-            self._maybe_speculate(lanes, pending, hb_dir)
+            self._maybe_speculate(lanes, pending)
             return []
         for lane in busy:
             if lane.future not in done:
@@ -713,7 +795,7 @@ class _PooledMapEngine:
                     continue  # a beaten attempt failed; the winner landed
                 self._fail(index, exc, pending)
                 continue
-            self._observe_worker(lane, index, out, hb_dir)
+            self._observe_worker(lane, index, out)
             if index in self._completed:
                 # the losing attempt of a speculated task finished after
                 # the winner: discard its result (and published segments)
@@ -738,11 +820,10 @@ class _PooledMapEngine:
                 self._fail(index, exc, pending)
         if broken:
             return broken
-        self._maybe_speculate(lanes, pending, hb_dir)
+        self._maybe_speculate(lanes, pending)
         return []
 
-    def _observe_worker(self, lane: _WorkerLane, index: int, out: tuple,
-                        hb_dir: Optional[str]) -> None:
+    def _observe_worker(self, lane: _WorkerLane, index: int, out: tuple) -> None:
         """Absorb the worker-reported tail of a result tuple.
 
         Every successful result carries ``(pid, prefetch_drops)`` after
@@ -754,13 +835,13 @@ class _PooledMapEngine:
         lane.pid = pid
         if dropped:
             self.timings[index].prefetch_hints_dropped += dropped
-        if self._scheduler is not None and hb_dir is not None:
-            names = read_resident_set(hb_dir, pid)
+        if self._scheduler is not None and self.hb_dir is not None:
+            names = read_resident_set(self.hb_dir, pid)
             if names is not None:
                 lane.resident = names
 
-    def _maybe_speculate(self, lanes: List[_WorkerLane], pending: "deque[int]",
-                         hb_dir: Optional[str]) -> None:
+    def _maybe_speculate(self, lanes: List[_WorkerLane],
+                         pending: "deque[int]") -> None:
         """Launch duplicate attempts for tasks straggling past the threshold.
 
         The threshold comes from :func:`_speculation_threshold`.  At
@@ -790,8 +871,8 @@ class _PooledMapEngine:
                 continue
             dup_lane = free.pop(0)
             try:
-                dup_lane.future = dup_lane.pool.submit(
-                    self.worker_fn, self.payload_for(index, None, hb_dir))
+                dup_lane.future = dup_lane.pool.submit(self.worker_fn,
+                                                       self._payload(index, None))
             except BrokenProcessPool:
                 dup_lane.clear()
                 return  # the primary's failure handling owns this path
@@ -800,8 +881,7 @@ class _PooledMapEngine:
             dup_lane.launched = now
             self.timings[index].tasks_speculated += 1
 
-    def _recover(self, broken: List[_WorkerLane], pending: "deque[int]",
-                 hb_dir: Optional[str]) -> None:
+    def _recover(self, broken: List[_WorkerLane], pending: "deque[int]") -> None:
         """Broken-lane path: account lost tasks, sweep, rebuild, resubmit.
 
         Only the broken lanes are torn down; healthy lanes keep their
@@ -817,10 +897,10 @@ class _PooledMapEngine:
             lane.clear()
             lane.pool.shutdown(wait=True)  # reap the dead worker first
         self.owner._after_pool_break()
-        if hb_dir is not None:
+        if self.hb_dir is not None:
             # a SIGKILLed worker never ran its clear_heartbeat; drop the
             # files of dead/recycled pids so hb_dir ends the run empty
-            reap_dead_heartbeats(hb_dir)
+            reap_dead_heartbeats(self.hb_dir)
         alive = [i for i in doomed if i not in self._completed]
         for index in reversed(alive):
             self._fail(index, WorkerLost(
@@ -832,7 +912,48 @@ class _PooledMapEngine:
             self.timings[alive[0]].recovery_seconds += time.perf_counter() - recover_start
 
 
-class ProcessExecutor(ExecutorBase):
+class _PooledExecutor(ExecutorBase):
+    """Base of the two process-pool executors: owns their worker lanes.
+
+    ``workers`` lanes start lazily on the first ``map_tasks`` call and
+    serve every later call; :meth:`shutdown` stops them (a later call
+    starts fresh ones).  Between calls a lane is replaced only when its
+    worker dies, through the engine's recovery path.
+    """
+
+    def __init__(self, workers: int | None = None,
+                 fault_policy: FaultPolicy | None = None,
+                 fault_injector: FaultInjector | None = None) -> None:
+        super().__init__(workers=workers or default_worker_count(),
+                         fault_policy=fault_policy, fault_injector=fault_injector)
+        self._lanes: List[_WorkerLane] = []
+
+    def _worker_lanes(self) -> List[_WorkerLane]:
+        """The executor's lanes, created on first use."""
+        if not self._lanes:
+            self._lanes = [_WorkerLane(i) for i in range(self.workers)]
+        return self._lanes
+
+    def _drop_lanes(self) -> None:
+        """Shut every lane's worker down and forget the lanes."""
+        lanes, self._lanes = self._lanes, []
+        for lane in lanes:
+            lane.pool.shutdown(wait=True)
+
+    def _after_pool_break(self) -> None:
+        """Hook run between reaping a broken lane and rebuilding it.
+
+        The shm executor sweeps the dead workers' orphaned result
+        segments and settles the spill pipeline here; the base hook does
+        nothing.
+        """
+
+    def shutdown(self) -> None:
+        """Stop the worker lanes (a later ``map_tasks`` starts new ones)."""
+        self._drop_lanes()
+
+
+class ProcessExecutor(_PooledExecutor):
     """Process-pool executor (pays pickling costs, bypasses the GIL).
 
     Parameters
@@ -846,12 +967,6 @@ class ProcessExecutor(ExecutorBase):
         Deterministic chaos source consumed at dispatch time.
     """
 
-    def __init__(self, workers: int | None = None,
-                 fault_policy: FaultPolicy | None = None,
-                 fault_injector: FaultInjector | None = None) -> None:
-        super().__init__(workers=workers or default_worker_count(),
-                         fault_policy=fault_policy, fault_injector=fault_injector)
-
     def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """Run the tasks on a process pool, measuring both crossings."""
         self.timings = []
@@ -863,10 +978,6 @@ class ProcessExecutor(ExecutorBase):
         blobs = [pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
                  for item in items]
         results: List[Any] = [None] * len(items)
-
-        def payload_for(i: int, spec: Optional[FaultSpec],
-                        hb_dir: Optional[str]) -> tuple:
-            return (i, fn, blobs[i], spec, hb_dir)
 
         def on_result(i: int, out_tuple: tuple, result_fault: Optional[FaultSpec],
                       timing: TaskTiming) -> None:
@@ -883,8 +994,8 @@ class ProcessExecutor(ExecutorBase):
         task_refs = None
         if self.fault_policy is not None and self.fault_policy.locality:
             task_refs = [collect_refs(item) for item in items]
-        engine = _PooledMapEngine(self, _timed_call, payload_for, on_result,
-                                  len(items), task_refs=task_refs)
+        engine = _PooledMapEngine(self, _timed_call, fn, blobs, on_result,
+                                  task_refs=task_refs)
         engine.run()
         self.timings = engine.timings
         return results
@@ -905,7 +1016,9 @@ def _shm_timed_call(payload: tuple) -> tuple:
     hand-off — the crash window whose pid-keyed orphan segments the
     driver's recovery sweep reclaims.
     """
-    index, fn, blob, spec, hb_dir = payload
+    index, fn, blob, spec, run = payload
+    hb_dir = run.hb_dir
+    _enter_run(run)
     write_heartbeat(hb_dir)
     drops_before = prefetch_hints_dropped()
     try:
@@ -931,7 +1044,7 @@ def _shm_timed_call(payload: tuple) -> tuple:
         clear_heartbeat(hb_dir)
 
 
-class SharedMemoryExecutor(ExecutorBase):
+class SharedMemoryExecutor(_PooledExecutor):
     """Process-pool executor with a zero-copy shared-memory data plane.
 
     Before submission every task payload is walked and its NumPy arrays
@@ -967,8 +1080,8 @@ class SharedMemoryExecutor(ExecutorBase):
                  store: SharedMemoryStore | None = None,
                  fault_policy: FaultPolicy | None = None,
                  fault_injector: FaultInjector | None = None) -> None:
-        super().__init__(workers=workers or default_worker_count(),
-                         fault_policy=fault_policy, fault_injector=fault_injector)
+        super().__init__(workers, fault_policy=fault_policy,
+                         fault_injector=fault_injector)
         self._owns_store = store is None
         self.store = SharedMemoryStore() if store is None else store
 
@@ -1015,10 +1128,6 @@ class SharedMemoryExecutor(ExecutorBase):
         shared_sizes = [refs_nbytes(item) for item in shared_items]
         results: List[Any] = [None] * len(items)
 
-        def payload_for(i: int, spec: Optional[FaultSpec],
-                        hb_dir: Optional[str]) -> tuple:
-            return (i, fn, blobs[i], spec, hb_dir)
-
         def on_result(i: int, out_tuple: tuple, result_fault: Optional[FaultSpec],
                       timing: TaskTiming) -> None:
             out, shared = out_tuple[1], out_tuple[4]
@@ -1053,15 +1162,18 @@ class SharedMemoryExecutor(ExecutorBase):
         task_refs = None
         if self.fault_policy is not None and self.fault_policy.locality:
             task_refs = [collect_refs(item) for item in shared_items]
-        engine = _PooledMapEngine(self, _shm_timed_call, payload_for, on_result,
-                                  len(items), on_discard=on_discard,
-                                  task_refs=task_refs)
+        engine = _PooledMapEngine(self, _shm_timed_call, fn, blobs, on_result,
+                                  on_discard=on_discard, task_refs=task_refs)
         engine.run()
         self.timings = engine.timings
         return results
 
     def shutdown(self) -> None:
-        """Unlink the owned store's segments (shared stores are left alone)."""
+        """Stop the worker lanes, then unlink the owned store's segments.
+
+        A caller-owned store is left alone.
+        """
+        super().shutdown()
         if self._owns_store:
             self.store.cleanup()
 

@@ -110,6 +110,7 @@ __all__ = [
     "unlink_segment_by_name",
     "array_digest",
     "resident_names",
+    "release_stale_mappings",
     "prefetch_hints_dropped",
     "spill_read_bytes",
 ]
@@ -160,7 +161,10 @@ class BlockLost(FileNotFoundError):
 # stores in this process (resolving a ref to an owned segment is a pure
 # dictionary lookup); ``_ATTACHED`` caches segments this process attached
 # to by name, so repeated resolves of worker-side refs reuse one mapping;
-# ``_MAPPED`` caches memory-mapped spill files the same way.
+# ``_MAPPED`` caches memory-mapped spill files the same way.  A forked
+# child owns nothing: its inherited ``_OWNED`` entries become
+# attachments (see ``_reset_prefetcher_in_child``), which
+# :func:`release_stale_mappings` closes once their names are gone.
 _OWNED: Dict[str, shared_memory.SharedMemory] = {}
 _ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
 _MAPPED: Dict[str, mmap.mmap] = {}
@@ -331,6 +335,12 @@ def _simulated_cold_read_seconds(nbytes: int) -> float:
     *saves* needs the cold-read cost pinned rather than left to whatever
     the host's cache happens to do.  Unset (the default), the model is
     inert and real I/O timing applies.
+
+    The variable is read in the process that does the cold read, so a
+    pool worker sees the environment it was forked with.  Worker lanes
+    live as long as their executor: set the variable before an
+    executor's first ``map_tasks`` — a change made after its lanes
+    started does not reach them until the executor is shut down.
     """
     raw = os.environ.get("REPRO_COLD_READ_BW_MBS")
     if not raw:
@@ -405,6 +415,35 @@ def resident_names() -> frozenset:
                 base = base[:-4]
             names.add(base)
     return frozenset(names)
+
+
+def release_stale_mappings() -> None:
+    """Close attachments and spill-file mappings whose backing name is gone.
+
+    A long-lived pool worker keeps every segment it ever attached (and
+    every segment it inherited from the driver at fork time) mapped in
+    its registries, and a mapping pins the pages of a segment even after
+    its owner unlinks the name.  Workers call this when they see a new
+    run: every ``_ATTACHED`` entry whose ``/dev/shm`` name no longer
+    exists, and every ``_MAPPED`` entry whose ``.blk`` file was removed,
+    is dropped from the registry and closed — through
+    :func:`_retire_or_close` (or :func:`_invalidate_mapping` for spill
+    files), so a mapping still pinned by live views is parked instead of
+    unmapped underneath them.  Shared-memory entries are only checked
+    where ``/dev/shm`` can be listed.
+    """
+    _sweep_retired()
+    segments: List[shared_memory.SharedMemory] = []
+    with _REGISTRY_LOCK:
+        if os.path.isdir("/dev/shm"):
+            gone = [name for name in _ATTACHED
+                    if not os.path.exists(os.path.join("/dev/shm", name))]
+            segments = [_ATTACHED.pop(name) for name in gone]
+        stale = [path for path in _MAPPED if not os.path.exists(path)]
+    for segment in segments:
+        _retire_or_close(segment)
+    for path in stale:
+        _invalidate_mapping(path)
 
 
 def spill_read_bytes() -> int:
@@ -567,6 +606,11 @@ def _reset_prefetcher_in_child() -> None:
     global _prefetch_queue, _PREFETCH_DROPPED, _SPILL_READ_BYTES
     _release_module_locks_after_fork()
     _prefetch_queue = None
+    # the parent's stores own their segments, not this child: keep the
+    # inherited mappings resolvable, but as attachments, so that
+    # release_stale_mappings closes them once the parent unlinks them
+    _ATTACHED.update(_OWNED)
+    _OWNED.clear()
     # per-process data-movement counters start fresh in the child, so a
     # worker's deltas describe what *it* moved, not what the driver did
     # before the fork

@@ -285,6 +285,11 @@ class TestPlacementAccounting:
             assert ex.totals().tasks_local == 3
             assert ex.totals().bytes_spill_reads_avoided == 3 * a.nbytes
             assert ex.last_hb_leftovers == []
+            # the lane outlives the call, and so does its resident set:
+            # the next call finds A resident from its first task on
+            assert ex.map_tasks(block_sum, [ref_a, ref_a]) == [float(a.sum())] * 2
+            assert ex.totals().tasks_local == 2
+            assert ex.totals().tasks_remote == 0
         finally:
             ex.shutdown()
         store.cleanup()

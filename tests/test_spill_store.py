@@ -13,11 +13,13 @@ is a real barrier, backpressure bounds the queue, concurrent
 put/resolve races stay bit-identical, ``spill_async=False`` is an exact
 behavioural twin, and closing (or crashing a worker) with a non-empty
 queue leaks neither ``/dev/shm`` names nor spill files.
+``TestLongLivedLanes`` runs warm worker lanes next to the spill writer.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -548,3 +550,50 @@ def _crash_with_pending_spills(spill_dir):
     for _ in range(8):
         store.put(rng.random((200, 64)), dedup=False)
     raise ValueError("crashed with a non-empty spill queue")
+
+
+def _negate(array):
+    return -np.asarray(array)
+
+
+class TestLongLivedLanes:
+    """Worker lanes that outlive a call, beside the write-behind spill writer."""
+
+    def test_warm_lanes_beside_spill_writer(self, tmp_path):
+        """The lanes fork during the first map, while evictions keep the
+        spill writer busy (the ``register_at_fork`` lock guard in shm.py
+        must hold), then serve ten more maps that each evict blocks and
+        re-read spilled inputs.  No map may hang, every map matches the
+        serial reference, and ``close()`` leaves nothing behind."""
+        before = shm_entries()
+        rng = np.random.default_rng(11)
+        inputs = [rng.random((256, 64)) for _ in range(8)]   # 128 KiB each
+        reference = [_negate(a) for a in inputs]
+        spill_dir = tmp_path / "spill"
+        store = SharedMemoryStore(capacity_bytes=sum(a.nbytes for a in inputs) // 4,
+                                  spill_dir=str(spill_dir), spill_async=True)
+        ex = SharedMemoryExecutor(workers=2, store=store)
+        watchdog = ThreadPoolExecutor(max_workers=1)
+        try:
+            # the puts enqueue evictions, so the writer can still be
+            # writing when the first map forks the lanes; the maps' own
+            # puts are dedup hits
+            input_names = {store.put(a).segment for a in inputs}
+            for call in range(11):
+                spilled_inputs = store.spilled_names() & input_names
+                spilled_before = store.bytes_spilled
+                results = watchdog.submit(ex.map_tasks, _negate, inputs).result(timeout=30)
+                for out, expected in zip(results, reference):
+                    assert np.array_equal(out, expected)
+                assert store.bytes_spilled > spilled_before
+                if call:
+                    assert spilled_inputs, f"map {call} re-read no spilled input"
+                del results
+        finally:
+            watchdog.shutdown(wait=False)
+            ex.shutdown()
+            store.close()
+        leaked = {name for name in shm_entries() - before
+                  if name.startswith(("psm_", "rpub-"))}
+        assert leaked == set()
+        assert os.listdir(spill_dir) == []
