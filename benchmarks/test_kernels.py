@@ -10,11 +10,11 @@ pinned by the conftest.
 
 Every floor is variance-gated: the test passes only if
 ``median(speedup) - k*MAD(speedup) > floor``, so a verdict cannot flip
-on scheduler noise.  Kernels whose measured advantage is statistically
-indistinguishable from 1x (``count_within``, ``grid_self_join``) are
-non-gating informational rows: their distributions are recorded, their
-correctness is still asserted bit-identically, but no perf assert can
-fail on them.
+on scheduler noise.  Kernels with a small measured advantage that no
+hot path depends on (``count_within``, ``grid_self_join``: about 1.5x
+and 2x in the committed record) are non-gating informational rows:
+their distributions are recorded, their correctness is still asserted
+bit-identically, but no perf assert can fail on them.
 
 The full distribution table is written to ``BENCH_kernels.json`` and,
 when ``REPRO_BENCH_HISTORY=1``, appended to ``BENCH_history.jsonl`` so
@@ -133,12 +133,14 @@ class TestNeighborKernels:
 
     def test_balltree_count_within(self, bench_sampler, bench_gate, bench_history,
                                    bilayer_20k):
-        """Counting during traversal vs materializing the index lists.
+        """Counting in the tree (cKDTree ``return_length``) vs materializing
+        the index lists.
 
-        Informational (non-gating): the measured advantage (~1.2x) is
-        inside the noise band at this scale, so the row records the
-        distributions without any perf assert; only bit-identical
-        counts are enforced.
+        Informational (non-gating): the committed row measures ~1.5x
+        (3-MAD lower bound ~1.46), a small margin that no caller on a
+        hot path depends on (the Leaflet Finder never counts), so the
+        row records the distributions without any perf assert; only
+        bit-identical counts are enforced.
         """
         tree = BallTree(bilayer_20k)
         queries = bilayer_20k[:5000]
@@ -159,9 +161,9 @@ class TestNeighborKernels:
                             bilayer_20k):
         """Half-stencil self-join vs the full-stencil query path.
 
-        Informational (non-gating): the measured advantage (~1.8x)
-        overlaps the noise band, so no perf assert; the distributions
-        are recorded for the trend line.
+        Informational (non-gating): the committed row measures ~2.1x
+        (3-MAD lower bound ~1.7), a small margin on no hot path, so no
+        perf assert; the distributions are recorded for the trend line.
         """
         grid = GridNeighborSearch(bilayer_20k, CUTOFF)
         full_dist = bench_sampler.sample(

@@ -6,9 +6,10 @@ Several analysis kernels exist in two equivalent implementations:
   executable specification: union-find loops, per-query tree recursion,
   the Taha & Hanbury scan written as a double loop).  Slow, obviously
   correct, and what every vectorized variant is verified against.
-* ``"vectorized"`` — the array-native formulation (batched frontier
-  traversal, min-label propagation, blockwise early-break) that does the
-  same work through NumPy and is the default everywhere.
+* ``"vectorized"`` — the array-native formulation (a compiled tree
+  query per batch, min-label propagation, blockwise early-break) that
+  does the same work through NumPy and SciPy and is the default
+  everywhere.
 
 Kernels that offer both take a ``method`` keyword; passing ``None``
 (the default) defers to the engine-wide default, which experiments and

@@ -1,22 +1,18 @@
 """Neighbor-search structures for edge discovery.
 
 Approach 4 of the paper ("Tree-Search") replaces the all-pairs ``cdist``
-edge discovery with a BallTree fixed-radius query (scikit-learn's
-BallTree, Omohundro 1989).  scikit-learn is not a dependency of this
-reproduction, so :class:`BallTree` below is a from-scratch implementation
-with the two operations the algorithm needs:
-
-* construction over a set of 3-D points, and
-* ``query_radius`` — all points within ``r`` of each query point.
-
-Both searchers are **array-backed**: the BallTree stores its nodes in
-contiguous ``centers``/``radii``/child-index arrays and answers all
-queries at once with an iterative frontier traversal (one NumPy pass per
-tree level over every live (query, node) pair, instead of one Python
-recursion per query); the uniform grid bins points with a lexsorted
+edge discovery with a compiled tree's fixed-radius query (scikit-learn's
+BallTree in the paper).  scikit-learn is not a dependency of this
+reproduction: :class:`BallTree` keeps the paper's name and answers its
+queries with :class:`scipy.spatial.cKDTree`.  :class:`GridNeighborSearch`
+is the ablation: a uniform grid that bins points with a lexsorted
 cell-key array and answers queries with ``np.searchsorted`` over the
-batched 27-cell stencil.  Results are bit-identical to the brute-force
-reference.
+batched 27-cell stencil.
+
+Every kernel here — the tree, the grid and the brute-force reference —
+and :func:`repro.analysis.pairwise.edges_from_block` count a pair as
+within the cutoff when its squared distance is ``<= cutoff**2``, so
+their results are bit-identical, pairs at exactly the cutoff included.
 
 The flat-pair surface ``query_radius_pairs`` — parallel ``(query_row,
 point_index)`` arrays sorted by query — is what the vectorized
@@ -29,6 +25,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -66,9 +63,22 @@ def _sort_pairs(q: np.ndarray, p: np.ndarray,
 
 def _pairs_to_lists(n_queries: int, q: np.ndarray, p: np.ndarray) -> List[np.ndarray]:
     """Split sorted flat pairs into one sorted index array per query."""
+    if not n_queries:
+        return []
     counts = np.bincount(q, minlength=n_queries) if q.size else np.zeros(n_queries, dtype=np.int64)
     splits = np.cumsum(counts)[:-1]
     return [np.ascontiguousarray(chunk) for chunk in np.split(p, splits)]
+
+
+def _squared_norms(delta: np.ndarray) -> np.ndarray:
+    """Row-wise ``x*x + y*y + z*z``, summed left to right.
+
+    The order cdist's ``"sqeuclidean"`` and cKDTree use; ``np.einsum``
+    may sum in another order and round a pair at exactly the cutoff to
+    the other side of it.
+    """
+    x, y, z = delta[:, 0], delta[:, 1], delta[:, 2]
+    return x * x + y * y + z * z
 
 
 def _axis_cell_distance(span: np.ndarray, frac: np.ndarray, h: float) -> np.ndarray:
@@ -108,7 +118,8 @@ def brute_force_radius_pairs(points: np.ndarray, queries: np.ndarray,
     p_chunks: List[np.ndarray] = []
     for start in range(0, queries.shape[0], _BRUTE_CHUNK):
         block = queries[start:start + _BRUTE_CHUNK]
-        rows, cols = np.nonzero(cdist(block, points) <= radius)
+        sq = cdist(block, points, "sqeuclidean")
+        rows, cols = np.nonzero(sq <= radius * radius)
         q_chunks.append(rows.astype(np.int64) + start)
         p_chunks.append(cols.astype(np.int64))
     if not q_chunks:
@@ -125,23 +136,21 @@ def brute_force_radius(points: np.ndarray, queries: np.ndarray,
 
 
 class BallTree:
-    """A flat, array-backed BallTree over 3-D points for fixed-radius queries.
+    """Fixed-radius neighbor search over 3-D points, for the tree approach.
 
-    Construction is O(n log n): nodes are split along the dimension of
-    largest spread at the median, and every node is one row of the
-    contiguous node arrays (``_centers``, ``_radii``, ``_left``/``_right``
-    child indices, ``_starts``/``_stops`` slices of the permuted point
-    index array ``_idx``).  ``query_radius`` prunes with the same
-    ball-distance test as the classic recursion but advances *all* live
-    (query, node) pairs one level per NumPy pass.
+    The paper's approach 4 queries scikit-learn's compiled BallTree;
+    this class keeps that name and surface but is backed by one
+    :class:`scipy.spatial.cKDTree` (a compiled k-d tree that releases
+    the GIL while it searches).  A point is a hit when its squared
+    distance to the query is ``<= radius**2``, the rule every kernel in
+    this module uses.
 
     Parameters
     ----------
     points:
         ``(n, 3)`` array of points.
     leaf_size:
-        Maximum number of points in a leaf; smaller values prune harder but
-        build a deeper tree.
+        Maximum number of points in a leaf (cKDTree's ``leafsize``).
     """
 
     def __init__(self, points: np.ndarray, leaf_size: int = 16) -> None:
@@ -153,120 +162,7 @@ class BallTree:
         self.points = points
         self.leaf_size = int(leaf_size)
         self.n_points = points.shape[0]
-        self._idx = np.arange(self.n_points, dtype=np.int64)
-        self._build()
-
-    # ------------------------------------------------------------------ #
-    def _build(self) -> None:
-        """Level-synchronous construction: one batch of NumPy passes per level.
-
-        All nodes of a level are processed together — segment means and
-        radii via ``np.add.reduceat``/``np.maximum.reduceat`` over the
-        level's concatenated point slices, and every splitting node's
-        median partition through a single stable ``np.lexsort`` keyed by
-        (segment id, split coordinate).  Node ids come out in the same
-        breadth-first order a per-node work queue would produce.
-        """
-        idx = self._idx
-        points = self.points
-        starts_l: List[np.ndarray] = []
-        stops_l: List[np.ndarray] = []
-        lefts_l: List[np.ndarray] = []
-        rights_l: List[np.ndarray] = []
-        centers_l: List[np.ndarray] = []
-        radii_l: List[np.ndarray] = []
-        if self.n_points:
-            seg_start = np.zeros(1, dtype=np.int64)
-            seg_stop = np.full(1, self.n_points, dtype=np.int64)
-            next_id = 1
-        else:
-            seg_start = np.empty(0, dtype=np.int64)
-            seg_stop = np.empty(0, dtype=np.int64)
-            next_id = 0
-        while seg_start.size:
-            lengths = seg_stop - seg_start
-            # the level's points, concatenated in segment order
-            positions = np.repeat(seg_start, lengths) + _grouped_arange(lengths)
-            pts = points[idx[positions]]
-            seg_of = np.repeat(np.arange(seg_start.size, dtype=np.int64), lengths)
-            offsets = np.cumsum(lengths) - lengths
-            centers = np.add.reduceat(pts, offsets, axis=0) / lengths[:, None]
-            delta = pts - centers[seg_of]
-            d2 = np.einsum("ij,ij->i", delta, delta)
-            radii = np.sqrt(np.maximum.reduceat(d2, offsets))
-            centers_l.append(centers)
-            radii_l.append(radii)
-            starts_l.append(seg_start)
-            stops_l.append(seg_stop)
-            internal = lengths > self.leaf_size
-            n_internal = int(internal.sum())
-            left = np.full(seg_start.size, -1, dtype=np.int64)
-            right = np.full(seg_start.size, -1, dtype=np.int64)
-            # children are allocated consecutively per splitting node, in
-            # node order — exactly the ids a FIFO work queue would assign
-            left[internal] = next_id + 2 * np.arange(n_internal, dtype=np.int64)
-            right[internal] = left[internal] + 1
-            lefts_l.append(left)
-            rights_l.append(right)
-            next_id += 2 * n_internal
-            if not n_internal:
-                break
-            # split every internal segment along its widest dimension at
-            # the median: one stable lexsort keyed by (segment, coordinate)
-            # applies all the per-node argsorts at once
-            spread = (np.maximum.reduceat(pts, offsets, axis=0)
-                      - np.minimum.reduceat(pts, offsets, axis=0))
-            dim = np.argmax(spread, axis=1)
-            split_mask = internal[seg_of]
-            split_pos = positions[split_mask]
-            key = pts[np.arange(pts.shape[0]), dim[seg_of]][split_mask]
-            order = np.lexsort((key, seg_of[split_mask]))
-            idx[split_pos] = idx[split_pos][order]
-            halves = lengths[internal] // 2
-            seg_mid = seg_start[internal] + halves
-            seg_start, seg_stop = (
-                np.column_stack([seg_start[internal], seg_mid]).reshape(-1),
-                np.column_stack([seg_mid, seg_stop[internal]]).reshape(-1),
-            )
-        if next_id:
-            self._centers = np.concatenate(centers_l, axis=0)
-            self._radii = np.concatenate(radii_l)
-            self._left = np.concatenate(lefts_l)
-            self._right = np.concatenate(rights_l)
-            self._starts = np.concatenate(starts_l)
-            self._stops = np.concatenate(stops_l)
-        else:
-            self._centers = np.empty((0, 3), dtype=np.float64)
-            self._radii = np.empty(0, dtype=np.float64)
-            self._left = np.empty(0, dtype=np.int64)
-            self._right = np.empty(0, dtype=np.int64)
-            self._starts = np.empty(0, dtype=np.int64)
-            self._stops = np.empty(0, dtype=np.int64)
-
-    # ------------------------------------------------------------------ #
-    def _frontier(self, queries: np.ndarray, radius: float):
-        """Iterate pruned (leaf_nodes, leaf_queries) frontiers level by level.
-
-        Yields, per tree level, the surviving leaf-pair arrays after the
-        ball-distance pruning test (``d2 <= (radius + node_radius)^2``,
-        evaluated without square roots); internal pairs are expanded into
-        their two children for the next level.
-        """
-        pair_nodes = np.zeros(queries.shape[0], dtype=np.int64)
-        pair_q = np.arange(queries.shape[0], dtype=np.int64)
-        while pair_nodes.size:
-            delta = queries[pair_q] - self._centers[pair_nodes]
-            d2 = np.einsum("ij,ij->i", delta, delta)
-            reach = radius + self._radii[pair_nodes]
-            keep = d2 <= reach * reach
-            nodes = pair_nodes[keep]
-            qs = pair_q[keep]
-            is_leaf = self._left[nodes] < 0
-            yield nodes[is_leaf], qs[is_leaf]
-            inner = nodes[~is_leaf]
-            inner_q = qs[~is_leaf]
-            pair_nodes = np.concatenate([self._left[inner], self._right[inner]])
-            pair_q = np.concatenate([inner_q, inner_q])
+        self._tree = cKDTree(points, leafsize=self.leaf_size)
 
     def query_radius_pairs(self, queries: np.ndarray,
                            radius: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -274,29 +170,13 @@ class BallTree:
 
         This is the flat, allocation-friendly form of :meth:`query_radius`:
         two parallel int64 arrays ordered by (query row, point index).
+        The queries get a tree of their own, so the search is one
+        dual-tree traversal.
         """
         queries = _check_queries(queries, radius)
-        hits_q: List[np.ndarray] = []
-        hits_p: List[np.ndarray] = []
-        if self.n_points and queries.shape[0]:
-            r2 = radius * radius
-            for leaves, leaf_q in self._frontier(queries, radius):
-                if not leaves.size:
-                    continue
-                starts = self._starts[leaves]
-                counts = self._stops[leaves] - starts
-                pos = np.repeat(starts, counts) + _grouped_arange(counts)
-                cand_p = self._idx[pos]
-                cand_q = np.repeat(leaf_q, counts)
-                delta = self.points[cand_p] - queries[cand_q]
-                mask = np.einsum("ij,ij->i", delta, delta) <= r2
-                hits_q.append(cand_q[mask])
-                hits_p.append(cand_p[mask])
-        if not hits_q:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        return _sort_pairs(np.concatenate(hits_q), np.concatenate(hits_p),
-                           self.n_points)
+        hits = cKDTree(queries).sparse_distance_matrix(
+            self._tree, radius, output_type="ndarray")
+        return _sort_pairs(hits["i"], hits["j"], self.n_points)
 
     def query_radius(self, queries: np.ndarray, radius: float) -> List[np.ndarray]:
         """Indices of tree points within ``radius`` of each query point.
@@ -310,48 +190,12 @@ class BallTree:
     def count_within(self, queries: np.ndarray, radius: float) -> np.ndarray:
         """Number of tree points within ``radius`` of each query point.
 
-        Counts during the frontier traversal instead of materializing
-        index lists: a node ball entirely inside the query sphere
-        contributes its subtree count wholesale, and only boundary leaves
-        are distance-tested.
+        Counts without materializing index lists: a node entirely inside
+        the query sphere contributes its size wholesale.
         """
         queries = _check_queries(queries, radius)
-        counts = np.zeros(queries.shape[0], dtype=np.int64)
-        if not self.n_points or not queries.shape[0]:
-            return counts
-        r2 = radius * radius
-        pair_nodes = np.zeros(queries.shape[0], dtype=np.int64)
-        pair_q = np.arange(queries.shape[0], dtype=np.int64)
-        while pair_nodes.size:
-            delta = queries[pair_q] - self._centers[pair_nodes]
-            d2 = np.einsum("ij,ij->i", delta, delta)
-            radii = self._radii[pair_nodes]
-            margin = radius - radii
-            inside = (margin >= 0.0) & (d2 <= margin * margin)
-            if inside.any():
-                sizes = self._stops[pair_nodes[inside]] - self._starts[pair_nodes[inside]]
-                np.add.at(counts, pair_q[inside], sizes)
-            reach = radius + radii
-            keep = ~inside & (d2 <= reach * reach)
-            nodes = pair_nodes[keep]
-            qs = pair_q[keep]
-            is_leaf = self._left[nodes] < 0
-            leaves = nodes[is_leaf]
-            if leaves.size:
-                starts = self._starts[leaves]
-                leaf_counts = self._stops[leaves] - starts
-                pos = np.repeat(starts, leaf_counts) + _grouped_arange(leaf_counts)
-                cand_p = self._idx[pos]
-                cand_q = np.repeat(qs[is_leaf], leaf_counts)
-                delta = self.points[cand_p] - queries[cand_q]
-                mask = np.einsum("ij,ij->i", delta, delta) <= r2
-                if mask.any():
-                    np.add.at(counts, cand_q[mask], 1)
-            inner = nodes[~is_leaf]
-            inner_q = qs[~is_leaf]
-            pair_nodes = np.concatenate([self._left[inner], self._right[inner]])
-            pair_q = np.concatenate([inner_q, inner_q])
-        return counts
+        counts = self._tree.query_ball_point(queries, radius, return_length=True)
+        return counts.astype(np.int64, copy=False)
 
 
 class GridNeighborSearch:
@@ -373,6 +217,14 @@ class GridNeighborSearch:
     _DENSE_MIN_CELLS = 4096
     _DENSE_CELLS_PER_POINT = 16
 
+    #: relative slack on the binning edge and on the cell-pruning radius.
+    #: A point's cell comes from a rounded ``(x - origin) / h``, so two
+    #: points exactly ``radius == cell_size`` apart can land two cells
+    #: apart; binning on a slightly wider edge and pruning with a slightly
+    #: wider radius keeps their cells in reach, and the exact squared
+    #: distance test decides
+    _CELL_SLACK = 1e-9
+
     def __init__(self, points: np.ndarray, cell_size: float) -> None:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 3:
@@ -381,12 +233,13 @@ class GridNeighborSearch:
             raise ValueError("cell_size must be positive")
         self.points = points
         self.cell_size = float(cell_size)
+        self._h = self.cell_size * (1.0 + 2.0 * self._CELL_SLACK)
         self.n_points = points.shape[0]
         self._origin = points.min(axis=0) if self.n_points else np.zeros(3)
         self._cell_starts: np.ndarray | None = None
         self._cell_counts: np.ndarray | None = None
         if self.n_points:
-            cells = np.floor((points - self._origin) / self.cell_size).astype(np.int64)
+            cells = np.floor((points - self._origin) / self._h).astype(np.int64)
             self._dims = cells.max(axis=0) + 1
             keys = self._encode(cells)
             self._order = np.argsort(keys, kind="stable")
@@ -404,6 +257,11 @@ class GridNeighborSearch:
             self._order = np.empty(0, dtype=np.int64)
             self._sorted_keys = np.empty(0, dtype=np.int64)
 
+    def _cell_reach(self, radius: float) -> Tuple[float, int]:
+        """The slack-padded pruning radius and the stencil reach in cells."""
+        cell_radius = radius * (1.0 + self._CELL_SLACK)
+        return cell_radius, int(np.ceil(cell_radius / self._h))
+
     def _encode(self, cells: np.ndarray) -> np.ndarray:
         """Scalar cell key for in-range integer cell coordinates."""
         return (cells[..., 0] * self._dims[1] + cells[..., 1]) * self._dims[2] + cells[..., 2]
@@ -417,8 +275,8 @@ class GridNeighborSearch:
         three ``(m, 2*reach+1)`` arrays instead of ``(m, S, 3)`` temporaries.
         """
         m = queries.shape[0]
-        h = self.cell_size
-        reach = int(np.ceil(radius / h))
+        h = self._h
+        cell_radius, reach = self._cell_reach(radius)
         span = np.arange(-reach, reach + 1, dtype=np.int64)
         width = span.size
         local = queries - self._origin
@@ -434,7 +292,7 @@ class GridNeighborSearch:
         d_y = _axis_cell_distance(span, frac[:, 1], h)
         d_z = _axis_cell_distance(span, frac[:, 2], h)
         near = (d_x[:, :, None, None] + d_y[:, None, :, None]
-                + d_z[:, None, None, :]) <= radius * radius
+                + d_z[:, None, None, :]) <= cell_radius * cell_radius
         valid = ((ax >= 0) & (ax < self._dims[0]))[:, :, None, None] \
             & ((ay >= 0) & (ay < self._dims[1]))[:, None, :, None] \
             & ((az >= 0) & (az < self._dims[2]))[:, None, None, :] \
@@ -470,7 +328,7 @@ class GridNeighborSearch:
         cell_q = np.repeat(np.arange(queries.shape[0], dtype=np.int64), n_stencil)
         cand_q = np.repeat(cell_q, counts)
         delta = self.points[cand_p] - queries[cand_q]
-        mask = np.einsum("ij,ij->i", delta, delta) <= radius * radius
+        mask = _squared_norms(delta) <= radius * radius
         return _sort_pairs(cand_q[mask], cand_p[mask], self.n_points)
 
     def query_radius(self, queries: np.ndarray, radius: float) -> List[np.ndarray]:
@@ -568,8 +426,8 @@ class GridNeighborSearch:
         empty = np.empty(0, dtype=np.int64)
         if self.n_points < 2:
             return empty, empty.copy()
-        h = self.cell_size
-        reach = int(np.ceil(radius / h))
+        h = self._h
+        cell_radius, reach = self._cell_reach(radius)
         # occupied cells as groups of the key-sorted point order
         uniq, gstart, gcount = np.unique(self._sorted_keys,
                                          return_index=True, return_counts=True)
@@ -586,7 +444,7 @@ class GridNeighborSearch:
         offs = offs[forward]
         # minimum box-to-box distance per offset prunes far stencil cells
         gap = np.maximum(np.abs(offs) - 1, 0) * h
-        offs = offs[(gap * gap).sum(axis=1) <= radius * radius]
+        offs = offs[(gap * gap).sum(axis=1) <= cell_radius * cell_radius]
         own = (offs == 0).all(axis=1)                 # the (0, 0, 0) offset
         tx = cx[:, None] + offs[:, 0]
         ty = cy[:, None] + offs[:, 1]
@@ -614,7 +472,7 @@ class GridNeighborSearch:
         pi = self._order[a_pos]
         pj = self._order[b_pos]
         delta = self.points[pi] - self.points[pj]
-        keep = np.einsum("ij,ij->i", delta, delta) <= radius * radius
+        keep = _squared_norms(delta) <= radius * radius
         # own-cell products contain both orders and the diagonal: keep i < j
         keep &= (pi < pj) | ~np.repeat(np.tile(own, uniq.size), n_pairs)
         pi, pj = pi[keep], pj[keep]

@@ -39,6 +39,15 @@ def _as_positions(block) -> np.ndarray:
     return np.asarray(block, dtype=np.float64)
 
 
+def _position_pair(block_a, block_b) -> Tuple[np.ndarray, np.ndarray]:
+    """Both blocks as float64 arrays, checked to be ``(n, 3)``."""
+    a = _as_positions(block_a)
+    b = _as_positions(block_b)
+    if a.ndim != 2 or a.shape[1] != 3 or b.ndim != 2 or b.shape[1] != 3:
+        raise ValueError("position blocks must have shape (n, 3)")
+    return a, b
+
+
 def pairwise_distances(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between two position blocks.
 
@@ -46,11 +55,7 @@ def pairwise_distances(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
     exactly this call); both blocks must be ``(n, 3)`` arrays or
     shared-memory refs to them.
     """
-    a = _as_positions(block_a)
-    b = _as_positions(block_b)
-    if a.ndim != 2 or a.shape[1] != 3 or b.ndim != 2 or b.shape[1] != 3:
-        raise ValueError("position blocks must have shape (n, 3)")
-    return cdist(a, b)
+    return cdist(*_position_pair(block_a, block_b))
 
 
 def edges_from_block(
@@ -65,7 +70,7 @@ def edges_from_block(
     """Find edges between two position blocks.
 
     Returns a ``(n_edges, 2)`` integer array of *global* atom index pairs
-    ``(offset_a + i, offset_b + j)`` with ``dist(a_i, b_j) <= cutoff``.
+    ``(offset_a + i, offset_b + j)`` with ``|a_i - b_j|**2 <= cutoff**2``.
 
     Parameters
     ----------
@@ -76,10 +81,12 @@ def edges_from_block(
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    dist = pairwise_distances(block_a, block_b)
-    if exclude_self and dist.shape[0] != dist.shape[1]:
+    a, b = _position_pair(block_a, block_b)
+    if exclude_self and a.shape[0] != b.shape[0]:
         raise ValueError("exclude_self requires the two blocks to be the same block")
-    rows, cols = np.nonzero(dist <= cutoff)
+    # squared distances against the squared cutoff: the boundary rule of
+    # every neighbor kernel, so pairs at exactly the cutoff agree
+    rows, cols = np.nonzero(cdist(a, b, "sqeuclidean") <= cutoff * cutoff)
     if exclude_self:
         # keep strictly upper-triangular entries only: drops i == j self
         # edges and keeps each undirected edge exactly once (filtering the

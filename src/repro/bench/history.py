@@ -6,15 +6,17 @@ append-only, so every PR's distributions remain visible and a slow
 step hides inside the gate's noise band.  Each record carries the full
 raw-sample distributions (via
 :meth:`repro.bench.stats.Distribution.to_dict`), the suite/kernel/
-workload identity, a wall-clock timestamp and the commit SHA when CI
-provides one — enough to re-run any statistical question later without
-re-running the benchmark.
+workload identity, a wall-clock timestamp and the commit SHA (CI's
+``GITHUB_SHA``, else ``git rev-parse HEAD`` of the repository) — enough
+to re-run any statistical question later without re-running the
+benchmark.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -25,6 +27,23 @@ __all__ = ["BenchHistory", "HISTORY_FILENAME"]
 
 #: canonical history file name at the repo root
 HISTORY_FILENAME = "BENCH_history.jsonl"
+
+#: the repository root of a source checkout, three levels above ``src/repro/bench``
+_REPO_ROOT = Path(__file__).resolve().parents[3]
+
+
+def _commit_sha() -> Optional[str]:
+    """Return CI's ``GITHUB_SHA``, else the checkout's HEAD; ``None`` if git fails."""
+    sha = os.environ.get("GITHUB_SHA")
+    if sha:
+        return sha
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=_REPO_ROOT,
+                             capture_output=True, text=True, check=True,
+                             timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() or None
 
 
 class BenchHistory:
@@ -73,7 +92,7 @@ class BenchHistory:
             "kernel": kernel,
             "workload": workload,
             "timestamp": time.time(),
-            "sha": os.environ.get("GITHUB_SHA"),
+            "sha": _commit_sha(),
             "distributions": {name: dist.to_dict()
                               for name, dist in distributions.items()},
         }

@@ -171,7 +171,7 @@ class _TreeBlockTask:
         # |rows| log |cols|), the speedup the paper reports for large systems
         rows = maybe_resolve(self.rows)
         searcher = BallTree(maybe_resolve(self.cols))
-        # flat (query, point) pairs straight from the batched traversal;
+        # flat (query, point) pairs straight from the batched query;
         # the global edge array is two vectorized offsets plus a filter
         local_i, local_j = searcher.query_radius_pairs(rows, self.cutoff)
         global_i = local_i + self.block.row_start

@@ -147,7 +147,7 @@ def calibrate_kernels(*, n_frames: int = 64, n_atoms: int = 512,
                 lambda: [tree.query_radius(q, 5.0) for q in queries])
     tree_query = queries.shape[0] * np.log2(n_points) / t
 
-    # batched frontier traversal (the vectorized kernel engine rate)
+    # one batched query through the compiled tree (the vectorized engine rate)
     t = measure("balltree_query_batched",
                 lambda: tree.query_radius_pairs(queries, 5.0))
     tree_batch = queries.shape[0] * np.log2(n_points) / t

@@ -57,8 +57,8 @@ class KernelRates:
     #: label updates per second for the vectorized connected components
     #: (min-label propagation over the whole edge array)
     cc_label_ops: float = 4.0e7
-    #: neighbor candidates filtered per second by the batched (frontier)
-    #: tree traversal of the vectorized kernel engine
+    #: neighbor candidates filtered per second by one batched query
+    #: through the compiled tree of the vectorized kernel engine
     tree_batch_candidates: float = 2.0e7
     #: trajectory file read bandwidth (bytes/s) from the parallel filesystem
     io_bandwidth: float = 5.0e8
@@ -289,7 +289,7 @@ class KernelCosts:
         raise ValueError(f"unknown connected-components cost method {method!r}")
 
     def tree_block_batched(self, n_rows: int, n_cols: int) -> float:
-        """Vectorized tree build plus batched frontier query on a block."""
+        """Tree build plus one batched radius query on a block."""
         if n_rows < 0 or n_cols < 0:
             raise ValueError("block dimensions must be non-negative")
         log_cols = max(1.0, np.log2(max(n_cols, 2)))

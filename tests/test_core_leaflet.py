@@ -121,6 +121,50 @@ class TestApproachCharacteristics:
         fw.close()
 
 
+def _lattice(checkerboard):
+    """Two 12 x 12 spacing-3 square lattices, 9 apart, as two leaflets.
+
+    In-plane diagonal pairs lie exactly on a ``sqrt(18)`` cutoff.  On the
+    full lattices only ``n_edges`` depends on how the boundary is
+    counted; on the checkerboards (every other site) the diagonal pairs
+    are the only ones in reach, so the components do too.
+    """
+    xy = np.arange(12, dtype=np.float64) * 3.0
+    grid = np.stack(np.meshgrid(xy, xy, [0.0, 9.0], indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    if checkerboard:
+        grid = grid[((grid[:, 0] + grid[:, 1]) / 3.0) % 2 == 0]
+    return grid
+
+
+class TestExactCutoffLattice:
+    """Every approach counts a pair at exactly the cutoff the way the
+    serial reference does, whatever its edge kernel."""
+
+    @pytest.mark.parametrize("checkerboard", [False, True])
+    @pytest.mark.parametrize("approach", sorted(LEAFLET_APPROACHES))
+    def test_approach_matches_brute_serial(self, approach, checkerboard):
+        positions = _lattice(checkerboard)
+        cutoff = float(np.sqrt(18.0))
+        serial = leaflet_serial(positions, cutoff, method="brute")
+        for method in ("balltree", "grid"):
+            other = leaflet_serial(positions, cutoff, method=method)
+            assert other.n_edges == serial.n_edges
+            assert len(other.components) == len(serial.components)
+            for a, b in zip(other.components, serial.components):
+                assert np.array_equal(a, b)
+        fw = make_framework("dasklite", executor="serial")
+        try:
+            result, _ = run_leaflet_finder(positions, cutoff, fw,
+                                           approach=approach, n_tasks=4)
+        finally:
+            fw.close()
+        canonical = sorted(tuple(c) for c in serial.components)
+        assert sorted(tuple(c) for c in result.components) == canonical
+        if result.n_edges is not None:
+            assert result.n_edges == serial.n_edges
+
+
 class TestLeafletFinderClass:
     def test_from_universe_with_selection(self):
         universe, labels = make_bilayer_universe(BilayerSpec(n_atoms=200, seed=17))

@@ -59,6 +59,17 @@ def random_cloud(rng, kind):
 
 CLOUD_KINDS = ("uniform", "clustered", "coincident", "planar")
 
+#: diagonal neighbors of a spacing-3 lattice sit exactly at this cutoff;
+#: ``sqrt(18) ** 2`` rounds to just below 18, so how a kernel tests the
+#: boundary decides whether they count, and every kernel must agree
+LATTICE_CUTOFF = float(np.sqrt(18.0))
+
+
+def lattice(nx, ny, nz, spacing=3.0):
+    """Points of an ``nx x ny x nz`` cubic lattice, row-major."""
+    axes = [np.arange(k, dtype=np.float64) * spacing for k in (nx, ny, nz)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
 
 class TestEngineSelection:
     def test_default_is_vectorized(self):
@@ -149,6 +160,91 @@ class TestNeighborSearchEquivalence:
         assert np.array_equal(tree.count_within(queries, radius), expected)
         grid = GridNeighborSearch(points, cell_size=radius)
         assert np.array_equal(grid.count_within(queries, radius), expected)
+
+    @pytest.mark.parametrize("shape", [(6, 6, 3), (12, 12, 2)])
+    def test_radius_edges_agree_on_the_exact_cutoff_lattice(self, shape):
+        points = lattice(*shape)
+        brute = radius_edges(points, LATTICE_CUTOFF, method="brute")
+        # axis neighbors (d = 3) are in, diagonal ones (d^2 = 18) are out
+        nx, ny, nz = shape
+        axis_pairs = (nx - 1) * ny * nz + nx * (ny - 1) * nz + nx * ny * (nz - 1)
+        assert brute.shape == (axis_pairs, 2)
+        for method in ("balltree", "grid"):
+            assert np.array_equal(radius_edges(points, LATTICE_CUTOFF, method=method),
+                                  brute)
+        subset = np.arange(0, points.shape[0], 5)
+        sub_brute = radius_edges(points, LATTICE_CUTOFF, query_indices=subset,
+                                 method="brute")
+        for method in ("balltree", "grid"):
+            assert np.array_equal(radius_edges(points, LATTICE_CUTOFF,
+                                               query_indices=subset, method=method),
+                                  sub_brute)
+
+    def test_grid_keeps_a_pair_binned_two_cells_apart(self):
+        # 0.9 and 1.2 are 3 * 0.1 apart in y, but (y + 1.5) / (3 * 0.1)
+        # rounds to 7.99.. and 9.0: with cell_size == radius the two points
+        # land two cells apart, outside a one-cell stencil
+        points = np.array([[-1.5, -1.5, -1.5], [0.9, 1.2, 1.2], [0.9, 0.9, 1.2]])
+        radius = 3 * 0.1
+        assert radius_edges(points, radius, method="brute").tolist() == [[1, 2]]
+        assert radius_edges(points, radius, method="grid").tolist() == [[1, 2]]
+        assert radius_edges(points, radius, query_indices=[1],
+                            method="grid").tolist() == [[1, 2]]
+        grid = GridNeighborSearch(points, cell_size=radius)
+        bq, bp = brute_force_radius_pairs(points, points, radius)
+        q, p = grid.query_radius_pairs(points, radius)
+        assert np.array_equal(q, bq) and np.array_equal(p, bp)
+
+    @staticmethod
+    def assert_tree_matches_brute(tree, points, queries, radius):
+        bq, bp = brute_force_radius_pairs(points, queries, radius)
+        q, p = tree.query_radius_pairs(queries, radius)
+        assert q.dtype == p.dtype == np.int64
+        assert np.array_equal(q, bq) and np.array_equal(p, bp)
+        expected = brute_force_radius(points, queries, radius)
+        got = tree.query_radius(queries, radius)
+        assert len(got) == len(expected)
+        for e, g in zip(expected, got):
+            assert np.array_equal(e, g)
+        counts = tree.count_within(queries, radius)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, [len(e) for e in expected])
+
+    @pytest.mark.parametrize("leaf_size", [1, 4, 16])
+    def test_balltree_on_the_exact_cutoff_lattice(self, leaf_size):
+        points = lattice(6, 6, 3)
+        tree = BallTree(points, leaf_size=leaf_size)
+        self.assert_tree_matches_brute(tree, points, points, LATTICE_CUTOFF)
+        # radius 3 puts every axis neighbor exactly on the sphere: a corner
+        # point counts itself and 3 of them, an interior point 6
+        assert tree.count_within(points[[0, 43]], 3.0).tolist() == [4, 7]
+
+    @pytest.mark.parametrize("kind", CLOUD_KINDS)
+    def test_balltree_leaf_size_one(self, kind):
+        rng = np.random.default_rng(7100 + hash(kind) % 71)
+        points = random_cloud(rng, kind)
+        queries = random_cloud(rng, kind)[:30]
+        tree = BallTree(points, leaf_size=1)
+        self.assert_tree_matches_brute(tree, points, queries,
+                                       float(rng.uniform(0.5, 12.0)))
+
+    def test_balltree_fewer_points_than_leaf_size(self):
+        rng = np.random.default_rng(7200)
+        points = rng.uniform(-4.0, 4.0, size=(5, 3))
+        queries = rng.uniform(-4.0, 4.0, size=(12, 3))
+        tree = BallTree(points, leaf_size=64)
+        self.assert_tree_matches_brute(tree, points, queries, 3.0)
+        self.assert_tree_matches_brute(tree, points, points[:1], 0.1)
+
+    def test_balltree_empty_tree_and_zero_queries(self):
+        empty = np.empty((0, 3))
+        points = np.random.default_rng(7300).uniform(0.0, 5.0, size=(20, 3))
+        for tree_points, queries in ((empty, np.zeros((2, 3))),
+                                     (points, np.empty((0, 3))),
+                                     (empty, np.empty((0, 3)))):
+            tree = BallTree(tree_points)
+            self.assert_tree_matches_brute(tree, tree_points, queries, 1.0)
+            assert len(tree.query_radius(queries, 1.0)) == queries.shape[0]
 
     def test_empty_structures(self):
         empty = np.empty((0, 3))

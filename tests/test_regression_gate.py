@@ -285,6 +285,36 @@ class TestBenchHistory:
                                 {"candidate": Distribution(samples=(1.0,))})
         assert record["sha"] == "abc123"
 
+    @staticmethod
+    def fake_git(bin_dir, body):
+        """Put a ``git`` script running ``body`` first on an empty PATH."""
+        git = bin_dir / "git"
+        git.write_text("#!/bin/sh\n" + body + "\n")
+        git.chmod(0o755)
+        return str(bin_dir)
+
+    def test_sha_falls_back_to_git_head(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+        monkeypatch.setenv("PATH", self.fake_git(
+            tmp_path, '[ "$*" = "rev-parse HEAD" ] && echo 0123abcd && exit 0\nexit 1'))
+        history = BenchHistory(tmp_path / "hist.jsonl")
+        record = history.append("s", "k", "w",
+                                {"candidate": Distribution(samples=(1.0,))})
+        assert record["sha"] == "0123abcd"
+        assert history.load()[0]["sha"] == "0123abcd"
+
+    @pytest.mark.parametrize("git_body", [None, "exit 128"])
+    def test_sha_is_none_when_git_fails(self, tmp_path, monkeypatch, git_body):
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        # no git on PATH at all, or a git that fails (not a repository)
+        path = str(bin_dir) if git_body is None else self.fake_git(bin_dir, git_body)
+        monkeypatch.setenv("PATH", path)
+        record = BenchHistory(tmp_path / "hist.jsonl").append(
+            "s", "k", "w", {"candidate": Distribution(samples=(1.0,))})
+        assert record["sha"] is None
+
 
 class TestEndToEndDeterministic:
     """The full CI decision path — history baseline, regression gate,
