@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_K
+from repro.analysis import reference
 from repro.analysis.graph import connected_components, merge_component_sets
 from repro.analysis.hausdorff import hausdorff_earlybreak
 from repro.analysis.neighbors import BallTree, GridNeighborSearch, radius_edges
@@ -185,13 +186,13 @@ class TestGraphKernels:
         n = 30_000
         edges = rng.integers(0, n, size=(100_000, 2))
         ref_dist = bench_sampler.sample(
-            lambda: connected_components(edges, n, method="reference"),
+            lambda: reference.connected_components(edges, n),
             label="connected_components[reference] n=30000 e=100000")
         vec_dist = bench_sampler.sample(
-            lambda: connected_components(edges, n, method="vectorized"),
+            lambda: connected_components(edges, n),
             label="connected_components[vectorized] n=30000 e=100000")
-        vec = connected_components(edges, n, method="vectorized")
-        ref = connected_components(edges, n, method="reference")
+        vec = connected_components(edges, n)
+        ref = reference.connected_components(edges, n)
         assert len(vec) == len(ref)
         assert all(np.array_equal(a, b) for a, b in zip(vec, ref))
         verdict = record(bench_gate, bench_history, "connected_components",
@@ -209,13 +210,13 @@ class TestGraphKernels:
             for chunk in np.array_split(edges, 16)
         ]
         ref_dist = bench_sampler.sample(
-            lambda: merge_component_sets(partial_sets, method="reference"),
+            lambda: reference.merge_component_sets(partial_sets),
             label="merge_component_sets[reference] 16 partials")
         vec_dist = bench_sampler.sample(
-            lambda: merge_component_sets(partial_sets, method="vectorized"),
+            lambda: merge_component_sets(partial_sets),
             label="merge_component_sets[vectorized] 16 partials")
-        vec = merge_component_sets(partial_sets, method="vectorized")
-        ref = merge_component_sets(partial_sets, method="reference")
+        vec = merge_component_sets(partial_sets)
+        ref = reference.merge_component_sets(partial_sets)
         assert all(np.array_equal(a, b) for a, b in zip(vec, ref))
         verdict = record(bench_gate, bench_history, "merge_component_sets",
                          "16 partials of 60k-edge graph", ref_dist, vec_dist,
@@ -229,16 +230,17 @@ class TestHausdorffKernels:
         """Blockwise early-break: variance-gated >=5x, equal floats."""
         pairs = trajectory_pairs_256
 
-        def run(method):
-            return [hausdorff_earlybreak(a, b, method=method) for a, b in pairs]
+        def run(kernel):
+            return [kernel(a, b) for a, b in pairs]
 
         ref_dist = bench_sampler.sample(
-            lambda: run("reference"),
+            lambda: run(reference.hausdorff_earlybreak),
             label="hausdorff_earlybreak[reference] 3 pairs 256 frames")
         vec_dist = bench_sampler.sample(
-            lambda: run("vectorized"),
+            lambda: run(hausdorff_earlybreak),
             label="hausdorff_earlybreak[vectorized] 3 pairs 256 frames")
-        assert run("vectorized") == run("reference")   # exactly the same distances
+        # exactly the same distances
+        assert run(hausdorff_earlybreak) == run(reference.hausdorff_earlybreak)
         verdict = record(bench_gate, bench_history, "hausdorff_earlybreak",
                          "3 pairs, 256 frames x 64 atoms", ref_dist, vec_dist,
                          floor=5.0)

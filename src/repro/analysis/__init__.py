@@ -2,16 +2,10 @@
 neighbor search, graph components and sub-setting.
 
 These are the serial building blocks that the task-parallel algorithms in
-:mod:`repro.core` distribute across frameworks.
+:mod:`repro.core` distribute across frameworks.  The literal formulations
+they are verified against live in :mod:`repro.analysis.reference`.
 """
 
-from .engine import (
-    KERNEL_METHODS,
-    get_kernel_method,
-    resolve_kernel_method,
-    set_kernel_method,
-    use_kernel_method,
-)
 from .rmsd import (
     kabsch_rmsd,
     kabsch_rotation,
@@ -44,10 +38,8 @@ from .neighbors import (
     radius_edges,
 )
 from .graph import (
-    DisjointSet,
     components_to_labels,
     connected_components,
-    connected_components_networkx,
     label_components,
     merge_component_sets,
     normalize_components,
@@ -62,11 +54,6 @@ from .subsetting import (
 )
 
 __all__ = [
-    "KERNEL_METHODS",
-    "get_kernel_method",
-    "set_kernel_method",
-    "resolve_kernel_method",
-    "use_kernel_method",
     "rmsd",
     "kabsch_rmsd",
     "kabsch_rotation",
@@ -90,10 +77,8 @@ __all__ = [
     "brute_force_radius",
     "brute_force_radius_pairs",
     "radius_edges",
-    "DisjointSet",
     "label_components",
     "connected_components",
-    "connected_components_networkx",
     "components_to_labels",
     "merge_component_sets",
     "normalize_components",

@@ -11,78 +11,25 @@ happens:
   an atom (:func:`merge_component_sets`), which shrinks the shuffled data
   from O(edges) to O(atoms).
 
-Both kernels run on the kernel engine (:mod:`repro.analysis.engine`):
-the default ``"vectorized"`` method propagates minimum labels over the
-whole edge array with ``np.minimum.at`` plus pointer jumping — no
-per-edge Python work — while ``method="reference"`` keeps the original
-union-find loop as the executable specification.  A thin networkx
-wrapper serves as an independent cross-check in tests.
+Both kernels propagate minimum labels over the whole edge array with
+``np.minimum.at`` plus pointer jumping — no per-edge Python work.  The
+union-find loops they are verified against, and a networkx cross-check,
+live in :mod:`repro.analysis.reference`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-import networkx as nx
 import numpy as np
 
-from .engine import resolve_kernel_method
-
 __all__ = [
-    "DisjointSet",
     "connected_components",
-    "connected_components_networkx",
     "components_to_labels",
     "label_components",
     "merge_component_sets",
     "normalize_components",
 ]
-
-
-class DisjointSet:
-    """Union-find over integer elements 0..n-1 with path compression + union by size."""
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-        self.n = n
-
-    def find(self, x: int) -> int:
-        """Representative of ``x``'s set (with path compression)."""
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        # path compression
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return int(root)
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets containing ``a`` and ``b``; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-    def groups(self) -> List[np.ndarray]:
-        """All disjoint sets as sorted index arrays (singletons included)."""
-        roots = np.array([self.find(i) for i in range(self.n)], dtype=np.int64)
-        out: List[np.ndarray] = []
-        order = np.argsort(roots, kind="stable")
-        sorted_roots = roots[order]
-        if self.n == 0:
-            return out
-        boundaries = np.flatnonzero(np.diff(sorted_roots)) + 1
-        for chunk in np.split(order, boundaries):
-            out.append(np.sort(chunk))
-        return out
 
 
 def label_components(edges: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -126,7 +73,7 @@ def _groups_from_labels(labels: np.ndarray, include_singletons: bool) -> List[np
 
     Components come out sorted by (-size, smallest member), each one an
     ascending array of node ids — the same normal form the reference
-    union-find path produces.
+    union-find loop produces.
     """
     if labels.size == 0:
         return []
@@ -146,8 +93,7 @@ def _check_edges(edges: np.ndarray, n_nodes: int) -> np.ndarray:
 
 
 def connected_components(edges: np.ndarray, n_nodes: int,
-                         include_singletons: bool = True,
-                         method: str | None = None) -> List[np.ndarray]:
+                         include_singletons: bool = True) -> List[np.ndarray]:
     """Connected components of an undirected graph given as an edge list.
 
     Parameters
@@ -158,10 +104,6 @@ def connected_components(edges: np.ndarray, n_nodes: int,
         Total number of nodes (needed because isolated atoms have no edges).
     include_singletons:
         Whether to return single-node components (isolated atoms).
-    method:
-        ``"vectorized"`` (min-label propagation over the whole edge
-        array), ``"reference"`` (the per-edge union-find loop), or
-        ``None`` for the kernel engine default.
 
     Returns
     -------
@@ -169,29 +111,7 @@ def connected_components(edges: np.ndarray, n_nodes: int,
         Components sorted by decreasing size, each a sorted array of node ids.
     """
     edges = _check_edges(edges, n_nodes)
-    if resolve_kernel_method(method) == "vectorized":
-        return _groups_from_labels(label_components(edges, n_nodes), include_singletons)
-    dsu = DisjointSet(n_nodes)
-    for a, b in edges:
-        dsu.union(int(a), int(b))
-    groups = dsu.groups()
-    if not include_singletons:
-        groups = [g for g in groups if len(g) > 1]
-    groups.sort(key=lambda g: (-len(g), int(g[0]) if len(g) else 0))
-    return groups
-
-
-def connected_components_networkx(edges: np.ndarray, n_nodes: int,
-                                  include_singletons: bool = True) -> List[np.ndarray]:
-    """Same as :func:`connected_components` but via networkx (cross-check)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n_nodes))
-    graph.add_edges_from(map(tuple, np.asarray(edges, dtype=np.int64).reshape(-1, 2)))
-    groups = [np.array(sorted(c), dtype=np.int64) for c in nx.connected_components(graph)]
-    if not include_singletons:
-        groups = [g for g in groups if len(g) > 1]
-    groups.sort(key=lambda g: (-len(g), int(g[0]) if len(g) else 0))
-    return groups
+    return _groups_from_labels(label_components(edges, n_nodes), include_singletons)
 
 
 def components_to_labels(components: Sequence[np.ndarray], n_nodes: int) -> np.ndarray:
@@ -211,15 +131,16 @@ def components_to_labels(components: Sequence[np.ndarray], n_nodes: int) -> np.n
 
 def normalize_components(components: Iterable[Iterable[int]]) -> List[np.ndarray]:
     """Sort each component and order components by (-size, smallest member)."""
+    # each component is read exactly once, so iterators work too
     normalized = [np.array(sorted(set(int(x) for x in comp)), dtype=np.int64)
-                  for comp in components if len(list(comp)) > 0]
+                  for comp in components]
     normalized = [c for c in normalized if c.size > 0]
     normalized.sort(key=lambda g: (-len(g), int(g[0])))
     return normalized
 
 
-def merge_component_sets(component_sets: Iterable[Iterable[Iterable[int]]],
-                         method: str | None = None) -> List[np.ndarray]:
+def merge_component_sets(
+        component_sets: Iterable[Iterable[Iterable[int]]]) -> List[np.ndarray]:
     """Merge partial connected components from multiple tasks (reduce phase).
 
     Each element of ``component_sets`` is the list of components one map
@@ -228,14 +149,11 @@ def merge_component_sets(component_sets: Iterable[Iterable[Iterable[int]]],
     is exactly the reduce step of the paper's approaches 3 and 4.
 
     The merge cost is proportional to the total number of
-    (atom, partial-component) memberships — O(n), not O(edges).  On the
-    default ``"vectorized"`` method the membership relabeling is one
-    ``np.unique(..., return_inverse=True)`` pass and the joining is a
-    star-shaped edge array through :func:`label_components`;
-    ``method="reference"`` keeps the dict-and-union-find loop.
+    (atom, partial-component) memberships — O(n), not O(edges).  The
+    membership relabeling is one ``np.unique(..., return_inverse=True)``
+    pass and the joining is a star-shaped edge array through
+    :func:`label_components`.
     """
-    if resolve_kernel_method(method) == "reference":
-        return _merge_component_sets_reference(component_sets)
     partials: List[np.ndarray] = []
     for comp_set in component_sets:
         for comp in comp_set:
@@ -259,29 +177,3 @@ def merge_component_sets(component_sets: Iterable[Iterable[Iterable[int]]],
     edges = np.column_stack([np.repeat(inverse[starts], lengths - 1), inverse[rest]])
     labels = label_components(edges, all_atoms.size)
     return [all_atoms[g] for g in _groups_from_labels(labels, include_singletons=True)]
-
-
-def _merge_component_sets_reference(
-        component_sets: Iterable[Iterable[Iterable[int]]]) -> List[np.ndarray]:
-    """The original per-atom dict/union-find merge (executable specification)."""
-    partials: List[np.ndarray] = []
-    for comp_set in component_sets:
-        for comp in comp_set:
-            arr = np.array(sorted(set(int(x) for x in comp)), dtype=np.int64)
-            if arr.size:
-                partials.append(arr)
-    if not partials:
-        return []
-    # map the atoms that occur anywhere to a compact index space
-    all_atoms = np.unique(np.concatenate(partials))
-    index_of = {int(atom): i for i, atom in enumerate(all_atoms)}
-    dsu = DisjointSet(len(all_atoms))
-    for comp in partials:
-        first = index_of[int(comp[0])]
-        for atom in comp[1:]:
-            dsu.union(first, index_of[int(atom)])
-    merged: dict[int, List[int]] = {}
-    for atom in all_atoms:
-        root = dsu.find(index_of[int(atom)])
-        merged.setdefault(root, []).append(int(atom))
-    return normalize_components(merged.values())

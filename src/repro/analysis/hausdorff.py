@@ -17,8 +17,9 @@ Implementations provided:
 * :func:`hausdorff` — vectorized: one 2D-RMSD matrix then min/max
   reductions (what the parallel tasks execute),
 * :func:`hausdorff_earlybreak` — the early-break algorithm of Taha &
-  Hanbury (2015) that the paper cites as a potential optimization
-  (our ablation benchmark quantifies the speedup), and
+  Hanbury (2015) that the paper cites as a potential optimization, run
+  blockwise (our ablation benchmark quantifies the speedup over the
+  literal scan, :func:`repro.analysis.reference.hausdorff_earlybreak`), and
 * :func:`discrete_frechet` — the discrete Fréchet distance, the other
   metric offered by MDAnalysis' PSA module, included for completeness.
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import resolve_kernel_method
 from .rmsd import rmsd, rmsd_matrix
 
 __all__ = [
@@ -101,7 +101,6 @@ def hausdorff(traj_a: np.ndarray, traj_b: np.ndarray) -> float:
 
 def hausdorff_earlybreak(traj_a: np.ndarray, traj_b: np.ndarray,
                          shuffle_seed: int | None = 0, *,
-                         method: str | None = None,
                          block_size: int = 64) -> float:
     """Hausdorff distance with the early-break optimization.
 
@@ -112,51 +111,21 @@ def hausdorff_earlybreak(traj_a: np.ndarray, traj_b: np.ndarray,
     Scanning order is randomized once, which on structured inputs makes
     early breaks much more likely.
 
-    On the kernel engine's default ``"vectorized"`` method the scan is
-    *blockwise*: squared-distance sub-blocks of ``block_size x
-    block_size`` frames are evaluated with the same GEMM expansion as
-    :func:`repro.analysis.rmsd.rmsd_matrix` and the cmax pruning is
-    applied per block — a running minimum over the processed columns
-    retires a row as soon as it drops to ``cmax``, and fully retired row
-    blocks skip their remaining column blocks.  ``method="reference"``
-    keeps the literal per-pair double loop.  Both return exactly the
+    The scan is *blockwise*: squared-distance sub-blocks of
+    ``block_size x block_size`` frames are evaluated with the same GEMM
+    expansion as :func:`repro.analysis.rmsd.rmsd_matrix` and the cmax
+    pruning is applied per block — a running minimum over the processed
+    columns retires a row as soon as it drops to ``cmax``, and fully
+    retired row blocks skip their remaining column blocks.  It returns
+    exactly what the literal per-pair scan
+    (:func:`repro.analysis.reference.hausdorff_earlybreak`) returns, the
     symmetric Hausdorff distance; only the work performed changes.
     """
     flat_a, flat_b, n_atoms = _flatten_paths(traj_a, traj_b)
     rng = np.random.default_rng(shuffle_seed) if shuffle_seed is not None else None
-    if resolve_kernel_method(method) == "reference":
-        forward = _directed_earlybreak_reference(flat_a, flat_b, rng)
-        backward = _directed_earlybreak_reference(flat_b, flat_a, rng)
-        return float(np.sqrt(max(forward, backward) / n_atoms))
     forward = _directed_earlybreak_blockwise(flat_a, flat_b, rng, block_size)
     backward = _directed_earlybreak_blockwise(flat_b, flat_a, rng, block_size)
     return float(np.sqrt(max(forward, backward) / n_atoms))
-
-
-def _directed_earlybreak_reference(points_a: np.ndarray, points_b: np.ndarray,
-                                   rng: np.random.Generator | None) -> float:
-    """The per-pair early-break scan exactly as Taha & Hanbury write it."""
-    order_a = np.arange(points_a.shape[0])
-    order_b = np.arange(points_b.shape[0])
-    if rng is not None:
-        rng.shuffle(order_a)
-        rng.shuffle(order_b)
-    cmax = 0.0
-    for ia in order_a:
-        a_vec = points_a[ia]
-        cmin = np.inf
-        # squared distances to all of B for this point, but scanned with
-        # early break in the randomized order
-        for ib in order_b:
-            diff = a_vec - points_b[ib]
-            d2 = float(diff @ diff)
-            if d2 < cmin:
-                cmin = d2
-                if cmin <= cmax:
-                    break
-        if cmin > cmax and np.isfinite(cmin):
-            cmax = cmin
-    return cmax
 
 
 def _exact_row_min_d2(a_vec: np.ndarray, points_b: np.ndarray) -> float:

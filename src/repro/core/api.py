@@ -70,8 +70,9 @@ def psa(ensemble: TrajectoryEnsemble, framework: str | TaskFramework = "dasklite
         already constructed :class:`TaskFramework`.
     metric : str, optional
         ``"hausdorff"`` (default), ``"hausdorff_earlybreak"``
-        (blockwise early-break on the vectorized kernel engine),
-        ``"hausdorff_earlybreak_reference"`` (the Python reference scan),
+        (blockwise early-break),
+        ``"hausdorff_earlybreak_reference"`` (the literal per-pair scan,
+        :func:`repro.analysis.reference.hausdorff_earlybreak`),
         ``"frechet"`` or ``"hausdorff_naive"``.
     n_tasks : int, optional
         Target task count; the 2-D block size is derived from it.

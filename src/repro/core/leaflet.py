@@ -46,7 +46,6 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from ..analysis.engine import get_kernel_method
 from ..analysis.graph import connected_components, merge_component_sets
 from ..analysis.neighbors import BallTree, radius_edges
 from ..analysis.pairwise import edges_from_block
@@ -97,7 +96,6 @@ def leaflet_serial(positions: np.ndarray, cutoff: float,
     """
     positions = _validate_inputs(positions, cutoff)
     n = positions.shape[0]
-    # the kernel engine's vectorized edge assembly for every method
     edges = radius_edges(positions, cutoff, method=method)
     components = connected_components(edges, n)
     return LeafletResult(components, n_atoms=n, n_edges=edges.shape[0])
@@ -295,10 +293,10 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
     checkpoint_dir : str, optional
         Enables checkpoint/restart: every block result (edge list or
         partial-component set) is journalled as it completes, and a
-        re-run with the same system, parameters, plane, substrate and
-        kernel engine replays finished blocks (``tasks_restored`` in the
-        report) and computes only the missing ones.  A journal written
-        under different inputs raises
+        re-run with the same system, parameters, plane and substrate
+        replays finished blocks (``tasks_restored`` in the report) and
+        computes only the missing ones.  A journal written under
+        different inputs raises
         :class:`~repro.frameworks.checkpoint.StaleJournal`.
 
     Returns
@@ -387,8 +385,7 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
             fingerprint = run_fingerprint(
                 arrays=arrays, source=source, algorithm="leaflet_finder",
                 approach=approach, cutoff=float(cutoff), n_tasks=n_tasks,
-                data_plane=plane, substrate=framework.name,
-                kernel_method=get_kernel_method())
+                data_plane=plane, substrate=framework.name)
             journal = RunJournal(checkpoint_dir, fingerprint).open()
         start = time.perf_counter()
         tasks = ([spec.task(block=b, rows=rows(b.row_start, b.row_stop),

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.engine import get_kernel_method
+from ..analysis import reference
 from ..analysis.hausdorff import (
     discrete_frechet,
     hausdorff,
@@ -79,23 +79,10 @@ def _ensemble_fingerprint(ensemble, **params) -> str:
 
     The ensemble supplies its own identity: member digests in memory,
     member file metadata when streamed, so fingerprinting never
-    materializes out-of-core data.  The engine-wide kernel method
-    participates so a journal written under one kernel engine is
-    rejected under another.
+    materializes out-of-core data.
     """
-    params.setdefault("kernel_method", get_kernel_method())
     return run_fingerprint(members=ensemble.identity(),
                            labels=tuple(ensemble.labels), **params)
-
-
-def hausdorff_earlybreak_reference(traj_a: np.ndarray, traj_b: np.ndarray) -> float:
-    """Early-break Hausdorff pinned to the Python reference kernel.
-
-    Kept as an explicit PSA metric so the figure ablations can report the
-    reference-vs-vectorized kernel engine split by metric name (tasks carry
-    metric *names*, so the choice survives pickling into workers).
-    """
-    return hausdorff_earlybreak(traj_a, traj_b, method="reference")
 
 
 #: Metric name -> callable mapping two (n_frames, n_atoms, 3) arrays to a float.
@@ -103,7 +90,7 @@ PSA_METRICS: Dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
     "hausdorff": hausdorff,
     "hausdorff_naive": hausdorff_naive,
     "hausdorff_earlybreak": hausdorff_earlybreak,
-    "hausdorff_earlybreak_reference": hausdorff_earlybreak_reference,
+    "hausdorff_earlybreak_reference": reference.hausdorff_earlybreak,
     "hausdorff_windowed": hausdorff_windowed,
     "frechet": discrete_frechet,
 }
@@ -377,7 +364,7 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
     checkpoint_dir : str, optional
         Enables checkpoint/restart: completed blocks are journalled there
         as they finish, and a re-run with the same ensemble, parameters,
-        plane, substrate and kernel engine replays them
+        plane and substrate replays them
         (``tasks_restored`` / ``restore_seconds`` in the report; every
         wave consults the same journal) and submits only the missing
         blocks.  A journal written under different inputs raises

@@ -22,6 +22,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from ..analysis import reference
 from ..analysis.hausdorff import hausdorff_earlybreak
 from ..analysis.rmsd import pairwise_rmsd_loop, rmsd_matrix
 from ..bench import Sampler
@@ -43,8 +44,10 @@ def measured_rows(n_pairs: int = 6, n_frames: int = 40, scale: float = 0.02,
 
     Every row carries an explicit ``kernel_engine`` column (vectorized vs
     the Python reference), and the 2D-RMSD contrast is followed by the
-    same contrast for the early-break Hausdorff: the blockwise engine
-    kernel vs the literal Taha & Hanbury scan on identical pairs.
+    same contrast for the early-break Hausdorff: the blockwise kernel vs
+    the literal Taha & Hanbury scan
+    (:func:`repro.analysis.reference.hausdorff_earlybreak`) on identical
+    pairs.
 
     Each cell is sampled ``samples`` times (after one warmup run,
     overhead-subtracted, via :class:`repro.bench.Sampler`); ``time_s``
@@ -75,12 +78,13 @@ def measured_rows(n_pairs: int = 6, n_frames: int = 40, scale: float = 0.02,
         })
     rows[0]["speedup_vs_naive"] = (rows[1]["time_s"] / rows[0]["time_s"]
                                    if rows[0]["time_s"] > 0 else float("inf"))
-    for label, engine in (("earlybreak (blockwise)", "vectorized"),
-                          ("earlybreak (python reference)", "reference")):
-        checksum = sum(hausdorff_earlybreak(a, b, method=engine) for a, b in pairs)
+    for label, kernel, engine in (
+            ("earlybreak (blockwise)", hausdorff_earlybreak, "vectorized"),
+            ("earlybreak (python reference)", reference.hausdorff_earlybreak,
+             "reference")):
+        checksum = sum(kernel(a, b) for a, b in pairs)
         dist = sampler.sample(
-            lambda: [hausdorff_earlybreak(a, b, method=engine) for a, b in pairs],
-            label=label)
+            lambda: [kernel(a, b) for a, b in pairs], label=label)
         rows.append({
             "kernel": label,
             "kernel_engine": engine,

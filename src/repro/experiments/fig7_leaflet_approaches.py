@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..analysis.engine import use_kernel_method
 from ..bench import Distribution
 from ..core.leaflet import LEAFLET_APPROACHES, run_leaflet_finder
 from ..frameworks import make_framework
@@ -50,15 +49,10 @@ def measured_rows(n_atoms: int = 2000, cutoff: float = 15.0, n_tasks: int = 32,
                   workers: int = 4,
                   frameworks: Sequence[str] = ("sparklite", "dasklite", "mpilite"),
                   approaches: Sequence[str] | None = None,
-                  kernel_methods: Sequence[str] = ("vectorized",),
                   samples: int = 3) -> List[dict]:
     """Laptop-scale live run of every (framework, approach) combination.
 
-    ``kernel_methods`` selects the kernel engine variants to ablate;
-    passing ``("vectorized", "reference")`` reruns the grid with the
-    Python reference kernels and reports the engine as an explicit
-    ``kernel`` column (all cells must agree on the leaflet assignment
-    regardless of engine).
+    All cells must agree on the leaflet assignment.
 
     Each cell runs ``samples`` times on a fresh substrate;
     ``wall_time_s`` is the **median** of the per-run wall clocks and
@@ -69,42 +63,38 @@ def measured_rows(n_atoms: int = 2000, cutoff: float = 15.0, n_tasks: int = 32,
     positions, labels = make_bilayer(BilayerSpec(n_atoms=n_atoms, seed=7))
     rows: List[dict] = []
     reference_sizes = None
-    for kernel in kernel_methods:
-        for name in frameworks:
-            for approach in approaches:
-                walls: List[float] = []
-                result = report = None
-                for _ in range(max(1, samples)):
-                    fw = make_framework(name, executor="threads", workers=workers)
-                    with use_kernel_method(kernel):
-                        result, report = run_leaflet_finder(positions, cutoff, fw,
-                                                            approach=approach,
-                                                            n_tasks=n_tasks)
-                    walls.append(report.wall_time_s)
-                    fw.close()
-                dist = Distribution(samples=tuple(walls),
-                                    label=f"{name}/{approach}/{kernel}")
-                sizes = result.sizes[:2]
-                if reference_sizes is None:
-                    reference_sizes = sizes
-                elif sizes != reference_sizes:
-                    raise AssertionError(
-                        f"{name}/{approach}/{kernel} disagrees on leaflet sizes: "
-                        f"{sizes} vs {reference_sizes}"
-                    )
-                rows.append({
-                    "framework": name,
-                    "approach": approach,
-                    "kernel": kernel,
-                    "n_atoms": n_atoms,
-                    "n_tasks": report.n_tasks,
-                    "wall_time_s": dist.median,
-                    "wall_time_mad_s": dist.mad,
-                    "n_samples": dist.n,
-                    "bytes_broadcast": report.metrics.bytes_broadcast,
-                    "bytes_shuffled": report.metrics.bytes_shuffled,
-                    "agreement": result.agreement_with(labels),
-                })
+    for name in frameworks:
+        for approach in approaches:
+            walls: List[float] = []
+            result = report = None
+            for _ in range(max(1, samples)):
+                fw = make_framework(name, executor="threads", workers=workers)
+                result, report = run_leaflet_finder(positions, cutoff, fw,
+                                                    approach=approach,
+                                                    n_tasks=n_tasks)
+                walls.append(report.wall_time_s)
+                fw.close()
+            dist = Distribution(samples=tuple(walls), label=f"{name}/{approach}")
+            sizes = result.sizes[:2]
+            if reference_sizes is None:
+                reference_sizes = sizes
+            elif sizes != reference_sizes:
+                raise AssertionError(
+                    f"{name}/{approach} disagrees on leaflet sizes: "
+                    f"{sizes} vs {reference_sizes}"
+                )
+            rows.append({
+                "framework": name,
+                "approach": approach,
+                "n_atoms": n_atoms,
+                "n_tasks": report.n_tasks,
+                "wall_time_s": dist.median,
+                "wall_time_mad_s": dist.mad,
+                "n_samples": dist.n,
+                "bytes_broadcast": report.metrics.bytes_broadcast,
+                "bytes_shuffled": report.metrics.bytes_shuffled,
+                "agreement": result.agreement_with(labels),
+            })
     return rows
 
 

@@ -23,7 +23,7 @@ Design
 * **The manifest makes staleness loud.**  ``MANIFEST.json`` records a
   fingerprint of the run's identity — input arrays (via
   :func:`~repro.frameworks.shm.array_digest`), data plane, substrate,
-  kernel engine, decomposition.  Opening a journal whose fingerprint
+  metric, decomposition.  Opening a journal whose fingerprint
   does not match raises :class:`StaleJournal`; a journal written for
   different inputs is *rejected*, never silently reused.
 * **Replay is bit-exact.**  Entries store the raw result bytes, so a
@@ -96,7 +96,7 @@ def run_fingerprint(arrays: Sequence[Any] = (), **params: Any) -> str:
         trajectories produce the same fingerprint across processes.
     **params
         Everything else that shapes the output: data plane, substrate
-        name, kernel engine, metric, decomposition.  Hashed by sorted
+        name, metric, decomposition.  Hashed by sorted
         ``repr``, so only stable scalar/str values belong here.
 
     Returns
@@ -218,7 +218,7 @@ class RunJournal:
         """Validate or create the manifest; raises :class:`StaleJournal`.
 
         A directory with a manifest written for a different run —
-        different inputs, plane, substrate, kernel engine or format
+        different inputs, plane, substrate, parameters or format
         version — is rejected loudly.  An unreadable manifest counts as
         stale: the journal's provenance cannot be proven.
         """

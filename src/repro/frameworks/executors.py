@@ -59,10 +59,10 @@ straggler of the failed call can hand a result to the next one.
 
 Since a warm lane forked before the current call, nothing of a call's
 state may ride on the fork.  Each run ships what its workers need in the
-task payload: the heartbeat directory, the claimed fault spec, and the
-driver's kernel engine (:func:`repro.analysis.engine.get_kernel_method`).
-A worker that sees a new run also closes every shared-memory attachment
-and spill-file mapping whose name the driver has unlinked since
+task payload: the run's token and heartbeat directory, and the claimed
+fault spec.  A worker that sees a new run also closes every
+shared-memory attachment and spill-file mapping whose name the driver
+has unlinked since
 (:func:`~repro.frameworks.shm.release_stale_mappings`), so a long-lived
 worker never pins the pages of dead blocks.
 
@@ -360,14 +360,12 @@ class _Run(NamedTuple):
 
     A warm lane forked before the run began, so this is the only way
     run state reaches it: ``token`` identifies the run (a worker that
-    sees a new token releases stale mappings), ``hb_dir`` is the
-    heartbeat directory (``None`` when no monitor needs one), and
-    ``kernel_method`` the driver's kernel engine for the run.
+    sees a new token releases stale mappings) and ``hb_dir`` is the
+    heartbeat directory (``None`` when no monitor needs one).
     """
 
     token: int
     hb_dir: Optional[str]
-    kernel_method: str
 
 
 _RUN_TOKENS = itertools.count(1)
@@ -379,13 +377,11 @@ _served_run: Optional[int] = None
 def _enter_run(run: _Run) -> None:
     """Adopt a run's state in a pool worker, before its task executes.
 
-    The kernel engine is set for every task.  The first task of a new
-    run also closes the mappings of blocks unlinked since the worker's
-    previous run (:func:`~repro.frameworks.shm.release_stale_mappings`).
+    The first task of a new run closes the mappings of blocks unlinked
+    since the worker's previous run
+    (:func:`~repro.frameworks.shm.release_stale_mappings`).
     """
     global _served_run
-    from ..analysis.engine import set_kernel_method  # see _PooledMapEngine.run
-    set_kernel_method(run.kernel_method)
     if run.token != _served_run:
         _served_run = run.token
         release_stale_mappings()
@@ -511,8 +507,8 @@ class _PooledMapEngine:
     :class:`_WorkerLane` objects (so worker death loses at most the one
     task on that lane).  The lanes come from one place,
     :meth:`_PooledExecutor._worker_lanes`, and outlive the call; the
-    engine only owns the run: its :class:`_Run` state (heartbeat
-    directory, kernel engine), shipped with every payload as
+    engine only owns the run: its :class:`_Run` state (token and
+    heartbeat directory), shipped with every payload as
     ``(index, fn, blob, spec, run)``.  A run that raises shuts every
     lane down before the exception leaves, so a task still in flight
     cannot return into a later call.  The engine implements the whole
@@ -634,11 +630,7 @@ class _PooledMapEngine:
                 or self._scheduler is not None):
             hb_dir = tempfile.mkdtemp(prefix="repro-hb-")
         self.hb_dir = hb_dir
-        # imported here: a module-level import would load repro.analysis
-        # ahead of the rest of the package, which measurably raises the
-        # peak RSS of importing repro (about 1.3 MB)
-        from ..analysis.engine import get_kernel_method
-        self._run = _Run(next(_RUN_TOKENS), hb_dir, get_kernel_method())
+        self._run = _Run(next(_RUN_TOKENS), hb_dir)
         pending: "deque[int]" = deque(range(self.n_tasks))
         lanes = self.owner._worker_lanes()
         try:

@@ -34,6 +34,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from ..analysis import reference
 from ..analysis.neighbors import BallTree
 from ..analysis.rmsd import rmsd_matrix
 from ..analysis.graph import connected_components
@@ -153,11 +154,11 @@ def calibrate_kernels(*, n_frames: int = 64, n_atoms: int = 512,
     tree_batch = queries.shape[0] * np.log2(n_points) / t
 
     t = measure("connected_components_reference",
-                lambda: connected_components(edges, n_points, method="reference"))
+                lambda: reference.connected_components(edges, n_points))
     uf_ops = (n_points + edges.shape[0]) / t
 
     t = measure("connected_components_vectorized",
-                lambda: connected_components(edges, n_points, method="vectorized"))
+                lambda: connected_components(edges, n_points))
     passes = max(1.0, np.log2(max(n_points, 2)) / 2.0)
     cc_label = (n_points + edges.shape[0]) * passes / t
 

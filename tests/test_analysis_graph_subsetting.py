@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.graph import (
-    DisjointSet,
     components_to_labels,
     connected_components,
-    connected_components_networkx,
     merge_component_sets,
     normalize_components,
 )
+from repro.analysis.reference import DisjointSet, connected_components_networkx
 from repro.analysis.subsetting import (
     stride_frames,
     subset_atoms,
@@ -102,6 +101,12 @@ class TestNormalizeAndMerge:
     def test_normalize_orders_by_size(self):
         comps = normalize_components([[5], [1, 2, 2], [3, 4]])
         assert [c.tolist() for c in comps] == [[1, 2], [3, 4], [5]]
+
+    def test_normalize_accepts_iterators(self):
+        # each component is read once: an iterator must not be used up
+        # by an emptiness check before it is sorted
+        comps = normalize_components([iter([3, 1]), [5], iter([])])
+        assert [c.tolist() for c in comps] == [[1, 3], [5]]
 
     def test_merge_joins_overlapping_partials(self):
         # task A found {0,1,2}; task B found {2,3}; task C found {5,6}

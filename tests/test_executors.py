@@ -19,7 +19,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.engine import get_kernel_method, use_kernel_method
 from repro.frameworks.executors import (
     ProcessExecutor,
     SerialExecutor,
@@ -61,10 +60,6 @@ def array_total(arrays):
 
 def worker_pid(_):
     return os.getpid()
-
-
-def worker_kernel_method(_):
-    return os.getpid(), get_kernel_method()
 
 
 def touch_block(block):
@@ -230,19 +225,6 @@ class TestWorkerLanes:
             assert ex.map_tasks(slow_echo, ["a", "b"]) == ["a", "b"]
         finally:
             ex.shutdown()
-
-    def test_kernel_method_reaches_warm_lanes(self, kind):
-        ex = make(kind)
-        try:
-            ex.map_tasks(worker_pid, range(4))  # lanes are warm from here on
-            with use_kernel_method("reference"):
-                inside = ex.map_tasks(worker_kernel_method, range(4))
-            after = ex.map_tasks(worker_kernel_method, range(4))
-        finally:
-            ex.shutdown()
-        assert len({pid for pid, _ in inside}) == 2
-        assert {method for _, method in inside} == {"reference"}
-        assert {method for _, method in after} == {"vectorized"}
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
     def test_unlinked_segment_is_released_by_warm_lanes(self, kind):

@@ -117,6 +117,12 @@ class TestMeasuredFigures:
     def test_fig6_measured_vectorized_wins(self):
         rows = fig6_cpptraj.measured_rows(n_pairs=3, n_frames=20, scale=0.01)
         assert rows[0]["speedup_vs_naive"] > 1.0
+        # the blockwise early-break and the literal reference scan return
+        # exactly the same distances on the same pairs
+        earlybreak = {r["kernel_engine"]: r["checksum"] for r in rows
+                      if r["kernel"].startswith("earlybreak")}
+        assert set(earlybreak) == {"vectorized", "reference"}
+        assert earlybreak["vectorized"] == earlybreak["reference"]
 
     def test_fig7_measured_small(self):
         rows = fig7_leaflet_approaches.measured_rows(n_atoms=400, n_tasks=6, workers=2,

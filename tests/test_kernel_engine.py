@@ -14,16 +14,9 @@ trajectories, singleton partials — are exercised explicitly.
 import numpy as np
 import pytest
 
-from repro.analysis.engine import (
-    KERNEL_METHODS,
-    get_kernel_method,
-    resolve_kernel_method,
-    set_kernel_method,
-    use_kernel_method,
-)
+from repro.analysis import reference
 from repro.analysis.graph import (
     connected_components,
-    connected_components_networkx,
     label_components,
     merge_component_sets,
 )
@@ -69,31 +62,6 @@ def lattice(nx, ny, nz, spacing=3.0):
     """Points of an ``nx x ny x nz`` cubic lattice, row-major."""
     axes = [np.arange(k, dtype=np.float64) * spacing for k in (nx, ny, nz)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-
-
-class TestEngineSelection:
-    def test_default_is_vectorized(self):
-        assert get_kernel_method() == "vectorized"
-        assert resolve_kernel_method(None) == "vectorized"
-
-    def test_context_manager_restores(self):
-        with use_kernel_method("reference"):
-            assert get_kernel_method() == "reference"
-            assert resolve_kernel_method(None) == "reference"
-        assert get_kernel_method() == "vectorized"
-
-    def test_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_kernel_method("reference"):
-                raise RuntimeError("boom")
-        assert get_kernel_method() == "vectorized"
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            set_kernel_method("numba")
-        with pytest.raises(ValueError):
-            resolve_kernel_method("gpu")
-        assert set(KERNEL_METHODS) == {"reference", "vectorized"}
 
 
 class TestNeighborSearchEquivalence:
@@ -362,24 +330,18 @@ class TestConnectedComponentsEquivalence:
         n = int(rng.integers(1, 120))
         n_edges = int(rng.integers(0, 300))
         edges = rng.integers(0, n, size=(n_edges, 2))
-        vec = connected_components(edges, n, include_singletons, method="vectorized")
-        ref = connected_components(edges, n, include_singletons, method="reference")
-        nxc = connected_components_networkx(edges, n, include_singletons)
+        vec = connected_components(edges, n, include_singletons)
+        ref = reference.connected_components(edges, n, include_singletons)
+        nxc = reference.connected_components_networkx(edges, n, include_singletons)
         self.assert_same_components(vec, ref)
         self.assert_same_components(vec, nxc)
 
     def test_empty_edge_list(self):
-        vec = connected_components(np.empty((0, 2)), 5, method="vectorized")
-        ref = connected_components(np.empty((0, 2)), 5, method="reference")
+        vec = connected_components(np.empty((0, 2)), 5)
+        ref = reference.connected_components(np.empty((0, 2)), 5)
         self.assert_same_components(vec, ref)
         assert len(vec) == 5
-        assert connected_components(np.empty((0, 2)), 0, method="vectorized") == []
-
-    def test_engine_default_steers_method(self):
-        edges = np.array([[0, 1], [2, 3]])
-        with use_kernel_method("reference"):
-            ref = connected_components(edges, 5)
-        self.assert_same_components(ref, connected_components(edges, 5))
+        assert connected_components(np.empty((0, 2)), 0) == []
 
     def test_label_components_minimum_labels(self):
         labels = label_components(np.array([[4, 3], [3, 2], [0, 1]]), 6)
@@ -387,8 +349,8 @@ class TestConnectedComponentsEquivalence:
 
     def test_self_loops_and_duplicates(self):
         edges = np.array([[1, 1], [1, 1], [2, 1], [1, 2]])
-        vec = connected_components(edges, 4, method="vectorized")
-        ref = connected_components(edges, 4, method="reference")
+        vec = connected_components(edges, 4)
+        ref = reference.connected_components(edges, 4)
         self.assert_same_components(vec, ref)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -400,18 +362,18 @@ class TestConnectedComponentsEquivalence:
             [c.tolist() for c in connected_components(chunk, n, include_singletons=False)]
             for chunk in np.array_split(edges, int(rng.integers(1, 7)))
         ]
-        vec = merge_component_sets(partial_sets, method="vectorized")
-        ref = merge_component_sets(partial_sets, method="reference")
+        vec = merge_component_sets(partial_sets)
+        ref = reference.merge_component_sets(partial_sets)
         self.assert_same_components(vec, ref)
         # merged partials reproduce the global components
         expected = connected_components(edges, n, include_singletons=False)
         self.assert_same_components(vec, expected)
 
     def test_merge_degenerates(self):
-        for method in KERNEL_METHODS:
-            assert merge_component_sets([], method=method) == []
-            assert merge_component_sets([[], []], method=method) == []
-            singles = merge_component_sets([[[7]], [[7]], [[9]]], method=method)
+        for merge in (merge_component_sets, reference.merge_component_sets):
+            assert merge([]) == []
+            assert merge([[], []]) == []
+            singles = merge([[[7]], [[7]], [[9]]])
             assert [c.tolist() for c in singles] == [[7], [9]]
 
 
@@ -425,11 +387,9 @@ class TestEarlybreakEquivalence:
         a = rng.normal(scale=rng.uniform(0.1, 10.0), size=(n_a, n_atoms, 3))
         b = rng.normal(scale=rng.uniform(0.1, 10.0), size=(n_b, n_atoms, 3))
         for shuffle_seed in (None, seed):
-            blockwise = hausdorff_earlybreak(a, b, shuffle_seed=shuffle_seed,
-                                             method="vectorized")
-            reference = hausdorff_earlybreak(a, b, shuffle_seed=shuffle_seed,
-                                             method="reference")
-            assert blockwise == reference        # equal floats, not approx
+            blockwise = hausdorff_earlybreak(a, b, shuffle_seed=shuffle_seed)
+            literal = reference.hausdorff_earlybreak(a, b, shuffle_seed=shuffle_seed)
+            assert blockwise == literal          # equal floats, not approx
             assert blockwise == pytest.approx(hausdorff(a, b), rel=1e-10)
 
     @pytest.mark.parametrize("offset", [1e3, 9e6, -5e6])
@@ -442,37 +402,29 @@ class TestEarlybreakEquivalence:
         a = rng.normal(size=(int(rng.integers(1, 20)), 7, 3)) + offset
         b = rng.normal(size=(int(rng.integers(1, 20)), 7, 3)) + offset
         blockwise = hausdorff_earlybreak(a, b, shuffle_seed=seed)
-        reference = hausdorff_earlybreak(a, b, shuffle_seed=seed, method="reference")
-        assert blockwise == reference
+        literal = reference.hausdorff_earlybreak(a, b, shuffle_seed=seed)
+        assert blockwise == literal
 
     @pytest.mark.parametrize("block_size", [1, 3, 17, 256])
     def test_block_size_does_not_change_result(self, block_size):
         rng = np.random.default_rng(77)
         a = rng.normal(size=(21, 6, 3))
         b = rng.normal(size=(13, 6, 3))
-        expected = hausdorff_earlybreak(a, b, method="reference")
+        expected = reference.hausdorff_earlybreak(a, b)
         assert hausdorff_earlybreak(a, b, block_size=block_size) == expected
 
     def test_single_frame_trajectories(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(1, 4, 3))
         b = rng.normal(size=(1, 4, 3))
-        assert hausdorff_earlybreak(a, b) == hausdorff_earlybreak(a, b, method="reference")
+        assert hausdorff_earlybreak(a, b) == reference.hausdorff_earlybreak(a, b)
         assert hausdorff_earlybreak(a, a) == 0.0
 
     def test_identical_trajectories_zero(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(9, 5, 3))
-        for method in KERNEL_METHODS:
-            assert hausdorff_earlybreak(a, a.copy(), method=method) == 0.0
-
-    def test_engine_default_steers_method(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(8, 4, 3))
-        b = rng.normal(size=(6, 4, 3))
-        with use_kernel_method("reference"):
-            assert hausdorff_earlybreak(a, b) == hausdorff_earlybreak(
-                a, b, method="reference")
+        for earlybreak in (hausdorff_earlybreak, reference.hausdorff_earlybreak):
+            assert earlybreak(a, a.copy()) == 0.0
 
     def test_invalid_block_size(self):
         rng = np.random.default_rng(6)

@@ -6,14 +6,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.graph import (
-    DisjointSet,
     components_to_labels,
     connected_components,
-    connected_components_networkx,
     merge_component_sets,
 )
 from repro.analysis.hausdorff import hausdorff, hausdorff_earlybreak, hausdorff_naive
 from repro.analysis.neighbors import BallTree, brute_force_radius
+from repro.analysis.reference import DisjointSet, connected_components_networkx
 from repro.analysis.rmsd import pairwise_rmsd_loop, rmsd_matrix
 from repro.core.partitioning import (
     choose_group_size,

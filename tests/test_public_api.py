@@ -1,5 +1,10 @@
 """Tests for the top-level package surface and framework factory."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +27,21 @@ class TestPackageSurface:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_library_imports_without_networkx(self):
+        """networkx is only the tests' cross-check: no module imports it eagerly."""
+        script = (
+            "import sys\n"
+            "sys.modules['networkx'] = None  # any import of it now fails\n"
+            "import importlib, pkgutil, repro\n"
+            "for mod in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(mod.name)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_core_entry_points_exported(self):
         assert callable(repro.psa)
