@@ -7,8 +7,8 @@ The process-based executors additionally account payload bytes
 (``bytes_pickled`` / ``bytes_shared``), which the shared-memory data
 plane's acceptance criteria are built on, and keep their worker lanes
 for the executor's lifetime: lanes fork once, survive later calls, are
-dropped after a failed call, and receive each run's state (the kernel
-engine, released mappings of unlinked segments) with the run itself.
+dropped after a failed call, and receive each run's state (its run
+token, released mappings of unlinked segments) with the run itself.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.frameworks import executors
 from repro.frameworks.executors import (
     ProcessExecutor,
     SerialExecutor,
@@ -60,6 +61,10 @@ def array_total(arrays):
 
 def worker_pid(_):
     return os.getpid()
+
+
+def worker_run_token(_):
+    return os.getpid(), executors._served_run
 
 
 def touch_block(block):
@@ -225,6 +230,24 @@ class TestWorkerLanes:
             assert ex.map_tasks(slow_echo, ["a", "b"]) == ["a", "b"]
         finally:
             ex.shutdown()
+
+    def test_run_token_reaches_warm_lanes(self, kind):
+        ex = make(kind)
+        try:
+            ex.map_tasks(worker_pid, range(4))  # lanes are warm from here on
+            first = ex.map_tasks(worker_run_token, range(4))
+            second = ex.map_tasks(worker_run_token, range(4))
+        finally:
+            ex.shutdown()
+        assert len({pid for pid, _ in first}) == 2
+        assert {pid for pid, _ in second} == {pid for pid, _ in first}
+        # every task of a call runs under that call's token, which the
+        # lanes could not have inherited at fork; the next call has a new one
+        first_tokens = {token for _, token in first}
+        second_tokens = {token for _, token in second}
+        assert len(first_tokens) == 1 and len(second_tokens) == 1
+        assert None not in first_tokens | second_tokens
+        assert first_tokens != second_tokens
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
     def test_unlinked_segment_is_released_by_warm_lanes(self, kind):

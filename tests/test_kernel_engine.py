@@ -11,6 +11,9 @@ Degenerate cases — coincident points, empty edge lists, single-frame
 trajectories, singleton partials — are exercised explicitly.
 """
 
+import importlib.util
+import inspect
+
 import numpy as np
 import pytest
 
@@ -431,6 +434,43 @@ class TestEarlybreakEquivalence:
         a = rng.normal(size=(3, 2, 3))
         with pytest.raises(ValueError):
             hausdorff_earlybreak(a, a, block_size=0)
+
+
+class TestReferenceKernels:
+    """The literal formulations live in ``repro.analysis.reference`` alone."""
+
+    def test_disjoint_set_unions_and_groups(self):
+        dsu = reference.DisjointSet(6)
+        assert dsu.union(4, 3)
+        assert dsu.union(3, 2)
+        assert not dsu.union(2, 4)          # already one set
+        assert dsu.union(0, 1)
+        assert dsu.find(2) == dsu.find(4) != dsu.find(0)
+        assert sorted(g.tolist() for g in dsu.groups()) == [[0, 1], [2, 3, 4], [5]]
+
+    def test_disjoint_set_sizes(self):
+        assert reference.DisjointSet(0).groups() == []
+        with pytest.raises(ValueError):
+            reference.DisjointSet(-1)
+
+    @pytest.mark.parametrize("kernel", [connected_components, merge_component_sets,
+                                        hausdorff_earlybreak],
+                             ids=lambda kernel: kernel.__name__)
+    def test_hot_kernels_take_no_method(self, kernel):
+        assert "method" not in inspect.signature(kernel).parameters
+
+    def test_no_engine_module(self):
+        assert importlib.util.find_spec("repro.analysis.engine") is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scan_order_does_not_change_reference_result(self, seed):
+        """Shuffling only reorders the scan: every order finds the same float."""
+        rng = np.random.default_rng(6000 + seed)
+        a = rng.normal(size=(int(rng.integers(1, 20)), 5, 3))
+        b = rng.normal(size=(int(rng.integers(1, 20)), 5, 3))
+        results = {reference.hausdorff_earlybreak(a, b, shuffle_seed=s)
+                   for s in (None, 0, seed + 1, 1000 + seed)}
+        assert len(results) == 1
 
 
 class TestBatchedKabschEquivalence:
