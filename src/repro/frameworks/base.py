@@ -30,13 +30,7 @@ import numpy as np
 
 from .cluster import ClusterSpec, local_cluster
 from .counters import COUNTERS, MIRROR, SUM, TaskCounters
-from .executors import (
-    SHM_KINDS,
-    ExecutorBase,
-    ProcessExecutor,
-    SharedMemoryExecutor,
-    make_executor,
-)
+from .executors import SHM_KINDS, ExecutorBase, make_executor
 from .faults import (
     NO_RETRIES,
     FaultCounters,
@@ -219,9 +213,9 @@ class TaskFramework:
           eviction applies backpressure (default 4).
 
         A pre-built executor that brings its own store (a
-        :class:`SharedMemoryExecutor`) is used with that store's
-        settings, so giving store settings as well raises
-        ``ValueError``.
+        :class:`~repro.frameworks.executors.SharedMemoryExecutor`) is
+        used with that store's settings, so giving store settings as
+        well raises ``ValueError``.
     fault_policy:
         A :class:`~repro.frameworks.faults.FaultPolicy` opting the
         substrate into the resilience layer: failed tasks are retried
@@ -261,9 +255,10 @@ class TaskFramework:
         self._store_settings = dict(capacity_bytes=store_capacity_bytes,
                                     spill_dir=spill_dir, spill_async=spill_async,
                                     spill_queue_depth=spill_queue_depth)
-        # a pre-built SharedMemoryExecutor brings its own store; otherwise
-        # the framework owns the one store its plane or executor needs
-        self.store: SharedMemoryStore | None = getattr(executor, "store", None)
+        # a pre-built executor may bring its own store; otherwise the
+        # framework owns the one store its plane or executor needs
+        self.store: SharedMemoryStore | None = (
+            executor.store if isinstance(executor, ExecutorBase) else None)
         if self.store is not None and self._store_settings != _DEFAULT_STORE_SETTINGS:
             raise ValueError(
                 "the pre-built executor brings its own store, so the store "
@@ -299,8 +294,9 @@ class TaskFramework:
         self.metrics = RunMetrics()
         self.data_plane = data_plane
         # lost-block healing must reach the store the payload refs came
-        # from, wherever the retry loop runs
-        self.executor.fault_store = self.store
+        # from, wherever the retry loop runs; on a process pool the store
+        # also carries the payloads and results across
+        self.executor.store = self.store
 
     def _build_store(self) -> SharedMemoryStore:
         """A new store with this framework's store settings."""
@@ -314,9 +310,9 @@ class TaskFramework:
         switches ``data_plane`` for the duration, so payload conversion
         and the reported label agree; a forced shm run on a framework
         without a store gets a temporary one built from the framework's
-        store settings and released when the run ends.  A
-        :class:`SharedMemoryExecutor`'s transport is part of the executor
-        and is not affected.
+        store settings, handed to the executor and released when the run
+        ends.  A forced pickle run leaves the executor's store in place,
+        so a process pool that holds one keeps shipping refs.
 
         Parameters
         ----------
@@ -336,13 +332,13 @@ class TaskFramework:
         temporary = self._build_store() if plane == "shm" and self.store is None else None
         self.data_plane = plane
         if temporary is not None:
-            self.store = self.executor.fault_store = temporary
+            self.store = self.executor.store = temporary
         try:
             yield self.store if plane == "shm" else None
         finally:
             self.data_plane = configured_plane
             if temporary is not None:
-                self.store = self.executor.fault_store = None
+                self.store = self.executor.store = None
                 # the run's results are views into these segments, so the
                 # driver consumes them inside its with-block
                 temporary.cleanup()
@@ -392,18 +388,17 @@ class TaskFramework:
     # ------------------------------------------------------------------ #
     @property
     def _executor_measures(self) -> bool:
-        """Whether the executor records real crossing bytes itself.
+        """Whether the executor carries and measures the crossings itself.
 
         True only when tasks physically run on a process-based executor:
-        its per-task timings then hold measured pickled/shared sizes for
-        both directions, and the framework layer must not re-estimate
-        them.  ``_apply_data_plane`` and ``_finish_results`` both key off
-        this one definition so task- and result-direction accounting
-        stay consistent.
+        it ships payloads and results through its store (or whole
+        pickles without one), its per-task timings hold measured
+        pickled/shared sizes for both directions, and the framework layer
+        must neither convert nor re-estimate them.  ``_apply_data_plane``
+        and ``_finish_results`` both key off this one definition so task-
+        and result-direction accounting stay consistent.
         """
-        return (self._executor_runs_tasks
-                and isinstance(self.executor,
-                               (ProcessExecutor, SharedMemoryExecutor)))
+        return self._executor_runs_tasks and self.executor.crosses_processes
 
     def _fault_wrap(self, fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
         """Wrap a task function with the in-process retry loop if needed.
@@ -441,30 +436,22 @@ class TaskFramework:
         report comparable ``bytes_pickled`` numbers.  On the shm plane
         every array inside every payload is swapped for a ref
         (deduplicated store-wide), ``fn`` is wrapped to resolve refs
-        back to views task-side *and* to send result arrays back through
-        the plane (into the framework's store for in-process executors,
-        via worker-side publish for process pools), and the metrics
-        record the pickled-vs-shared byte split that a process-crossing
-        deployment would see.  A :class:`SharedMemoryExecutor` that
-        actually runs the tasks converts and accounts payloads itself,
-        so the conversion is skipped to avoid double work.
+        back to views task-side *and* to put result arrays into the
+        framework's store, and the metrics record the pickled-vs-shared
+        byte split that a process-crossing deployment would see.  A
+        process pool that runs the tasks (:attr:`_executor_measures`)
+        converts and accounts payloads itself, through the store the
+        framework handed it, so they pass through untouched.
         """
         items = list(items)
-        executor_measures = self._executor_measures
-        if self.data_plane != "shm" or self.store is None:
-            if not executor_measures:
-                self.metrics.bytes_pickled += sum(nbytes_of(item) for item in items)
+        if self._executor_measures:
             return fn, items
-        if executor_measures and isinstance(self.executor, SharedMemoryExecutor):
+        if self.data_plane != "shm" or self.store is None:
+            self.metrics.bytes_pickled += sum(nbytes_of(item) for item in items)
             return fn, items
         shared_items = [share_payload(item, self.store)[0] for item in items]
         self.metrics.bytes_shared += sum(refs_nbytes(item) for item in shared_items)
         self.metrics.bytes_pickled += sum(serialized_size(item) for item in shared_items)
-        if executor_measures:
-            # a plain process pool: the store cannot pickle into the
-            # workers, so results are published as standalone segments
-            # and adopted driver-side in _finish_results
-            return ResolvingTask(fn, publish_results=True), shared_items
         return ResolvingTask(fn, result_store=self.store), shared_items
 
     def _finish_results(self, results: List[Any]) -> List[Any]:
@@ -474,18 +461,16 @@ class TaskFramework:
         segments are adopted into the framework's store (so their
         lifetime and spilling are managed centrally) and resolved to
         read-only zero-copy views.  The result-direction byte split is
-        recorded the same way as the task direction: real pickled sizes
-        where a process pool measured them, ``serialized_size`` /
-        ``nbytes_of`` would-move estimates otherwise.
+        recorded the same way as the task direction: ``serialized_size``
+        / ``nbytes_of`` would-move estimates, unless a process pool ran
+        the tasks, adopted their results and measured the real sizes.
         """
         executor_measures = self._executor_measures
         if self.data_plane == "shm" and self.store is not None:
-            if not (executor_measures
-                    and isinstance(self.executor, SharedMemoryExecutor)):
+            if not executor_measures:
                 self.metrics.bytes_shared_results += sum(refs_nbytes(r) for r in results)
-                if not executor_measures:
-                    self.metrics.bytes_results_pickled += sum(
-                        serialized_size(r) for r in results)
+                self.metrics.bytes_results_pickled += sum(
+                    serialized_size(r) for r in results)
                 results = [adopt_payload(r, self.store) for r in results]
             self.metrics.bytes_spilled = max(self.metrics.bytes_spilled,
                                              self.store.bytes_spilled)
@@ -516,10 +501,7 @@ class TaskFramework:
         ``_apply_data_plane`` estimated the crossing that a process
         executor measured, so the larger wins; for ``mirror`` counters
         the store's cumulative reading and the executor's per-task
-        attribution describe the same stalls, and the executor is the
-        only source when a :class:`SharedMemoryExecutor` runs under a
-        framework whose own plane is ``"pickle"`` (its internal plane
-        still spills, but ``_finish_results`` never consults the store).
+        attribution describe the same stalls, so again the larger wins.
         """
         if measured is None:
             measured = self.executor.totals()
@@ -540,6 +522,9 @@ class TaskFramework:
         self.executor.shutdown()
         if self._owns_store and self.store is not None:
             self.store.cleanup()
+            # a pre-built executor may serve a later framework: it must
+            # not bring this framework's dead store along
+            self.executor.store = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<{type(self).__name__} on {self.cluster.name}: "

@@ -9,17 +9,20 @@ place the frameworks delegate to one of four executors:
 * :class:`ThreadExecutor` — a thread pool; NumPy/SciPy kernels release the
   GIL, so this gives real parallel speedup for the compute-heavy tasks of
   the paper (2D-RMSD blocks, cdist blocks) without pickling overhead.
-* :class:`ProcessExecutor` — a process pool (``spawn`` not required, the
-  default start method is used); incurs pickling of inputs and outputs,
-  which is exactly the serialization cost the paper discusses for
-  Python frameworks.
-* :class:`SharedMemoryExecutor` — a process pool with the zero-copy data
-  plane of :mod:`repro.frameworks.shm`: array payloads are registered in
-  a :class:`~repro.frameworks.shm.SharedMemoryStore` once and workers
+* :class:`ProcessExecutor` and :class:`SharedMemoryExecutor` — process
+  pools on the same worker lanes and the same transport, which the
+  executor's ``store`` field picks.  Without a store every payload and
+  every result is pickled whole, which is exactly the serialization cost
+  the paper discusses for Python frameworks.  With one, the zero-copy
+  data plane of :mod:`repro.frameworks.shm` carries both directions:
+  array payloads are registered in the
+  :class:`~repro.frameworks.shm.SharedMemoryStore` once and workers
   receive tiny :class:`~repro.frameworks.shm.BlockRef` handles that
-  rehydrate as views — and the same happens in reverse for results,
-  which workers publish into shared segments and the driver adopts
-  zero-copy instead of unpickling.
+  rehydrate as views, and workers publish result arrays into shared
+  segments that the driver adopts zero-copy instead of unpickling.  A
+  framework hands its store to its executor, so ``executor="processes"``
+  on the shm plane ships refs; :class:`SharedMemoryExecutor` differs only
+  in owning a private store when it is given none.
 
 All executors record per-task wall-clock durations so the frameworks can
 report scheduling overhead separately from useful work; the process-based
@@ -100,7 +103,7 @@ from concurrent.futures import (
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..bench.stats import median as _median
 from .counters import TaskCounters
@@ -214,17 +217,22 @@ class ExecutorBase:
     per-task wall clock of the most recent ``map_tasks`` call.
 
     ``fault_policy`` / ``fault_injector`` opt the executor into the
-    resilience layer (``None`` keeps the fail-fast behaviour); a
-    framework running on the shm data plane also points ``fault_store``
-    at its store so lost-block healing can reach the registered source
-    arrays.
+    resilience layer (``None`` keeps the fail-fast behaviour).  A
+    framework points ``store`` at its shared-memory store: lost-block
+    healing reaches the registered source arrays through it, and on the
+    process-pool executors it picks the transport (refs through the
+    store when set, whole pickles when ``None``).
     """
+
+    #: whether tasks run in other processes: task functions must then
+    #: pickle, and the executor measures the bytes that cross itself
+    crosses_processes: ClassVar[bool] = False
 
     workers: int = 1
     timings: List[TaskTiming] = field(default_factory=list, repr=False)
     fault_policy: Optional[FaultPolicy] = field(default=None, repr=False)
     fault_injector: Optional[FaultInjector] = field(default=None, repr=False)
-    fault_store: Optional[SharedMemoryStore] = field(default=None, repr=False)
+    store: Optional[SharedMemoryStore] = field(default=None, repr=False)
     #: heartbeat files left in ``hb_dir`` at the end of the last pooled
     #: run (after dead-pid reaping) — the clean-shutdown hygiene
     #: invariant the chaos suite asserts is that this list is empty
@@ -260,8 +268,7 @@ class ExecutorBase:
     def _fault_context(self) -> Tuple[FaultPolicy, Optional[FaultInjector],
                                       Optional[SharedMemoryStore]]:
         """The (policy, injector, store) triple the retry loops consult."""
-        store = getattr(self, "store", None) or self.fault_store
-        return self.fault_policy or NO_RETRIES, self.fault_injector, store
+        return self.fault_policy or NO_RETRIES, self.fault_injector, self.store
 
     def _call_retrying(self, fn: Callable[[Any], Any], index: int,
                        item: Any) -> Tuple[Any, TaskTiming]:
@@ -360,12 +367,15 @@ class _Run(NamedTuple):
 
     A warm lane forked before the run began, so this is the only way
     run state reaches it: ``token`` identifies the run (a worker that
-    sees a new token releases stale mappings) and ``hb_dir`` is the
-    heartbeat directory (``None`` when no monitor needs one).
+    sees a new token releases stale mappings), ``hb_dir`` is the
+    heartbeat directory (``None`` when no monitor needs one) and ``shm``
+    says whether payloads and results travel as refs through shared
+    memory (the executor holds a store) or as whole pickles.
     """
 
     token: int
     hb_dir: Optional[str]
+    shm: bool
 
 
 _RUN_TOKENS = itertools.count(1)
@@ -388,25 +398,32 @@ def _enter_run(run: _Run) -> None:
 
 
 def _timed_call(payload: tuple) -> tuple:
-    """Run one pre-pickled task in a pool worker (pickle plane).
+    """Run one pre-pickled task in a pool worker: the only worker shim.
 
     The item arrives pre-pickled (serialized exactly once, driver-side,
     which is also how its byte count is measured); deserialization and
     the result's serialization both run inside the timed region, where a
     real deployment pays them.  The result returns as a pickle blob so
-    the driver can account the exact bytes that crossed back.
+    the driver can account the exact bytes that crossed back.  On the
+    shm transport (``run.shm``) the payload's refs are resolved to views
+    of the shared segments and the result's arrays are published into
+    fresh segments, so only refs travel through the pickle channel — the
+    attach and the publish are that plane's deserialization and
+    serialization costs.
 
     ``spec`` carries a claimed task-side fault to execute here (a real
-    SIGKILL for ``kill_worker``), and ``run`` the per-run state
-    (:class:`_Run`): its ``hb_dir`` is the heartbeat directory this
-    worker stamps for the driver's hung-worker monitor and reports its
-    resident block set into for locality-aware placement.
+    SIGKILL for ``kill_worker``; with ``when="after_publish"`` it fires
+    *between* publishing and the hand-off, the crash window whose
+    pid-keyed orphan segments the driver's recovery sweep reclaims), and
+    ``run`` the per-run state (:class:`_Run`): its ``hb_dir`` is the
+    heartbeat directory this worker stamps for the driver's hung-worker
+    monitor and reports its resident block set into for locality-aware
+    placement.
 
-    Both pool shims return the same 7-tuple ``(index, out, start, stop,
-    bytes_shared, pid, prefetch_drops)``: the pid keys the worker's
-    resident-set report to its lane driver-side, and ``prefetch_drops``
-    is the worker-local delta of read-ahead hints dropped while this
-    task ran.
+    Returns the 7-tuple ``(index, out, start, stop, bytes_shared, pid,
+    prefetch_drops)``: the pid keys the worker's resident-set report to
+    its lane driver-side, and ``prefetch_drops`` is the worker-local
+    delta of read-ahead hints dropped while this task ran.
     """
     index, fn, blob, spec, run = payload
     hb_dir = run.hb_dir
@@ -417,14 +434,25 @@ def _timed_call(payload: tuple) -> tuple:
         if spec is not None:
             execute_worker_fault(spec)
         start = time.perf_counter()
-        result = fn(pickle.loads(blob))
+        item = pickle.loads(blob)
+        if run.shm:
+            result, shared = publish_payload(fn(resolve_payload(item)))
+        else:
+            result, shared = fn(item), 0
         out = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         stop = time.perf_counter()
         if (spec is not None and spec.kind == "kill_worker"
                 and spec.when == "after_publish"):
+            # die with the result unreturned: published segments are
+            # orphans only the pid-keyed sweep can reclaim (SIGKILL skips
+            # every hook)
             os.kill(os.getpid(), signal.SIGKILL)
+        if run.shm:
+            # the blob is on its way to the driver, whose store adopts the
+            # segments; this worker's crash-cleanup hook must leave them alone
+            mark_handed_off(result)
         report_resident_set(hb_dir)
-        return (index, out, start, stop, 0, os.getpid(),
+        return (index, out, start, stop, shared, os.getpid(),
                 prefetch_hints_dropped() - drops_before)
     finally:
         clear_heartbeat(hb_dir)
@@ -501,17 +529,17 @@ class _WorkerLane:
 
 
 class _PooledMapEngine:
-    """Fault-tolerant task feeder shared by the two process-pool executors.
+    """Fault-tolerant task feeder of :meth:`_PooledExecutor.map_tasks`.
 
     Runs one ``map_tasks`` call on the owner's single-slot
     :class:`_WorkerLane` objects (so worker death loses at most the one
     task on that lane).  The lanes come from one place,
     :meth:`_PooledExecutor._worker_lanes`, and outlive the call; the
-    engine only owns the run: its :class:`_Run` state (token and
-    heartbeat directory), shipped with every payload as
-    ``(index, fn, blob, spec, run)``.  A run that raises shuts every
-    lane down before the exception leaves, so a task still in flight
-    cannot return into a later call.  The engine implements the whole
+    engine only owns the run: its :class:`_Run` state (token, heartbeat
+    directory and transport), shipped with every payload as
+    ``(index, fn, blob, spec, run)`` to :func:`_timed_call`.  A run that
+    raises shuts every lane down before the exception leaves, so a task
+    still in flight cannot return into a later call.  The engine implements the whole
     recovery protocol:
 
     * a *task exception* returned by a worker is retried per the policy
@@ -519,11 +547,10 @@ class _PooledMapEngine:
       between attempts);
     * a *broken lane* (worker SIGKILLed, OOM-killed, or killed by the
       heartbeat monitor below) marks that lane's in-flight task lost,
-      reaps the lane's pool, runs the owner's
-      :meth:`ExecutorBase._after_pool_break` hook (the shm executor
-      sweeps the dead worker's orphaned result segments there), rebuilds
-      the lane and resubmits — tasks queued or in flight on healthy
-      lanes are never touched;
+      reaps the lane's pool, sweeps the dead worker's orphaned result
+      segments and settles the spill pipeline (when the owner holds a
+      store), rebuilds the lane and resubmits — tasks queued or in
+      flight on healthy lanes are never touched;
     * with ``heartbeat_timeout_s`` set, the driver checks worker
       heartbeat files while waiting and SIGKILLs any worker whose
       current task overran the timeout — converting a hang into the
@@ -562,13 +589,12 @@ class _PooledMapEngine:
     its ``tasks_retried``.
     """
 
-    def __init__(self, owner: "_PooledExecutor", worker_fn: Callable[[tuple], tuple],
-                 fn: Callable[[Any], Any], blobs: List[bytes],
+    def __init__(self, owner: "_PooledExecutor", fn: Callable[[Any], Any],
+                 blobs: List[bytes],
                  on_result: Callable[[int, tuple, Optional[FaultSpec], TaskTiming], None],
                  on_discard: Optional[Callable[[tuple], None]] = None,
                  task_refs: Optional[List[List[BlockRef]]] = None) -> None:
         self.owner = owner
-        self.worker_fn = worker_fn
         self.fn = fn
         self.blobs = blobs
         self.on_result = on_result
@@ -630,7 +656,7 @@ class _PooledMapEngine:
                 or self._scheduler is not None):
             hb_dir = tempfile.mkdtemp(prefix="repro-hb-")
         self.hb_dir = hb_dir
-        self._run = _Run(next(_RUN_TOKENS), hb_dir)
+        self._run = _Run(next(_RUN_TOKENS), hb_dir, self.store is not None)
         pending: "deque[int]" = deque(range(self.n_tasks))
         lanes = self.owner._worker_lanes()
         try:
@@ -668,8 +694,7 @@ class _PooledMapEngine:
         first_attempt = self.timings[index].tasks_retried == 0
         spec = self._dispatch_spec(index)
         try:
-            lane.future = lane.pool.submit(self.worker_fn,
-                                           self._payload(index, spec))
+            lane.future = lane.pool.submit(_timed_call, self._payload(index, spec))
         except BrokenProcessPool:
             if self.injector is not None and first_attempt:
                 self.injector.unclaim(spec or self.result_faults.pop(index, None))
@@ -863,7 +888,7 @@ class _PooledMapEngine:
                 continue
             dup_lane = free.pop(0)
             try:
-                dup_lane.future = dup_lane.pool.submit(self.worker_fn,
+                dup_lane.future = dup_lane.pool.submit(_timed_call,
                                                        self._payload(index, None))
             except BrokenProcessPool:
                 dup_lane.clear()
@@ -882,13 +907,30 @@ class _PooledMapEngine:
         the scheduler must not route tasks on the dead process's
         affinity — and ``reap_dead_heartbeats`` drops the dead pids'
         heartbeat *and* resident-set files.
+
+        With a store, what the dead workers left behind is reclaimed
+        before resubmitting.  A SIGKILLed worker runs neither ``atexit``
+        nor its ``multiprocessing.util.Finalize`` hooks, so result
+        segments it published but never handed off would outlive the run
+        — :func:`~repro.frameworks.shm.sweep_orphan_segments` reclaims
+        them by their pid-keyed names once the lanes' processes are
+        reaped.  The spill pipeline is settled too, so resubmitted tasks
+        resolve through a consistent tier state; a sticky spill-writer
+        failure is tolerated here — the flush reinstates the enqueued
+        blocks as resident (no names leak) and the recovery proceeds
+        with spilling disabled.
         """
         recover_start = time.perf_counter()
         doomed = sorted({lane.index for lane in broken if lane.busy})
         for lane in broken:
             lane.clear()
             lane.pool.shutdown(wait=True)  # reap the dead worker first
-        self.owner._after_pool_break()
+        if self.store is not None:
+            sweep_orphan_segments()
+            try:
+                self.store.flush_spill()
+            except RuntimeError:
+                pass
         if self.hb_dir is not None:
             # a SIGKILLed worker never ran its clear_heartbeat; drop the
             # files of dead/recycled pids so hb_dir ends the run empty
@@ -905,13 +947,15 @@ class _PooledMapEngine:
 
 
 class _PooledExecutor(ExecutorBase):
-    """Base of the two process-pool executors: owns their worker lanes.
+    """Base of the two process-pool executors: their lanes and their one ``map_tasks``.
 
     ``workers`` lanes start lazily on the first ``map_tasks`` call and
     serve every later call; :meth:`shutdown` stops them (a later call
     starts fresh ones).  Between calls a lane is replaced only when its
     worker dies, through the engine's recovery path.
     """
+
+    crosses_processes = True
 
     def __init__(self, workers: int | None = None,
                  fault_policy: FaultPolicy | None = None,
@@ -932,21 +976,100 @@ class _PooledExecutor(ExecutorBase):
         for lane in lanes:
             lane.pool.shutdown(wait=True)
 
-    def _after_pool_break(self) -> None:
-        """Hook run between reaping a broken lane and rebuilding it.
+    def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
+        """Run the tasks on the worker lanes, measuring both crossings.
 
-        The shm executor sweeps the dead workers' orphaned result
-        segments and settles the spill pipeline here; the base hook does
-        nothing.
+        Without a store each payload is pickled whole and so is each
+        result.  With one, every payload's arrays are registered in the
+        store first (each distinct array exactly once) and only refs are
+        pickled; each result is adopted into the store as soon as its
+        task returns, while the worker that published its segments is
+        alive, so returned arrays are read-only views that stay valid
+        until the store is cleaned up and spill with the rest of it.
         """
+        self.timings = []
+        items = list(items)
+        if not items:
+            return []
+        store = self.store
+        # staging payloads can trigger spill eviction; attribute each
+        # item's put-path stall (and background-writer progress) so the
+        # per-task timings carry the write-behind split
+        shipped: List[Any] = []
+        staged: List[Tuple[float, float]] = []
+        for item in items:
+            if store is None:
+                shipped.append(item)
+                continue
+            wait0, hidden0 = store.spill_wait_seconds, store.spill_hidden_seconds
+            shipped.append(share_payload(item, store)[0])
+            staged.append((store.spill_wait_seconds - wait0,
+                           store.spill_hidden_seconds - hidden0))
+        # serialize each payload exactly once: the blob is both the bytes
+        # shipped to the worker and the measurement of what crossed
+        blobs = [pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
+                 for item in shipped]
+        results: List[Any] = [None] * len(items)
+
+        def on_result(i: int, out_tuple: tuple, result_fault: Optional[FaultSpec],
+                      timing: TaskTiming) -> None:
+            out = out_tuple[1]
+            payload = pickle.loads(out)
+            if store is None:
+                # result-target block faults act on shm segments; whole
+                # pickles have none, so they are inert here
+                results[i] = payload
+            else:
+                if result_fault is not None:
+                    # injected handoff crash: the refs' segments vanish before
+                    # adoption, which must surface as BlockLost → re-execution
+                    unlink_result_refs(payload)
+                wait0, hidden0 = store.spill_wait_seconds, store.spill_hidden_seconds
+                results[i] = adopt_payload(payload, store)
+                timing.bytes_shared = refs_nbytes(shipped[i])
+                timing.bytes_shared_results = out_tuple[4]
+                timing.spill_wait_seconds = (staged[i][0]
+                                             + store.spill_wait_seconds - wait0)
+                timing.spill_hidden_seconds = (staged[i][1]
+                                               + store.spill_hidden_seconds - hidden0)
+            timing.bytes_pickled = len(blobs[i])
+            timing.bytes_results_pickled = len(out)
+
+        def on_discard(out_tuple: tuple) -> None:
+            # a beaten speculative attempt still published its result
+            # segments (and marked them handed off, so its own crash
+            # cleanup leaves them alone); unlink them here or they leak
+            try:
+                unlink_result_refs(pickle.loads(out_tuple[1]))
+            except Exception:  # noqa: BLE001 - best-effort reclamation
+                pass
+
+        # payloads carry BlockRefs on the shm transport, and on the pickle
+        # one only where the caller put some in (mixed plane); collect them
+        # so locality placement works wherever refs are present
+        task_refs = None
+        if self.fault_policy is not None and self.fault_policy.locality:
+            task_refs = [collect_refs(item) for item in shipped]
+        engine = _PooledMapEngine(self, fn, blobs, on_result,
+                                  on_discard=None if store is None else on_discard,
+                                  task_refs=task_refs)
+        engine.run()
+        self.timings = engine.timings
+        return results
 
     def shutdown(self) -> None:
         """Stop the worker lanes (a later ``map_tasks`` starts new ones)."""
         self._drop_lanes()
 
 
+# The two executors are siblings, not parent and child: each class owns
+# its ``map_tasks`` attribute lookup, so wrapping one never wraps the other.
 class ProcessExecutor(_PooledExecutor):
-    """Process-pool executor (pays pickling costs, bypasses the GIL).
+    """Process-pool executor (bypasses the GIL).
+
+    Pays pickling costs in both directions unless a framework on the
+    shm data plane sets ``store``, which moves payloads and results
+    through shared memory as :class:`SharedMemoryExecutor` does.
 
     Parameters
     ----------
@@ -959,97 +1082,18 @@ class ProcessExecutor(_PooledExecutor):
         Deterministic chaos source consumed at dispatch time.
     """
 
-    def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Run the tasks on a process pool, measuring both crossings."""
-        self.timings = []
-        items = list(items)
-        if not items:
-            return []
-        # serialize each payload exactly once: the blob is both the bytes
-        # shipped to the worker and the measurement of what crossed
-        blobs = [pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
-                 for item in items]
-        results: List[Any] = [None] * len(items)
-
-        def on_result(i: int, out_tuple: tuple, result_fault: Optional[FaultSpec],
-                      timing: TaskTiming) -> None:
-            out = out_tuple[1]
-            # result-target block faults act on shm segments; the pickle
-            # plane has none, so they are inert here
-            results[i] = pickle.loads(out)
-            timing.bytes_pickled = len(blobs[i])
-            timing.bytes_results_pickled = len(out)
-
-        # the pickle plane carries no BlockRefs unless the caller put
-        # some in the payloads (mixed plane); collect them so locality
-        # placement works wherever refs are present
-        task_refs = None
-        if self.fault_policy is not None and self.fault_policy.locality:
-            task_refs = [collect_refs(item) for item in items]
-        engine = _PooledMapEngine(self, _timed_call, fn, blobs, on_result,
-                                  task_refs=task_refs)
-        engine.run()
-        self.timings = engine.timings
-        return results
-
-
-def _shm_timed_call(payload: tuple) -> tuple:
-    """Run one task in a pool worker on the shm plane, both directions.
-
-    Unpickling the (tiny) ref payload plus attaching to the segments
-    *is* this data plane's deserialization cost, and publishing the
-    result arrays into shared segments is its serialization cost — both
-    run inside the timed region, exactly where pickling/unpickling shows
-    up for :class:`ProcessExecutor`.  Only the published refs travel
-    back through the pickle channel.
-
-    ``spec`` carries a claimed task-side fault: a ``kill_worker`` with
-    ``when="after_publish"`` SIGKILLs *between* publishing and the
-    hand-off — the crash window whose pid-keyed orphan segments the
-    driver's recovery sweep reclaims.
-    """
-    index, fn, blob, spec, run = payload
-    hb_dir = run.hb_dir
-    _enter_run(run)
-    write_heartbeat(hb_dir)
-    drops_before = prefetch_hints_dropped()
-    try:
-        if spec is not None:
-            execute_worker_fault(spec)
-        start = time.perf_counter()
-        result = fn(resolve_payload(pickle.loads(blob)))
-        published, shared = publish_payload(result)
-        out = pickle.dumps(published, protocol=pickle.HIGHEST_PROTOCOL)
-        stop = time.perf_counter()
-        if (spec is not None and spec.kind == "kill_worker"
-                and spec.when == "after_publish"):
-            # die with the refs unreturned: the segments are orphans only
-            # the pid-keyed sweep can reclaim (SIGKILL skips every hook)
-            os.kill(os.getpid(), signal.SIGKILL)
-        # the blob is on its way to the driver, whose store adopts the
-        # segments; this worker's crash-cleanup hook must leave them alone
-        mark_handed_off(published)
-        report_resident_set(hb_dir)
-        return (index, out, start, stop, shared, os.getpid(),
-                prefetch_hints_dropped() - drops_before)
-    finally:
-        clear_heartbeat(hb_dir)
-
 
 class SharedMemoryExecutor(_PooledExecutor):
     """Process-pool executor with a zero-copy shared-memory data plane.
 
-    Before submission every task payload is walked and its NumPy arrays
-    are registered in the executor's :class:`SharedMemoryStore` (each
-    distinct array exactly once); the workers receive payloads whose
-    arrays are replaced by :class:`~repro.frameworks.shm.BlockRef`
-    handles and rehydrate them as views of the shared segments.  Results
-    travel the same plane in reverse: workers publish result arrays into
-    fresh segments, only the refs return through the pickle channel, and
-    the driver adopts the segments into the store — so returned arrays
-    are read-only views that stay valid until the store is cleaned up
-    (:meth:`shutdown`), and they spill to disk with the rest of the
-    store when a capacity is configured.
+    The transport of :meth:`_PooledExecutor.map_tasks` with a store:
+    payload arrays are registered in the :class:`SharedMemoryStore` once
+    and workers rehydrate :class:`~repro.frameworks.shm.BlockRef` handles
+    as views; workers publish result arrays into fresh segments and the
+    driver adopts them into the store, so returned arrays are read-only
+    views that stay valid until the store is cleaned up
+    (:meth:`shutdown`) and spill with the rest of the store when a
+    capacity is configured.
 
     Parameters
     ----------
@@ -1076,89 +1120,6 @@ class SharedMemoryExecutor(_PooledExecutor):
                          fault_injector=fault_injector)
         self._owns_store = store is None
         self.store = SharedMemoryStore() if store is None else store
-
-    def _after_pool_break(self) -> None:
-        """Reclaim what a dead worker left behind before resubmitting.
-
-        A SIGKILLed worker runs neither ``atexit`` nor its
-        ``multiprocessing.util.Finalize`` hooks, so result segments it
-        published but never handed off would outlive the run —
-        :func:`~repro.frameworks.shm.sweep_orphan_segments` reclaims
-        them by their pid-keyed names now that the pool's processes are
-        reaped.  The spill pipeline is settled too, so resubmitted tasks
-        resolve through a consistent tier state; a sticky spill-writer
-        failure is tolerated here — the flush reinstates the enqueued
-        blocks as resident (no names leak) and the recovery proceeds
-        with spilling disabled.
-        """
-        sweep_orphan_segments()
-        try:
-            self.store.flush_spill()
-        except RuntimeError:
-            pass
-
-    def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Run the tasks on a process pool with zero-copy payloads and results."""
-        self.timings = []
-        items = list(items)
-        if not items:
-            return []
-        # staging payloads can trigger spill eviction; attribute each
-        # item's put-path stall (and background-writer progress) so the
-        # per-task timings carry the write-behind split
-        shared_items: List[Any] = []
-        stage_waits: List[float] = []
-        stage_hidden: List[float] = []
-        for item in items:
-            wait0 = self.store.spill_wait_seconds
-            hidden0 = self.store.spill_hidden_seconds
-            shared_items.append(share_payload(item, self.store)[0])
-            stage_waits.append(self.store.spill_wait_seconds - wait0)
-            stage_hidden.append(self.store.spill_hidden_seconds - hidden0)
-        blobs = [pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
-                 for item in shared_items]
-        shared_sizes = [refs_nbytes(item) for item in shared_items]
-        results: List[Any] = [None] * len(items)
-
-        def on_result(i: int, out_tuple: tuple, result_fault: Optional[FaultSpec],
-                      timing: TaskTiming) -> None:
-            out, shared = out_tuple[1], out_tuple[4]
-            payload = pickle.loads(out)
-            if result_fault is not None:
-                # injected handoff crash: the refs' segments vanish before
-                # adoption, which must surface as BlockLost → re-execution
-                unlink_result_refs(payload)
-            # adopt while the pool is alive: the worker that created the
-            # segments keeps them mapped until the driver owns them
-            wait0 = self.store.spill_wait_seconds
-            hidden0 = self.store.spill_hidden_seconds
-            results[i] = adopt_payload(payload, self.store)
-            timing.bytes_pickled = len(blobs[i])
-            timing.bytes_shared = shared_sizes[i]
-            timing.bytes_results_pickled = len(out)
-            timing.bytes_shared_results = shared
-            timing.spill_wait_seconds = (stage_waits[i]
-                                         + self.store.spill_wait_seconds - wait0)
-            timing.spill_hidden_seconds = (stage_hidden[i]
-                                           + self.store.spill_hidden_seconds - hidden0)
-
-        def on_discard(out_tuple: tuple) -> None:
-            # a beaten speculative attempt still published its result
-            # segments (and marked them handed off, so its own crash
-            # cleanup leaves them alone); unlink them here or they leak
-            try:
-                unlink_result_refs(pickle.loads(out_tuple[1]))
-            except Exception:  # noqa: BLE001 - best-effort reclamation
-                pass
-
-        task_refs = None
-        if self.fault_policy is not None and self.fault_policy.locality:
-            task_refs = [collect_refs(item) for item in shared_items]
-        engine = _PooledMapEngine(self, _shm_timed_call, fn, blobs, on_result,
-                                  on_discard=on_discard, task_refs=task_refs)
-        engine.run()
-        self.timings = engine.timings
-        return results
 
     def shutdown(self) -> None:
         """Stop the worker lanes, then unlink the owned store's segments.

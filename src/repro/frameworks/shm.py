@@ -2074,45 +2074,33 @@ def maybe_resolve(value: Any) -> Any:
 class ResolvingTask:
     """Picklable wrapper: resolve the payload's refs, call ``fn``, share the result.
 
-    Substrates wrap the user's task function with this when running on
-    the shm data plane, so the function still receives plain arrays
-    while only refs cross the task boundary — in both directions.
+    Substrates whose tasks share the driver's address space wrap the
+    user's task function with this when running on the shm data plane,
+    so the function still receives plain arrays while only refs cross
+    the task boundary — in both directions.  Process pools do the same
+    in their own worker shim instead (see
+    :mod:`repro.frameworks.executors`).
 
     Parameters
     ----------
     fn : callable
         The task function.
-    result_store : SharedMemoryStore, optional
-        In-process mode: result arrays are written straight into this
-        store (with the spill tier applying) and refs are returned.
-        Stores do not pickle, so this mode is for executors whose tasks
-        share the driver's address space.
-    publish_results : bool, optional
-        Cross-process mode: result arrays are published into standalone
-        segments with :func:`publish_payload` for the driver to adopt.
-        Mutually exclusive with ``result_store``.
+    result_store : SharedMemoryStore
+        Result arrays are written straight into this store (with the
+        spill tier applying) and refs are returned.
     """
 
-    def __init__(self, fn, result_store: SharedMemoryStore | None = None,
-                 publish_results: bool = False) -> None:
-        if result_store is not None and publish_results:
-            raise ValueError("result_store and publish_results are mutually exclusive")
+    def __init__(self, fn, result_store: SharedMemoryStore) -> None:
         self.fn = fn
         self.result_store = result_store
-        self.publish_results = publish_results
 
     def __call__(self, item: Any) -> Any:
         """Run the task over the resolved payload and convert its result."""
         result = self.fn(resolve_payload(item))
-        if self.result_store is not None:
-            def leaf(x: Any) -> Any:
-                if isinstance(x, np.ndarray) and x.nbytes > 0:
-                    return self.result_store.put(x, dedup=False)
-                return x
 
-            return _walk(result, leaf)
-        if self.publish_results:
-            converted, _ = publish_payload(result)
-            mark_handed_off(converted)
-            return converted
-        return result
+        def leaf(x: Any) -> Any:
+            if isinstance(x, np.ndarray) and x.nbytes > 0:
+                return self.result_store.put(x, dedup=False)
+            return x
+
+        return _walk(result, leaf)

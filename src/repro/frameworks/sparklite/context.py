@@ -6,13 +6,7 @@ import time
 from typing import Any, Callable, List, Sequence
 
 from ..base import RunMetrics, TaskFramework
-from ..executors import (
-    PROCESS_KINDS,
-    SHM_KINDS,
-    ExecutorBase,
-    ProcessExecutor,
-    SharedMemoryExecutor,
-)
+from ..executors import PROCESS_KINDS, SHM_KINDS, ExecutorBase
 from .broadcast import Broadcast
 from .dag import DAGScheduler
 from .rdd import ParallelCollectionRDD, RDD
@@ -58,7 +52,7 @@ class SparkLiteContext(TaskFramework):
     def __init__(self, *, executor: str | ExecutorBase = "threads",
                  default_parallelism: int | None = None, **kwargs) -> None:
         if (executor in PROCESS_KINDS + SHM_KINDS
-                or isinstance(executor, (ProcessExecutor, SharedMemoryExecutor))):
+                or (isinstance(executor, ExecutorBase) and executor.crosses_processes)):
             raise ValueError(
                 f"sparklite cannot run on executor {executor!r}: its stage tasks "
                 "are closures, which a process pool cannot pickle; use 'threads' "

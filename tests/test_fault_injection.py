@@ -464,15 +464,23 @@ class TestRealWorkerDeath:
         finally:
             ex.shutdown()
 
-    def test_psa_on_shm_executor_survives_sigkill(self, chaos_ensemble,
+    @pytest.mark.parametrize("fault", [
+        dict(kind="kill_worker"),
+        dict(kind="kill_worker", when="after_publish"),
+        dict(kind="unlink_block", target="result"),
+    ], ids=["kill", "kill-after-publish", "unlink-result"])
+    @pytest.mark.parametrize("executor", ["shm", "processes"])
+    def test_psa_on_shm_executor_survives_sigkill(self, executor, fault,
+                                                  chaos_ensemble,
                                                   reference_matrix):
         # pilot physically executes its units on the pool (sparklite and
-        # dasklite schedule on closures that do not pickle into workers)
+        # dasklite schedule on closures that do not pickle into workers);
+        # both process pools carry the shm plane's refs the same way
         before = shm_entries()
-        matrix, report = psa(chaos_ensemble, "pilot", executor="shm",
+        matrix, report = psa(chaos_ensemble, "pilot", executor=executor,
                              workers=2, data_plane="shm",
                              fault_policy=FaultPolicy(),
-                             faults=FaultSpec("kill_worker", at_task=2))
+                             faults=FaultSpec(at_task=2, **fault))
         assert np.array_equal(matrix.values, reference_matrix)
         assert report.metrics.tasks_retried >= 1
         assert report.metrics.tasks_lost >= 1

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import queue
-import tempfile
 
 import numpy as np
 import pytest
