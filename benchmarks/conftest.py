@@ -21,6 +21,7 @@ another workload polluting its cache and allocator state.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -105,6 +106,11 @@ def bench_gate():
     return RegressionGate(k=BENCH_K)
 
 
+def _records_requested() -> bool:
+    """Whether this run was asked to write records (``REPRO_BENCH_HISTORY=1``)."""
+    return os.environ.get("REPRO_BENCH_HISTORY", "0") not in ("", "0")
+
+
 @pytest.fixture(scope="session")
 def bench_history():
     """Append-mode :class:`~repro.bench.BenchHistory` at the repo root.
@@ -114,9 +120,26 @@ def bench_history():
     smoke job and the record-regeneration runs set it.  Returns
     ``None`` when disabled.
     """
-    if os.environ.get("REPRO_BENCH_HISTORY", "0") in ("", "0"):
+    if not _records_requested():
         return None
     return BenchHistory(HISTORY_PATH)
+
+
+def save_record(name: str, suite: str, protocol: dict, rows: list) -> None:
+    """Write a module's distribution record to ``BENCH_<name>.json``.
+
+    Under the same ``REPRO_BENCH_HISTORY=1`` opt-in as
+    :func:`bench_history`: a plain run, such as the tier-1 suite, leaves
+    the committed records as they are.  Nothing is written when the
+    module recorded no rows.
+    """
+    if not rows or not _records_requested():
+        return
+    (REPO_ROOT / f"BENCH_{name}.json").write_text(json.dumps({
+        "suite": suite,
+        "protocol": protocol,
+        "rows": rows,
+    }, indent=2) + "\n")
 
 
 @pytest.fixture(scope="session")

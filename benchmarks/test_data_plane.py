@@ -12,19 +12,17 @@ The exception is the spill pipeline: file writes of multi-megabyte
 blocks are far above timer noise, so the async-vs-sync comparison *is*
 asserted in seconds — as a ``repro.bench`` distribution comparison,
 never a single-run ratio: both stall metrics are sampled N times and
-the >=2x floor is gated on ``median(stall reduction) - k*MAD``.  The
-full distribution record is written to ``BENCH_spill.json`` and, when
-``REPRO_BENCH_HISTORY=1``, appended to ``BENCH_history.jsonl``.
+the >=2x floor is gated on ``median(stall reduction) - k*MAD``.  When
+``REPRO_BENCH_HISTORY=1``, the full distribution record is written to
+``BENCH_spill.json`` and appended to ``BENCH_history.jsonl``.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import BENCH_WORKERS
+from conftest import BENCH_WORKERS, save_record
 from repro.bench import speedup_samples
 from repro.core.leaflet import run_leaflet_finder
 from repro.core.psa import run_psa
@@ -34,7 +32,6 @@ from repro.frameworks.base import TaskFramework
 from repro.frameworks.shm import SharedMemoryStore
 
 CUTOFF = 15.0
-SPILL_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_spill.json"
 SPILL_SUITE = "spill"
 
 _SPILL_RECORDS: list = []
@@ -205,12 +202,7 @@ def test_async_spill_reduces_put_path_stall(bench_sampler, bench_gate,
 def write_spill_record():
     """Persist the spill comparison, even on partial runs."""
     yield
-    if _SPILL_RECORDS:
-        SPILL_RECORD_PATH.write_text(json.dumps({
-            "suite": "spill pipeline: synchronous vs write-behind",
-            "protocol": {
-                "statistic": "median of pairwise stall-reduction samples",
-                "gate": "median - k*MAD > floor",
-            },
-            "rows": _SPILL_RECORDS,
-        }, indent=2) + "\n")
+    save_record("spill", "spill pipeline: synchronous vs write-behind", {
+        "statistic": "median of pairwise stall-reduction samples",
+        "gate": "median - k*MAD > floor",
+    }, _SPILL_RECORDS)

@@ -16,20 +16,18 @@ A second, ungated row records warm single-map dispatch throughput
 amortizes forks; it does not make a single dispatch cheaper, so this
 row describes the per-task cost floor rather than gating it.
 
-The full distribution record is written to ``BENCH_dispatch.json`` and,
-when ``REPRO_BENCH_HISTORY=1``, appended to ``BENCH_history.jsonl``.
+When ``REPRO_BENCH_HISTORY=1``, the full distribution record is written
+to ``BENCH_dispatch.json`` and appended to ``BENCH_history.jsonl``.
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
+from conftest import save_record
 from repro.bench import speedup_samples
 from repro.frameworks.executors import SharedMemoryExecutor
 
-DISPATCH_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_dispatch.json"
 DISPATCH_SUITE = "dispatch"
 WARM_LANES_FLOOR = 3.0      # one executor > 3x faster than one per call
 
@@ -147,12 +145,7 @@ def test_warm_dispatch_throughput(bench_sampler, bench_history):
 def write_dispatch_record():
     """Persist the dispatch record, even on partial runs."""
     yield
-    if _DISPATCH_RECORDS:
-        DISPATCH_RECORD_PATH.write_text(json.dumps({
-            "suite": "dispatch: warm worker lanes vs an executor per call",
-            "protocol": {
-                "statistic": "median of pairwise fresh/warm samples",
-                "gate": "median - k*MAD > floor",
-            },
-            "rows": _DISPATCH_RECORDS,
-        }, indent=2) + "\n")
+    save_record("dispatch", "dispatch: warm worker lanes vs an executor per call", {
+        "statistic": "median of pairwise fresh/warm samples",
+        "gate": "median - k*MAD > floor",
+    }, _DISPATCH_RECORDS)

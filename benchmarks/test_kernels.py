@@ -16,8 +16,8 @@ and 2x in the committed record) are non-gating informational rows:
 their distributions are recorded, their correctness is still asserted
 bit-identically, but no perf assert can fail on them.
 
-The full distribution table is written to ``BENCH_kernels.json`` and,
-when ``REPRO_BENCH_HISTORY=1``, appended to ``BENCH_history.jsonl`` so
+When ``REPRO_BENCH_HISTORY=1``, the full distribution table is written
+to ``BENCH_kernels.json`` and appended to ``BENCH_history.jsonl`` so
 future PRs inherit a baseline trajectory.
 
 Run with ``pytest benchmarks/test_kernels.py -m bench``; CI lowers
@@ -27,13 +27,10 @@ use the full >=20-sample protocol.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from conftest import BENCH_K
+from conftest import BENCH_K, save_record
 from repro.analysis import reference
 from repro.analysis.graph import connected_components, merge_component_sets
 from repro.analysis.hausdorff import hausdorff_earlybreak
@@ -42,7 +39,6 @@ from repro.analysis.rmsd import kabsch_rmsd, rmsd_trajectory
 from repro.bench import Distribution, distinguishable, speedup_samples
 from repro.trajectory import BilayerSpec, EnsembleSpec, make_bilayer, make_clustered_ensemble
 
-RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 SUITE = "kernels"
 CUTOFF = 15.0
 
@@ -272,13 +268,8 @@ class TestRmsdKernels:
 def write_record():
     """Persist everything the module recorded, even on partial runs."""
     yield
-    if _RECORDS:
-        RECORD_PATH.write_text(json.dumps({
-            "suite": "kernel-engine reference vs vectorized",
-            "protocol": {
-                "statistic": "median of pairwise speedup samples",
-                "gate": f"median - {BENCH_K:g}*MAD > floor (gating rows only)",
-                "k": BENCH_K,
-            },
-            "rows": _RECORDS,
-        }, indent=2) + "\n")
+    save_record("kernels", "kernel-engine reference vs vectorized", {
+        "statistic": "median of pairwise speedup samples",
+        "gate": f"median - {BENCH_K:g}*MAD > floor (gating rows only)",
+        "k": BENCH_K,
+    }, _RECORDS)

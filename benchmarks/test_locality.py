@@ -21,24 +21,22 @@ at least 1.5x faster**, gated as ``median(off/on) - k*MAD > 1.5``,
 never as a single-run ratio.  Bit-identical results are asserted on
 both paths before any timing is trusted.
 
-The full distribution record is written to ``BENCH_locality.json`` and,
-when ``REPRO_BENCH_HISTORY=1``, appended to ``BENCH_history.jsonl``.
+When ``REPRO_BENCH_HISTORY=1``, the full distribution record is written
+to ``BENCH_locality.json`` and appended to ``BENCH_history.jsonl``.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import save_record
 from repro.bench import speedup_samples
 from repro.core.psa import PSA_METRICS
 from repro.frameworks.executors import SharedMemoryExecutor
 from repro.frameworks.faults import FaultPolicy
 from repro.frameworks.shm import SharedMemoryStore
 
-LOCALITY_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_locality.json"
 LOCALITY_SUITE = "locality"
 LOCALITY_FLOOR = 1.5        # locality ON > 1.5x faster than FIFO placement
 
@@ -184,12 +182,7 @@ def test_locality_beats_fifo_placement(bench_sampler, bench_gate,
 def write_locality_record():
     """Persist the locality comparison, even on partial runs."""
     yield
-    if _LOCALITY_RECORDS:
-        LOCALITY_RECORD_PATH.write_text(json.dumps({
-            "suite": "locality: affinity placement vs FIFO fan-out",
-            "protocol": {
-                "statistic": "median of pairwise off/on samples",
-                "gate": "median - k*MAD > floor",
-            },
-            "rows": _LOCALITY_RECORDS,
-        }, indent=2) + "\n")
+    save_record("locality", "locality: affinity placement vs FIFO fan-out", {
+        "statistic": "median of pairwise off/on samples",
+        "gate": "median - k*MAD > floor",
+    }, _LOCALITY_RECORDS)

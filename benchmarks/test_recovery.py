@@ -11,22 +11,20 @@ as a single-run ratio.  The workload is kernel-dominated on purpose
 (Hausdorff over 192-frame x 128-atom pairs), so the gate measures journal
 replay against real work rather than against harness overhead.
 
-The full distribution record is written to ``BENCH_recovery.json`` and,
-when ``REPRO_BENCH_HISTORY=1``, appended to ``BENCH_history.jsonl``.
+When ``REPRO_BENCH_HISTORY=1``, the full distribution record is written
+to ``BENCH_recovery.json`` and appended to ``BENCH_history.jsonl``.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import save_record
 from repro.bench import speedup_samples
 from repro.core.api import psa
 from repro.trajectory import EnsembleSpec, make_clustered_ensemble
 
-RECOVERY_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_recovery.json"
 RECOVERY_SUITE = "recovery"
 RESUME_FLOOR = 2.0          # resume < 0.5x recompute  <=>  speedup > 2
 
@@ -125,12 +123,7 @@ def test_resume_beats_recompute(bench_sampler, bench_gate, bench_history,
 def write_recovery_record():
     """Persist the recovery comparison, even on partial runs."""
     yield
-    if _RECOVERY_RECORDS:
-        RECOVERY_RECORD_PATH.write_text(json.dumps({
-            "suite": "recovery: journal resume vs full recompute",
-            "protocol": {
-                "statistic": "median of pairwise recompute/resume samples",
-                "gate": "median - k*MAD > floor",
-            },
-            "rows": _RECOVERY_RECORDS,
-        }, indent=2) + "\n")
+    save_record("recovery", "recovery: journal resume vs full recompute", {
+        "statistic": "median of pairwise recompute/resume samples",
+        "gate": "median - k*MAD > floor",
+    }, _RECOVERY_RECORDS)

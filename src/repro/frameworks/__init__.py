@@ -42,7 +42,7 @@ from .faults import (
     WorkerLost,
 )
 from .serialization import estimate_transfer_time, nbytes_of, serialized_size
-from .shm import DATA_PLANES, BlockLost, BlockRef, FileBackedStore, SharedMemoryStore
+from .shm import DATA_PLANES, BlockLost, BlockRef, SharedMemoryStore
 from .sparklite import SparkLiteContext
 from .dasklite import DaskLiteClient
 from .pilot import PilotFramework
@@ -67,7 +67,6 @@ __all__ = [
     "DATA_PLANES",
     "BlockLost",
     "BlockRef",
-    "FileBackedStore",
     "SharedMemoryStore",
     "FaultPolicy",
     "FaultSpec",

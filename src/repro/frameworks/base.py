@@ -24,21 +24,14 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cluster import ClusterSpec, local_cluster
 from .counters import COUNTERS, MIRROR, SUM, TaskCounters
-from .executors import SHM_KINDS, ExecutorBase, make_executor
-from .faults import (
-    NO_RETRIES,
-    FaultCounters,
-    FaultInjector,
-    FaultPolicy,
-    RetryingCall,
-    as_injector,
-)
+from .executors import PROCESS_KINDS, SHM_KINDS, ExecutorBase, make_executor
+from .faults import FaultInjector, FaultPolicy, as_injector
 from .serialization import nbytes_of, serialized_size
 from .shm import (
     DATA_PLANES,
@@ -179,7 +172,9 @@ class TaskFramework:
         single-node local cluster sized to the executor's worker count.
     executor:
         Physical task executor ("serial", "threads", "processes", "shm"
-        or an :class:`ExecutorBase` instance).
+        or an :class:`ExecutorBase` instance).  A substrate whose tasks
+        cannot leave the driver's process (sparklite, mpilite) refuses
+        one that crosses processes with ``ValueError``.
     data_plane:
         ``"pickle"`` (default) ships task payloads whole; ``"shm"``
         registers NumPy payloads in a :class:`SharedMemoryStore` once and
@@ -232,11 +227,10 @@ class TaskFramework:
 
     name = "base"
 
-    #: Whether ``map_tasks`` physically runs its tasks on ``self.executor``.
-    #: dasklite (graph scheduler) and mpilite (SPMD rank threads) execute
-    #: tasks elsewhere, so executor-based payload conversion/measurement
-    #: does not apply to them.
-    _executor_runs_tasks = True
+    #: Why this substrate's tasks cannot leave the driver's process, or
+    #: ``None`` when any executor may run them; ``__init__`` refuses an
+    #: executor that crosses processes when a reason is set.
+    _in_process_only: ClassVar[Optional[str]] = None
 
     def __init__(self, cluster: ClusterSpec | None = None,
                  executor: str | ExecutorBase = "serial",
@@ -252,6 +246,11 @@ class TaskFramework:
             raise ValueError(
                 f"unknown data_plane {data_plane!r}; choose from {DATA_PLANES}"
             )
+        crosses = (executor.crosses_processes if isinstance(executor, ExecutorBase)
+                   else executor in PROCESS_KINDS + SHM_KINDS)
+        if crosses and self._in_process_only:
+            raise ValueError(f"{self.name} cannot run on executor {executor!r}: "
+                             f"{self._in_process_only}; use 'threads' or 'serial'")
         self._store_settings = dict(capacity_bytes=store_capacity_bytes,
                                     spill_dir=spill_dir, spill_async=spill_async,
                                     spill_queue_depth=spill_queue_depth)
@@ -270,7 +269,6 @@ class TaskFramework:
             self.store = self._build_store()
         self.fault_policy = fault_policy
         self.fault_injector = as_injector(faults)
-        self._fault_counters = FaultCounters()
         if isinstance(executor, ExecutorBase):
             self.executor = executor
             # framework-level settings win where given, but a pre-built
@@ -280,8 +278,9 @@ class TaskFramework:
                 self.executor.fault_policy = fault_policy
             if self.fault_injector is not None:
                 self.executor.fault_injector = self.fault_injector
-            # ...and an executor-only configuration reaches the
-            # substrates that wrap tasks driver-side instead
+            # ...and an executor-only configuration reaches the retry
+            # loops that run outside the executor (mpilite's ranks,
+            # pilot's unit rescheduling)
             if self.fault_policy is None:
                 self.fault_policy = self.executor.fault_policy
             if self.fault_injector is None:
@@ -386,39 +385,6 @@ class TaskFramework:
     # ------------------------------------------------------------------ #
     # data-plane helpers shared by the substrates
     # ------------------------------------------------------------------ #
-    @property
-    def _executor_measures(self) -> bool:
-        """Whether the executor carries and measures the crossings itself.
-
-        True only when tasks physically run on a process-based executor:
-        it ships payloads and results through its store (or whole
-        pickles without one), its per-task timings hold measured
-        pickled/shared sizes for both directions, and the framework layer
-        must neither convert nor re-estimate them.  ``_apply_data_plane``
-        and ``_finish_results`` both key off this one definition so task-
-        and result-direction accounting stay consistent.
-        """
-        return self._executor_runs_tasks and self.executor.crosses_processes
-
-    def _fault_wrap(self, fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
-        """Wrap a task function with the in-process retry loop if needed.
-
-        Substrates whose tasks do not run on ``self.executor`` (dasklite's
-        graph scheduler, mpilite's rank threads) call this after the
-        data-plane conversion, so the retry wrapper covers payload
-        resolution, the kernel, and result conversion; substrates that
-        run on the executor get the equivalent loop from the executor
-        itself and must not double-wrap.  Returns ``fn`` unchanged when
-        no policy or injector is configured.
-        """
-        if self.fault_policy is None and self.fault_injector is None:
-            return fn
-        self._fault_counters.reset()
-        return RetryingCall(fn, self.fault_policy or NO_RETRIES,
-                            injector=self.fault_injector,
-                            counters=self._fault_counters,
-                            store=self.store)
-
     def _share_value(self, value: Any):
         """Store ``value`` on the shm plane if eligible; the ref or None."""
         if (self.data_plane == "shm" and self.store is not None
@@ -438,13 +404,13 @@ class TaskFramework:
         (deduplicated store-wide), ``fn`` is wrapped to resolve refs
         back to views task-side *and* to put result arrays into the
         framework's store, and the metrics record the pickled-vs-shared
-        byte split that a process-crossing deployment would see.  A
-        process pool that runs the tasks (:attr:`_executor_measures`)
-        converts and accounts payloads itself, through the store the
-        framework handed it, so they pass through untouched.
+        byte split that a process-crossing deployment would see.  An
+        executor that crosses processes converts and accounts payloads
+        itself, through the store the framework handed it, so they pass
+        through untouched.
         """
         items = list(items)
-        if self._executor_measures:
+        if self.executor.crosses_processes:
             return fn, items
         if self.data_plane != "shm" or self.store is None:
             self.metrics.bytes_pickled += sum(nbytes_of(item) for item in items)
@@ -465,7 +431,7 @@ class TaskFramework:
         / ``nbytes_of`` would-move estimates, unless a process pool ran
         the tasks, adopted their results and measured the real sizes.
         """
-        executor_measures = self._executor_measures
+        executor_measures = self.executor.crosses_processes
         if self.data_plane == "shm" and self.store is not None:
             if not executor_measures:
                 self.metrics.bytes_shared_results += sum(refs_nbytes(r) for r in results)
@@ -492,11 +458,10 @@ class TaskFramework:
         """Fold the executor's per-task counters into the metrics.
 
         ``measured`` defaults to the executor's totals for its last
-        ``map_tasks`` call; pilot passes its agent's rollup instead,
-        which spans every batch of the operation.  The framework-side
-        fault counters (retry wrappers, pilot unit rescheduling) record
-        events disjoint from the executor's, so they add to it.  Each
-        counter then meets what the framework recorded itself by its
+        ``map_tasks`` call.  Substrates whose tasks do not all run in one
+        executor call pass their own: pilot its agent's rollup over every
+        batch plus its unit rescheduling, mpilite its ranks' totals.
+        Each counter meets what the framework recorded itself by its
         declared rule: ``sum`` counters add; for ``max`` counters
         ``_apply_data_plane`` estimated the crossing that a process
         executor measured, so the larger wins; for ``mirror`` counters
@@ -505,13 +470,10 @@ class TaskFramework:
         """
         if measured is None:
             measured = self.executor.totals()
-        measured.add(self._fault_counters)
         for f in COUNTERS:
             ours, theirs = getattr(self.metrics, f.name), getattr(measured, f.name)
             setattr(self.metrics, f.name,
                     ours + theirs if f.metadata["rule"] == SUM else max(ours, theirs))
-        # folded into this operation's metrics: start the next one clean
-        self._fault_counters.reset()
 
     def _run_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """Substrate-specific execution; default delegates to the executor."""

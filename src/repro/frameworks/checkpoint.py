@@ -12,9 +12,9 @@ Design
 ------
 * **Entries are written worker-side, before publish.**
   :class:`JournaledTask` wraps the task function; when a task completes,
-  its result is encoded into a raw-bytes ``.blk`` file (the
-  :class:`~repro.frameworks.shm.FileBackedStore` block format — the same
-  bytes the spill tier writes) plus a JSON sidecar carrying the task
+  its result is encoded into a raw-bytes ``.blk`` file, a format the
+  journal writes itself (the array's bytes in C order, as the spill
+  tier also lays them out), plus a JSON sidecar carrying the task
   key, per-part shape/dtype, and a sha256 checksum.  Both are written
   atomically (temp file + ``os.replace``); the sidecar lands *after*
   the block, so a crash mid-write leaves an incomplete entry that

@@ -8,10 +8,9 @@ numbers are built from it rather than re-declaring them:
 * :class:`~repro.frameworks.executors.TaskTiming` (one task) and the
   process-pool engine's per-task state, which is the same record;
 * ``ExecutorBase.totals()`` (one ``map_tasks`` call);
-* :class:`~repro.frameworks.faults.FaultCounters` (driver-side retry
-  wrappers and pilot unit rescheduling);
 * :class:`~repro.frameworks.pilot.agent.AgentStats` (every batch an
-  agent drained);
+  agent drained), to which pilot adds its unit rescheduling;
+* the per-rank totals of mpilite's ranks;
 * :class:`~repro.frameworks.base.RunMetrics` (one operation).
 
 Each field carries a one-line doc and a combine rule in its metadata:

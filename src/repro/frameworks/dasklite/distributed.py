@@ -20,7 +20,7 @@ import itertools
 import time
 from typing import Any, Callable, Iterable, List, Sequence
 
-from ..base import BroadcastHandle, RunMetrics, TaskFramework
+from ..base import BroadcastHandle, TaskFramework
 from ..executors import ExecutorBase
 from ..serialization import nbytes_of, serialized_size
 from ..shm import BlockRef, resolve_payload
@@ -82,6 +82,12 @@ class ScatteredData:
 class DaskLiteClient(TaskFramework):
     """Dask-style framework substrate (delayed + bag + client APIs).
 
+    Independent tasks (``map_tasks``, ``map``) run on ``self.executor``,
+    like Dask's ``Client.map`` on its workers: on ``"processes"`` or
+    ``"shm"`` they run in worker processes, and the executor's attempt
+    loop retries them.  General graphs (``delayed``/``compute`` and
+    bags) run on the graph scheduler in the driver's process.
+
     Parameters
     ----------
     executor:
@@ -96,9 +102,6 @@ class DaskLiteClient(TaskFramework):
     """
 
     name = "dasklite"
-
-    # tasks run on the graph scheduler, not on self.executor
-    _executor_runs_tasks = False
 
     def __init__(self, *, executor: str | ExecutorBase = "threads", **kwargs) -> None:
         super().__init__(executor=executor, **kwargs)
@@ -196,37 +199,6 @@ class DaskLiteClient(TaskFramework):
     # ------------------------------------------------------------------ #
     # uniform TaskFramework surface
     # ------------------------------------------------------------------ #
-    def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Run independent tasks as one delayed graph (one node per task).
-
-        Tasks execute on the graph scheduler, not on ``self.executor``,
-        so the resilience layer's retry loop wraps the task function
-        here — a failing node is re-executed in place and the graph
-        never sees the failure, the equivalent of Dask replaying the
-        upstream of a lost key.
-        """
-        items = list(items)
-        self.metrics = RunMetrics(tasks_submitted=len(items))
-        fn, items = self._apply_data_plane(fn, items)
-        fn = self._fault_wrap(fn)
-        start = time.perf_counter()
-        if not items:
-            return []
-        dfn = delayed(fn)
-        nodes = [dfn(item) for item in items]
-        results = list(compute(*nodes, scheduler=self.scheduler))
-        wall = time.perf_counter() - start
-        # the graph hands back ref payloads on the shm plane: gather
-        # them through the store (adopt + zero-copy resolve)
-        results = self._finish_results(results)
-        self.metrics.tasks_completed = len(results)
-        self.metrics.wall_time_s = wall
-        self.metrics.task_time_s = self.scheduler.total_task_time
-        workers = max(1, getattr(self.scheduler, "workers", 1))
-        self.metrics.overhead_s = max(0.0, wall - self.metrics.task_time_s / workers)
-        self._collect_executor_bytes()
-        return results
-
     def broadcast(self, value: Any) -> BroadcastHandle:
         """Broadcast via scatter(..., broadcast=True).
 

@@ -20,14 +20,17 @@ infrastructure to prove it:
   driver-side at dispatch time, so a retried task never re-triggers its
   fault and a fault-free re-run of the same workload is bit-identical.
 * :func:`prepare_retry` is the one recovery step every retry path
-  shares (policy check, block healing, backoff, accounting), and
-  :func:`call_in_process` the one in-process attempt loop around it:
-  the in-process executors run it directly, and :class:`RetryingCall`
-  wraps it for the substrates whose tasks do not run on the shared
-  executor layer (dasklite's graph scheduler, mpilite's rank threads).
-  The process pools (see :mod:`repro.frameworks.executors`) and pilot's
-  unit rescheduling launch attempts their own way and recover through
-  :func:`prepare_retry`.
+  shares (policy check, block healing, backoff, accounting).  Three
+  attempt loops launch attempts around it:
+
+  - :func:`call_in_process`, run by the serial and thread executors
+    and by mpilite's ranks;
+  - the process-lane engine of :mod:`repro.frameworks.executors`;
+  - pilot's unit rescheduling, RADICAL-Pilot's late binding: a failed
+    unit is resubmitted as a new unit.
+
+  sparklite and dasklite add no loop of their own: their tasks run on
+  the executor.
 
 Failure taxonomy
 ----------------
@@ -50,10 +53,10 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .counters import COUNTERS, TaskCounters
+from .counters import TaskCounters
 from .shm import (
     BlockLost,
     SharedMemoryStore,
@@ -71,10 +74,8 @@ __all__ = [
     "DEFAULT_POLICY",
     "FaultSpec",
     "FaultInjector",
-    "FaultCounters",
     "prepare_retry",
     "call_in_process",
-    "RetryingCall",
     "as_injector",
     "apply_block_fault",
     "execute_worker_fault",
@@ -330,8 +331,8 @@ class FaultInjector:
     (``attempt > 0``) never advance the counter and never fire, so a
     recovered run continues fault-free.
 
-    Thread-safe: dasklite's threaded scheduler and the thread executor
-    claim concurrently.
+    Thread-safe: the thread executor's tasks and mpilite's ranks claim
+    concurrently.
 
     Parameters
     ----------
@@ -534,7 +535,7 @@ def unlink_result_refs(payload: Any) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# recovery, counters and the in-process retry wrapper
+# recovery and the in-process attempt loop
 # --------------------------------------------------------------------------- #
 def prepare_retry(exc: BaseException, policy: FaultPolicy,
                   store: Optional[SharedMemoryStore], counts: TaskCounters) -> bool:
@@ -630,78 +631,6 @@ def call_in_process(fn: Callable[[Any], Any], item: Any, policy: FaultPolicy,
         except Exception as exc:  # noqa: BLE001 - the policy decides
             if not prepare_retry(exc, policy, store, counts):
                 raise
-
-
-@dataclass
-class FaultCounters(TaskCounters):
-    """Thread-safe :class:`~repro.frameworks.counters.TaskCounters` for one operation.
-
-    Filled driver-side by :class:`RetryingCall` and by pilot's unit
-    rescheduling; the framework folds them into
-    :class:`~repro.frameworks.base.RunMetrics` and resets them.
-    """
-
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
-                                  compare=False)
-
-    def add(self, other: TaskCounters) -> None:
-        """Add every counter of ``other`` (thread-safe)."""
-        with self._lock:
-            super().add(other)
-
-    def record(self, **counts: float) -> None:
-        """Add the named counters, e.g. ``record(tasks_retried=1)``."""
-        self.add(TaskCounters(**counts))
-
-    def reset(self) -> None:
-        """Zero every counter (start of a new operation)."""
-        with self._lock:
-            for f in COUNTERS:
-                setattr(self, f.name, f.default)
-
-
-class RetryingCall:
-    """Per-task retry loop for substrates that run tasks in-process.
-
-    dasklite's graph scheduler and mpilite's rank threads execute tasks
-    on their own machinery rather than on the shared executor layer, so
-    the framework wraps the task function with this callable, which runs
-    each invocation through :func:`call_in_process` and adds the task's
-    counts to ``counters``.
-
-    Parameters
-    ----------
-    fn : callable
-        The task function.
-    policy : FaultPolicy
-        Retry policy.
-    injector : FaultInjector, optional
-        Deterministic fault source.
-    counters : FaultCounters, optional
-        Where retry/loss events are recorded (the framework folds these
-        into :class:`~repro.frameworks.base.RunMetrics`).
-    store : SharedMemoryStore, optional
-        The run's store, for block faults and lost-block healing.
-    """
-
-    def __init__(self, fn: Callable[[Any], Any], policy: FaultPolicy,
-                 injector: Optional[FaultInjector] = None,
-                 counters: Optional[FaultCounters] = None,
-                 store: Optional[SharedMemoryStore] = None) -> None:
-        self.fn = fn
-        self.policy = policy
-        self.injector = injector
-        self.counters = counters or FaultCounters()
-        self.store = store
-
-    def __call__(self, item: Any) -> Any:
-        """Run the task, retrying per the policy; the task's result."""
-        counts = TaskCounters()
-        try:
-            return call_in_process(self.fn, item, self.policy, self.injector,
-                                   self.store, counts)[0]
-        finally:
-            self.counters.add(counts)
 
 
 # --------------------------------------------------------------------------- #

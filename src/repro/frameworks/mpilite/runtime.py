@@ -15,7 +15,9 @@ import time
 from typing import Any, Callable, List, Optional, Sequence
 
 from ..base import BroadcastHandle, RunMetrics, TaskFramework
+from ..counters import TaskCounters
 from ..executors import ExecutorBase
+from ..faults import NO_RETRIES, call_in_process
 from ..serialization import nbytes_of, serialized_size
 from ..sparklite.partitioner import split_into_partitions
 from .comm import Communicator, WorldContext
@@ -88,6 +90,12 @@ class MPIFramework(TaskFramework):
     ``run_spmd`` exposes the raw SPMD runtime for algorithms that need
     explicit collectives (Leaflet Finder approaches with ``Bcast``).
 
+    Ranks are threads of the driver's process around one communicator,
+    so mpilite refuses executors that cross processes.  Each rank runs
+    its tasks through
+    :func:`~repro.frameworks.faults.call_in_process`, the same attempt
+    loop as the in-process executors.
+
     On the shm plane the collectives move refs instead of arrays, and
     ranks resolve them zero-copy.
 
@@ -95,7 +103,8 @@ class MPIFramework(TaskFramework):
     ----------
     executor:
         See :class:`~repro.frameworks.base.TaskFramework` (default
-        ``"threads"``); it sizes the default rank count.
+        ``"threads"``); it sizes the default rank count and carries the
+        fault configuration, but never runs a task.
     ranks:
         Number of SPMD ranks (default: the executor's worker count).
     **kwargs:
@@ -106,8 +115,8 @@ class MPIFramework(TaskFramework):
 
     name = "mpilite"
 
-    # tasks run inside SPMD rank threads, not on self.executor
-    _executor_runs_tasks = False
+    _in_process_only = ("its ranks are threads of the driver's process "
+                        "that share one communicator")
 
     def __init__(self, *, executor: str | ExecutorBase = "threads",
                  ranks: int | None = None, **kwargs) -> None:
@@ -149,24 +158,33 @@ class MPIFramework(TaskFramework):
         """Statically partition tasks over ranks and gather the results.
 
         Tasks run inside the SPMD rank threads, where one raising task
-        aborts the whole job (the MPI failure model) — so the resilience
-        layer's retry wrapper runs *inside* the rank: a failing task is
-        re-executed in place and the collective never aborts, the
-        closest analogue MPI has to task replay.
+        aborts the whole job (the MPI failure model) — so the attempt
+        loop runs *inside* the rank: a failing task is re-executed in
+        place and the collective never aborts, the closest analogue MPI
+        has to task replay.
         """
         items = list(items)
         self.metrics = RunMetrics(tasks_submitted=len(items))
         fn, items = self._apply_data_plane(fn, items)
-        fn = self._fault_wrap(fn)
         start = time.perf_counter()
         if not items:
             return []
         size = min(self.ranks, len(items))
         chunks = split_into_partitions(items, size)
+        policy = self.fault_policy or NO_RETRIES
+        rank_counts = [TaskCounters() for _ in range(size)]
+
+        def run_one(item: Any, rank: int) -> Any:
+            # a task's own record numbers its attempts; the rank's adds them up
+            counts = TaskCounters()
+            result = call_in_process(fn, item, policy, self.fault_injector,
+                                     self.store, counts)[0]
+            rank_counts[rank].add(counts)
+            return result
 
         def rank_main(comm: Communicator) -> List[Any]:
             local = chunks[comm.rank]
-            local_results = [fn(item) for item in local]
+            local_results = [run_one(item, comm.rank) for item in local]
             gathered = comm.gather(local_results, root=0)
             if comm.rank == 0:
                 return [x for chunk in gathered for x in chunk]
@@ -185,7 +203,7 @@ class MPIFramework(TaskFramework):
         self.metrics.overhead_s = 0.0
         self.metrics.bytes_shuffled += context.bytes_communicated
         self.metrics.bytes_shared += context.bytes_shared
-        self._collect_executor_bytes()
+        self._collect_executor_bytes(TaskCounters.total(rank_counts))
         return results
 
     def broadcast(self, value: Any) -> BroadcastHandle:

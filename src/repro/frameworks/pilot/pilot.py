@@ -245,7 +245,7 @@ class PilotFramework(TaskFramework):
         before = copy.copy(stats)
         units = list(self.unit_manager.submit_units(descriptions))
         self.unit_manager.wait_units(units)
-        self._reschedule_failed_units(units)
+        rescheduling = self._reschedule_failed_units(units)
         failed = [u for u in units if u.state == UnitState.FAILED]
         if failed:
             raise failed[0].exception  # surface the first task failure
@@ -263,10 +263,12 @@ class PilotFramework(TaskFramework):
         self.metrics.record_event("agent", self.pilot.agent.stats.as_dict())
         # the executor reports only the agent's last batch; the agent's
         # rollup over this call covers every batch
-        self._collect_executor_bytes(stats.since(before))
+        measured = stats.since(before)
+        measured.add(rescheduling)
+        self._collect_executor_bytes(measured)
         return results
 
-    def _reschedule_failed_units(self, units: List[ComputeUnit]) -> None:
+    def _reschedule_failed_units(self, units: List[ComputeUnit]) -> TaskCounters:
         """Resubmit FAILED units as fresh Compute Units per the fault policy.
 
         RADICAL-Pilot's late binding means a failed unit is simply
@@ -276,9 +278,12 @@ class PilotFramework(TaskFramework):
         trips).  ``units`` is updated in place so the caller collects
         results positionally; exhausted retries leave the unit FAILED
         for the caller to surface.  Each failure goes through
-        :func:`~repro.frameworks.faults.prepare_retry`; the counts land
-        in the framework's fault counters, which
-        ``_collect_executor_bytes`` folds into the run metrics.
+        :func:`~repro.frameworks.faults.prepare_retry`.
+
+        Returns
+        -------
+        TaskCounters
+            The retry counts summed over ``units``.
         """
         policy = self.fault_policy or NO_RETRIES
         counts = [TaskCounters() for _ in units]
@@ -298,8 +303,7 @@ class PilotFramework(TaskFramework):
             self.unit_manager.wait_units(replacements)
             for (i, _), replacement in zip(failed, replacements):
                 units[i] = replacement
-        for task_counts in counts:
-            self._fault_counters.add(task_counts)
+        return TaskCounters.total(counts)
 
     def broadcast(self, value: Any) -> BroadcastHandle:
         """RP has no broadcast: data is staged to the shared filesystem.

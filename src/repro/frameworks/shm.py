@@ -23,8 +23,8 @@ cost for NumPy payloads — on the inbound *task* path and on the outbound
   segments and returns refs; the driver adopts the segments into its
   store (taking over their lifetime) and resolves the refs zero-copy.
 * When a store is constructed with ``capacity_bytes``, segments past the
-  watermark spill into memory-mapped files in ``spill_dir`` (the
-  :class:`FileBackedStore` tier).  Eviction is size-aware LRU: the
+  watermark spill into memory-mapped ``.blk`` files in ``spill_dir``.
+  Eviction is size-aware LRU: the
   largest block outside the most-recently-used quarter goes first, so
   one big spill frees what would otherwise cost many small ones.
   Spilled refs keep
@@ -73,7 +73,6 @@ from __future__ import annotations
 import atexit
 import copy
 import dataclasses
-import itertools
 import mmap
 import os
 import queue
@@ -95,7 +94,6 @@ __all__ = [
     "BlockLost",
     "BlockRef",
     "SharedMemoryStore",
-    "FileBackedStore",
     "share_payload",
     "resolve_payload",
     "prefetch_refs",
@@ -1651,140 +1649,6 @@ class SharedMemoryStore:
         if self._owns_spill_dir and self.spill_dir is not None:
             try:
                 os.rmdir(self.spill_dir)
-            except OSError:
-                pass
-        try:
-            atexit.unregister(self.cleanup)
-        except Exception:
-            pass
-        try:
-            self._finalizer.cancel()
-        except Exception:
-            pass
-
-    close = cleanup
-
-
-_file_counter = itertools.count()
-
-
-class FileBackedStore:
-    """Disk-tier store: the :class:`BlockRef` API over memory-mapped files.
-
-    The pure-disk sibling of :class:`SharedMemoryStore` — every array is
-    written once to a ``.blk`` file and refs resolve as read-only views
-    of the page-cache-backed mapping.  Useful on its own for datasets
-    that must never touch ``/dev/shm``, and as the executable
-    specification of the spill tier (``SharedMemoryStore`` writes the
-    identical format, so one resolver serves both).
-
-    Parameters
-    ----------
-    directory : str, optional
-        Where to place the block files.  When omitted a private
-        temporary directory is created and removed by :meth:`cleanup`.
-
-    Attributes
-    ----------
-    bytes_shared : int
-        Cumulative unique array bytes written.
-    """
-
-    def __init__(self, directory: str | None = None) -> None:
-        self._owns_dir = directory is None
-        self.directory = directory or tempfile.mkdtemp(prefix="repro-filestore-")
-        os.makedirs(self.directory, exist_ok=True)
-        self._names: Dict[str, int] = {}
-        self._registered: Dict[int, Tuple[np.ndarray, BlockRef]] = {}
-        self._lock = threading.Lock()
-        self._closed = False
-        self.bytes_shared = 0
-        atexit.register(self.cleanup)
-        self._finalizer = mp_util.Finalize(self, FileBackedStore.cleanup,
-                                           args=(self,), exitpriority=10)
-
-    def put(self, array: np.ndarray, dedup: bool = True) -> BlockRef:
-        """Write ``array`` to a block file and return its ref.
-
-        Parameters
-        ----------
-        array : numpy.ndarray
-            Array to store (copied to the file; made C-contiguous).
-        dedup : bool, optional
-            Share the same array object at most once (see
-            :meth:`SharedMemoryStore.put`).
-
-        Returns
-        -------
-        BlockRef
-            Handle resolving to a read-only memory-mapped view.
-        """
-        if self._closed:
-            raise RuntimeError("FileBackedStore is closed")
-        if not isinstance(array, np.ndarray):
-            raise TypeError(f"FileBackedStore.put needs an ndarray, got {type(array)!r}")
-        with self._lock:
-            if dedup:
-                hit = self._registered.get(id(array))
-                if hit is not None:
-                    return hit[1]
-            data = np.ascontiguousarray(array)
-            if data.nbytes == 0:
-                raise ValueError("cannot share a zero-byte array")
-            name = f"fbs-{os.getpid()}-{next(_file_counter)}-{uuid.uuid4().hex[:8]}"
-            path = os.path.join(self.directory, name + ".blk")
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(data.data)
-            os.replace(tmp, path)
-            ref = BlockRef(segment=name, shape=tuple(data.shape),
-                           dtype=data.dtype.str, spill_dir=self.directory)
-            self._names[name] = data.nbytes
-            if dedup:
-                self._registered[id(array)] = (array, ref)
-            self.bytes_shared += data.nbytes
-            return ref
-
-    def get(self, ref: BlockRef) -> np.ndarray:
-        """Resolve a ref to a read-only view of its block file."""
-        return ref.resolve()
-
-    def __len__(self) -> int:
-        """Number of blocks written."""
-        return len(self._names)
-
-    def __contains__(self, ref: BlockRef) -> bool:
-        """Whether ``ref`` points at a block this store wrote."""
-        return isinstance(ref, BlockRef) and ref.segment in self._names
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`cleanup` ran."""
-        return self._closed
-
-    def cleanup(self) -> None:
-        """Close mappings and remove every block file (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for name in self._names:
-            path = os.path.join(self.directory, name + ".blk")
-            with _REGISTRY_LOCK:
-                mapped = _MAPPED.pop(path, None)
-            if mapped is not None:
-                try:
-                    mapped.close()
-                except Exception:
-                    pass
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        self._names.clear()
-        self._registered.clear()
-        if self._owns_dir:
-            try:
-                os.rmdir(self.directory)
             except OSError:
                 pass
         try:

@@ -6,7 +6,7 @@ import time
 from typing import Any, Callable, List, Sequence
 
 from ..base import RunMetrics, TaskFramework
-from ..executors import PROCESS_KINDS, SHM_KINDS, ExecutorBase
+from ..executors import ExecutorBase
 from .broadcast import Broadcast
 from .dag import DAGScheduler
 from .rdd import ParallelCollectionRDD, RDD
@@ -49,15 +49,10 @@ class SparkLiteContext(TaskFramework):
 
     name = "sparklite"
 
+    _in_process_only = "its stage tasks are closures, which a process pool cannot pickle"
+
     def __init__(self, *, executor: str | ExecutorBase = "threads",
                  default_parallelism: int | None = None, **kwargs) -> None:
-        if (executor in PROCESS_KINDS + SHM_KINDS
-                or (isinstance(executor, ExecutorBase) and executor.crosses_processes)):
-            raise ValueError(
-                f"sparklite cannot run on executor {executor!r}: its stage tasks "
-                "are closures, which a process pool cannot pickle; use 'threads' "
-                "or 'serial'"
-            )
         super().__init__(executor=executor, **kwargs)
         self.default_parallelism = default_parallelism or max(2, self.executor.workers)
         self._scheduler = DAGScheduler(self, self.executor)

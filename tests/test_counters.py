@@ -17,9 +17,8 @@ from repro.core.api import leaflet_finder, psa
 from repro.core.psa import psa_serial
 from repro.frameworks import FaultPolicy, FaultSpec, make_framework
 from repro.frameworks.base import RunMetrics, TaskFramework
-from repro.frameworks.counters import COUNTERS, MAX, MIRROR, SUM
+from repro.frameworks.counters import COUNTERS, MAX, MIRROR, SUM, TaskCounters
 from repro.frameworks.executors import ExecutorBase, SerialExecutor, TaskTiming
-from repro.frameworks.faults import FaultCounters
 from repro.frameworks.pilot import (
     ComputeUnitDescription,
     PilotAgent,
@@ -60,29 +59,15 @@ class TestCombineRules:
         try:
             fw.metrics = RunMetrics(**{name: 3})
             fw.executor.timings = [TaskTiming(0, 0.0, 0.0, **{name: 5})]
-            fw._fault_counters.record(**{name: 1})
-            fw._collect_executor_bytes()
+            measured = fw.executor.totals()
+            measured.add(TaskCounters(**{name: 1}))
+            fw._collect_executor_bytes(measured)
             assert getattr(fw.metrics, name) == (9 if rule_of(name) == SUM else 6)
-            assert getattr(fw._fault_counters, name) == 0
         finally:
             fw.close()
 
 
 class TestAccumulators:
-    @pytest.mark.parametrize("name", COUNTER_NAMES)
-    def test_fault_counters_record_and_reset(self, name):
-        counters = FaultCounters()
-        counters.record(**{name: 2})
-        counters.record(**{name: 3})
-        assert getattr(counters, name) == 5
-        assert all(getattr(counters, other) == 0 for other in COUNTER_NAMES if other != name)
-        counters.reset()
-        assert getattr(counters, name) == 0
-
-    def test_fault_counters_reject_unknown_names(self):
-        with pytest.raises(TypeError):
-            FaultCounters().record(not_a_counter=1)
-
     @pytest.mark.parametrize("name", COUNTER_NAMES)
     def test_executor_totals_sum_over_timings(self, name):
         ex = SerialExecutor()

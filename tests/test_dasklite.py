@@ -1,8 +1,12 @@
 """Unit tests for the dasklite substrate (graphs, delayed, bag, client)."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.core.api import psa
+from repro.core.psa import psa_serial
 from repro.frameworks.dasklite import (
     Bag,
     DaskLiteClient,
@@ -17,6 +21,12 @@ from repro.frameworks.dasklite import (
     from_sequence,
     get_scheduler,
 )
+from repro.trajectory import EnsembleSpec, make_clustered_ensemble
+
+
+def pid_and_square(x):
+    """A task that reports which process ran it (module level, so it pickles)."""
+    return os.getpid(), x * x
 
 
 class TestTaskGraph:
@@ -226,6 +236,26 @@ class TestDaskLiteClient:
         assert client.map_tasks(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
         assert client.metrics.tasks_completed == 3
         assert client.map_tasks(lambda x: x, []) == []
+
+    @pytest.mark.parametrize("executor", ["processes", "shm"])
+    def test_map_tasks_run_in_the_executors_processes(self, executor):
+        client = DaskLiteClient(executor=executor, workers=2)
+        try:
+            out = client.map_tasks(pid_and_square, list(range(6)))
+        finally:
+            client.close()
+        assert [square for _, square in out] == [x * x for x in range(6)]
+        assert os.getpid() not in {pid for pid, _ in out}
+
+    @pytest.mark.parametrize("plane", ["pickle", "shm"])
+    @pytest.mark.parametrize("executor", ["processes", "shm"])
+    def test_psa_on_process_executors_matches_serial(self, executor, plane):
+        ensemble = make_clustered_ensemble(
+            EnsembleSpec(n_trajectories=5, n_frames=8, n_atoms=16, seed=4))
+        matrix, report = psa(ensemble, "dasklite", executor=executor, workers=2,
+                             data_plane=plane)
+        assert np.array_equal(matrix.values, psa_serial(ensemble).values)
+        assert report.metrics.bytes_results_pickled > 0
 
     def test_delayed_and_bag_entry_points(self):
         client = DaskLiteClient(executor="serial")

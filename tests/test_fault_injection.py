@@ -41,7 +41,8 @@ from repro.core.leaflet import leaflet_serial
 from repro.core.psa import psa_serial
 from repro.frameworks import make_framework
 from repro.frameworks.checkpoint import StaleJournal
-from repro.frameworks.executors import ProcessExecutor, SharedMemoryExecutor
+from repro.frameworks.base import TaskFramework
+from repro.frameworks.executors import ProcessExecutor, SharedMemoryExecutor, ThreadExecutor
 from repro.frameworks.faults import (
     BlockLost,
     FaultInjector,
@@ -314,6 +315,22 @@ class TestChaosMatrix:
         assert report.metrics.tasks_lost == 0
         assert report.metrics.recovery_seconds == 0.0
 
+    @pytest.mark.parametrize("name", ["dasklite", "mpilite"])
+    def test_reused_executor_reports_no_stale_retries(self, name):
+        # a retry counted on the executor by an earlier framework must not
+        # show up in a later fault-free call on the same executor
+        ex = ThreadExecutor(workers=2)
+        try:
+            first = TaskFramework(executor=ex, fault_policy=FaultPolicy(),
+                                  faults=FaultSpec("raise"))
+            assert first.map_tasks(square, list(range(3))) == [0, 1, 4]
+            assert first.metrics.tasks_retried == 1
+            fw = make_framework(name, executor=ex)
+            assert fw.map_tasks(square, list(range(3))) == [0, 1, 4]
+            assert fw.metrics.tasks_retried == 0
+        finally:
+            ex.shutdown()
+
 
 # --------------------------------------------------------------------------- #
 # policy gating
@@ -470,14 +487,16 @@ class TestRealWorkerDeath:
         dict(kind="unlink_block", target="result"),
     ], ids=["kill", "kill-after-publish", "unlink-result"])
     @pytest.mark.parametrize("executor", ["shm", "processes"])
-    def test_psa_on_shm_executor_survives_sigkill(self, executor, fault,
+    @pytest.mark.parametrize("name", ["pilot", "dasklite"])
+    def test_psa_on_shm_executor_survives_sigkill(self, name, executor, fault,
                                                   chaos_ensemble,
                                                   reference_matrix):
-        # pilot physically executes its units on the pool (sparklite and
-        # dasklite schedule on closures that do not pickle into workers);
-        # both process pools carry the shm plane's refs the same way
+        # the substrates that run their tasks on a process pool (sparklite's
+        # stage tasks are closures that do not pickle, and mpilite's ranks
+        # are driver threads); both pools carry the shm plane's refs the
+        # same way
         before = shm_entries()
-        matrix, report = psa(chaos_ensemble, "pilot", executor=executor,
+        matrix, report = psa(chaos_ensemble, name, executor=executor,
                              workers=2, data_plane="shm",
                              fault_policy=FaultPolicy(),
                              faults=FaultSpec(at_task=2, **fault))

@@ -182,8 +182,8 @@ class TestStoreSettings:
                       store_capacity_bytes=1 << 20, spill_dir=str(tmp_path / "spill"),
                       spill_async=False, spill_queue_depth=2,
                       fault_policy=None, faults=None)
-        if name == "sparklite" and executor == "shm":
-            with pytest.raises(ValueError, match="pickle"):
+        if name in ("sparklite", "mpilite") and executor == "shm":
+            with pytest.raises(ValueError, match="cannot run on executor"):
                 make_framework(name, **kwargs)
             return
         fw = make_framework(name, **kwargs)

@@ -31,7 +31,6 @@ from repro.frameworks.executors import (
 )
 from repro.frameworks.faults import (
     RESIDENT_PREFIX,
-    FaultCounters,
     FaultPolicy,
     read_resident_set,
     reap_dead_heartbeats,
@@ -356,18 +355,6 @@ class TestLocalityMetrics:
         assert view["tasks_remote"] == 3
         assert view["bytes_spill_reads_avoided"] == 5120
         assert view["prefetch_hints_dropped"] == 3
-
-    def test_fault_counters_record_and_reset_placement_fields(self):
-        counters = FaultCounters()
-        counters.record(tasks_local=2, tasks_remote=1, bytes_spill_reads_avoided=512,
-                        prefetch_hints_dropped=4)
-        assert counters.tasks_local == 2
-        assert counters.tasks_remote == 1
-        assert counters.bytes_spill_reads_avoided == 512
-        assert counters.prefetch_hints_dropped == 4
-        counters.reset()
-        assert counters.tasks_local == 0
-        assert counters.prefetch_hints_dropped == 0
 
     def test_policy_knobs_validate(self):
         policy = FaultPolicy(locality=True, locality_wait_s=0.2)

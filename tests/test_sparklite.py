@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.frameworks import make_framework
 from repro.frameworks.executors import ProcessExecutor, SharedMemoryExecutor
 from repro.frameworks.sparklite import (
     Broadcast,
@@ -213,16 +214,20 @@ class TestUniformSurface:
 
 
 class TestExecutorChoice:
-    @pytest.mark.parametrize("executor", ["processes", "shm"])
-    def test_rejects_process_executor_kinds(self, executor):
-        with pytest.raises(ValueError, match="cannot pickle"):
-            SparkLiteContext(executor=executor, workers=2)
+    """sparklite and mpilite keep their tasks in the driver's process."""
 
+    @pytest.mark.parametrize("substrate", ["sparklite", "mpilite"])
+    @pytest.mark.parametrize("executor", ["processes", "shm"])
+    def test_rejects_process_executor_kinds(self, substrate, executor):
+        with pytest.raises(ValueError, match=f"{substrate} cannot run on executor"):
+            make_framework(substrate, executor=executor, workers=2)
+
+    @pytest.mark.parametrize("substrate", ["sparklite", "mpilite"])
     @pytest.mark.parametrize("cls", [ProcessExecutor, SharedMemoryExecutor])
-    def test_rejects_process_executor_instances(self, cls):
+    def test_rejects_process_executor_instances(self, substrate, cls):
         ex = cls(workers=2)
         try:
-            with pytest.raises(ValueError, match="cannot pickle"):
-                SparkLiteContext(executor=ex)
+            with pytest.raises(ValueError, match=f"{substrate} cannot run on executor"):
+                make_framework(substrate, executor=ex)
         finally:
             ex.shutdown()

@@ -28,8 +28,6 @@ from repro.core.psa import psa_serial, run_psa
 from repro.frameworks import make_framework
 from repro.frameworks.executors import SharedMemoryExecutor
 from repro.frameworks.shm import (
-    BlockRef,
-    FileBackedStore,
     SharedMemoryStore,
     publish_payload,
     adopt_payload,
@@ -317,42 +315,6 @@ class TestWriteBehind:
     def test_put_after_close_still_raises(self, arrays):
         store = SharedMemoryStore(capacity_bytes=1_000)
         store.cleanup()
-        with pytest.raises(RuntimeError):
-            store.put(arrays[0])
-
-
-class TestFileBackedStore:
-    def test_put_resolve_round_trip(self, arrays):
-        store = FileBackedStore()
-        try:
-            ref = store.put(arrays[0])
-            assert isinstance(ref, BlockRef)
-            view = store.get(ref)
-            assert np.array_equal(view, arrays[0])
-            assert not view.flags.writeable
-            assert ref in store and len(store) == 1
-        finally:
-            store.cleanup()
-
-    def test_dedup_and_rejects(self, arrays):
-        store = FileBackedStore()
-        try:
-            assert store.put(arrays[0]) == store.put(arrays[0])
-            assert len(store) == 1
-            with pytest.raises(ValueError):
-                store.put(np.empty((0, 3)))
-            with pytest.raises(TypeError):
-                store.put([1, 2, 3])
-        finally:
-            store.cleanup()
-
-    def test_cleanup_removes_directory(self, arrays):
-        store = FileBackedStore()
-        store.put(arrays[0])
-        directory = store.directory
-        store.cleanup()
-        assert store.closed
-        assert not os.path.exists(directory)
         with pytest.raises(RuntimeError):
             store.put(arrays[0])
 
