@@ -8,6 +8,7 @@ batches must report the same per-task counters as one that drains one.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import fields
 
 import numpy as np
@@ -68,6 +69,21 @@ class TestCombineRules:
 
 
 class TestAccumulators:
+    @pytest.mark.parametrize("name", COUNTER_NAMES)
+    def test_task_counters_add_and_since(self, name):
+        counters = TaskCounters()
+        counters.add(TaskCounters(**{name: 2}))
+        before = copy.copy(counters)
+        counters.add(TaskCounters(**{name: 3}))
+        assert getattr(counters, name) == 5
+        assert all(getattr(counters, other) == 0 for other in COUNTER_NAMES if other != name)
+        assert getattr(before, name) == 2
+        assert getattr(counters.since(before), name) == 3
+
+    def test_task_counters_reject_unknown_names(self):
+        with pytest.raises(TypeError):
+            TaskCounters(not_a_counter=1)
+
     @pytest.mark.parametrize("name", COUNTER_NAMES)
     def test_executor_totals_sum_over_timings(self, name):
         ex = SerialExecutor()

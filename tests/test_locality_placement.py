@@ -24,6 +24,7 @@ import pytest
 from repro.core.api import leaflet_finder, psa
 from repro.frameworks import shm as shm_mod
 from repro.frameworks.base import RunMetrics
+from repro.frameworks.counters import TaskCounters
 from repro.frameworks.executors import (
     SharedMemoryExecutor,
     _speculation_threshold,
@@ -355,6 +356,18 @@ class TestLocalityMetrics:
         assert view["tasks_remote"] == 3
         assert view["bytes_spill_reads_avoided"] == 5120
         assert view["prefetch_hints_dropped"] == 3
+
+    def test_task_counters_total_carries_placement_fields(self):
+        per_task = [TaskCounters(tasks_local=1, bytes_spill_reads_avoided=512),
+                    TaskCounters(tasks_remote=1, prefetch_hints_dropped=4)]
+        totals = TaskCounters.total(per_task)
+        assert totals.tasks_local == 1
+        assert totals.tasks_remote == 1
+        assert totals.bytes_spill_reads_avoided == 512
+        assert totals.prefetch_hints_dropped == 4
+        totals.add(per_task[0])
+        assert totals.tasks_local == 2
+        assert totals.bytes_spill_reads_avoided == 1024
 
     def test_policy_knobs_validate(self):
         policy = FaultPolicy(locality=True, locality_wait_s=0.2)
