@@ -351,7 +351,7 @@ class TaskFramework:
         self.metrics = RunMetrics(tasks_submitted=len(items))
         fn, items = self._apply_data_plane(fn, items)
         start = time.perf_counter()
-        results = self._run_tasks(fn, items)
+        results = self.executor.map_tasks(fn, items)
         wall = time.perf_counter() - start
         results = self._finish_results(results)
         task_time = self.executor.total_task_time
@@ -474,10 +474,6 @@ class TaskFramework:
             ours, theirs = getattr(self.metrics, f.name), getattr(measured, f.name)
             setattr(self.metrics, f.name,
                     ours + theirs if f.metadata["rule"] == SUM else max(ours, theirs))
-
-    def _run_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Substrate-specific execution; default delegates to the executor."""
-        return self.executor.map_tasks(fn, items)
 
     def close(self) -> None:
         """Release executor resources and any owned shared-memory store."""

@@ -39,10 +39,11 @@ Every executor honours an optional
 :class:`~repro.frameworks.faults.FaultInjector` for chaos testing).
 The in-process executors retry failing tasks in place; the process-pool
 executors run a full recovery loop: tasks are fed to a set of
-single-slot *worker lanes* (one single-process pool per worker, so the
-driver chooses which worker runs which task), a worker death (detected
-by its lane's broken sentinel, or by the driver killing a worker whose
-heartbeat went stale) marks that lane's in-flight task lost, the
+single-slot *worker lanes* (one worker process and one pipe per lane,
+so the driver chooses which worker runs which task), a worker death
+(detected by its process sentinel or an end-of-file on its pipe, or
+caused by the driver killing a worker whose task overran
+``heartbeat_timeout_s``) marks that lane's in-flight task lost, the
 orphaned result segments of the dead worker are swept, the lane is
 rebuilt, and the lost task is resubmitted — the other lanes keep
 executing throughout, so one killed worker costs one task re-execution
@@ -55,15 +56,24 @@ Worker lanes
 The two process-pool executors run their tasks on worker lanes that
 belong to the executor, not to one ``map_tasks`` call: the lanes fork
 lazily on the first call, stay warm across later calls, and are shut
-down by :meth:`~ExecutorBase.shutdown` (which ``TaskFramework.close()``
-calls).  A lane is rebuilt only when its worker dies; a call that ends
-in an exception shuts every lane down before re-raising, so no
-straggler of the failed call can hand a result to the next one.
+down and joined by :meth:`~ExecutorBase.shutdown` (which
+``TaskFramework.close()`` calls).  A lane is rebuilt only when its
+worker dies; a call that ends in an exception kills every busy lane and
+shuts every lane down before re-raising, so no straggler of the failed
+call can hand a result to the next one.  The lane processes are
+daemonic, so a driver that exits without ``shutdown()`` does not wait on
+them, and a worker exits when its pipe reads end-of-file, so a driver
+that dies, or drops an executor without ``shutdown()``, takes its lanes
+along.
+
+The driver signals only its own lane children, and only before it
+joins them: an unreaped child's pid cannot be recycled, so a kill can
+never reach an unrelated process.
 
 Since a warm lane forked before the current call, nothing of a call's
 state may ride on the fork.  Each run ships what its workers need in the
-task payload: the run's token and heartbeat directory, and the claimed
-fault spec.  A worker that sees a new run also closes every
+task payload: the run's token, whether to report resident sets, and the
+claimed fault spec.  A worker that sees a new run also closes every
 shared-memory attachment and spill-file mapping whose name the driver
 has unlinked since
 (:func:`~repro.frameworks.shm.release_stale_mappings`), so a long-lived
@@ -73,7 +83,7 @@ Locality-aware placement
 ------------------------
 With ``FaultPolicy.locality`` set, the lane layer additionally routes
 tasks by data affinity: workers report the block names they hold
-resident (piggybacked on the heartbeat directory), the driver scores
+resident (riding each task's reply), the driver scores
 pending tasks against each free lane's resident set, and a task whose
 input blocks *spilled* is steered to the lane that still has them
 mapped instead of paying a cold disk read on an arbitrary worker — with
@@ -88,28 +98,24 @@ waves of a streamed run.  Placement lands in ``tasks_local``
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import pickle
-import shutil
 import signal
-import tempfile
 import time
+import traceback
+import weakref
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
+from multiprocessing.connection import wait as wait_ready
 from typing import Any, Callable, ClassVar, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..bench.stats import median as _median
 from .counters import TaskCounters
 from .faults import (
     NO_RETRIES,
-    RESIDENT_PREFIX,
     BlockLost,
     FaultInjector,
     FaultPolicy,
@@ -117,16 +123,9 @@ from .faults import (
     WorkerLost,
     apply_block_fault,
     call_in_process,
-    clear_heartbeat,
     execute_worker_fault,
-    kill_heartbeat_workers,
-    kill_stale_workers,
     prepare_retry,
-    read_resident_set,
-    reap_dead_heartbeats,
-    report_resident_set,
     unlink_result_refs,
-    write_heartbeat,
 )
 from .locality import LocalityScheduler, TaskBlocks
 from .shm import (
@@ -140,6 +139,7 @@ from .shm import (
     publish_payload,
     refs_nbytes,
     release_stale_mappings,
+    resident_names,
     resolve_payload,
     share_payload,
     sweep_orphan_segments,
@@ -233,10 +233,6 @@ class ExecutorBase:
     fault_policy: Optional[FaultPolicy] = field(default=None, repr=False)
     fault_injector: Optional[FaultInjector] = field(default=None, repr=False)
     store: Optional[SharedMemoryStore] = field(default=None, repr=False)
-    #: heartbeat files left in ``hb_dir`` at the end of the last pooled
-    #: run (after dead-pid reaping) — the clean-shutdown hygiene
-    #: invariant the chaos suite asserts is that this list is empty
-    last_hb_leftovers: List[str] = field(default_factory=list, repr=False)
 
     def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """Run ``fn`` over ``items`` and return results in order.
@@ -367,14 +363,15 @@ class _Run(NamedTuple):
 
     A warm lane forked before the run began, so this is the only way
     run state reaches it: ``token`` identifies the run (a worker that
-    sees a new token releases stale mappings), ``hb_dir`` is the
-    heartbeat directory (``None`` when no monitor needs one) and ``shm``
-    says whether payloads and results travel as refs through shared
-    memory (the executor holds a store) or as whole pickles.
+    sees a new token releases stale mappings), ``locality`` says whether
+    each reply carries the worker's resident block names (locality
+    placement is on) and ``shm`` whether payloads and results travel as
+    refs through shared memory (the executor holds a store) or as whole
+    pickles.
     """
 
     token: int
-    hb_dir: Optional[str]
+    locality: bool
     shm: bool
 
 
@@ -385,7 +382,7 @@ _served_run: Optional[int] = None
 
 
 def _enter_run(run: _Run) -> None:
-    """Adopt a run's state in a pool worker, before its task executes.
+    """Adopt a run's state in a lane worker, before its task executes.
 
     The first task of a new run closes the mappings of blocks unlinked
     since the worker's previous run
@@ -398,7 +395,7 @@ def _enter_run(run: _Run) -> None:
 
 
 def _timed_call(payload: tuple) -> tuple:
-    """Run one pre-pickled task in a pool worker: the only worker shim.
+    """Run one pre-pickled task in a lane worker: the only worker shim.
 
     The item arrives pre-pickled (serialized exactly once, driver-side,
     which is also how its byte count is measured); deserialization and
@@ -415,47 +412,93 @@ def _timed_call(payload: tuple) -> tuple:
     SIGKILL for ``kill_worker``; with ``when="after_publish"`` it fires
     *between* publishing and the hand-off, the crash window whose
     pid-keyed orphan segments the driver's recovery sweep reclaims), and
-    ``run`` the per-run state (:class:`_Run`): its ``hb_dir`` is the
-    heartbeat directory this worker stamps for the driver's hung-worker
-    monitor and reports its resident block set into for locality-aware
-    placement.
+    ``run`` the per-run state (:class:`_Run`).
 
-    Returns the 7-tuple ``(index, out, start, stop, bytes_shared, pid,
-    prefetch_drops)``: the pid keys the worker's resident-set report to
-    its lane driver-side, and ``prefetch_drops`` is the worker-local
-    delta of read-ahead hints dropped while this task ran.
+    Returns the 7-tuple ``(index, out, start, stop, bytes_shared,
+    resident, prefetch_drops)``: ``resident`` is the worker's resident
+    block names after the task when ``run.locality`` is set (``None``
+    otherwise), and ``prefetch_drops`` is the worker-local delta of
+    read-ahead hints dropped while this task ran.
     """
     index, fn, blob, spec, run = payload
-    hb_dir = run.hb_dir
     _enter_run(run)
-    write_heartbeat(hb_dir)
     drops_before = prefetch_hints_dropped()
+    if spec is not None:
+        execute_worker_fault(spec)
+    start = time.perf_counter()
+    item = pickle.loads(blob)
+    if run.shm:
+        result, shared = publish_payload(fn(resolve_payload(item)))
+    else:
+        result, shared = fn(item), 0
+    out = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    stop = time.perf_counter()
+    if (spec is not None and spec.kind == "kill_worker"
+            and spec.when == "after_publish"):
+        # die with the result unreturned: published segments are
+        # orphans only the pid-keyed sweep can reclaim (SIGKILL skips
+        # every hook)
+        os.kill(os.getpid(), signal.SIGKILL)
+    if run.shm:
+        # the blob is on its way to the driver, whose store adopts the
+        # segments; this worker's crash-cleanup hook must leave them alone
+        mark_handed_off(result)
+    resident = resident_names() if run.locality else None
+    return (index, out, start, stop, shared, resident,
+            prefetch_hints_dropped() - drops_before)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """``exc`` if it survives a pickle round trip, else a stand-in.
+
+    An exception that cannot be pickled (or unpickled) must still reach
+    the driver, so it is replaced by a :class:`RuntimeError` carrying
+    its repr and traceback text.
+    """
     try:
-        if spec is not None:
-            execute_worker_fault(spec)
-        start = time.perf_counter()
-        item = pickle.loads(blob)
-        if run.shm:
-            result, shared = publish_payload(fn(resolve_payload(item)))
-        else:
-            result, shared = fn(item), 0
-        out = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        stop = time.perf_counter()
-        if (spec is not None and spec.kind == "kill_worker"
-                and spec.when == "after_publish"):
-            # die with the result unreturned: published segments are
-            # orphans only the pid-keyed sweep can reclaim (SIGKILL skips
-            # every hook)
-            os.kill(os.getpid(), signal.SIGKILL)
-        if run.shm:
-            # the blob is on its way to the driver, whose store adopts the
-            # segments; this worker's crash-cleanup hook must leave them alone
-            mark_handed_off(result)
-        report_resident_set(hb_dir)
-        return (index, out, start, stop, shared, os.getpid(),
-                prefetch_hints_dropped() - drops_before)
-    finally:
-        clear_heartbeat(hb_dir)
+        pickle.loads(pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL))
+        return exc
+    except Exception:  # noqa: BLE001 - any pickling failure qualifies
+        text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+        return RuntimeError(f"{exc!r} (not picklable)\n{text}")
+
+
+# the driver ends of all lane pipes: a forked child closes its copies, so
+# the driver is the only holder and a lane reads end-of-file as soon as
+# the driver closes, drops or loses its end
+_DRIVER_ENDS: "weakref.WeakSet[Connection]" = weakref.WeakSet()
+
+
+def _close_driver_ends() -> None:
+    for conn in list(_DRIVER_ENDS):
+        conn.close()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_driver_ends)
+
+
+def _lane_main(conn: Connection) -> None:
+    """Body of a lane's worker process: ``recv → _timed_call → send``.
+
+    Each reply is ``(True, result_tuple)`` or ``(False, exception)``: a
+    task's exception returns as a value (see :func:`_portable`) and the
+    worker serves on; an interrupt or exit ends the worker, which the
+    driver handles as a lost worker.  ``None`` or a closed pipe ends the
+    loop.
+    """
+    while True:
+        try:
+            payload = conn.recv()
+        except EOFError:
+            return
+        if payload is None:
+            return
+        try:
+            reply = (True, _timed_call(payload))
+        except Exception as exc:  # noqa: BLE001 - returned to the driver
+            reply = (False, _portable(exc))
+        conn.send(reply)
 
 
 def _speculation_threshold(durations: Sequence[float],
@@ -475,57 +518,102 @@ def _speculation_threshold(durations: Sequence[float],
 
 
 class _WorkerLane:
-    """One single-slot worker: a private one-process pool plus lane state.
+    """One single-slot worker: its own process, one pipe, and lane state.
 
-    Replacing the single shared pool with per-worker lanes is what makes
-    placement *routable*: submitting on a lane runs the task on that
-    lane's worker process, so the driver can steer a task to the process
-    whose resident set covers the task's blocks.  It also shrinks the
-    failure domain — a dead worker breaks its own lane only, and
-    recovery rebuilds one process while the other lanes keep executing.
+    Per-worker lanes are what make placement *routable*: sending a task
+    down a lane's pipe runs it on that lane's worker process, so the
+    driver can steer a task to the process whose resident set covers
+    the task's blocks.  They also shrink the failure domain — a dead
+    worker breaks its own lane only, and recovery rebuilds one process
+    while the other lanes keep executing.
 
     A lane belongs to its executor (:class:`_PooledExecutor`), not to a
-    ``map_tasks`` call: its worker forks at the lane's first submit and
+    ``map_tasks`` call: its worker forks when the lane is built and
     serves every later call until the executor shuts the lane down, so
     the fork cost is paid once per executor and the worker's mappings
     (``resident``) stay warm from one call to the next.  What a call
     needs beyond its task travels in the payload (:class:`_Run`).
+
+    The worker is the driver's own child and is signalled only through
+    :meth:`kill`, which sends nothing once the child has been reaped —
+    and until then its pid cannot be recycled.
     """
 
-    __slots__ = ("lane_id", "pool", "future", "index", "is_dup", "launched",
-                 "resident", "pid")
+    __slots__ = ("lane_id", "proc", "conn", "index", "is_dup", "launched",
+                 "resident")
 
     def __init__(self, lane_id: int) -> None:
         self.lane_id = lane_id
-        self.pool = ProcessPoolExecutor(max_workers=1)
-        self.future: Optional[Any] = None
         self.index: Optional[int] = None
         self.is_dup = False
         self.launched = 0.0
         self.resident: frozenset = frozenset()
-        self.pid: Optional[int] = None
+        self._start()
+
+    def _start(self) -> None:
+        """Fork the lane's worker, which serves :func:`_lane_main` on a new pipe."""
+        self.conn, child_conn = multiprocessing.Pipe()
+        _DRIVER_ENDS.add(self.conn)
+        self.proc = multiprocessing.Process(target=_lane_main, args=(child_conn,),
+                                            daemon=True)
+        self.proc.start()
+        # only the worker holds its end, so the worker's death reads as
+        # end-of-file here
+        child_conn.close()
 
     @property
     def busy(self) -> bool:
         """Whether a task is currently in flight on this lane."""
-        return self.future is not None
+        return self.index is not None
+
+    def submit(self, payload: tuple, index: int, is_dup: bool = False) -> bool:
+        """Send one attempt to the worker; ``False`` if its pipe is broken."""
+        try:
+            self.conn.send(payload)
+        except OSError:  # the worker is dead: recovery rebuilds the lane
+            return False
+        self.index = index
+        self.is_dup = is_dup
+        self.launched = time.monotonic()
+        return True
 
     def clear(self) -> None:
         """Forget the in-flight task (completed or handed to recovery)."""
-        self.future = None
         self.index = None
         self.is_dup = False
 
-    def rebuild(self) -> None:
-        """Fresh worker process after a death.
+    def kill(self) -> None:
+        """SIGKILL the worker unless it has exited (then this reaps it)."""
+        if self.proc.exitcode is None:
+            self.proc.kill()
 
-        The resident set dies with the worker — a reaped lane must
+    def stop(self) -> None:
+        """Ask the worker to exit: ``None`` to an idle one, SIGKILL to a busy one."""
+        if self.busy:
+            self.kill()
+            return
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass  # already dead
+
+    def join(self) -> None:
+        """Reap the stopped worker and close the lane's pipe."""
+        self.proc.join()
+        self.conn.close()
+
+    def rebuild(self) -> None:
+        """Fresh worker process in place of the current one.
+
+        The resident set dies with the worker — a rebuilt lane must
         never attract tasks on the strength of blocks only the dead
         process held mapped.
         """
-        self.pool = ProcessPoolExecutor(max_workers=1)
+        self.clear()
+        self.kill()
+        self.join()
         self.resident = frozenset()
-        self.pid = None
+        self._start()
 
 
 class _PooledMapEngine:
@@ -535,25 +623,28 @@ class _PooledMapEngine:
     :class:`_WorkerLane` objects (so worker death loses at most the one
     task on that lane).  The lanes come from one place,
     :meth:`_PooledExecutor._worker_lanes`, and outlive the call; the
-    engine only owns the run: its :class:`_Run` state (token, heartbeat
-    directory and transport), shipped with every payload as
+    engine only owns the run: its :class:`_Run` state (token, resident-set
+    reporting and transport), shipped with every payload as
     ``(index, fn, blob, spec, run)`` to :func:`_timed_call`.  A run that
-    raises shuts every lane down before the exception leaves, so a task
-    still in flight cannot return into a later call.  The engine implements the whole
-    recovery protocol:
+    raises kills its busy lanes and shuts every lane down before the
+    exception leaves, so a task still in flight cannot return into a
+    later call.  The engine waits on the busy lanes' pipes and process
+    sentinels at once, and implements the whole recovery protocol:
 
     * a *task exception* returned by a worker is retried per the policy
       (lost payload blocks are healed from their registered sources
       between attempts);
-    * a *broken lane* (worker SIGKILLed, OOM-killed, or killed by the
-      heartbeat monitor below) marks that lane's in-flight task lost,
-      reaps the lane's pool, sweeps the dead worker's orphaned result
-      segments and settles the spill pipeline (when the owner holds a
-      store), rebuilds the lane and resubmits — tasks queued or in
-      flight on healthy lanes are never touched;
-    * with ``heartbeat_timeout_s`` set, the driver checks worker
-      heartbeat files while waiting and SIGKILLs any worker whose
-      current task overran the timeout — converting a hang into the
+    * a *broken lane* (its sentinel is ready or its pipe reads
+      end-of-file: the worker was SIGKILLed, OOM-killed, or killed by
+      the hung-worker check below) marks that lane's in-flight task
+      lost, reaps the dead worker, sweeps its orphaned result segments
+      and settles the spill pipeline (when the owner holds a store),
+      rebuilds the lane and resubmits — tasks queued or in flight on
+      healthy lanes are never touched.  A reply the worker sent before
+      it died is still taken;
+    * with ``heartbeat_timeout_s`` set, the driver wakes every
+      ``heartbeat_interval_s`` and SIGKILLs any worker whose task was
+      dispatched more than the timeout ago — converting a hang into the
       broken-lane path above;
     * with ``speculation_factor`` set, a task still in flight past
       :func:`_speculation_threshold` gets a *duplicate attempt*
@@ -569,11 +660,11 @@ class _PooledMapEngine:
     * with ``policy.locality`` set and ref-bearing payloads
       (``task_refs``), free lanes are filled by the
       :class:`~repro.frameworks.locality.LocalityScheduler` instead of
-      queue order: workers report their resident block names through
-      the heartbeat directory after each task, the driver mirrors the
-      reports onto the lanes (optimistically extended at dispatch so
-      same-wave tasks cluster), and spilled blocks missing from the
-      chosen lane are prefetched at dispatch time.
+      queue order: each worker's reply carries its resident block
+      names after the task, the driver mirrors them onto the lanes
+      (optimistically extended at dispatch so same-wave tasks cluster),
+      and spilled blocks missing from the chosen lane are prefetched at
+      dispatch time.
 
     Faults are claimed from the injector once per first-attempt dispatch
     in dispatch order; task-side faults ship to the worker inside the
@@ -600,7 +691,6 @@ class _PooledMapEngine:
         self.on_result = on_result
         self.on_discard = on_discard
         self.n_tasks = n_tasks = len(blobs)
-        self.hb_dir: Optional[str] = None
         self._run: Optional[_Run] = None
         policy, injector, store = owner._fault_context()
         self.policy = policy
@@ -616,6 +706,11 @@ class _PooledMapEngine:
             blocks = [TaskBlocks.from_refs(i, refs)
                       for i, refs in enumerate(task_refs)]
             self._scheduler = LocalityScheduler(blocks, policy.locality_wait_s)
+        # whether the engine must wake up while waiting: to kill hung
+        # workers, to speculate, or to let held tasks be stolen
+        self._monitored = (policy.heartbeat_timeout_s is not None
+                           or policy.speculation_factor is not None
+                           or self._scheduler is not None)
 
     # ------------------------------------------------------------------ #
     def _fail(self, index: int, exc: BaseException, pending: "deque[int]",
@@ -650,13 +745,8 @@ class _PooledMapEngine:
     # ------------------------------------------------------------------ #
     def run(self) -> None:
         """Execute every task to completion (or raise the fatal failure)."""
-        hb_dir: Optional[str] = None
-        if (self.policy.heartbeat_timeout_s is not None
-                or self.policy.speculation_factor is not None
-                or self._scheduler is not None):
-            hb_dir = tempfile.mkdtemp(prefix="repro-hb-")
-        self.hb_dir = hb_dir
-        self._run = _Run(next(_RUN_TOKENS), hb_dir, self.store is not None)
+        self._run = _Run(next(_RUN_TOKENS), self._scheduler is not None,
+                         self.store is not None)
         pending: "deque[int]" = deque(range(self.n_tasks))
         lanes = self.owner._worker_lanes()
         try:
@@ -665,47 +755,31 @@ class _PooledMapEngine:
                 if broken:
                     self._recover(broken, pending)
         except BaseException:
-            # lanes outlive the call: drop them all, so an attempt still
-            # in flight cannot hand its result to the next call
+            # lanes outlive the call: drop them all (killing the busy
+            # ones), so an attempt still in flight cannot hand its
+            # result to the next call
             self.owner._drop_lanes()
             raise
-        finally:
-            if hb_dir is not None:
-                try:
-                    # res- files are driver-consumed state, not leftovers:
-                    # they persist by design until their worker is reaped
-                    self.owner.last_hb_leftovers = sorted(
-                        entry for entry in os.listdir(hb_dir)
-                        if not entry.startswith(RESIDENT_PREFIX))
-                except OSError:
-                    self.owner.last_hb_leftovers = []
-                shutil.rmtree(hb_dir, ignore_errors=True)
 
     def _dispatch(self, lane: _WorkerLane, index: int, pending: "deque[int]",
                   broken: List[_WorkerLane]) -> bool:
         """Submit one first-class attempt of ``index`` on ``lane``.
 
-        Returns ``False`` when the lane's pool turns out to be broken:
-        the dispatch never started, so the task goes back to the front
-        of the queue un-penalized, any injector claim is rolled back
-        (the exactly-once dispatch counter stays exact), and the lane is
-        handed to recovery.
+        Returns ``False`` when the lane's pipe turns out to be broken
+        (its worker died while idle): the dispatch never started, so the
+        task goes back to the front of the queue un-penalized, any
+        injector claim is rolled back (the exactly-once dispatch counter
+        stays exact), and the lane is handed to recovery.
         """
         first_attempt = self.timings[index].tasks_retried == 0
         spec = self._dispatch_spec(index)
-        try:
-            lane.future = lane.pool.submit(_timed_call, self._payload(index, spec))
-        except BrokenProcessPool:
-            if self.injector is not None and first_attempt:
-                self.injector.unclaim(spec or self.result_faults.pop(index, None))
-            pending.appendleft(index)
-            lane.clear()
-            broken.append(lane)
-            return False
-        lane.index = index
-        lane.is_dup = False
-        lane.launched = time.monotonic()
-        return True
+        if lane.submit(self._payload(index, spec), index):
+            return True
+        if self.injector is not None and first_attempt:
+            self.injector.unclaim(spec or self.result_faults.pop(index, None))
+        pending.appendleft(index)
+        broken.append(lane)
+        return False
 
     def _fill(self, lanes: List[_WorkerLane], pending: "deque[int]",
               broken: List[_WorkerLane]) -> None:
@@ -771,7 +845,6 @@ class _PooledMapEngine:
         simultaneous worker deaths cost one sweep-and-rebuild — and
         tasks queued or running on healthy lanes are never disturbed.
         """
-        hb_dir = self.hb_dir
         broken: List[_WorkerLane] = []
         self._fill(lanes, pending, broken)
         if broken:
@@ -779,38 +852,41 @@ class _PooledMapEngine:
         busy = [lane for lane in lanes if lane.busy]
         if not busy:
             return []
-        if (not pending and hb_dir is not None
-                and all(lane.index in self._completed for lane in busy)):
-            # every result is in; the only occupied lanes are beaten
-            # straggler attempts.  SIGKILL them (ownership-verified via
-            # the heartbeat files) and let the broken-lane path below
-            # reap, sweep and rebuild with nothing left to resubmit.
-            kill_heartbeat_workers(hb_dir)
-        timeout = self.policy.heartbeat_interval_s if hb_dir is not None else None
-        done, _ = futures_wait({lane.future for lane in busy}, timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-        if not done:
-            if hb_dir is not None and self.policy.heartbeat_timeout_s is not None:
-                kill_stale_workers(hb_dir, self.policy.heartbeat_timeout_s)
+        # kill beaten stragglers (every result is in, so the only busy
+        # lanes run losing attempts) and hung workers; a killed lane's
+        # sentinel turns ready below, and the broken-lane path reaps,
+        # sweeps and rebuilds it
+        stragglers = not pending and all(lane.index in self._completed for lane in busy)
+        timeout_s = self.policy.heartbeat_timeout_s
+        now = time.monotonic()
+        for lane in busy:
+            if stragglers or (timeout_s is not None and now - lane.launched > timeout_s):
+                lane.kill()
+        ready = wait_ready([w for lane in busy for w in (lane.conn, lane.proc.sentinel)],
+                           self.policy.heartbeat_interval_s if self._monitored else None)
+        if not ready:
             self._maybe_speculate(lanes, pending)
             return []
         for lane in busy:
-            if lane.future not in done:
+            exited = lane.proc.sentinel in ready
+            if lane.conn not in ready and not exited:
                 continue
             index, was_dup = lane.index, lane.is_dup
-            future = lane.future
-            lane.clear()
             try:
-                out = future.result()
-            except BrokenProcessPool:
-                # restore the slot so recovery counts this task lost
-                lane.future, lane.index, lane.is_dup = future, index, was_dup
-                broken.append(lane)
+                # a reply the worker sent before exiting is still taken
+                ok, out = lane.conn.recv() if lane.conn.poll() else (None, None)
+            except (EOFError, OSError):
+                ok = None
+            if ok is None:
+                broken.append(lane)  # slot kept: recovery counts the task lost
                 continue
-            except Exception as exc:  # noqa: BLE001 - policy decides below
+            lane.clear()
+            if exited:
+                broken.append(lane)  # nothing in flight: only the rebuild
+            if not ok:
                 if index in self._completed:
                     continue  # a beaten attempt failed; the winner landed
-                self._fail(index, exc, pending)
+                self._fail(index, out, pending)
                 continue
             self._observe_worker(lane, index, out)
             if index in self._completed:
@@ -843,19 +919,16 @@ class _PooledMapEngine:
     def _observe_worker(self, lane: _WorkerLane, index: int, out: tuple) -> None:
         """Absorb the worker-reported tail of a result tuple.
 
-        Every successful result carries ``(pid, prefetch_drops)`` after
-        the payload fields; with locality on, the worker's resident-set
-        report (written beside its heartbeat) replaces the driver's
-        optimistic estimate — ground truth from the process itself.
+        Every successful result carries ``(resident, prefetch_drops)``
+        after the payload fields; with locality on, the worker's
+        resident block names replace the driver's optimistic estimate —
+        ground truth from the process itself.
         """
-        pid, dropped = out[5], out[6]
-        lane.pid = pid
+        resident, dropped = out[5], out[6]
         if dropped:
             self.timings[index].prefetch_hints_dropped += dropped
-        if self._scheduler is not None and self.hb_dir is not None:
-            names = read_resident_set(self.hb_dir, pid)
-            if names is not None:
-                lane.resident = names
+        if resident is not None:
+            lane.resident = resident
 
     def _maybe_speculate(self, lanes: List[_WorkerLane],
                          pending: "deque[int]") -> None:
@@ -887,15 +960,8 @@ class _PooledMapEngine:
             if now - lane.launched <= threshold:
                 continue
             dup_lane = free.pop(0)
-            try:
-                dup_lane.future = dup_lane.pool.submit(_timed_call,
-                                                       self._payload(index, None))
-            except BrokenProcessPool:
-                dup_lane.clear()
-                return  # the primary's failure handling owns this path
-            dup_lane.index = index
-            dup_lane.is_dup = True
-            dup_lane.launched = now
+            if not dup_lane.submit(self._payload(index, None), index, is_dup=True):
+                return  # the next dispatch to that lane finds it broken
             self.timings[index].tasks_speculated += 1
 
     def _recover(self, broken: List[_WorkerLane], pending: "deque[int]") -> None:
@@ -905,8 +971,7 @@ class _PooledMapEngine:
         workers, queues and resident sets.  Rebuilding resets each
         broken lane's resident set — a fresh worker holds nothing, so
         the scheduler must not route tasks on the dead process's
-        affinity — and ``reap_dead_heartbeats`` drops the dead pids'
-        heartbeat *and* resident-set files.
+        affinity.
 
         With a store, what the dead workers left behind is reclaimed
         before resubmitting.  A SIGKILLed worker runs neither ``atexit``
@@ -914,7 +979,7 @@ class _PooledMapEngine:
         segments it published but never handed off would outlive the run
         — :func:`~repro.frameworks.shm.sweep_orphan_segments` reclaims
         them by their pid-keyed names once the lanes' processes are
-        reaped.  The spill pipeline is settled too, so resubmitted tasks
+        joined.  The spill pipeline is settled too, so resubmitted tasks
         resolve through a consistent tier state; a sticky spill-writer
         failure is tolerated here — the flush reinstates the enqueued
         blocks as resident (no names leak) and the recovery proceeds
@@ -923,25 +988,18 @@ class _PooledMapEngine:
         recover_start = time.perf_counter()
         doomed = sorted({lane.index for lane in broken if lane.busy})
         for lane in broken:
-            lane.clear()
-            lane.pool.shutdown(wait=True)  # reap the dead worker first
+            lane.rebuild()  # joins the dead worker before the sweep below
         if self.store is not None:
             sweep_orphan_segments()
             try:
                 self.store.flush_spill()
             except RuntimeError:
                 pass
-        if self.hb_dir is not None:
-            # a SIGKILLed worker never ran its clear_heartbeat; drop the
-            # files of dead/recycled pids so hb_dir ends the run empty
-            reap_dead_heartbeats(self.hb_dir)
         alive = [i for i in doomed if i not in self._completed]
         for index in reversed(alive):
             self._fail(index, WorkerLost(
                 f"worker died while task {index} was in flight"),
                 pending, front=True)
-        for lane in broken:
-            lane.rebuild()
         if alive:
             self.timings[alive[0]].recovery_seconds += time.perf_counter() - recover_start
 
@@ -971,10 +1029,17 @@ class _PooledExecutor(ExecutorBase):
         return self._lanes
 
     def _drop_lanes(self) -> None:
-        """Shut every lane's worker down and forget the lanes."""
+        """Stop and join every lane's worker and forget the lanes.
+
+        Idle workers exit on their own; a worker still busy with a task
+        is killed, not waited out.  Joining reaps every worker, so
+        ``RUSAGE_CHILDREN`` counts them all.
+        """
         lanes, self._lanes = self._lanes, []
         for lane in lanes:
-            lane.pool.shutdown(wait=True)
+            lane.stop()
+        for lane in lanes:
+            lane.join()
 
     def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """Run the tasks on the worker lanes, measuring both crossings.
@@ -1106,7 +1171,7 @@ class SharedMemoryExecutor(_PooledExecutor):
         omitted the executor owns a private unbounded store and unlinks
         its segments on :meth:`shutdown`.
     fault_policy : FaultPolicy, optional
-        Opt into worker-death recovery, retries, the heartbeat monitor
+        Opt into worker-death recovery, retries, the hung-worker check
         and lost-block handling; ``None`` keeps fail-fast behaviour.
     fault_injector : FaultInjector, optional
         Deterministic chaos source consumed at dispatch time.

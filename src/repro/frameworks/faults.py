@@ -9,8 +9,8 @@ infrastructure to prove it:
 
 * :class:`FaultPolicy` says *what to do* when a task fails: how many
   times to retry, which exceptions count as transient, how long to back
-  off (deterministically), how stale a worker heartbeat may go before
-  the driver declares the worker hung, and what to do about lost data
+  off (deterministically), how long after dispatch a task may run before
+  the driver declares its worker hung, and what to do about lost data
   blocks.  Threaded through :class:`~repro.frameworks.base.TaskFramework`,
   every substrate, and every executor.
 * :class:`FaultSpec` / :class:`FaultInjector` are the deterministic
@@ -54,13 +54,12 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from .counters import TaskCounters
 from .shm import (
     BlockLost,
     SharedMemoryStore,
-    resident_names,
     unlink_segment_by_name,
 )
 
@@ -80,12 +79,6 @@ __all__ = [
     "apply_block_fault",
     "execute_worker_fault",
     "simulate_in_process_fault",
-    "live_heartbeat_pids",
-    "reap_dead_heartbeats",
-    "kill_heartbeat_workers",
-    "RESIDENT_PREFIX",
-    "report_resident_set",
-    "read_resident_set",
 ]
 
 #: Fault kinds understood by :class:`FaultSpec`.
@@ -102,10 +95,11 @@ class InjectedFault(RuntimeError):
 class WorkerLost(RuntimeError):
     """A worker died (or was declared hung) while executing a task.
 
-    Raised driver-side when a process pool breaks or a heartbeat goes
-    stale, and in-process when a ``kill_worker`` fault is simulated on
-    an executor that shares the driver's address space.  Always
-    retryable within :attr:`FaultPolicy.max_retries`.
+    Raised driver-side when a worker lane's process dies (or is killed
+    for overrunning ``heartbeat_timeout_s``), and in-process when a
+    ``kill_worker`` fault is simulated on an executor that shares the
+    driver's address space.  Always retryable within
+    :attr:`FaultPolicy.max_retries`.
     """
 
 
@@ -131,14 +125,15 @@ class FaultPolicy:
     backoff_factor : float, optional
         Multiplier between successive backoffs (default 2.0).
     heartbeat_timeout_s : float, optional
-        Process pools only: a worker whose current task started more
-        than this many seconds ago without completing is declared hung
-        and killed, which surfaces as :class:`WorkerLost` and triggers
-        the normal resubmission path.  ``None`` (default) disables the
-        monitor.
+        Process pools only: a worker whose current task was dispatched
+        more than this many seconds ago without completing is declared
+        hung and killed, which surfaces as :class:`WorkerLost` and
+        triggers the normal resubmission path.  ``None`` (default)
+        disables the check.
     heartbeat_interval_s : float, optional
-        How often the driver checks heartbeats while waiting on task
-        completions (default 0.05 s).
+        How often the driver wakes up to check for hung workers,
+        stragglers and held tasks while waiting on task completions
+        (default 0.05 s).
     on_lost_block : str, optional
         ``"recover"`` (default): heal an unresolvable task-payload block
         from its registered source array and retry, or re-execute the
@@ -165,8 +160,8 @@ class FaultPolicy:
     locality : bool, optional
         Process pools on the shm plane only: opt into locality-aware
         task placement (default ``False``).  Workers report the block
-        names they hold resident alongside their heartbeat files, and
-        the driver routes each task to a free worker whose resident set
+        names they hold resident with each task's reply, and the
+        driver routes each task to a free worker whose resident set
         covers the task's refs — steering tasks whose inputs spilled to
         the worker that still has them mapped instead of paying a disk
         read on a random one.  Placement is accounted in
@@ -270,7 +265,7 @@ class FaultSpec:
             Raise :class:`InjectedFault` inside the task.
         ``"delay"``
             Sleep ``delay_s`` inside the task before running it (drives
-            the heartbeat monitor).
+            the hung-worker check and speculation).
         ``"unlink_block"``
             ``target="spill"``: unlink the oldest spilled ``.blk`` file
             of the run's store at dispatch time.  ``target="result"``:
@@ -631,277 +626,3 @@ def call_in_process(fn: Callable[[Any], Any], item: Any, policy: FaultPolicy,
         except Exception as exc:  # noqa: BLE001 - the policy decides
             if not prepare_retry(exc, policy, store, counts):
                 raise
-
-
-# --------------------------------------------------------------------------- #
-# heartbeat files (process pools)
-# --------------------------------------------------------------------------- #
-def _process_start_ticks(pid: int) -> Optional[int]:
-    """Kernel start time (clock ticks since boot) of ``pid``, or ``None``.
-
-    Field 22 of ``/proc/<pid>/stat`` uniquely identifies one incarnation
-    of a pid: a recycled pid gets a new start time.  Parsed from after
-    the last ``)`` so executable names containing spaces or parentheses
-    cannot shift the field offsets.  ``None`` on platforms without
-    procfs (the heartbeat machinery then falls back to liveness-only
-    checks, the pre-fix behaviour).
-    """
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as fh:
-            data = fh.read()
-        fields = data.rsplit(b")", 1)[1].split()
-        return int(fields[19])  # field 22, counting from the state field
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def write_heartbeat(hb_dir: Optional[str]) -> None:
-    """Stamp this worker's heartbeat file at task start (worker side).
-
-    The file is named after the worker's pid and records the wall-clock
-    stamp plus the process *start time* (see :func:`_process_start_ticks`),
-    so the driver can tell this incarnation of the pid from an unrelated
-    process that recycled it after the worker died.
-    """
-    if not hb_dir:
-        return
-    try:
-        ticks = _process_start_ticks(os.getpid())
-        path = os.path.join(hb_dir, str(os.getpid()))
-        with open(path, "w") as fh:
-            fh.write(f"{time.time()!r} {'-' if ticks is None else ticks}")
-    except OSError:
-        pass
-
-
-def clear_heartbeat(hb_dir: Optional[str]) -> None:
-    """Remove this worker's heartbeat file at task end (worker side)."""
-    if not hb_dir:
-        return
-    try:
-        os.remove(os.path.join(hb_dir, str(os.getpid())))
-    except OSError:
-        pass
-
-
-#: Filename prefix of per-worker resident-set files in the heartbeat
-#: directory.  ``_heartbeat_entries`` only parses integer-named files,
-#: so resident-set files are invisible to the pid machinery by
-#: construction.
-RESIDENT_PREFIX = "res-"
-
-
-def _resident_set_path(hb_dir: str, pid: int) -> str:
-    """Path of the resident-set file worker ``pid`` reports into."""
-    return os.path.join(hb_dir, f"{RESIDENT_PREFIX}{pid}")
-
-
-def report_resident_set(hb_dir: Optional[str]) -> None:
-    """Write this worker's resident block names next to its heartbeat file.
-
-    Called by the pool worker shims at the end of each task, piggybacking
-    on the heartbeat directory: the file ``res-<pid>`` lists (one per
-    line) the segment names the worker can resolve without a cold disk
-    read — see :func:`~repro.frameworks.shm.resident_names`.  The driver
-    reads it back to refresh the worker's lane for locality-aware
-    placement.  Written to a temp name and renamed, so the driver never
-    observes a half-written report; best-effort like the heartbeat
-    itself.
-    """
-    if not hb_dir:
-        return
-    path = _resident_set_path(hb_dir, os.getpid())
-    try:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(sorted(resident_names())))
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
-def read_resident_set(hb_dir: str, pid: int) -> Optional[frozenset]:
-    """The block names worker ``pid`` last reported resident, if any.
-
-    Returns ``None`` when the worker has not reported yet (its lane
-    keeps the driver's optimistic estimate); an empty report reads as an
-    empty frozenset.
-    """
-    try:
-        with open(_resident_set_path(hb_dir, pid)) as fh:
-            data = fh.read()
-    except OSError:
-        return None
-    return frozenset(name for name in data.split("\n") if name)
-
-
-def _heartbeat_ticks(path: str) -> Optional[int]:
-    """Process start-ticks recorded in a heartbeat file, or ``None``."""
-    try:
-        with open(path) as fh:
-            parts = fh.read().split()
-        return int(parts[1])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def _heartbeat_entries(hb_dir: str) -> List[Tuple[int, str]]:
-    """``(pid, path)`` pairs for the heartbeat files currently in ``hb_dir``."""
-    try:
-        entries = os.listdir(hb_dir)
-    except OSError:
-        return []
-    out: List[Tuple[int, str]] = []
-    for entry in entries:
-        try:
-            pid = int(entry)
-        except ValueError:
-            continue
-        out.append((pid, os.path.join(hb_dir, entry)))
-    return out
-
-
-def _verify_heartbeat_owner(pid: int, path: str) -> bool:
-    """Whether ``pid`` is alive *and* still the process that wrote ``path``.
-
-    Guards against pid reuse: if the pid's current start time differs
-    from the one recorded in the heartbeat file, the worker died and an
-    unrelated process recycled its pid — the file is removed and the pid
-    must never be signalled.  Dead pids also get their file removed
-    (their loss surfaces through the broken pool instead).
-    """
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return False
-    except PermissionError:
-        # alive but not ours — certainly not a pool worker we spawned
-        return False
-    recorded = _heartbeat_ticks(path)
-    current = _process_start_ticks(pid)
-    if recorded is not None and current is not None and recorded != current:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return False
-    return True
-
-
-def stale_worker_pids(hb_dir: str, timeout_s: float) -> List[int]:
-    """Pids whose current task started more than ``timeout_s`` ago.
-
-    A heartbeat file exists exactly while its worker executes a task
-    (written at task start, removed at completion), so a file older than
-    the timeout marks a hung worker.  Files of already-dead pids are
-    removed rather than reported — their loss surfaces through the
-    broken pool instead — and a pid recycled by an unrelated process
-    (detected via the recorded process start time) is likewise removed,
-    never reported, so it can never be SIGKILLed by mistake.
-    """
-    stale: List[int] = []
-    now = time.time()
-    for pid, path in _heartbeat_entries(hb_dir):
-        try:
-            age = now - os.path.getmtime(path)
-        except OSError:
-            continue
-        if age <= timeout_s:
-            continue
-        if not _verify_heartbeat_owner(pid, path):
-            continue
-        stale.append(pid)
-    return stale
-
-
-def live_heartbeat_pids(hb_dir: str) -> List[int]:
-    """Pids with a heartbeat file that verifiably still belongs to them.
-
-    Unlike :func:`stale_worker_pids` there is no age threshold: every
-    worker currently mid-task is returned.  The speculation path uses
-    this to reap straggler workers whose duplicate already won.
-    """
-    return [pid for pid, path in _heartbeat_entries(hb_dir)
-            if _verify_heartbeat_owner(pid, path)]
-
-
-def reap_dead_heartbeats(hb_dir: str) -> List[str]:
-    """Remove heartbeat files of dead or recycled pids; the pids kept.
-
-    Called after pool recovery so a SIGKILLed worker (whose ``finally``
-    never ran) does not leave its heartbeat file behind — the hygiene
-    invariant that ``hb_dir`` is empty after a successful run.  Dead
-    workers' resident-set files (``res-<pid>``) are reaped in the same
-    pass: a reaped lane's resident set must never route another task.
-    """
-    kept: List[str] = []
-    for pid, path in _heartbeat_entries(hb_dir):
-        if _verify_heartbeat_owner(pid, path):
-            kept.append(str(pid))
-    _reap_dead_resident_sets(hb_dir)
-    return kept
-
-
-def _reap_dead_resident_sets(hb_dir: str) -> None:
-    """Drop resident-set files whose reporting worker is gone."""
-    try:
-        entries = os.listdir(hb_dir)
-    except OSError:
-        return
-    for entry in entries:
-        if not entry.startswith(RESIDENT_PREFIX):
-            continue
-        suffix = entry[len(RESIDENT_PREFIX):]
-        alive = False
-        try:
-            os.kill(int(suffix), 0)
-            alive = True
-        except (ValueError, ProcessLookupError):
-            alive = False  # malformed name, a ".tmp" leftover, or dead pid
-        except PermissionError:
-            alive = False  # pid recycled by a foreign process: not our worker
-        if not alive:
-            try:
-                os.remove(os.path.join(hb_dir, entry))
-            except OSError:
-                pass
-
-
-def kill_stale_workers(hb_dir: str, timeout_s: float) -> Sequence[int]:
-    """SIGKILL workers whose heartbeat went stale; the pids killed.
-
-    The kill breaks the process pool, which is exactly the point: the
-    standard broken-pool recovery then reaps the worker, sweeps its
-    orphans, rebuilds the pool and resubmits the lost task.
-    """
-    killed: List[int] = []
-    for pid in stale_worker_pids(hb_dir, timeout_s):
-        try:
-            os.kill(pid, signal.SIGKILL)
-            killed.append(pid)
-        except OSError:
-            pass
-    return killed
-
-
-def kill_heartbeat_workers(hb_dir: str) -> Sequence[int]:
-    """SIGKILL every worker currently mid-task; the pids killed.
-
-    The speculation path calls this when all results are in but a
-    beaten straggler still occupies a worker: the kill breaks the pool,
-    whose standard recovery (orphan sweep, rebuild) then runs with no
-    tasks left to resubmit.  Ownership is verified exactly as in
-    :func:`stale_worker_pids`, so a recycled pid is never signalled.
-    """
-    killed: List[int] = []
-    for pid in live_heartbeat_pids(hb_dir):
-        try:
-            os.kill(pid, signal.SIGKILL)
-            killed.append(pid)
-        except OSError:
-            pass
-    return killed

@@ -130,8 +130,9 @@ class LocalityScheduler:
 
     When every pending task is in state 4 and none has waited out its
     bound, :meth:`choose` returns ``None`` and the lane stays idle for
-    one engine wait round — bounded by the policy's heartbeat interval,
-    so holds are re-evaluated promptly.
+    one engine wait round — the engine wakes every
+    ``heartbeat_interval_s`` while locality placement is on, so holds
+    are re-evaluated promptly.
 
     Parameters
     ----------

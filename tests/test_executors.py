@@ -9,12 +9,21 @@ plane's acceptance criteria are built on, and keep their worker lanes
 for the executor's lifetime: lanes fork once, survive later calls, are
 dropped after a failed call, and receive each run's state (its run
 token, released mappings of unlinked segments) with the run itself.
+A lane is one worker process and one pipe: it leaves no driver thread
+behind, and a task exception that does not pickle still reaches the
+driver as an exception.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
+import threading
 import time
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,7 +37,7 @@ from repro.frameworks.executors import (
     default_worker_count,
     make_executor,
 )
-from repro.frameworks.faults import NO_RETRIES
+from repro.frameworks.faults import NO_RETRIES, FaultPolicy
 from repro.frameworks.shm import SharedMemoryStore, maybe_resolve
 
 EXECUTOR_KINDS = ("serial", "threads", "processes", "shm")
@@ -84,12 +93,68 @@ def slow_echo(x):
     return x
 
 
+class UnpicklableError(Exception):
+    """Cannot be pickled: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class UnloadableError(Exception):
+    """Pickles, but cannot be unpickled: ``__init__`` needs two arguments."""
+
+    def __init__(self, message, code):
+        super().__init__(f"{message} ({code})")
+
+
+def raise_unpicklable(kind):
+    if kind == "lock":
+        raise UnpicklableError("holds a lock")
+    if kind == "args":
+        raise UnloadableError("needs two arguments", 7)
+    return os.getpid()
+
+
+def raise_unpicklable_once(marker_dir):
+    """Raise an exception that cannot be pickled on the first call only."""
+    marker = os.path.join(marker_dir, "fired")
+    if not os.path.exists(marker):
+        with open(marker, "w") as fh:
+            fh.write("x")
+        raise UnpicklableError("first attempt")
+    return os.getpid()
+
+
 def pid_alive(pid):
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
         return False
     return True
+
+
+def running(pid):
+    """Whether ``pid`` is a process that has not exited (zombies have)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except OSError:
+        return False
+
+
+DRIVER = """
+import os, signal, sys
+from repro.frameworks.executors import ProcessExecutor
+
+def worker_pid(_):
+    return os.getpid()
+
+ex = ProcessExecutor(workers=2)
+print(" ".join(str(pid) for pid in set(ex.map_tasks(worker_pid, range(4)))), flush=True)
+if sys.argv[1] == "kill":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
 
 
 def maps_segment(pid, name):
@@ -202,6 +267,32 @@ class TestFactoryAndDefaults:
             assert count == cpus - 1
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("end", ["exit", "kill"])
+def test_driver_gone_without_shutdown_takes_its_lanes(end, tmp_path):
+    """A driver that exits without ``shutdown()`` (or is SIGKILLed) does
+    not hang, and its lanes do not outlive it."""
+    script = tmp_path / "driver.py"
+    script.write_text(DRIVER)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    driver = subprocess.Popen([sys.executable, str(script), end],
+                              stdout=subprocess.PIPE, text=True, env=env)
+    pids = [int(pid) for pid in driver.stdout.readline().split()]
+    try:
+        driver.wait(timeout=60)
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(running(pid) for pid in pids)
+    finally:
+        driver.stdout.close()
+        for pid in pids:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 @pytest.mark.parametrize("kind", POOLED_KINDS)
 class TestWorkerLanes:
     """Lanes belong to the executor: forked once, kept across calls."""
@@ -217,6 +308,45 @@ class TestWorkerLanes:
         finally:
             ex.shutdown()
         assert not any(pid_alive(pid) for pid in pids)
+
+    def test_warm_map_leaves_no_driver_threads(self, kind):
+        ex = make(kind)
+        try:
+            before = threading.active_count()
+            ex.map_tasks(worker_pid, range(4))  # forks the lanes
+            ex.map_tasks(worker_pid, range(4))  # runs on them warm
+            assert threading.active_count() == before
+        finally:
+            ex.shutdown()
+
+    @pytest.mark.parametrize("exc_kind", ["lock", "args"])
+    def test_unpicklable_exception_reaches_driver(self, kind, exc_kind):
+        ex = make(kind)
+        ex.fault_policy = NO_RETRIES
+        watchdog = ThreadPoolExecutor(max_workers=1)
+        try:
+            with pytest.raises(RuntimeError, match="Error"):
+                watchdog.submit(ex.map_tasks, raise_unpicklable,
+                                [exc_kind, "ok"]).result(timeout=30)
+            assert ex.totals().tasks_lost == 0
+        finally:
+            watchdog.shutdown(wait=False)
+            ex.shutdown()
+
+    def test_unpicklable_exception_is_retried_on_its_lane(self, kind, tmp_path):
+        """A task failure that does not pickle is a task failure, not a
+        worker death: it is retried without a lost task, and the lane's
+        worker serves on."""
+        ex = make(kind)
+        ex.workers = 1
+        ex.fault_policy = FaultPolicy(max_retries=1)
+        try:
+            pid = ex.map_tasks(worker_pid, [0])[0]
+            assert ex.map_tasks(raise_unpicklable_once, [str(tmp_path)]) == [pid]
+            assert ex.totals().tasks_retried == 1
+            assert ex.totals().tasks_lost == 0
+        finally:
+            ex.shutdown()
 
     def test_failed_call_drops_lanes_before_raising(self, kind):
         ex = make(kind)

@@ -8,10 +8,11 @@ with results *bit-identical* to a fault-free run, exact
 ``tasks_retried`` / ``tasks_lost`` metrics, and no ``/dev/shm`` or
 spill-file leaks.  The pool executors additionally cover the real
 failure machinery: SIGKILL mid-task and between publish and adoption
-(the orphan-segment sweep), hung workers reaped by the heartbeat
-monitor, unresolvable result blocks re-executed, and spilled payload
-blocks unlinked or corrupted under a live run and healed from their
-registered sources.
+(the orphan-segment sweep), hung workers killed once their task
+overruns ``heartbeat_timeout_s`` (the driver signals only its own live,
+unreaped lane children), unresolvable result blocks re-executed, and
+spilled payload blocks unlinked or corrupted under a live run and
+healed from their registered sources.
 
 The spill-writer failure tests reproduce (and pin the fix for) the
 latent leak where an eviction waiting on backpressure when the writer
@@ -30,6 +31,7 @@ import os
 import tempfile
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +44,12 @@ from repro.core.psa import psa_serial
 from repro.frameworks import make_framework
 from repro.frameworks.checkpoint import StaleJournal
 from repro.frameworks.base import TaskFramework
-from repro.frameworks.executors import ProcessExecutor, SharedMemoryExecutor, ThreadExecutor
+from repro.frameworks.executors import (
+    ProcessExecutor,
+    SharedMemoryExecutor,
+    ThreadExecutor,
+    _WorkerLane,
+)
 from repro.frameworks.faults import (
     BlockLost,
     FaultInjector,
@@ -51,11 +58,6 @@ from repro.frameworks.faults import (
     InjectedFault,
     WorkerLost,
     as_injector,
-    clear_heartbeat,
-    live_heartbeat_pids,
-    reap_dead_heartbeats,
-    stale_worker_pids,
-    write_heartbeat,
 )
 from repro.frameworks.shm import (
     PUBLISH_PREFIX,
@@ -666,7 +668,7 @@ class TestSpillWriterFailure:
         assert os.listdir(tmp_path) == []
 
     def test_pool_recovery_tolerates_dead_spill_writer(self, tmp_path):
-        """BrokenProcessPool recovery flushes the spill pipeline; a dead
+        """Broken-lane recovery flushes the spill pipeline; a dead
         writer must not abort the recovery (blocks are reinstated)."""
         store = SharedMemoryStore(capacity_bytes=1 << 20, spill_dir=str(tmp_path))
         ex = SharedMemoryExecutor(
@@ -1007,7 +1009,6 @@ class TestSpeculation:
             assert ex.totals().tasks_speculated == 1
             assert ex.totals().speculation_wins == 1
             assert time.monotonic() - start < 30.0
-            assert ex.last_hb_leftovers == []  # straggler's heartbeat reaped
         finally:
             ex.shutdown()
 
@@ -1028,67 +1029,88 @@ class TestSpeculation:
 
 
 # --------------------------------------------------------------------------- #
-# heartbeat hygiene and the pid-reuse race
+# the driver signals only its own live lane children
 # --------------------------------------------------------------------------- #
-class TestHeartbeatHygiene:
-    def test_hb_dir_empty_after_clean_run(self):
+def record_kills(monkeypatch, ex):
+    """Record every signal the driver sends, and whether its target was
+    one of ``ex``'s lane processes, alive and not yet reaped.
+
+    ``waitid(..., WNOWAIT)`` inspects a child without reaping it: it
+    returns ``None`` for a child that has not exited and raises
+    ``ChildProcessError`` for a pid that is no (longer a) child — one
+    that recovery already joined, or an unrelated process.
+    """
+    real_kill = os.kill
+    sent = []
+
+    def kill(pid, sig):
+        if sig != 0:  # signal 0 only probes liveness
+            procs = [lane.proc for lane in ex._lanes if lane.proc.pid == pid]
+            try:
+                live = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG
+                                 | os.WNOWAIT) is None
+            except ChildProcessError:
+                live = False
+            sent.append((pid, bool(procs) and live, procs[0] if procs else None))
+        real_kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", kill)
+    return sent
+
+
+def assert_kills_hit_live_lanes(sent):
+    """Every signal reached a live, unjoined lane child; once recovery has
+    joined that child, the lane's kill sends nothing more."""
+    assert sent
+    assert all(live for _, live, _ in sent), sent
+    n_sent = len(sent)
+    for _, _, proc in sent:
+        assert proc.exitcode is not None  # recovery joined it
+        _WorkerLane.kill(SimpleNamespace(proc=proc))
+    assert len(sent) == n_sent
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+class TestLaneSignals:
+    def test_hung_worker_kill_targets_its_live_lane(self, monkeypatch):
         ex = SharedMemoryExecutor(
-            workers=2, fault_policy=FaultPolicy(heartbeat_timeout_s=5.0))
+            workers=1,
+            fault_policy=FaultPolicy(heartbeat_timeout_s=0.5,
+                                     heartbeat_interval_s=0.05),
+            fault_injector=FaultInjector(
+                FaultSpec("delay", at_task=1, delay_s=60.0)))
+        sent = record_kills(monkeypatch, ex)
         try:
-            assert ex.map_tasks(square, list(range(8))) == \
-                [x * x for x in range(8)]
-            assert ex.last_hb_leftovers == []
+            assert ex.map_tasks(square, list(range(3))) == [0, 1, 4]
+            assert ex.totals().tasks_lost == 1
+            assert_kills_hit_live_lanes(sent)
         finally:
             ex.shutdown()
 
-    def test_live_heartbeat_round_trip(self, tmp_path):
-        write_heartbeat(str(tmp_path))
-        assert live_heartbeat_pids(str(tmp_path)) == [os.getpid()]
-        assert reap_dead_heartbeats(str(tmp_path)) == [str(os.getpid())]
-        clear_heartbeat(str(tmp_path))
-        assert live_heartbeat_pids(str(tmp_path)) == []
-        assert os.listdir(tmp_path) == []
-
-    def test_recycled_pid_is_never_signalled(self, tmp_path):
-        """The pid-reuse race: a heartbeat file whose recorded process
-        start time does not match the pid's current incarnation marks a
-        dead worker whose pid was recycled — it must be skipped (never
-        SIGKILLed) and its file removed."""
-        pid = os.getpid()
-        path = tmp_path / str(pid)
-        # ticks=1 is ~10ms after boot: no live process matches it
-        path.write_text("1.0 1")
-        old = time.time() - 3600
-        os.utime(path, (old, old))
-        assert stale_worker_pids(str(tmp_path), timeout_s=1.0) == []
-        assert not path.exists()
-
-    def test_dead_pid_heartbeat_is_reaped(self, tmp_path):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("spawn")
-        proc = ctx.Process(target=int)
-        proc.start()
-        dead_pid = proc.pid
-        proc.join()
-        path = tmp_path / str(dead_pid)
-        path.write_text("1.0 123")
-        assert reap_dead_heartbeats(str(tmp_path)) == []
-        assert not path.exists()
-        assert stale_worker_pids(str(tmp_path), timeout_s=0.0) == []
-
-    def test_own_heartbeat_survives_verification(self, tmp_path):
-        """A live worker with matching start ticks is reported stale when
-        old enough — the verification only filters recycled/dead pids."""
-        write_heartbeat(str(tmp_path))
-        path = tmp_path / str(os.getpid())
-        old = time.time() - 3600
-        os.utime(path, (old, old))
+    def test_straggler_kill_targets_its_live_lane(self, monkeypatch):
+        ex = ProcessExecutor(
+            workers=2, fault_policy=FaultPolicy(speculation_factor=3.0),
+            fault_injector=FaultInjector(
+                FaultSpec("delay", at_task=1, delay_s=60.0)))
+        sent = record_kills(monkeypatch, ex)
         try:
-            assert stale_worker_pids(str(tmp_path), timeout_s=60.0) == \
-                [os.getpid()]
+            assert ex.map_tasks(slow_square, list(range(6))) == \
+                [x * x for x in range(6)]
+            assert ex.totals().speculation_wins == 1
+            assert_kills_hit_live_lanes(sent)
         finally:
-            clear_heartbeat(str(tmp_path))
+            ex.shutdown()
+
+    def test_kill_after_join_sends_nothing(self, monkeypatch):
+        lane = _WorkerLane(0)
+        sent = []
+        real_kill = os.kill
+        monkeypatch.setattr(os, "kill", lambda pid, sig: (
+            sent.append(pid) if sig else None, real_kill(pid, sig)))
+        lane.kill()
+        lane.join()
+        lane.kill()
+        assert sent == [lane.proc.pid]
 
 
 # --------------------------------------------------------------------------- #
@@ -1151,7 +1173,6 @@ class TestLaneFailureDomain:
             assert ex.totals().tasks_lost == 1
             assert ex.totals().tasks_retried == 1
             assert (ex.totals().tasks_local + ex.totals().tasks_remote) == 12
-            assert ex.last_hb_leftovers == []
         finally:
             ex.shutdown()
             store.cleanup()  # caller-owned: shutdown leaves it alone

@@ -7,15 +7,14 @@ data planes, under speculation and under worker death.  The scheduler
 policy itself (delay scheduling over resident sets) is pure bookkeeping
 and is unit-tested with a fake clock; the engine-level tests pin the
 exact ``tasks_local`` / ``tasks_remote`` split on deterministic
-single-lane runs, resident-set transport through the heartbeat
-directory, dead-lane invalidation, and the two bugfixes that rode along
+single-lane runs, resident sets riding each task's reply, dead-lane
+invalidation, and the two bugfixes that rode along
 (the even-count speculation median and prefetch hints dropped on a full
 queue).
 """
 
 from __future__ import annotations
 
-import os
 import queue
 
 import numpy as np
@@ -27,17 +26,11 @@ from repro.frameworks.base import RunMetrics
 from repro.frameworks.counters import TaskCounters
 from repro.frameworks.executors import (
     SharedMemoryExecutor,
+    _PooledMapEngine,
     _speculation_threshold,
     _WorkerLane,
 )
-from repro.frameworks.faults import (
-    RESIDENT_PREFIX,
-    FaultPolicy,
-    read_resident_set,
-    reap_dead_heartbeats,
-    report_resident_set,
-    write_heartbeat,
-)
+from repro.frameworks.faults import FaultPolicy
 from repro.frameworks.locality import LocalityScheduler, Placement, TaskBlocks
 from repro.frameworks.shm import (
     BlockRef,
@@ -220,39 +213,41 @@ class TestPrefetchDrops:
 # resident-set transport and dead-lane invalidation
 # --------------------------------------------------------------------------- #
 class TestResidentSetReporting:
-    def test_report_read_round_trip(self, tmp_path):
-        hb_dir = str(tmp_path)
-        report_resident_set(hb_dir)
-        names = read_resident_set(hb_dir, os.getpid())
-        assert names is not None
-        assert isinstance(names, frozenset)
+    def test_lanes_mirror_their_workers_last_reply(self, monkeypatch):
+        replies = {}
+        observe = _PooledMapEngine._observe_worker
 
-    def test_read_missing_pid_returns_none(self, tmp_path):
-        assert read_resident_set(str(tmp_path), 1) is None
+        def record(engine, lane, index, out):
+            replies[lane.lane_id] = out[5]
+            observe(engine, lane, index, out)
 
-    def test_reap_removes_dead_pid_resident_sets(self, tmp_path):
-        hb_dir = str(tmp_path)
-        report_resident_set(hb_dir)
-        own = os.path.join(hb_dir, f"{RESIDENT_PREFIX}{os.getpid()}")
-        # forge a report from a pid that cannot be alive
-        dead = os.path.join(hb_dir, f"{RESIDENT_PREFIX}999999999")
-        with open(dead, "w") as fh:
-            fh.write("stale-block\n")
-        write_heartbeat(hb_dir)
-        reap_dead_heartbeats(hb_dir)
-        assert not os.path.exists(dead)
-        assert os.path.exists(own)
+        monkeypatch.setattr(_PooledMapEngine, "_observe_worker", record)
+        ex = SharedMemoryExecutor(workers=2,
+                                  fault_policy=FaultPolicy(locality=True))
+        try:
+            arrays = [np.full(64, float(i)) for i in range(6)]
+            assert ex.map_tasks(block_sum, arrays) == \
+                [float(arr.sum()) for arr in arrays]
+            lanes = ex._lanes
+            assert {lane.lane_id for lane in lanes} == set(replies)
+            for lane in lanes:
+                assert isinstance(replies[lane.lane_id], frozenset)
+                assert replies[lane.lane_id]  # it attached its payloads
+                assert lane.resident == replies[lane.lane_id]
+        finally:
+            ex.shutdown()
 
     def test_rebuilt_lane_forgets_resident_set(self):
         lane = _WorkerLane(0)
         try:
+            pid = lane.proc.pid
             lane.resident = frozenset({"a", "b"})
-            lane.pid = 12345
             lane.rebuild()
             assert lane.resident == frozenset()
-            assert lane.pid is None
+            assert lane.proc.pid != pid and lane.proc.is_alive()
         finally:
-            lane.pool.shutdown(wait=True)
+            lane.stop()
+            lane.join()
 
 
 # --------------------------------------------------------------------------- #
@@ -283,7 +278,6 @@ class TestPlacementAccounting:
             assert ex.totals().tasks_remote == 1
             assert ex.totals().tasks_local == 3
             assert ex.totals().bytes_spill_reads_avoided == 3 * a.nbytes
-            assert ex.last_hb_leftovers == []
             # the lane outlives the call, and so does its resident set:
             # the next call finds A resident from its first task on
             assert ex.map_tasks(block_sum, [ref_a, ref_a]) == [float(a.sum())] * 2
@@ -303,7 +297,6 @@ class TestPlacementAccounting:
             assert ex.totals().tasks_local == 6
             assert ex.totals().tasks_remote == 0
             assert ex.totals().bytes_spill_reads_avoided == 0
-            assert ex.last_hb_leftovers == []
         finally:
             ex.shutdown()
 
