@@ -66,8 +66,10 @@ def run_waves(framework: TaskFramework, fn: Callable[[Any], Any],
         The task lists, one per wave.  A generator builds each wave only
         after the previous one is folded.
     fold : callable
-        Takes one wave's results, in task order.  On the shm plane they
-        are views of result segments, so the fold copies what it keeps.
+        Takes one wave's results, in task order.  Results of tasks that
+        ran in the driver's process are the tasks' own objects; on the
+        shm plane a process lane's are views of result segments the
+        store owns, so the fold copies what it keeps.
     journal : RunJournal or None
         Checkpoint journal that every wave restores from and records to.
     store : SharedMemoryStore or None

@@ -16,11 +16,11 @@ broadcast volume collapses from the full system to a per-node ref, and
 the edge lists the tasks produce return as refs too instead of being
 pickled back.  ``bytes_shared`` / ``bytes_shared_results`` (from
 :class:`~repro.frameworks.base.RunMetrics`) count the array bytes the
-tasks accessed / returned through shared memory (summed per task, the
+tasks accessed / returned through the plane (summed per task, the
 analogue of what the pickle plane would have moved), while
 ``bytes_resident`` counts the segment bytes actually held in the store
-— the broadcast system appears there exactly once, plus the adopted
-result blocks.  This is the serialization saving the paper identifies
+— the broadcast system appears there exactly once; the thread-run
+tasks' edge lists stay in the driver's heap and take no segment.  This is the serialization saving the paper identifies
 as the frameworks' main deficit against MPI.
 """
 
@@ -74,13 +74,13 @@ def measured_rows(n_atoms: int = 3000, cutoff: float = 15.0, n_tasks: int = 16,
             "bytes_broadcast": report.metrics.bytes_broadcast,
             # array bytes tasks accessed through the plane (per-task sum)
             "bytes_shared": report.metrics.bytes_shared,
-            # result direction: bytes moved back serialized vs returned
-            # through shared segments
+            # result direction: bytes a ref payload would move back vs
+            # the array bytes its refs would point at
             "bytes_results_moved": report.metrics.bytes_results_pickled,
             "bytes_shared_results": report.metrics.bytes_shared_results,
             "bytes_spilled": report.metrics.bytes_spilled,
-            # segment bytes resident in the store (broadcast system once,
-            # plus adopted result blocks)
+            # segment bytes resident in the store: the broadcast system,
+            # once (thread-run results stay in the heap)
             "bytes_resident": store.bytes_resident if store is not None else 0,
         })
         fw.close()
@@ -102,7 +102,7 @@ def data_plane_rows(n_atoms: int = 3000, cutoff: float = 15.0, n_tasks: int = 16
     * result direction — the bytes the gathered edge lists would move on
       each plane (``bytes_results_moved_*``: whole arrays on the pickle
       plane, just the refs on the shm plane) and the array bytes
-      returned through shared segments (``bytes_shared_results``).
+      those refs point at (``bytes_shared_results``).
 
     ``moved_reduction`` / ``results_moved_reduction`` are the factors by
     which the shm plane shrinks each direction's moved volume.

@@ -37,9 +37,9 @@ from .shm import (
     DATA_PLANES,
     ResolvingTask,
     SharedMemoryStore,
-    adopt_payload,
-    refs_nbytes,
+    adopt_payload,  # noqa: F401 - benchmarks/e2e/spans.py wraps base.adopt_payload
     share_payload,
+    stand_in_refs,
 )
 
 __all__ = ["RunMetrics", "BroadcastHandle", "TaskFramework"]
@@ -338,8 +338,8 @@ class TaskFramework:
             self.data_plane = configured_plane
             if temporary is not None:
                 self.store = self.executor.store = None
-                # the run's results are views into these segments, so the
-                # driver consumes them inside its with-block
+                # results a process lane returned are views into these
+                # segments, so the driver consumes them inside its with-block
                 temporary.cleanup()
 
     # ------------------------------------------------------------------ #
@@ -402,12 +402,11 @@ class TaskFramework:
         report comparable ``bytes_pickled`` numbers.  On the shm plane
         every array inside every payload is swapped for a ref
         (deduplicated store-wide), ``fn`` is wrapped to resolve refs
-        back to views task-side *and* to put result arrays into the
-        framework's store, and the metrics record the pickled-vs-shared
-        byte split that a process-crossing deployment would see.  An
-        executor that crosses processes converts and accounts payloads
-        itself, through the store the framework handed it, so they pass
-        through untouched.
+        back to views task-side, and the metrics record the
+        pickled-vs-shared byte split that a process-crossing deployment
+        would see.  An executor that crosses processes converts and
+        accounts payloads itself, through the store the framework handed
+        it, so they pass through untouched.
         """
         items = list(items)
         if self.executor.crosses_processes:
@@ -415,29 +414,35 @@ class TaskFramework:
         if self.data_plane != "shm" or self.store is None:
             self.metrics.bytes_pickled += sum(nbytes_of(item) for item in items)
             return fn, items
-        shared_items = [share_payload(item, self.store)[0] for item in items]
-        self.metrics.bytes_shared += sum(refs_nbytes(item) for item in shared_items)
+        shared_items = []
+        for item in items:
+            converted, _, referenced = share_payload(item, self.store)
+            shared_items.append(converted)
+            self.metrics.bytes_shared += referenced
         self.metrics.bytes_pickled += sum(serialized_size(item) for item in shared_items)
-        return ResolvingTask(fn, result_store=self.store), shared_items
+        return ResolvingTask(fn), shared_items
 
     def _finish_results(self, results: List[Any]) -> List[Any]:
-        """Bring task results back from the active data plane.
+        """Account task results for the active data plane.
 
-        On the shm plane results arrive as ref payloads: the refs'
-        segments are adopted into the framework's store (so their
-        lifetime and spilling are managed centrally) and resolved to
-        read-only zero-copy views.  The result-direction byte split is
-        recorded the same way as the task direction: ``serialized_size``
-        / ``nbytes_of`` would-move estimates, unless a process pool ran
-        the tasks, adopted their results and measured the real sizes.
+        Tasks that ran in the driver's process (serial and thread
+        executors) return their results in the heap, on either plane.
+        On the shm plane their result-direction byte split is what a
+        process-crossing deployment would see: the array bytes as
+        ``bytes_shared_results``, and as ``bytes_results_pickled`` the
+        pickled size of each result with its arrays swapped for
+        ref-shaped stand-ins (:func:`~repro.frameworks.shm.stand_in_refs`,
+        which creates no segment).  On the pickle plane the would-move
+        volume is estimated with ``nbytes_of``.  A process pool adopted
+        its results into the store and measured the real sizes itself.
         """
         executor_measures = self.executor.crosses_processes
         if self.data_plane == "shm" and self.store is not None:
             if not executor_measures:
-                self.metrics.bytes_shared_results += sum(refs_nbytes(r) for r in results)
-                self.metrics.bytes_results_pickled += sum(
-                    serialized_size(r) for r in results)
-                results = [adopt_payload(r, self.store) for r in results]
+                for result in results:
+                    stand_in, referenced = stand_in_refs(result, self.store.spill_dir)
+                    self.metrics.bytes_shared_results += referenced
+                    self.metrics.bytes_results_pickled += serialized_size(stand_in)
             self.metrics.bytes_spilled = max(self.metrics.bytes_spilled,
                                              self.store.bytes_spilled)
             self.metrics.bytes_ingested = max(self.metrics.bytes_ingested,

@@ -97,6 +97,8 @@ waves of a streamed run.  Placement lands in ``tasks_local``
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import multiprocessing
 import os
@@ -111,6 +113,8 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as wait_ready
 from typing import Any, Callable, ClassVar, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..bench.stats import median as _median
 from .counters import TaskCounters
@@ -137,7 +141,6 @@ from .shm import (
     prefetch_hints_dropped,
     prefetch_refs,
     publish_payload,
-    refs_nbytes,
     release_stale_mappings,
     resident_names,
     resolve_payload,
@@ -478,8 +481,39 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_close_driver_ends)
 
 
+@functools.lru_cache(maxsize=None)
+def _numpy_openblas() -> Optional[ctypes.CDLL]:
+    """NumPy's bundled OpenBLAS (from ``numpy.libs``), or ``None`` without one.
+
+    Looked up once per process; the driver looks it up before it forks
+    a lane, so the lane inherits the handle instead of paying the lookup.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(os.listdir(libs))
+    except OSError:
+        return None
+    for name in names:
+        if not name.startswith("libscipy_openblas"):
+            continue
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            set_threads = lib.scipy_openblas_set_num_threads64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return lib
+    return None
+
+
 def _lane_main(conn: Connection) -> None:
     """Body of a lane's worker process: ``recv → _timed_call → send``.
+
+    A lane is one worker on one core, so NumPy's OpenBLAS runs on one
+    thread in it: at its default thread count every lane's BLAS calls
+    would compete for the cores the other lanes run on.
 
     Each reply is ``(True, result_tuple)`` or ``(False, exception)``: a
     task's exception returns as a value (see :func:`_portable`) and the
@@ -487,6 +521,9 @@ def _lane_main(conn: Connection) -> None:
     driver handles as a lost worker.  ``None`` or a closed pipe ends the
     loop.
     """
+    blas = _numpy_openblas()
+    if blas is not None:
+        blas.scipy_openblas_set_num_threads64_(1)
     while True:
         try:
             payload = conn.recv()
@@ -554,6 +591,7 @@ class _WorkerLane:
         """Fork the lane's worker, which serves :func:`_lane_main` on a new pipe."""
         self.conn, child_conn = multiprocessing.Pipe()
         _DRIVER_ENDS.add(self.conn)
+        _numpy_openblas()  # the worker inherits the lookup
         self.proc = multiprocessing.Process(target=_lane_main, args=(child_conn,),
                                             daemon=True)
         self.proc.start()
@@ -1061,13 +1099,16 @@ class _PooledExecutor(ExecutorBase):
         # item's put-path stall (and background-writer progress) so the
         # per-task timings carry the write-behind split
         shipped: List[Any] = []
+        referenced: List[int] = []
         staged: List[Tuple[float, float]] = []
         for item in items:
             if store is None:
                 shipped.append(item)
                 continue
             wait0, hidden0 = store.spill_wait_seconds, store.spill_hidden_seconds
-            shipped.append(share_payload(item, store)[0])
+            converted, _, nbytes = share_payload(item, store)
+            shipped.append(converted)
+            referenced.append(nbytes)
             staged.append((store.spill_wait_seconds - wait0,
                            store.spill_hidden_seconds - hidden0))
         # serialize each payload exactly once: the blob is both the bytes
@@ -1091,7 +1132,7 @@ class _PooledExecutor(ExecutorBase):
                     unlink_result_refs(payload)
                 wait0, hidden0 = store.spill_wait_seconds, store.spill_hidden_seconds
                 results[i] = adopt_payload(payload, store)
-                timing.bytes_shared = refs_nbytes(shipped[i])
+                timing.bytes_shared = referenced[i]
                 timing.bytes_shared_results = out_tuple[4]
                 timing.spill_wait_seconds = (staged[i][0]
                                              + store.spill_wait_seconds - wait0)

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..serialization import nbytes_of, serialized_size
-from ..shm import BlockRef, SharedMemoryStore, maybe_resolve, refs_nbytes
+from ..shm import BlockRef, SharedMemoryStore, maybe_resolve, stand_in_refs
 
 __all__ = ["WorldContext", "Communicator", "ReduceOp"]
 
@@ -207,18 +207,22 @@ class Communicator:
         """Gather one object per rank at ``root`` (None elsewhere).
 
         With the shared-memory transport active, a payload that carries
-        :class:`~repro.frameworks.shm.BlockRef` handles (ranks return
-        result arrays through the store) moves only its pickled refs to
-        the root; the referenced array bytes are accounted as shared —
-        the result-direction mirror of the ``bcast``/``scatter``
-        accounting.
+        arrays or :class:`~repro.frameworks.shm.BlockRef` handles is
+        accounted as a ref payload: the ranks share the root's address
+        space, so the arrays stay where they are, and the gather records
+        the pickled size of the payload with each array swapped for a
+        ref-shaped stand-in (:func:`~repro.frameworks.shm.stand_in_refs`)
+        while the referenced array bytes are accounted as shared — the
+        result-direction mirror of the ``bcast``/``scatter`` accounting.
         """
         ctx = self.context
         ctx.slots[self.rank] = obj
         if self.rank != root:
-            shared = refs_nbytes(obj) if ctx.store is not None else 0
+            shared = 0
+            if ctx.store is not None:
+                stand_in, shared = stand_in_refs(obj, ctx.store.spill_dir)
             if shared:
-                ctx.account("gather", serialized_size(obj))
+                ctx.account("gather", serialized_size(stand_in))
                 ctx.account_shared(shared)
             else:
                 ctx.account("gather", nbytes_of(obj))

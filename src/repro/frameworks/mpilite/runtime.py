@@ -193,8 +193,8 @@ class MPIFramework(TaskFramework):
         context = self._make_context(size)
         self.last_context = context
         per_rank = run_spmd(rank_main, size, context=context)
-        # on the shm plane the gather moved only refs (the collective
-        # accounted them); resolve to views for the caller
+        # on the shm plane the gather accounted the ranks' results as ref
+        # payloads; the results themselves never left the heap
         results = self._finish_results(per_rank[0])
         wall = time.perf_counter() - start
         self.metrics.tasks_completed = len(results)

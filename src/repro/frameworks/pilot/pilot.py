@@ -249,9 +249,10 @@ class PilotFramework(TaskFramework):
         failed = [u for u in units if u.state == UnitState.FAILED]
         if failed:
             raise failed[0].exception  # surface the first task failure
-        # on the shm plane unit results are staged as shared segments
-        # (the output-staging analogue of shm:// input staging): the
-        # refs on the units become zero-copy views here
+        # on the shm plane a process agent stages unit results as shared
+        # segments (the output-staging analogue of shm:// input
+        # staging), whose refs the executor already adopted as views;
+        # an in-process agent leaves them in the heap
         results = self._finish_results([u.result for u in units])
         wall = time.perf_counter() - start
         self.metrics.tasks_completed = len(results)

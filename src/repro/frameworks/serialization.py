@@ -11,9 +11,10 @@ the same "shuffle data reduced by >50% (100 MB -> 12 MB)" style numbers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import pickle
 import sys
-from typing import Any
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +29,18 @@ def serialized_size(obj: Any, protocol: int = pickle.HIGHEST_PROTOCOL) -> int:
     is the honest measure of broadcast/shuffle volume.
     """
     return len(pickle.dumps(obj, protocol=protocol))
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """Field names of dataclass ``cls``, or ``None`` for any other class.
+
+    Cached per class: the payload walkers ask once per object, and
+    :func:`dataclasses.fields` rebuilds its tuple on every call.
+    """
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def nbytes_of(obj: Any) -> int:
@@ -49,11 +62,10 @@ def nbytes_of(obj: Any) -> int:
         )
     if isinstance(obj, (bytes, bytearray)):
         return len(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return int(sys.getsizeof(obj)) + sum(
-            nbytes_of(getattr(obj, field.name))
-            for field in dataclasses.fields(obj)
-        )
+    names = _field_names(type(obj))
+    if names is not None:
+        return int(sys.getsizeof(obj)) + sum(nbytes_of(getattr(obj, name))
+                                             for name in names)
     return int(sys.getsizeof(obj))
 
 

@@ -22,6 +22,9 @@ cost for NumPy payloads — on the inbound *task* path and on the outbound
   *results*: a worker process publishes its result arrays into fresh
   segments and returns refs; the driver adopts the segments into its
   store (taking over their lifetime) and resolves the refs zero-copy.
+  A task that ran in the driver's own process needs no crossing: its
+  result stays in the heap, and :func:`stand_in_refs` accounts it as
+  the ref payload it would have moved, without creating a segment.
 * When a store is constructed with ``capacity_bytes``, segments past the
   watermark spill into memory-mapped ``.blk`` files in ``spill_dir``.
   Eviction is size-aware LRU: the
@@ -73,6 +76,7 @@ from __future__ import annotations
 import atexit
 import copy
 import dataclasses
+import itertools
 import mmap
 import os
 import queue
@@ -89,12 +93,15 @@ import numpy as np
 
 from multiprocessing import resource_tracker, shared_memory, util as mp_util
 
+from .serialization import _field_names
+
 __all__ = [
     "DATA_PLANES",
     "BlockLost",
     "BlockRef",
     "SharedMemoryStore",
     "share_payload",
+    "stand_in_refs",
     "resolve_payload",
     "prefetch_refs",
     "publish_payload",
@@ -1622,7 +1629,7 @@ class SharedMemoryStore:
                     _OWNED.pop(name, None)
                 # unlink unconditionally so the name never outlives the
                 # store, but only unmap when no caller still holds views
-                # (result arrays are views into these segments)
+                # (adopted result arrays are views into these segments)
                 _quiet_unlink(segment)
                 _retire_or_close(segment)
             self._segments.clear()
@@ -1687,21 +1694,35 @@ def array_digest(array: np.ndarray) -> str:
 # --------------------------------------------------------------------------- #
 # payload conversion
 # --------------------------------------------------------------------------- #
+#: nodes the payload walk hands to ``leaf`` but never descends into
+_LEAVES = (BlockRef, np.ndarray, np.generic, str, bytes, bytearray, int, float,
+           complex, type(None))
+
+
 def _walk(obj: Any, leaf) -> Any:
     """Rebuild ``obj`` applying ``leaf`` to every array/ref, sharing structure.
 
-    Containers are only copied when something inside them changed, so the
-    pickle-plane path through these helpers is a no-op returning ``obj``.
+    Lists, tuples, dicts and dataclass instances are descended into;
+    refs, arrays and scalars are leaves.  Containers are only copied
+    when something inside them changed, so a walk that changes nothing
+    returns ``obj`` itself, and a rebuilt container keeps its type
+    (NamedTuples, list and dict subclasses, frozen dataclasses).
     """
     mapped = leaf(obj)
-    if mapped is not obj:
+    if mapped is not obj or isinstance(obj, _LEAVES):
         return mapped
     if isinstance(obj, list):
         new = [_walk(item, leaf) for item in obj]
-        return new if any(a is not b for a, b in zip(new, obj)) else obj
+        if all(a is b for a, b in zip(new, obj)):
+            return obj
+        if type(obj) is list:
+            return new
+        clone = copy.copy(obj)
+        clone[:] = new
+        return clone
     if isinstance(obj, tuple):
         new = tuple(_walk(item, leaf) for item in obj)
-        if not any(a is not b for a, b in zip(new, obj)):
+        if all(a is b for a, b in zip(new, obj)):
             return obj
         # preserve NamedTuple types: rebuilding as a bare tuple would
         # break attribute access task-side
@@ -1710,24 +1731,31 @@ def _walk(obj: Any, leaf) -> Any:
         return new
     if isinstance(obj, dict):
         new = {key: _walk(value, leaf) for key, value in obj.items()}
-        return new if any(new[k] is not obj[k] for k in obj) else obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        changed = {}
-        for field in dataclasses.fields(obj):
-            old = getattr(obj, field.name)
-            new = _walk(old, leaf)
-            if new is not old:
-                changed[field.name] = new
-        if not changed:
+        if all(a is b for a, b in zip(new.values(), obj.values())):
             return obj
+        if type(obj) is dict:
+            return new
         clone = copy.copy(obj)
-        for name, value in changed.items():
-            object.__setattr__(clone, name, value)
+        clone.update(new)
         return clone
-    return obj
+    names = _field_names(type(obj))
+    if names is None:
+        return obj
+    changed = {}
+    for name in names:
+        old = getattr(obj, name)
+        new = _walk(old, leaf)
+        if new is not old:
+            changed[name] = new
+    if not changed:
+        return obj
+    clone = copy.copy(obj)
+    for name, value in changed.items():
+        object.__setattr__(clone, name, value)
+    return clone
 
 
-def share_payload(obj: Any, store: SharedMemoryStore) -> Tuple[Any, int]:
+def share_payload(obj: Any, store: SharedMemoryStore) -> Tuple[Any, int, int]:
     """Swap every non-empty ndarray in ``obj`` for a :class:`BlockRef`.
 
     Parameters
@@ -1744,19 +1772,69 @@ def share_payload(obj: Any, store: SharedMemoryStore) -> Tuple[Any, int]:
         ``obj`` where nothing changed).
     bytes_newly_shared : int
         Segment bytes this call added to the store (deduplicated arrays
-        contribute zero).  Use :func:`refs_nbytes` on the converted
-        payload for the per-task "bytes accessed through the plane"
-        number.
+        contribute zero).
+    bytes_referenced : int
+        Array bytes the converted payload's refs point at, refs that
+        ``obj`` already carried included: the per-task "bytes accessed
+        through the plane" number, :func:`refs_nbytes` of ``converted``
+        without a second walk.
     """
     before = store.bytes_shared
+    referenced = 0
 
     def leaf(x: Any) -> Any:
-        if isinstance(x, np.ndarray) and x.nbytes > 0:
+        nonlocal referenced
+        if isinstance(x, BlockRef):
+            referenced += x.nbytes
+        elif isinstance(x, np.ndarray) and x.nbytes > 0:
+            referenced += x.nbytes
             return store.put(x)
         return x
 
     converted = _walk(obj, leaf)
-    return converted, store.bytes_shared - before
+    return converted, store.bytes_shared - before, referenced
+
+
+def stand_in_refs(obj: Any, spill_dir: Optional[str] = None) -> Tuple[Any, int]:
+    """Swap every non-empty ndarray in ``obj`` for a ref that names no segment.
+
+    The accounting side of a result that stays in the heap: each
+    stand-in is shaped like the ref ``SharedMemoryStore.put`` would
+    return (a distinct segment name as long as a platform-chosen one,
+    the array's shape and dtype, ``spill_dir``), so the pickled size of
+    ``converted`` is what a ref payload would move across a process
+    boundary, and no segment is created to learn it.
+
+    Parameters
+    ----------
+    obj : Any
+        A task result (arbitrarily nested).
+    spill_dir : str, optional
+        The spill directory the store's refs would carry.
+
+    Returns
+    -------
+    converted : Any
+        The result with every non-empty array replaced by a stand-in.
+    bytes_referenced : int
+        Array bytes the converted payload's refs point at, refs that
+        ``obj`` already carried included (:func:`refs_nbytes` of
+        ``converted``).
+    """
+    referenced = 0
+    names = itertools.count()
+
+    def leaf(x: Any) -> Any:
+        nonlocal referenced
+        if isinstance(x, BlockRef):
+            referenced += x.nbytes
+        elif isinstance(x, np.ndarray) and x.nbytes > 0:
+            referenced += x.nbytes
+            return BlockRef(segment=f"psm_{next(names):08x}", shape=tuple(x.shape),
+                            dtype=x.dtype.str, spill_dir=spill_dir)
+        return x
+
+    return _walk(obj, leaf), referenced
 
 
 def resolve_payload(obj: Any) -> Any:
@@ -1936,35 +2014,25 @@ def maybe_resolve(value: Any) -> Any:
 
 
 class ResolvingTask:
-    """Picklable wrapper: resolve the payload's refs, call ``fn``, share the result.
+    """Picklable wrapper: resolve the payload's refs, then call ``fn``.
 
     Substrates whose tasks share the driver's address space wrap the
     user's task function with this when running on the shm data plane,
     so the function still receives plain arrays while only refs cross
-    the task boundary — in both directions.  Process pools do the same
-    in their own worker shim instead (see
-    :mod:`repro.frameworks.executors`).
+    the task boundary.  The result is returned as it is: it is already
+    in the driver's heap, and a segment would only copy it there again.
+    Process pools resolve payloads and publish results in their own
+    worker shim instead (see :mod:`repro.frameworks.executors`).
 
     Parameters
     ----------
     fn : callable
         The task function.
-    result_store : SharedMemoryStore
-        Result arrays are written straight into this store (with the
-        spill tier applying) and refs are returned.
     """
 
-    def __init__(self, fn, result_store: SharedMemoryStore) -> None:
+    def __init__(self, fn) -> None:
         self.fn = fn
-        self.result_store = result_store
 
     def __call__(self, item: Any) -> Any:
-        """Run the task over the resolved payload and convert its result."""
-        result = self.fn(resolve_payload(item))
-
-        def leaf(x: Any) -> Any:
-            if isinstance(x, np.ndarray) and x.nbytes > 0:
-                return self.result_store.put(x, dedup=False)
-            return x
-
-        return _walk(result, leaf)
+        """Run the task over the resolved payload."""
+        return self.fn(resolve_payload(item))

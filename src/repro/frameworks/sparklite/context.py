@@ -108,8 +108,8 @@ class SparkLiteContext(TaskFramework):
         rdd = self.parallelize(items, num_partitions=len(items)).map(fn)
         results = rdd.collect()
         wall = time.perf_counter() - start
-        # collect() hands back ref payloads on the shm plane; resolve
-        # them zero-copy and account the result-direction byte split
+        # account the result-direction byte split of what collect()
+        # handed back
         results = self._finish_results(results)
         self.metrics.wall_time_s = wall
         self.metrics.task_time_s = self.executor.total_task_time

@@ -72,6 +72,12 @@ def worker_pid(_):
     return os.getpid()
 
 
+def blas_threads(_):
+    """(pid, thread count of NumPy's OpenBLAS) in the process running the task."""
+    time.sleep(0.05)  # keep the lane busy so its sibling takes the next task
+    return os.getpid(), executors._numpy_openblas().scipy_openblas_get_num_threads64_()
+
+
 def worker_run_token(_):
     return os.getpid(), executors._served_run
 
@@ -308,6 +314,21 @@ class TestWorkerLanes:
         finally:
             ex.shutdown()
         assert not any(pid_alive(pid) for pid in pids)
+
+    @pytest.mark.skipif(executors._numpy_openblas() is None,
+                        reason="this NumPy bundles no scipy-openblas")
+    def test_every_lane_runs_blas_on_one_thread(self, kind):
+        blas = executors._numpy_openblas()
+        driver_threads = blas.scipy_openblas_get_num_threads64_()
+        ex = make(kind)
+        try:
+            replies = ex.map_tasks(blas_threads, range(6))
+        finally:
+            ex.shutdown()
+        assert len({pid for pid, _ in replies}) == 2
+        assert {threads for _, threads in replies} == {1}
+        # the cap is the lane's own: the driver keeps its thread count
+        assert blas.scipy_openblas_get_num_threads64_() == driver_threads
 
     def test_warm_map_leaves_no_driver_threads(self, kind):
         ex = make(kind)

@@ -1,5 +1,7 @@
 """Unit tests for cluster model, executors, serialization and the base framework."""
 
+import dataclasses
+import sys
 import time
 
 import numpy as np
@@ -21,6 +23,30 @@ from repro.frameworks.serialization import (
     nbytes_of,
     serialized_size,
 )
+from repro.frameworks.shm import SharedMemoryStore
+from repro.trajectory import (
+    BilayerSpec,
+    EnsembleSpec,
+    make_bilayer,
+    make_clustered_ensemble,
+)
+
+
+def reference_nbytes_of(obj):
+    """The ``nbytes_of`` formula without the per-class field cache."""
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes)
+    if isinstance(obj, (list, tuple)):
+        return int(sys.getsizeof(obj)) + sum(reference_nbytes_of(item) for item in obj)
+    if isinstance(obj, dict):
+        return int(sys.getsizeof(obj)) + sum(
+            reference_nbytes_of(k) + reference_nbytes_of(v) for k, v in obj.items())
+    if isinstance(obj, (bytes, bytearray)):
+        return len(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return int(sys.getsizeof(obj)) + sum(
+            reference_nbytes_of(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return int(sys.getsizeof(obj))
 
 
 class TestClusterSpec:
@@ -120,6 +146,34 @@ class TestSerialization:
     def test_nbytes_of_dict_and_bytes(self):
         assert nbytes_of({"k": b"12345"}) >= 5
         assert nbytes_of(b"1234") == 4
+
+    def test_nbytes_of_matches_the_uncached_formula_on_psa_tasks(self):
+        from repro.core.psa import make_psa_tasks
+
+        ensemble = make_clustered_ensemble(EnsembleSpec(n_trajectories=5, n_frames=8,
+                                                        n_atoms=16, seed=3))
+        store = SharedMemoryStore()
+        try:
+            for options in ({}, {"store": store}, {"window": (2, 6)}):
+                tasks = make_psa_tasks(ensemble, n_tasks=4, **options)
+                assert [nbytes_of(t) for t in tasks] == [
+                    reference_nbytes_of(t) for t in tasks]
+                assert nbytes_of(tasks) == reference_nbytes_of(tasks)
+        finally:
+            store.cleanup()
+
+    def test_nbytes_of_matches_the_uncached_formula_on_partial_components(self):
+        from repro.core.leaflet import _TreeBlockTask
+        from repro.core.partitioning import BlockTask
+
+        system, _ = make_bilayer(BilayerSpec(n_atoms=200, seed=5))
+        results = [_TreeBlockTask(BlockTask(start, stop, 0, 200), system[start:stop],
+                                  system, 15.0).run()
+                   for start, stop in ((0, 100), (100, 200))]
+        assert all(results) and isinstance(results[0][0], np.ndarray)
+        assert [nbytes_of(r) for r in results] == [reference_nbytes_of(r) for r in results]
+        assert nbytes_of(results) == reference_nbytes_of(results)
+        assert nbytes_of([]) == reference_nbytes_of([])
 
     def test_transfer_time_monotone_in_size(self):
         assert estimate_transfer_time(10**9) > estimate_transfer_time(10**6)

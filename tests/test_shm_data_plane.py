@@ -9,10 +9,13 @@ strictly fewer pickled/moved bytes on the shm plane.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from repro.core.api import leaflet_finder
 from repro.core.leaflet import (
     LEAFLET_APPROACHES,
     leaflet_serial,
@@ -22,13 +25,16 @@ from repro.core.psa import psa_serial, run_psa
 from repro.experiments.fig8_broadcast import data_plane_rows
 from repro.frameworks import make_framework
 from repro.frameworks.base import TaskFramework
+from repro.frameworks.serialization import serialized_size
 from repro.frameworks.shm import (
     BlockRef,
     SharedMemoryStore,
+    _walk,
     maybe_resolve,
     refs_nbytes,
     resolve_payload,
     share_payload,
+    stand_in_refs,
 )
 from repro.frameworks.sparklite.partitioner import split_array_into_partitions
 from repro.trajectory import (
@@ -116,20 +122,20 @@ class TestPayloadConversion:
         a = np.ones((5, 3))
         b = np.full((2, 3), 7.0)
         payload = {"rows": [a, b], "meta": ("x", 3), "single": a}
-        converted, newly = share_payload(payload, store)
+        converted, newly, referenced = share_payload(payload, store)
         assert newly == a.nbytes + b.nbytes  # a stored once despite two uses
         assert isinstance(converted["rows"][0], BlockRef)
         assert converted["meta"] == ("x", 3)
-        assert refs_nbytes(converted) == 2 * a.nbytes + b.nbytes
+        assert refs_nbytes(converted) == referenced == 2 * a.nbytes + b.nbytes
         back = resolve_payload(converted)
         assert np.array_equal(back["rows"][0], a)
         assert np.array_equal(back["single"], a)
 
     def test_non_array_payload_untouched(self, store):
         payload = {"n": 3, "s": "x"}
-        converted, newly = share_payload(payload, store)
+        converted, newly, referenced = share_payload(payload, store)
         assert converted is payload
-        assert newly == 0
+        assert newly == referenced == 0
 
     def test_maybe_resolve(self, store):
         array = np.ones((4, 3))
@@ -145,6 +151,132 @@ class TestPayloadConversion:
         assert np.array_equal(np.concatenate([p.resolve() for p in parts]), array)
         views = split_array_into_partitions(array, 3)
         assert all(isinstance(v, np.ndarray) for v in views)
+
+
+class Pair(NamedTuple):
+    left: object
+    right: object
+
+
+class Tagged(list):
+    """A list subclass carrying an attribute, as a payload might."""
+
+    tag = "default"
+
+
+@dataclass(frozen=True)
+class Frozen:
+    data: object
+    label: str
+
+
+def _visited(payload):
+    """Every node ``_walk`` hands to its leaf, in order."""
+    seen = []
+
+    def leaf(x):
+        seen.append(x)
+        return x
+
+    return _walk(payload, leaf), seen
+
+
+class TestPayloadWalk:
+    def test_unchanged_walk_returns_the_object_itself(self):
+        payload = {"rows": [np.ones(3), (1, "x")], "frozen": Frozen(np.ones(2), "f"),
+                   "pair": Pair([2.0], None), "tagged": Tagged([np.zeros(1)])}
+        assert _visited(payload)[0] is payload
+        # nothing to swap: no array, or only an empty one
+        plain = {"n": 3, "s": ("x", None), "empty": np.empty(0), "f": Frozen([1], "f")}
+        assert stand_in_refs(plain)[0] is plain
+
+    def test_never_descends_into_a_ref(self, store):
+        ref = store.put(np.arange(6.0).reshape(2, 3))
+        walked, seen = _visited([ref, ref.slice_rows(0, 1)])
+        assert walked[0] is ref
+        # the list and its two refs; no field of a ref (name, shape, dtype)
+        assert len(seen) == 3
+        assert not any(isinstance(x, (str, tuple, int)) for x in seen)
+
+    def test_arrays_and_scalars_are_leaves(self):
+        array = np.ones((2, 2))
+        _, seen = _visited([array, np.float64(1.5), 7, "s", None])
+        assert len(seen) == 6  # the list and its five items, nothing inside them
+
+    def test_rebuilt_containers_keep_their_types(self, store):
+        a, b = np.ones((4, 3)), np.zeros((2, 3))
+        tagged = Tagged([a, 1])
+        tagged.tag = "rows"
+        payload = (Pair(a, "keep"), tagged, Frozen(data=[b], label="f"))
+        converted, _, referenced = share_payload(payload, store)
+        pair, rows, frozen = converted
+        assert type(pair) is Pair and isinstance(pair.left, BlockRef)
+        assert pair.right == "keep"
+        assert type(rows) is Tagged and rows.tag == "rows"
+        assert isinstance(rows[0], BlockRef) and rows[1] == 1
+        assert type(frozen) is Frozen and isinstance(frozen.data[0], BlockRef)
+        assert frozen.label == "f"
+        assert referenced == 2 * a.nbytes + b.nbytes
+        # the input payload is never mutated
+        assert payload[1][0] is a and payload[2].data[0] is b
+        back = resolve_payload(converted)
+        assert np.array_equal(back[0].left, a) and np.array_equal(back[2].data[0], b)
+
+
+class TestInProcessResults:
+    """Tasks run in the driver's process return their results in the heap."""
+
+    def test_stand_ins_pickle_like_store_refs(self, store):
+        result = [np.arange(12).reshape(4, 3), (np.ones(5), 2.5), {"k": np.zeros(2)}]
+        before = shm_entries()
+        stand_in, referenced = stand_in_refs(result, store.spill_dir)
+        assert shm_entries() == before  # a stand-in names no segment
+        assert isinstance(stand_in[1][0], BlockRef)
+        real = _walk(result, lambda x: store.put(x, dedup=False)
+                     if isinstance(x, np.ndarray) else x)
+        assert referenced == refs_nbytes(real) == 12 * 8 + 5 * 8 + 2 * 8
+        assert serialized_size(stand_in) == serialized_size(real)
+
+    def test_threads_account_results_without_segments(self):
+        fw = make_framework("dasklite", executor="threads", workers=2,
+                            data_plane="shm")
+        try:
+            items = [np.full((30, 10), i, dtype=np.float64) for i in range(4)]
+            results = fw.map_tasks(_double, items)
+            for i, out in enumerate(results):
+                assert np.array_equal(out, items[i] * 2)
+                assert out.flags.writeable  # the task's own array, not a view
+            assert len(fw.store) == 4  # the inputs, and no result segment
+            assert fw.metrics.bytes_shared_results == 4 * 30 * 10 * 8
+            assert 0 < fw.metrics.bytes_results_pickled < fw.metrics.bytes_shared_results
+        finally:
+            fw.close()
+
+    @pytest.mark.parametrize("name", FRAMEWORK_NAMES)
+    def test_reused_framework_leaves_shm_and_fds_flat(self, name):
+        """Ten tree-search calls on one framework add no segment and no fd."""
+        system, _ = make_bilayer(BilayerSpec())
+        fw = make_framework(name, executor="threads", workers=2, data_plane="shm")
+        try:
+            # the first call puts the system into the store, once
+            leaflet_finder(system, fw, approach="tree-search", n_tasks=16)
+            segments, fds = len(shm_entries()), open_fds()
+            for _ in range(9):
+                result, _ = leaflet_finder(system, fw, approach="tree-search",
+                                           n_tasks=16)
+                assert (len(shm_entries()), open_fds()) == (segments, fds)
+            assert len(result.components) == 2
+        finally:
+            fw.close()
+
+
+def _double(array):
+    return array * 2
+
+
+def open_fds():
+    """Number of file descriptors this process holds open."""
+    return len(os.listdir("/proc/self/fd"))
 
 
 class TestFrameworkDataPlane:
@@ -374,11 +506,9 @@ class TestAcceptance:
             assert row["bytes_moved_shm"] < row["bytes_moved_pickle"]
             # tasks access the system many times over...
             assert row["bytes_accessed_shm"] >= system_bytes
-            # ...but it enters the store exactly once; the rest of the
-            # resident bytes are the adopted result blocks, which are
-            # bounded by what the tasks actually returned
-            assert system_bytes <= row["bytes_resident_shm"] \
-                <= system_bytes + row["bytes_shared_results"]
+            # ...but it enters the store exactly once, and the thread-run
+            # tasks' results stay in the heap
+            assert row["bytes_resident_shm"] == system_bytes
             assert row["bytes_resident_shm"] < row["bytes_accessed_shm"]
             assert row["moved_reduction"] > 1.0
 
@@ -389,6 +519,6 @@ class TestAcceptance:
         for row in rows:
             assert row["bytes_results_moved_shm"] < row["bytes_results_moved_pickle"]
             assert row["results_moved_reduction"] >= 10.0
-            # the edge-list bytes the pickle plane would have moved come
-            # back through shared segments instead
+            # the edge-list bytes the pickle plane would have moved are
+            # what the returned refs would point at
             assert row["bytes_shared_results"] > 0
