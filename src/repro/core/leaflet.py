@@ -27,17 +27,17 @@ volume, shuffle volume (bytes returned by map tasks) and the per-phase
 timings the paper's Figures 7-9 are built from.
 
 On the shm data plane the map outputs (edge lists, partial components)
-never pass through pickle.  On process lanes they ride the zero-copy
-result plane: tasks return :class:`~repro.frameworks.shm.BlockRef`
-handles and the framework's ``map_tasks`` resolves them to read-only
-views of shared segments before the reduce phase runs, so the
+never pass through pickle.  On process lanes they ride the result
+plane: tasks return :class:`~repro.frameworks.shm.BlockRef` handles,
+and the framework's ``map_tasks`` copies each block out once and
+unlinks its segment on receipt, before the reduce phase runs, so the
 driver-side concatenation / component merge below never unpickles an
-edge list.  Tasks that run in the driver's process (serial and thread
-executors) return theirs in the heap, and no segment is made for them:
-a tree-search run returns hundreds of partial-component arrays per
-call.  The report's ``bytes_shared_results`` vs
-``bytes_results_pickled`` split quantifies what the plane saves a
-process-crossing deployment in both cases.
+edge list and no segment outlives the call.  Tasks that run in the
+driver's process (serial and thread executors) return theirs in the
+heap, and no segment is made for them: a tree-search run returns
+hundreds of partial-component arrays per call.  The report's
+``bytes_shared_results`` vs ``bytes_results_pickled`` split quantifies
+what the plane saves a process-crossing deployment in both cases.
 """
 
 from __future__ import annotations
@@ -374,8 +374,6 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
         nonlocal bytes_shuffled, reduce_s, state, edges
         bytes_shuffled += sum(nbytes_of(r) for r in results)
         start = time.perf_counter()
-        # both reduces copy out of the results, which a process lane on
-        # the shm plane returns as views of result segments
         if spec.partial:
             state = merge_component_sets([state, *results])
         else:

@@ -428,8 +428,6 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
                                                 windows=(row_win, col_win) if fold else None)]
 
         def fold_wave(results):
-            # on the shm plane each block is a zero-copy view of a result
-            # segment, and the scatter or fold below is the only copy made
             for block in results:
                 block = np.asarray(block, dtype=np.float64)
                 if fold:

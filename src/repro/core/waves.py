@@ -66,10 +66,10 @@ def run_waves(framework: TaskFramework, fn: Callable[[Any], Any],
         The task lists, one per wave.  A generator builds each wave only
         after the previous one is folded.
     fold : callable
-        Takes one wave's results, in task order.  Results of tasks that
-        ran in the driver's process are the tasks' own objects; on the
-        shm plane a process lane's are views of result segments the
-        store owns, so the fold copies what it keeps.
+        Takes one wave's results, in task order.  They are the driver's
+        own heap objects on every executor and plane (a process lane's
+        result arrays are copied out of their segments on receipt), so
+        the fold may keep them.
     journal : RunJournal or None
         Checkpoint journal that every wave restores from and records to.
     store : SharedMemoryStore or None

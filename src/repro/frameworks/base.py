@@ -180,9 +180,10 @@ class TaskFramework:
         registers NumPy payloads in a :class:`SharedMemoryStore` once and
         ships :class:`~repro.frameworks.shm.BlockRef` handles instead,
         the zero-copy plane described in :mod:`repro.frameworks.shm`.
-        On the shm plane *results* ride the plane too: tasks return refs
-        and the framework resolves them zero-copy before handing results
-        back.
+        On the shm plane *results* ride the plane too: a process lane
+        publishes a result's arrays as segments and returns refs, and the
+        driver copies each block out once and unlinks its segment on
+        receipt, so results come back as plain arrays on every executor.
     store_capacity_bytes, spill_dir, spill_async, spill_queue_depth:
         The store settings.  The framework builds its one
         :class:`~repro.frameworks.shm.SharedMemoryStore` from them when
@@ -338,8 +339,6 @@ class TaskFramework:
             self.data_plane = configured_plane
             if temporary is not None:
                 self.store = self.executor.store = None
-                # results a process lane returned are views into these
-                # segments, so the driver consumes them inside its with-block
                 temporary.cleanup()
 
     # ------------------------------------------------------------------ #
@@ -433,8 +432,9 @@ class TaskFramework:
         pickled size of each result with its arrays swapped for
         ref-shaped stand-ins (:func:`~repro.frameworks.shm.stand_in_refs`,
         which creates no segment).  On the pickle plane the would-move
-        volume is estimated with ``nbytes_of``.  A process pool adopted
-        its results into the store and measured the real sizes itself.
+        volume is estimated with ``nbytes_of``.  A process pool copied
+        its results out of their segments and measured the real sizes
+        itself.
         """
         executor_measures = self.executor.crosses_processes
         if self.data_plane == "shm" and self.store is not None:
@@ -446,10 +446,9 @@ class TaskFramework:
             self.metrics.bytes_spilled = max(self.metrics.bytes_spilled,
                                              self.store.bytes_spilled)
             self.metrics.bytes_ingested = max(self.metrics.bytes_ingested,
-                                              getattr(self.store, "bytes_ingested", 0))
-            self.metrics.peak_resident_bytes = max(
-                self.metrics.peak_resident_bytes,
-                getattr(self.store, "peak_resident_bytes", 0))
+                                              self.store.bytes_ingested)
+            self.metrics.peak_resident_bytes = max(self.metrics.peak_resident_bytes,
+                                                   self.store.peak_resident_bytes)
             self.metrics.spill_wait_seconds = max(self.metrics.spill_wait_seconds,
                                                   self.store.spill_wait_seconds)
             self.metrics.spill_hidden_seconds = max(self.metrics.spill_hidden_seconds,

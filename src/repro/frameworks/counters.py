@@ -75,7 +75,7 @@ class TaskCounters:
     bytes_shared_results: int = _counter(
         MAX, "Array bytes tasks returned through shared segments instead.")
     spill_wait_seconds: float = _counter(
-        MIRROR, "Seconds spill eviction stalled the hot path while staging and adopting.", 0.0)
+        MIRROR, "Seconds spill eviction stalled the hot path while staging payloads.", 0.0)
     spill_hidden_seconds: float = _counter(
         MIRROR, "Spill-writer seconds spent in the background during the same windows.", 0.0)
     tasks_retried: int = _counter(

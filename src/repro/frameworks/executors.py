@@ -19,10 +19,11 @@ place the frameworks delegate to one of four executors:
   :class:`~repro.frameworks.shm.SharedMemoryStore` once and workers
   receive tiny :class:`~repro.frameworks.shm.BlockRef` handles that
   rehydrate as views, and workers publish result arrays into shared
-  segments that the driver adopts zero-copy instead of unpickling.  A
-  framework hands its store to its executor, so ``executor="processes"``
-  on the shm plane ships refs; :class:`SharedMemoryExecutor` differs only
-  in owning a private store when it is given none.
+  segments that the driver copies out once and unlinks on receipt,
+  instead of unpickling them.  A framework hands its store to its
+  executor, so ``executor="processes"`` on the shm plane ships refs;
+  :class:`SharedMemoryExecutor` differs only in owning a private store
+  when it is given none.
 
 All executors record per-task wall-clock durations so the frameworks can
 report scheduling overhead separately from useful work; the process-based
@@ -443,8 +444,9 @@ def _timed_call(payload: tuple) -> tuple:
         # every hook)
         os.kill(os.getpid(), signal.SIGKILL)
     if run.shm:
-        # the blob is on its way to the driver, whose store adopts the
-        # segments; this worker's crash-cleanup hook must leave them alone
+        # the blob is on its way to the driver, which copies the blocks
+        # out and unlinks them; this worker's crash-cleanup hook must
+        # leave them alone, and its own mappings can close now
         mark_handed_off(result)
     resident = resident_names() if run.locality else None
     return (index, out, start, stop, shared, resident,
@@ -1085,10 +1087,10 @@ class _PooledExecutor(ExecutorBase):
         Without a store each payload is pickled whole and so is each
         result.  With one, every payload's arrays are registered in the
         store first (each distinct array exactly once) and only refs are
-        pickled; each result is adopted into the store as soon as its
-        task returns, while the worker that published its segments is
-        alive, so returned arrays are read-only views that stay valid
-        until the store is cleaned up and spill with the rest of it.
+        pickled.  Each result's blocks are copied into the driver's heap
+        and their segments unlinked as soon as its task returns, while
+        the worker that published them is alive, so results come back as
+        plain arrays and hold no shared memory.
         """
         self.timings = []
         items = list(items)
@@ -1130,14 +1132,10 @@ class _PooledExecutor(ExecutorBase):
                     # injected handoff crash: the refs' segments vanish before
                     # adoption, which must surface as BlockLost → re-execution
                     unlink_result_refs(payload)
-                wait0, hidden0 = store.spill_wait_seconds, store.spill_hidden_seconds
                 results[i] = adopt_payload(payload, store)
                 timing.bytes_shared = referenced[i]
                 timing.bytes_shared_results = out_tuple[4]
-                timing.spill_wait_seconds = (staged[i][0]
-                                             + store.spill_wait_seconds - wait0)
-                timing.spill_hidden_seconds = (staged[i][1]
-                                               + store.spill_hidden_seconds - hidden0)
+                timing.spill_wait_seconds, timing.spill_hidden_seconds = staged[i]
             timing.bytes_pickled = len(blobs[i])
             timing.bytes_results_pickled = len(out)
 
@@ -1195,11 +1193,10 @@ class SharedMemoryExecutor(_PooledExecutor):
     The transport of :meth:`_PooledExecutor.map_tasks` with a store:
     payload arrays are registered in the :class:`SharedMemoryStore` once
     and workers rehydrate :class:`~repro.frameworks.shm.BlockRef` handles
-    as views; workers publish result arrays into fresh segments and the
-    driver adopts them into the store, so returned arrays are read-only
-    views that stay valid until the store is cleaned up
-    (:meth:`shutdown`) and spill with the rest of the store when a
-    capacity is configured.
+    as views; workers publish result arrays into fresh segments, and the
+    driver copies each block out once and unlinks its segment on
+    receipt, so results come back as plain writable arrays and the store
+    holds only the payloads (which spill when a capacity is configured).
 
     Parameters
     ----------

@@ -186,7 +186,8 @@ class PilotFramework(TaskFramework):
     shared memory and units get ``shm://`` refs — the on-node staging
     shortcut that removes both the file write and the payload pickling.
     Unit *results* ride the same plane: output arrays are staged as
-    shared segments and the driver resolves them zero-copy.
+    shared segments, which the driver copies out once and unlinks on
+    receipt.
 
     Parameters
     ----------
@@ -251,7 +252,7 @@ class PilotFramework(TaskFramework):
             raise failed[0].exception  # surface the first task failure
         # on the shm plane a process agent stages unit results as shared
         # segments (the output-staging analogue of shm:// input
-        # staging), whose refs the executor already adopted as views;
+        # staging), which the executor already copied out and unlinked;
         # an in-process agent leaves them in the heap
         results = self._finish_results([u.result for u in units])
         wall = time.perf_counter() - start

@@ -20,8 +20,11 @@ cost for NumPy payloads — on the inbound *task* path and on the outbound
   and back, so existing task types move onto the data plane unchanged.
 * :func:`publish_payload` / :func:`adopt_payload` do the same for
   *results*: a worker process publishes its result arrays into fresh
-  segments and returns refs; the driver adopts the segments into its
-  store (taking over their lifetime) and resolves the refs zero-copy.
+  segments and returns refs, so no array byte is pickled; on receipt
+  the driver copies each block out once into its heap, then unlinks
+  the segment and closes its mapping.  A result holds no ``/dev/shm``
+  name and no fd once it is back, and the store only ever owns the
+  blocks that were put or ingested.
   A task that ran in the driver's own process needs no crossing: its
   result stays in the heap, and :func:`stand_in_refs` accounts it as
   the ref payload it would have moved, without creating a segment.
@@ -68,14 +71,14 @@ interpreter exit, while the finalizer covers pool worker processes
 Worker-published result segments that were never handed back to a
 driver — the worker crashed mid-publish — are unlinked by the same
 worker-side finalizer, so repeated test runs do not leak ``/dev/shm``
-entries.
+entries.  A worker SIGKILLed between publish and receipt runs no hook;
+its pid-keyed names are reclaimed by :func:`sweep_orphan_segments`.
 """
 
 from __future__ import annotations
 
 import atexit
 import copy
-import dataclasses
 import itertools
 import mmap
 import os
@@ -165,7 +168,8 @@ class BlockLost(FileNotFoundError):
 # Process-local segment registries.  ``_OWNED`` holds segments created by
 # stores in this process (resolving a ref to an owned segment is a pure
 # dictionary lookup); ``_ATTACHED`` caches segments this process attached
-# to by name, so repeated resolves of worker-side refs reuse one mapping;
+# to by name, so repeated resolves of a driver's input refs reuse one
+# mapping;
 # ``_MAPPED`` caches memory-mapped spill files the same way.  A forked
 # child owns nothing: its inherited ``_OWNED`` entries become
 # attachments (see ``_reset_prefetcher_in_child``), which
@@ -176,9 +180,9 @@ _MAPPED: Dict[str, mmap.mmap] = {}
 _REGISTRY_LOCK = threading.Lock()
 
 # Result segments published by this (worker) process that have not yet
-# been handed off to a driver: name -> SharedMemory.  Normally emptied by
-# ``publish_payload`` callers the moment the refs are returned; anything
-# left behind belongs to a crashed task and is unlinked at process exit.
+# been handed off to a driver: name -> SharedMemory.  Emptied by
+# ``mark_handed_off`` the moment the refs are returned; anything left
+# behind belongs to a crashed task and is unlinked at process exit.
 _PUBLISHED: Dict[str, shared_memory.SharedMemory] = {}
 _PUBLISH_HOOK_INSTALLED = False
 
@@ -256,9 +260,9 @@ def _unregister_from_tracker(segment: shared_memory.SharedMemory) -> None:
     resource tracker as if this process owned it, which makes the
     tracker unlink (or warn about) the segment when any such process
     exits.  The data plane manages segment lifetime explicitly (stores
-    own their segments; published result segments are adopted by the
-    driver), so tracker bookkeeping is dropped for everything except the
-    creating store's own segments.
+    own their segments; the driver unlinks published result segments on
+    receipt), so tracker bookkeeping is dropped for everything except
+    the creating store's own segments.
 
     Parameters
     ----------
@@ -960,8 +964,9 @@ class SharedMemoryStore:
     :class:`BlockRef`; putting the same array object again returns the
     existing ref (so a 2-D block decomposition that reuses every
     trajectory in ~2·N/n1 tasks still shares each one exactly once).
-    ``adopt`` takes ownership of a segment another process published, so
-    worker-side result blocks are unlinked with the rest of the store.
+    ``adopt`` consumes a block another process published: it copies the
+    bytes into the driver's heap and unlinks the segment at once, so the
+    store only ever owns the blocks that were put or ingested.
     With ``capacity_bytes`` set the store keeps at most that many
     resident segment bytes: cold segments spill to memory-mapped files
     in ``spill_dir`` (largest-cold-first — see :meth:`_choose_victim`)
@@ -1007,7 +1012,8 @@ class SharedMemoryStore:
     bytes_shared : int
         Cumulative unique array bytes entered through :meth:`put`.
     bytes_adopted : int
-        Cumulative segment bytes adopted from other processes.
+        Cumulative bytes of worker-published blocks copied out by
+        :meth:`adopt`.
     bytes_ingested : int
         Cumulative unique source bytes entered through :meth:`ingest`
         (streamed input chunks; fingerprint hits do not re-count).
@@ -1017,7 +1023,7 @@ class SharedMemoryStore:
         its inputs.
     bytes_resident : int
         Segment bytes currently resident in shared memory (grows on
-        put/adopt, shrinks when a block is evicted — for write-behind
+        put/ingest, shrinks when a block is evicted — for write-behind
         spills that is enqueue time, when the block is committed to
         leaving).
     bytes_spilled : int
@@ -1098,8 +1104,9 @@ class SharedMemoryStore:
             With the default ``True`` the same array *object* is shared
             at most once and later puts return the original ref; the
             store keeps a reference to the array to pin its identity.
-            Result-plane callers pass ``False`` — each result array is
-            shared exactly once and must not be kept alive driver-side.
+            ``False`` makes a new segment on every call and keeps no
+            reference to ``array``; such a block has no healing source
+            (:meth:`recover_spilled_block`).
 
         Returns
         -------
@@ -1198,68 +1205,51 @@ class SharedMemoryStore:
             self._maybe_spill()
             return ref
 
-    def adopt(self, ref: BlockRef) -> BlockRef:
-        """Take ownership of the segment behind a worker-published ref.
+    def adopt(self, ref: BlockRef) -> np.ndarray:
+        """Receive a worker-published block: copy it out, then unlink it.
 
-        The segment joins the store's resident set: it counts against
-        the capacity watermark, may spill, and is unlinked by
-        :meth:`cleanup`.  Adopting a ref the store already owns (or has
-        already spilled) only refreshes its LRU position.
+        The block's bytes are copied into the driver's heap once, and
+        its segment is unlinked and its mapping closed before this
+        returns, so a received result holds no ``/dev/shm`` name, no fd
+        and no residency; ``bytes_adopted`` counts the copied bytes.  A
+        ref to a block this store owns (a task that returned one of its
+        input refs) is resolved and copied, and the block stays owned.
 
         Parameters
         ----------
         ref : BlockRef
-            Ref whose segment this store should own.
+            Ref to a published block (or to one of this store's own).
 
         Returns
         -------
-        BlockRef
-            The ref, rewritten to carry this store's ``spill_dir`` so it
-            keeps resolving after a spill.
+        numpy.ndarray
+            A writable copy of the block, sharing no memory with any
+            segment.
+
+        Raises
+        ------
+        BlockLost
+            If the published segment is gone before receipt; the
+            executor re-executes the producing task.
         """
         if not isinstance(ref, BlockRef):
             raise TypeError(f"SharedMemoryStore.adopt needs a BlockRef, got {type(ref)!r}")
-        _sweep_retired()
+        with self._lock:  # the spill path moves blocks between registries under it
+            owned = ref in self
+        if owned:
+            return np.array(ref.resolve())
+        try:
+            segment = shared_memory.SharedMemory(name=ref.segment)
+        except FileNotFoundError:
+            raise BlockLost(ref.segment, ref.spill_dir) from None
+        try:
+            array = ref._view(segment.buf).copy()
+        finally:
+            _quiet_unlink(segment)
+            segment.close()
         with self._lock:
-            if self._closed:
-                raise RuntimeError("SharedMemoryStore is closed")
-            name = ref.segment
-            out = ref if ref.spill_dir == self.spill_dir else \
-                dataclasses.replace(ref, spill_dir=self.spill_dir)
-            if name in self._segments:
-                self._touch(name)
-                return out
-            if name in self._spilled or name in self._spilling:
-                return out
-            with _REGISTRY_LOCK:
-                segment = _ATTACHED.pop(name, None)
-            if segment is None:
-                try:
-                    # attaching registers this process with the resource
-                    # tracker — kept, since the adopter owns the segment
-                    # now and its eventual unlink() balances the entry
-                    segment = shared_memory.SharedMemory(name=name)
-                except FileNotFoundError:
-                    # already unlinked elsewhere; resolution (if any) must
-                    # go through a cached mapping or the ref's own tier
-                    return ref
-            else:
-                # promote a cached attach (which dropped its tracker
-                # entry) back to tracked ownership
-                try:
-                    resource_tracker.register(segment._name, "shared_memory")  # noqa: SLF001
-                except Exception:
-                    pass
-            with _REGISTRY_LOCK:
-                _OWNED[name] = segment
-            nbytes = segment.size
-            self._segments[name] = segment
-            self._sizes[name] = nbytes
-            self.bytes_adopted += nbytes
-            self.bytes_resident += nbytes
-            self._note_resident_peak()
-            self._maybe_spill()
-            return out
+            self.bytes_adopted += array.nbytes
+        return array
 
     def get(self, ref: BlockRef) -> np.ndarray:
         """Resolve a ref (works for refs from any store in any process)."""
@@ -1541,10 +1531,11 @@ class SharedMemoryStore:
         :class:`BlockRef` resolves bit-identically once more.  Streamed
         input chunks (:meth:`ingest`) carry no pinned array but register
         a source *loader* instead, and heal by re-reading their chunk
-        file.  Blocks with no registered source of either kind (adopted
-        worker results, ``dedup=False`` puts) cannot be healed this way;
-        the resilience layer falls back to re-executing the producing
-        task for those.
+        file.  Blocks with no registered source of either kind
+        (``dedup=False`` puts) cannot be healed this way.  Worker
+        results never enter the store (:meth:`adopt` copies them out and
+        unlinks them on receipt), so a result lost before receipt is
+        re-executed by the resilience layer instead.
 
         Parameters
         ----------
@@ -1629,7 +1620,7 @@ class SharedMemoryStore:
                     _OWNED.pop(name, None)
                 # unlink unconditionally so the name never outlives the
                 # store, but only unmap when no caller still holds views
-                # (adopted result arrays are views into these segments)
+                # of its blocks
                 _quiet_unlink(segment)
                 _retire_or_close(segment)
             self._segments.clear()
@@ -1870,10 +1861,11 @@ def publish_payload(obj: Any) -> Tuple[Any, int]:
 
     The cross-process counterpart of :func:`share_payload` for the
     *result* path: no store object survives pickling into a pool worker,
-    so the worker creates standalone segments, returns refs, and the
-    driver takes over their lifetime with :func:`adopt_payload`.
-    Segments are tracked process-locally until the refs are returned;
-    anything a crashed task leaves behind is unlinked at process exit.
+    so the worker creates standalone segments and returns refs, and the
+    driver copies each block out and unlinks it with
+    :func:`adopt_payload`.  Segments are tracked process-locally until
+    :func:`mark_handed_off`; anything a crashed task leaves behind is
+    unlinked at process exit.
 
     Parameters
     ----------
@@ -1898,9 +1890,9 @@ def publish_payload(obj: Any) -> Tuple[Any, int]:
             # be identified and its segments swept by the driver
             segment, ref = _copy_into_segment(
                 x, name_prefix=f"{PUBLISH_PREFIX}-{os.getpid()}")
-            # the driver's store owns the lifetime once it adopts the
-            # ref; drop the tracker registration so this process's exit
-            # does not tear the segment down underneath it
+            # the driver unlinks the segment on receipt; drop the
+            # tracker registration so this process's exit does not
+            # tear it down before then
             _unregister_from_tracker(segment)
             with _REGISTRY_LOCK:
                 _PUBLISHED[segment.name] = segment
@@ -1913,12 +1905,13 @@ def publish_payload(obj: Any) -> Tuple[Any, int]:
 
 
 def mark_handed_off(obj: Any) -> None:
-    """Release crash-cleanup tracking for a published payload's segments.
+    """Close this process's mappings of a published payload's segments.
 
     Call once the converted payload is definitely on its way to the
     driver (serialized for return): from that point the driver's adopt
-    is responsible for the segments, and the publisher's exit hook must
-    not unlink them.
+    copies the blocks out and unlinks them, so the publisher's exit hook
+    must not unlink them, and the publisher keeps no mapping (nor fd) of
+    its own.
 
     Parameters
     ----------
@@ -1931,39 +1924,37 @@ def mark_handed_off(obj: Any) -> None:
             with _REGISTRY_LOCK:
                 segment = _PUBLISHED.pop(x.segment, None)
             if segment is not None:
-                # keep the local mapping cached: same-process adopters
-                # (in-process pools) reuse it instead of re-attaching
-                with _REGISTRY_LOCK:
-                    _ATTACHED.setdefault(x.segment, segment)
+                segment.close()
         return x
 
     _walk(obj, leaf)
 
 
 def adopt_payload(obj: Any, store: SharedMemoryStore) -> Any:
-    """Adopt and resolve a published result payload (driver side).
+    """Receive a published result payload (driver side).
 
-    Every ref's segment is adopted into ``store`` — so it is unlinked at
-    cleanup, counted against the capacity watermark, and spilled when
-    the store runs past it — and the ref is resolved to a read-only
-    zero-copy view.
+    Every ref is passed to :meth:`SharedMemoryStore.adopt`, which copies
+    its block into the heap and unlinks the segment, so the payload
+    comes back with plain writable arrays and leaves nothing in shared
+    memory.
 
     Parameters
     ----------
     obj : Any
         Result payload containing :class:`BlockRef` handles.
     store : SharedMemoryStore
-        The store that takes ownership of the segments.
+        The store that receives the payload (and owns any input block a
+        ref may name).
 
     Returns
     -------
     Any
-        The payload with every ref replaced by its array view.
+        The payload with every ref replaced by its array.
     """
 
     def leaf(x: Any) -> Any:
         if isinstance(x, BlockRef):
-            return store.adopt(x).resolve()
+            return store.adopt(x)
         return x
 
     return _walk(obj, leaf)

@@ -23,7 +23,7 @@ from repro.core.leaflet import (
 )
 from repro.core.psa import psa_serial, run_psa
 from repro.experiments.fig8_broadcast import data_plane_rows
-from repro.frameworks import make_framework
+from repro.frameworks import make_framework, shm
 from repro.frameworks.base import TaskFramework
 from repro.frameworks.serialization import serialized_size
 from repro.frameworks.shm import (
@@ -252,20 +252,49 @@ class TestInProcessResults:
         finally:
             fw.close()
 
-    @pytest.mark.parametrize("name", FRAMEWORK_NAMES)
-    def test_reused_framework_leaves_shm_and_fds_flat(self, name):
-        """Ten tree-search calls on one framework add no segment and no fd."""
+    @pytest.mark.parametrize("name, executor", [
+        *(pytest.param(name, "threads", id=name) for name in FRAMEWORK_NAMES),
+        # sparklite and mpilite refuse process lanes
+        *(pytest.param(name, kind, id=f"{name}-{kind}")
+          for name in ("dasklite", "pilot") for kind in ("processes", "shm")),
+    ])
+    def test_reused_framework_leaves_shm_and_fds_flat(self, name, executor):
+        """Ten tree-search calls on one framework add no segment and no fd,
+        in the driver or in any lane, and ``close()`` leaves none behind."""
+        before, retired = shm_entries(), list(shm._RETIRED)
         system, _ = make_bilayer(BilayerSpec())
-        fw = make_framework(name, executor="threads", workers=2, data_plane="shm")
+        fw = make_framework(name, executor=executor, workers=2, data_plane="shm")
         try:
-            # the first call puts the system into the store, once
+            # the first call puts the system into the store, once, and
+            # starts the lanes of a process executor
             leaflet_finder(system, fw, approach="tree-search", n_tasks=16)
-            segments, fds = len(shm_entries()), open_fds()
+            counts = _plane_counts(fw)
             for _ in range(9):
                 result, _ = leaflet_finder(system, fw, approach="tree-search",
                                            n_tasks=16)
-                assert (len(shm_entries()), open_fds()) == (segments, fds)
+                assert _plane_counts(fw) == counts
             assert len(result.components) == 2
+        finally:
+            fw.close()
+        assert shm_entries() <= before
+        assert [s for s in shm._RETIRED if not any(s is r for r in retired)] == []
+
+    @pytest.mark.parametrize("executor", ["processes", "shm"])
+    def test_lanes_account_results_without_segments(self, executor):
+        """Process lanes publish results as segments, and the driver
+        copies each out and unlinks it on receipt: the store keeps only
+        the inputs, and the byte split is the one the lanes measured."""
+        fw = make_framework("dasklite", executor=executor, workers=2,
+                            data_plane="shm")
+        try:
+            items = [np.full((30, 10), i, dtype=np.float64) for i in range(4)]
+            results = fw.map_tasks(_double, items)
+            for i, out in enumerate(results):
+                assert np.array_equal(out, items[i] * 2)
+                assert out.flags.writeable and out.flags.owndata  # a heap copy
+            assert len(fw.store) == 4  # the inputs, and no result segment
+            assert fw.metrics.bytes_shared_results == 4 * 30 * 10 * 8
+            assert 0 < fw.metrics.bytes_results_pickled < fw.metrics.bytes_shared_results
         finally:
             fw.close()
 
@@ -274,9 +303,16 @@ def _double(array):
     return array * 2
 
 
-def open_fds():
-    """Number of file descriptors this process holds open."""
-    return len(os.listdir("/proc/self/fd"))
+def open_fds(pid="self"):
+    """Number of file descriptors process ``pid`` holds open."""
+    return len(os.listdir(f"/proc/{pid}/fd"))
+
+
+def _plane_counts(fw):
+    """``/dev/shm`` entries, driver fds, and each worker lane's fds."""
+    lanes = getattr(fw.executor, "_lanes", [])
+    return (len(shm_entries()), open_fds(),
+            [open_fds(lane.proc.pid) for lane in lanes])
 
 
 class TestFrameworkDataPlane:

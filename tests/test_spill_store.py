@@ -29,8 +29,9 @@ from repro.frameworks import make_framework
 from repro.frameworks.executors import SharedMemoryExecutor
 from repro.frameworks.shm import (
     SharedMemoryStore,
-    publish_payload,
     adopt_payload,
+    mark_handed_off,
+    publish_payload,
 )
 from repro.trajectory import EnsembleSpec, make_clustered_ensemble
 
@@ -138,14 +139,22 @@ class TestSpillToDisk:
             store.cleanup()
 
     def test_adopted_segments_spill_too(self, arrays):
+        """Adoption consumes a published block: its bytes are copied out
+        and its segment unlinked on receipt, so a result never joins the
+        store's resident set and never spills."""
         published, _ = publish_payload([arrays[0], arrays[1]])
+        mark_handed_off(published)
+        names = {ref.segment for ref in published}
+        assert names <= shm_entries()
         store = SharedMemoryStore(capacity_bytes=4_000)
         try:
-            views = adopt_payload(published, store)
+            results = adopt_payload(published, store)
             assert store.bytes_adopted >= 8_000
-            assert store.bytes_spilled > 0  # adoption ran past the watermark
-            for array, view in zip(arrays, views):
-                assert np.array_equal(view, array)
+            assert not names & shm_entries()  # unlinked on receipt
+            assert (len(store), store.bytes_resident, store.bytes_spilled) == (0, 0, 0)
+            for array, out in zip(arrays, results):
+                assert np.array_equal(out, array)
+                assert out.flags.writeable  # a heap copy, not a segment view
         finally:
             store.cleanup()
 
@@ -287,15 +296,23 @@ class TestWriteBehind:
             store.cleanup()
 
     def test_adopt_while_block_is_spilling(self, arrays):
-        """Adopting a ref whose segment is mid-spill neither duplicates
-        ownership nor breaks resolution."""
+        """Adopting a ref the store owns while its block is mid-spill
+        returns equal data and neither unlinks nor duplicates the block."""
         store = SharedMemoryStore(capacity_bytes=0, spill_queue_depth=1)
         try:
             ref = store.put(arrays[0])  # immediately enqueued (capacity 0)
+            owned = (len(store), store.bytes_resident, store.bytes_spilled,
+                     store.bytes_adopted)
             out = store.adopt(ref)
-            assert out.spill_dir == store.spill_dir
+            assert np.array_equal(out, arrays[0])
+            assert ref in store
+            assert (len(store), store.bytes_resident, store.bytes_spilled,
+                    store.bytes_adopted) == owned
+            # still in shared memory, or demoted by the writer with its file
+            assert ref.segment in shm_entries() | store.spilled_names()
             store.flush_spill()
-            assert np.array_equal(out.resolve(), arrays[0])
+            assert ref.segment in store.spilled_names()
+            assert np.array_equal(ref.resolve(), arrays[0])
         finally:
             store.cleanup()
 
@@ -525,12 +542,13 @@ class TestLongLivedLanes:
         """The lanes fork during the first map, while evictions keep the
         spill writer busy (the ``register_at_fork`` lock guard in shm.py
         must hold), then serve ten more maps that each evict blocks and
-        re-read spilled inputs.  No map may hang, every map matches the
-        serial reference, and ``close()`` leaves nothing behind."""
+        re-read spilled inputs.  Results are copied out on receipt and
+        never enter the store, so each map stages one fresh input to
+        evict.  No map may hang, every map matches the serial reference,
+        and ``close()`` leaves nothing behind."""
         before = shm_entries()
         rng = np.random.default_rng(11)
         inputs = [rng.random((256, 64)) for _ in range(8)]   # 128 KiB each
-        reference = [_negate(a) for a in inputs]
         spill_dir = tmp_path / "spill"
         store = SharedMemoryStore(capacity_bytes=sum(a.nbytes for a in inputs) // 4,
                                   spill_dir=str(spill_dir), spill_async=True)
@@ -538,15 +556,16 @@ class TestLongLivedLanes:
         watchdog = ThreadPoolExecutor(max_workers=1)
         try:
             # the puts enqueue evictions, so the writer can still be
-            # writing when the first map forks the lanes; the maps' own
-            # puts are dedup hits
+            # writing when the first map forks the lanes; the maps' puts
+            # of these are dedup hits, and only the fresh input evicts
             input_names = {store.put(a).segment for a in inputs}
             for call in range(11):
                 spilled_inputs = store.spilled_names() & input_names
                 spilled_before = store.bytes_spilled
-                results = watchdog.submit(ex.map_tasks, _negate, inputs).result(timeout=30)
-                for out, expected in zip(results, reference):
-                    assert np.array_equal(out, expected)
+                batch = inputs + [rng.random((256, 64))]
+                results = watchdog.submit(ex.map_tasks, _negate, batch).result(timeout=30)
+                for out, item in zip(results, batch):
+                    assert np.array_equal(out, _negate(item))
                 assert store.bytes_spilled > spilled_before
                 if call:
                     assert spilled_inputs, f"map {call} re-read no spilled input"
