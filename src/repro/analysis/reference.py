@@ -14,7 +14,8 @@ with exact equality:
   :func:`repro.analysis.graph.connected_components`,
 * :func:`merge_component_sets` — the per-atom dict relabel plus unions
   of the Leaflet Finder's partial-component reduce; production:
-  :func:`repro.analysis.graph.merge_component_sets`,
+  :func:`repro.analysis.graph.merge_packed` (list form:
+  :func:`repro.analysis.graph.merge_component_sets`),
 * :func:`connected_components_networkx` — an independent cross-check
   through networkx, imported only when called.
 

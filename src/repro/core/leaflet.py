@@ -26,16 +26,19 @@ with itself and every earlier chunk.  It returns
 volume, shuffle volume (bytes returned by map tasks) and the per-phase
 timings the paper's Figures 7-9 are built from.
 
-On the shm data plane the map outputs (edge lists, partial components)
-never pass through pickle.  On process lanes they ride the result
-plane: tasks return :class:`~repro.frameworks.shm.BlockRef` handles,
-and the framework's ``map_tasks`` copies each block out once and
-unlinks its segment on receipt, before the reduce phase runs, so the
-driver-side concatenation / component merge below never unpickles an
-edge list and no segment outlives the call.  Tasks that run in the
-driver's process (serial and thread executors) return theirs in the
-heap, and no segment is made for them: a tree-search run returns
-hundreds of partial-component arrays per call.  The report's
+Every map task returns one array: an edge list, or its partial
+components packed into one CSR array (see :mod:`repro.analysis.graph`).
+The driver keeps the merged components packed from wave to wave and
+unpacks them into the :class:`LeafletResult` component list once, at
+the end.  On the shm data plane the map outputs never pass through
+pickle.  On process lanes they ride the result plane: each task returns
+one :class:`~repro.frameworks.shm.BlockRef` handle, and the framework's
+``map_tasks`` copies its block out once and unlinks its segment on
+receipt, before the reduce phase runs, so the driver-side concatenation
+/ component merge below never unpickles an edge list, a call makes one
+result segment per task, and no segment outlives the call.  Tasks that
+run in the driver's process (serial and thread executors) return theirs
+in the heap, and no segment is made for them.  The report's
 ``bytes_shared_results`` vs ``bytes_results_pickled`` split quantifies
 what the plane saves a process-crossing deployment in both cases.
 """
@@ -50,7 +53,11 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from ..analysis.graph import connected_components, merge_component_sets
+from ..analysis import graph
+from ..analysis.graph import connected_components
+# the reduce of approaches 3 and 4 merges packed partial components;
+# traces find it under this module's ``merge_component_sets``
+from ..analysis.graph import merge_packed as merge_component_sets
 from ..analysis.neighbors import BallTree, radius_edges
 from ..analysis.pairwise import edges_from_block
 from ..frameworks.base import TaskFramework
@@ -141,8 +148,8 @@ class _BlockPairTask:
     cutoff: float
     partial_components: bool = False
 
-    def run(self):
-        """The block's edges, or their partial components."""
+    def run(self) -> np.ndarray:
+        """The block's edges, or their partial components packed."""
         if self.block.diagonal:
             edges = edges_from_block(self.rows, self.rows, self.cutoff,
                                      offset_a=self.block.row_start,
@@ -154,7 +161,7 @@ class _BlockPairTask:
                                      offset_b=self.block.col_start)
         if not self.partial_components:
             return edges
-        return _partial_components_from_edges(edges)
+        return graph.partial_components(edges)
 
 
 @dataclass
@@ -166,8 +173,8 @@ class _TreeBlockTask:
     cols: np.ndarray
     cutoff: float
 
-    def run(self):
-        """Partial components of the block's edges."""
+    def run(self) -> np.ndarray:
+        """Partial components of the block's edges, packed."""
         # build the tree over the column block, query with the row block;
         # complexity drops from O(|rows| * |cols|) to O(|cols| log |cols| +
         # |rows| log |cols|), the speedup the paper reports for large systems
@@ -182,24 +189,7 @@ class _TreeBlockTask:
             keep = global_j > global_i
             global_i = global_i[keep]
             global_j = global_j[keep]
-        if global_i.size:
-            edges = np.column_stack([global_i, global_j])
-        else:
-            edges = np.empty((0, 2), dtype=np.int64)
-        return _partial_components_from_edges(edges)
-
-
-def _partial_components_from_edges(edges: np.ndarray) -> List[np.ndarray]:
-    """Connected components of a task's local edge set, as global-id arrays."""
-    if edges.size == 0:
-        return []
-    # compact the node ids in one unique pass; the inverse *is* the
-    # relabeled edge array
-    nodes, local_edges = np.unique(edges, return_inverse=True)
-    local_edges = local_edges.reshape(edges.shape).astype(np.int64, copy=False)
-    local_components = connected_components(local_edges, len(nodes),
-                                            include_singletons=False)
-    return [nodes[c] for c in local_components]
+        return graph.partial_components(np.column_stack([global_i, global_j]))
 
 
 def _run_task(task) -> object:
@@ -252,13 +242,15 @@ LEAFLET_APPROACHES: Dict[str, _Approach] = {
 }
 
 
-def _with_singletons(components: List[np.ndarray], n_atoms: int) -> List[np.ndarray]:
-    """Append single-atom components for atoms not covered by any component."""
+def _with_singletons(packed: np.ndarray, n_atoms: int) -> List[np.ndarray]:
+    """Unpack merged components plus one single-atom component per uncovered atom."""
+    members, lengths = graph.packed_parts(packed)
     covered = np.zeros(n_atoms, dtype=bool)
-    for comp in components:
-        covered[comp] = True
-    singles = [np.array([i], dtype=np.int64) for i in np.flatnonzero(~covered)]
-    return list(components) + singles
+    covered[members] = True
+    singles = np.flatnonzero(~covered)
+    return graph.unpack_components(graph.pack_components(
+        np.concatenate([members, singles]),
+        np.concatenate([lengths, np.ones(singles.size, dtype=np.int64)])))
 
 
 def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
@@ -319,8 +311,9 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
     phases: Dict[str, float] = {}
     bytes_broadcast = bytes_shuffled = 0
     reduce_s = 0.0
-    state: List[np.ndarray] = []
+    # the reduce state before any wave: no edges, hence no components
     edges = np.empty((0, 2), dtype=np.int64)
+    state = graph.partial_components(edges)
 
     # the one place input kinds differ: the atom chunks, the blocks of
     # each wave, and where a block's payloads come from
@@ -387,7 +380,9 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
             fingerprint = run_fingerprint(
                 arrays=arrays, source=source, algorithm="leaflet_finder",
                 approach=approach, cutoff=float(cutoff), n_tasks=n_tasks,
-                data_plane=plane, substrate=framework.name)
+                data_plane=plane, substrate=framework.name,
+                # a journal of another result format is stale, never replayed
+                result_format="packed-csr" if spec.partial else "edges")
             journal = RunJournal(checkpoint_dir, fingerprint).open()
         start = time.perf_counter()
         tasks = ([spec.task(block=b, rows=rows(b.row_start, b.row_stop),

@@ -120,10 +120,10 @@ def _entry_base(key: str) -> str:
 def _encode_value(value: Any):
     """Split a task result into ``(kind, part specs, payload bytes)``.
 
-    Supports a single ndarray and (possibly empty) lists/tuples of
-    ndarrays — the shapes PSA blocks and leaflet partial components
-    come in.  Anything else is a :class:`TypeError` (the task type is
-    not journalable).
+    Supports a single ndarray (a PSA block, a leaflet edge list or a
+    leaflet task's packed partial components) and (possibly empty)
+    lists/tuples of ndarrays.  Anything else is a :class:`TypeError`
+    (the task type is not journalable).
     """
     if isinstance(value, np.ndarray):
         kind, parts = "array", [value]

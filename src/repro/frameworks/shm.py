@@ -1950,14 +1950,29 @@ def adopt_payload(obj: Any, store: SharedMemoryStore) -> Any:
     -------
     Any
         The payload with every ref replaced by its array.
+
+    Raises
+    ------
+    BlockLost
+        The first lost block's error, raised once every other ref of the
+        payload has been received, so a lost block leaves none of the
+        result's other segments behind.
     """
+    lost: List[BlockLost] = []
 
     def leaf(x: Any) -> Any:
-        if isinstance(x, BlockRef):
+        if not isinstance(x, BlockRef):
+            return x
+        try:
             return store.adopt(x)
-        return x
+        except BlockLost as exc:
+            lost.append(exc)
+            return x
 
-    return _walk(obj, leaf)
+    adopted = _walk(obj, leaf)
+    if lost:
+        raise lost[0]
+    return adopted
 
 
 def refs_nbytes(obj: Any) -> int:

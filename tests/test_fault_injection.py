@@ -42,7 +42,7 @@ from repro.core.api import leaflet_finder, psa, stream_windows
 from repro.core.leaflet import leaflet_serial
 from repro.core.psa import psa_serial
 from repro.frameworks import make_framework
-from repro.frameworks.checkpoint import StaleJournal
+from repro.frameworks.checkpoint import RunJournal, StaleJournal, run_fingerprint
 from repro.frameworks.base import TaskFramework
 from repro.frameworks.executors import (
     ProcessExecutor,
@@ -824,6 +824,23 @@ class TestCheckpointResume:
         with pytest.raises(StaleJournal):
             psa(chaos_ensemble, "dasklite", executor="serial",
                 data_plane="shm", checkpoint_dir=ckpt)
+
+    def test_list_form_leaflet_journal_is_stale(self, chaos_bilayer, tmp_path):
+        """A journal of list-form partial components, the result format
+        before tasks packed them into one array, is rejected rather than
+        fed to the packed merge."""
+        positions, _ = chaos_bilayer
+        ckpt = str(tmp_path / "journal")
+        # such a journal's manifest: the leaflet fingerprint with no result format
+        listed = run_fingerprint(arrays=[positions], source=None,
+                                 algorithm="leaflet_finder", approach="tree-search",
+                                 cutoff=15.0, n_tasks=6, data_plane="pickle",
+                                 substrate="dasklite")
+        RunJournal(ckpt, listed).open().record(
+            "tree-0-0", [np.arange(2, dtype=np.int64), np.arange(4, 9, dtype=np.int64)])
+        with pytest.raises(StaleJournal):
+            leaflet_finder(positions, "dasklite", executor="serial",
+                           approach="tree-search", n_tasks=6, checkpoint_dir=ckpt)
 
     def test_corrupt_entry_is_recomputed(self, chaos_ensemble,
                                          reference_matrix, tmp_path):

@@ -170,8 +170,11 @@ class TestSerialization:
         results = [_TreeBlockTask(BlockTask(start, stop, 0, 200), system[start:stop],
                                   system, 15.0).run()
                    for start, stop in ((0, 100), (100, 200))]
-        assert all(results) and isinstance(results[0][0], np.ndarray)
+        # each task's partial components come back as one packed array
+        for packed in results:
+            assert packed.dtype == np.int64 and packed.ndim == 1 and packed[0] > 0
         assert [nbytes_of(r) for r in results] == [reference_nbytes_of(r) for r in results]
+        assert [nbytes_of(r) for r in results] == [r.nbytes for r in results]
         assert nbytes_of(results) == reference_nbytes_of(results)
         assert nbytes_of([]) == reference_nbytes_of([])
 

@@ -9,10 +9,15 @@ from repro.analysis.graph import (
     components_to_labels,
     connected_components,
     merge_component_sets,
+    merge_packed,
+    pack_components,
+    partial_components,
+    unpack_components,
 )
 from repro.analysis.hausdorff import hausdorff, hausdorff_earlybreak, hausdorff_naive
 from repro.analysis.neighbors import BallTree, brute_force_radius
 from repro.analysis.reference import DisjointSet, connected_components_networkx
+from repro.analysis.reference import merge_component_sets as reference_merge
 from repro.analysis.rmsd import pairwise_rmsd_loop, rmsd_matrix
 from repro.core.partitioning import (
     choose_group_size,
@@ -142,6 +147,36 @@ class TestGraphProperties:
             partials.append([c.tolist() for c in comps])
         merged = [c.tolist() for c in merge_component_sets(partials)]
         assert merged == expected
+
+    @SETTINGS
+    @given(st.lists(st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=8),
+                             max_size=6), max_size=5))
+    def test_packed_merge_equals_reference(self, partial_sets):
+        """Merging packed sets equals the list-based reference merge, for
+        overlapping, unsorted partials with repeated members."""
+        packed = [pack_components(np.array([a for comp in s for a in comp], dtype=np.int64),
+                                  np.array([len(comp) for comp in s], dtype=np.int64))
+                  for s in partial_sets]
+        merged = [c.tolist() for c in unpack_components(merge_packed(packed))]
+        assert merged == [c.tolist() for c in reference_merge(partial_sets)]
+
+    @SETTINGS
+    @given(edges_strategy, st.integers(1, 5))
+    def test_packed_partial_components_merge_to_global(self, edge_list, n_blocks):
+        """Each block's packed partial components unpack to the block's
+        own components, and their packed merge gives the global ones."""
+        n = 30
+        edges = np.array(edge_list, dtype=np.int64).reshape(-1, 2)
+        edges = edges[edges[:, 0] != edges[:, 1]]  # map tasks never see self-loops
+        chunks = np.array_split(edges, n_blocks)
+        packed = [partial_components(chunk) for chunk in chunks]
+        for chunk, one in zip(chunks, packed):
+            assert ([c.tolist() for c in unpack_components(one)]
+                    == [c.tolist() for c in connected_components(
+                        chunk, n, include_singletons=False)])
+        merged = [c.tolist() for c in unpack_components(merge_packed(packed))]
+        assert merged == [c.tolist() for c in connected_components(
+            edges, n, include_singletons=False)]
 
     @SETTINGS
     @given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=40))

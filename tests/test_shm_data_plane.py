@@ -298,6 +298,37 @@ class TestInProcessResults:
         finally:
             fw.close()
 
+    @pytest.mark.parametrize("approach", ["tree-search", "parallel-cc"])
+    @pytest.mark.parametrize("name, executor", [("dasklite", "processes"),
+                                                ("pilot", "shm")])
+    def test_lanes_return_one_leaflet_result_per_task(self, name, executor,
+                                                      approach, monkeypatch):
+        """Each partial-components task returns one packed array, so the
+        driver adopts at most one block per task, however many components
+        the tasks found."""
+        adopted = []
+        adopt = SharedMemoryStore.adopt
+
+        def counting_adopt(store, ref):
+            adopted.append(ref.segment)
+            return adopt(store, ref)
+
+        monkeypatch.setattr(SharedMemoryStore, "adopt", counting_adopt)
+        system, _ = make_bilayer(BilayerSpec(n_atoms=1024))
+        expected = leaflet_serial(system, 15.0).components
+        fw = make_framework(name, executor=executor, workers=2, data_plane="shm")
+        try:
+            for _ in range(2):
+                adopted.clear()
+                result, report = leaflet_finder(system, fw, approach=approach,
+                                                n_tasks=16)
+                assert 0 < len(adopted) <= report.n_tasks
+                assert len(result.components) == len(expected)
+                for ours, theirs in zip(result.components, expected):
+                    assert np.array_equal(ours, theirs)
+        finally:
+            fw.close()
+
 
 def _double(array):
     return array * 2

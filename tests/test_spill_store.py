@@ -28,10 +28,12 @@ from repro.core.psa import psa_serial, run_psa
 from repro.frameworks import make_framework
 from repro.frameworks.executors import SharedMemoryExecutor
 from repro.frameworks.shm import (
+    BlockLost,
     SharedMemoryStore,
     adopt_payload,
     mark_handed_off,
     publish_payload,
+    unlink_segment_by_name,
 )
 from repro.trajectory import EnsembleSpec, make_clustered_ensemble
 
@@ -155,6 +157,22 @@ class TestSpillToDisk:
             for array, out in zip(arrays, results):
                 assert np.array_equal(out, array)
                 assert out.flags.writeable  # a heap copy, not a segment view
+        finally:
+            store.cleanup()
+
+    def test_a_lost_block_leaves_no_other_segment_of_its_result(self, arrays):
+        """When one segment of a result is gone before receipt, adoption
+        still consumes the result's other segments before it raises."""
+        published, _ = publish_payload([arrays[0], arrays[1], arrays[2]])
+        mark_handed_off(published)
+        names = {ref.segment for ref in published}
+        assert unlink_segment_by_name(published[1].segment)
+        store = SharedMemoryStore()
+        try:
+            with pytest.raises(BlockLost):
+                adopt_payload(published, store)
+            assert not names & shm_entries()  # the first and the last too
+            assert len(store) == 0
         finally:
             store.cleanup()
 
