@@ -74,7 +74,7 @@ def test_warm_lanes_beat_fresh_pools(bench_sampler, bench_gate, bench_history):
 
     # sequential, non-interleaved: the whole fresh distribution first,
     # then the whole warm distribution (same protocol as the recovery
-    # and locality benchmarks)
+    # benchmark)
     fresh_dist = bench_sampler.sample_values(fresh, label="executor per call")
     warm_dist = bench_sampler.sample_values(warm, label="one executor")
 

@@ -57,7 +57,7 @@ class RunMetrics(TaskCounters):
     :class:`~repro.frameworks.counters.TaskCounters` — the task- and
     result-direction ``*_pickled`` / ``*_shared`` byte splits, the
     ``spill_wait_seconds`` / ``spill_hidden_seconds`` stall split,
-    retries, speculation and locality placement — summed over the
+    retries, speculation and dropped read-ahead hints — summed over the
     operation's tasks and combined per each counter's declared rule.
     Process pools measure real pickled sizes; in-process executors
     estimate with :func:`~repro.frameworks.serialization.nbytes_of`, the

@@ -1,7 +1,7 @@
 """The per-task run counters, declared once.
 
 Every number a task contributes to a run's report — the data-plane
-byte split, the spill stall split, retries, speculation and placement —
+byte split, the spill stall split, retries, speculation and read-ahead —
 is a field of :class:`TaskCounters`.  The records that carry those
 numbers are built from it rather than re-declaring them:
 
@@ -88,12 +88,6 @@ class TaskCounters:
         SUM, "Duplicate attempts launched against stragglers.")
     speculation_wins: int = _counter(
         SUM, "Duplicates whose result beat the original attempt.")
-    tasks_local: int = _counter(
-        SUM, "Locality placements whose lane held every spilled input block.")
-    tasks_remote: int = _counter(
-        SUM, "Locality placements that paid at least one cold spill read.")
-    bytes_spill_reads_avoided: int = _counter(
-        SUM, "Spilled-block bytes found already mapped on the chosen lane.")
     prefetch_hints_dropped: int = _counter(
         SUM, "Read-ahead hints dropped on a full prefetch queue.")
 

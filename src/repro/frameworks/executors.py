@@ -73,27 +73,12 @@ never reach an unrelated process.
 
 Since a warm lane forked before the current call, nothing of a call's
 state may ride on the fork.  Each run ships what its workers need in the
-task payload: the run's token, whether to report resident sets, and the
-claimed fault spec.  A worker that sees a new run also closes every
+task payload: the run's token, its transport and the claimed fault
+spec.  A worker that sees a new run also closes every
 shared-memory attachment and spill-file mapping whose name the driver
 has unlinked since
 (:func:`~repro.frameworks.shm.release_stale_mappings`), so a long-lived
 worker never pins the pages of dead blocks.
-
-Locality-aware placement
-------------------------
-With ``FaultPolicy.locality`` set, the lane layer additionally routes
-tasks by data affinity: workers report the block names they hold
-resident (riding each task's reply), the driver scores
-pending tasks against each free lane's resident set, and a task whose
-input blocks *spilled* is steered to the lane that still has them
-mapped instead of paying a cold disk read on an arbitrary worker — with
-bounded delay scheduling so affinity never idles a lane (see
-:mod:`repro.frameworks.locality`).  Resident sets live on the lanes, so
-they carry over from one call to the next — placement can span the
-waves of a streamed run.  Placement lands in ``tasks_local``
-/ ``tasks_remote`` and the steered-around reads in
-``bytes_spill_reads_avoided``.
 """
 
 from __future__ import annotations
@@ -132,18 +117,13 @@ from .faults import (
     prepare_retry,
     unlink_result_refs,
 )
-from .locality import LocalityScheduler, TaskBlocks
 from .shm import (
-    BlockRef,
     SharedMemoryStore,
     adopt_payload,
-    collect_refs,
     mark_handed_off,
     prefetch_hints_dropped,
-    prefetch_refs,
     publish_payload,
     release_stale_mappings,
-    resident_names,
     resolve_payload,
     share_payload,
     sweep_orphan_segments,
@@ -191,7 +171,7 @@ class TaskTiming(TaskCounters):
     Besides the fields below, a timing carries every per-task counter
     of :class:`~repro.frameworks.counters.TaskCounters`: the data-plane
     byte split, the spill stall split, retries, speculation and
-    placement.
+    dropped read-ahead hints.
 
     Parameters
     ----------
@@ -367,15 +347,12 @@ class _Run(NamedTuple):
 
     A warm lane forked before the run began, so this is the only way
     run state reaches it: ``token`` identifies the run (a worker that
-    sees a new token releases stale mappings), ``locality`` says whether
-    each reply carries the worker's resident block names (locality
-    placement is on) and ``shm`` whether payloads and results travel as
-    refs through shared memory (the executor holds a store) or as whole
-    pickles.
+    sees a new token releases stale mappings) and ``shm`` says whether
+    payloads and results travel as refs through shared memory (the
+    executor holds a store) or as whole pickles.
     """
 
     token: int
-    locality: bool
     shm: bool
 
 
@@ -418,10 +395,8 @@ def _timed_call(payload: tuple) -> tuple:
     pid-keyed orphan segments the driver's recovery sweep reclaims), and
     ``run`` the per-run state (:class:`_Run`).
 
-    Returns the 7-tuple ``(index, out, start, stop, bytes_shared,
-    resident, prefetch_drops)``: ``resident`` is the worker's resident
-    block names after the task when ``run.locality`` is set (``None``
-    otherwise), and ``prefetch_drops`` is the worker-local delta of
+    Returns the 6-tuple ``(index, out, start, stop, bytes_shared,
+    prefetch_drops)``: ``prefetch_drops`` is the worker-local delta of
     read-ahead hints dropped while this task ran.
     """
     index, fn, blob, spec, run = payload
@@ -448,8 +423,7 @@ def _timed_call(payload: tuple) -> tuple:
         # out and unlinks them; this worker's crash-cleanup hook must
         # leave them alone, and its own mappings can close now
         mark_handed_off(result)
-    resident = resident_names() if run.locality else None
-    return (index, out, start, stop, shared, resident,
+    return (index, out, start, stop, shared,
             prefetch_hints_dropped() - drops_before)
 
 
@@ -559,18 +533,16 @@ def _speculation_threshold(durations: Sequence[float],
 class _WorkerLane:
     """One single-slot worker: its own process, one pipe, and lane state.
 
-    Per-worker lanes are what make placement *routable*: sending a task
-    down a lane's pipe runs it on that lane's worker process, so the
-    driver can steer a task to the process whose resident set covers
-    the task's blocks.  They also shrink the failure domain — a dead
-    worker breaks its own lane only, and recovery rebuilds one process
-    while the other lanes keep executing.
+    Per-worker lanes shrink the failure domain: sending a task down a
+    lane's pipe runs it on that lane's worker process, so a dead worker
+    breaks its own lane only, and recovery rebuilds one process while
+    the other lanes keep executing.
 
     A lane belongs to its executor (:class:`_PooledExecutor`), not to a
     ``map_tasks`` call: its worker forks when the lane is built and
     serves every later call until the executor shuts the lane down, so
     the fork cost is paid once per executor and the worker's mappings
-    (``resident``) stay warm from one call to the next.  What a call
+    stay warm from one call to the next.  What a call
     needs beyond its task travels in the payload (:class:`_Run`).
 
     The worker is the driver's own child and is signalled only through
@@ -578,15 +550,12 @@ class _WorkerLane:
     and until then its pid cannot be recycled.
     """
 
-    __slots__ = ("lane_id", "proc", "conn", "index", "is_dup", "launched",
-                 "resident")
+    __slots__ = ("proc", "conn", "index", "is_dup", "launched")
 
-    def __init__(self, lane_id: int) -> None:
-        self.lane_id = lane_id
+    def __init__(self) -> None:
         self.index: Optional[int] = None
         self.is_dup = False
         self.launched = 0.0
-        self.resident: frozenset = frozenset()
         self._start()
 
     def _start(self) -> None:
@@ -643,16 +612,10 @@ class _WorkerLane:
         self.conn.close()
 
     def rebuild(self) -> None:
-        """Fresh worker process in place of the current one.
-
-        The resident set dies with the worker — a rebuilt lane must
-        never attract tasks on the strength of blocks only the dead
-        process held mapped.
-        """
+        """Fresh worker process in place of the current one."""
         self.clear()
         self.kill()
         self.join()
-        self.resident = frozenset()
         self._start()
 
 
@@ -663,8 +626,8 @@ class _PooledMapEngine:
     :class:`_WorkerLane` objects (so worker death loses at most the one
     task on that lane).  The lanes come from one place,
     :meth:`_PooledExecutor._worker_lanes`, and outlive the call; the
-    engine only owns the run: its :class:`_Run` state (token, resident-set
-    reporting and transport), shipped with every payload as
+    engine only owns the run: its :class:`_Run` state (token and
+    transport), shipped with every payload as
     ``(index, fn, blob, spec, run)`` to :func:`_timed_call`.  A run that
     raises kills its busy lanes and shuts every lane down before the
     exception leaves, so a task still in flight cannot return into a
@@ -688,23 +651,14 @@ class _PooledMapEngine:
       broken-lane path above;
     * with ``speculation_factor`` set, a task still in flight past
       :func:`_speculation_threshold` gets a *duplicate attempt*
-      submitted to a free lane (never a chosen one: duplicates do not
-      inherit affinity pins).  The first attempt to return wins and is
+      submitted to a free lane.  The first attempt to return wins and is
       recorded; the loser's result is discarded (``on_discard``, so
       published segments never leak), and a loser that never returns —
       the straggler itself — is SIGKILLed once every result is in, its
       leftovers reclaimed by the ordinary broken-lane sweep;
     * a result whose blocks cannot be adopted (``on_result`` raises
       :class:`~repro.frameworks.shm.BlockLost`) is treated as lost and
-      the task re-executed;
-    * with ``policy.locality`` set and ref-bearing payloads
-      (``task_refs``), free lanes are filled by the
-      :class:`~repro.frameworks.locality.LocalityScheduler` instead of
-      queue order: each worker's reply carries its resident block
-      names after the task, the driver mirrors them onto the lanes
-      (optimistically extended at dispatch so same-wave tasks cluster),
-      and spilled blocks missing from the chosen lane are prefetched at
-      dispatch time.
+      the task re-executed.
 
     Faults are claimed from the injector once per first-attempt dispatch
     in dispatch order; task-side faults ship to the worker inside the
@@ -714,8 +668,8 @@ class _PooledMapEngine:
     the exactly-once injection contract counts real dispatches only.
 
     The per-task state is ``timings``, one :class:`TaskTiming` per task
-    that the owner returns as its own: the engine counts retries,
-    speculation and placement into it and stamps ``start``/``stop``,
+    that the owner returns as its own: the engine counts retries and
+    speculation into it and stamps ``start``/``stop``,
     ``on_result`` adds the byte counters, and a task's attempt number is
     its ``tasks_retried``.
     """
@@ -723,8 +677,7 @@ class _PooledMapEngine:
     def __init__(self, owner: "_PooledExecutor", fn: Callable[[Any], Any],
                  blobs: List[bytes],
                  on_result: Callable[[int, tuple, Optional[FaultSpec], TaskTiming], None],
-                 on_discard: Optional[Callable[[tuple], None]] = None,
-                 task_refs: Optional[List[List[BlockRef]]] = None) -> None:
+                 on_discard: Optional[Callable[[tuple], None]] = None) -> None:
         self.owner = owner
         self.fn = fn
         self.blobs = blobs
@@ -740,17 +693,10 @@ class _PooledMapEngine:
         self.result_faults: Dict[int, FaultSpec] = {}
         self._durations: List[float] = []
         self._completed: set = set()
-        self._task_refs = task_refs
-        self._scheduler: Optional[LocalityScheduler] = None
-        if policy.locality and task_refs is not None and any(task_refs):
-            blocks = [TaskBlocks.from_refs(i, refs)
-                      for i, refs in enumerate(task_refs)]
-            self._scheduler = LocalityScheduler(blocks, policy.locality_wait_s)
         # whether the engine must wake up while waiting: to kill hung
-        # workers, to speculate, or to let held tasks be stolen
+        # workers or to speculate
         self._monitored = (policy.heartbeat_timeout_s is not None
-                           or policy.speculation_factor is not None
-                           or self._scheduler is not None)
+                           or policy.speculation_factor is not None)
 
     # ------------------------------------------------------------------ #
     def _fail(self, index: int, exc: BaseException, pending: "deque[int]",
@@ -785,8 +731,7 @@ class _PooledMapEngine:
     # ------------------------------------------------------------------ #
     def run(self) -> None:
         """Execute every task to completion (or raise the fatal failure)."""
-        self._run = _Run(next(_RUN_TOKENS), self._scheduler is not None,
-                         self.store is not None)
+        self._run = _Run(next(_RUN_TOKENS), self.store is not None)
         pending: "deque[int]" = deque(range(self.n_tasks))
         lanes = self.owner._worker_lanes()
         try:
@@ -823,58 +768,13 @@ class _PooledMapEngine:
 
     def _fill(self, lanes: List[_WorkerLane], pending: "deque[int]",
               broken: List[_WorkerLane]) -> None:
-        """Assign pending tasks to free lanes (locality-aware when enabled).
-
-        Without a scheduler this is plain queue order.  With one, each
-        free lane asks :meth:`LocalityScheduler.choose` for the task it
-        covers best; the lane's resident estimate is extended with the
-        dispatched task's blocks immediately (so same-wave tasks over
-        the same blocks cluster onto one lane instead of fanning out),
-        and spilled blocks the lane is missing are prefetch-hinted so
-        the page cache warms while the payload travels.
-        """
-        if self._scheduler is None:
-            for lane in lanes:
-                if not pending:
-                    return
-                if lane.busy or lane in broken:
-                    continue
-                self._dispatch(lane, pending.popleft(), pending, broken)
-            return
-        spilled = (self.store.spilled_names() if self.store is not None
-                   else frozenset())
-        progress = True
-        while progress and pending:
-            progress = False
-            for lane in lanes:
-                if not pending:
-                    return
-                if lane.busy or lane in broken:
-                    continue
-                others = {o.lane_id: o.resident for o in lanes
-                          if o is not lane and o not in broken}
-                placement = self._scheduler.choose(
-                    pending, lane.lane_id, lane.resident, others, spilled)
-                if placement is None:
-                    continue  # hold: better-affine lanes may free in time
-                pending.remove(placement.index)
-                timing = self.timings[placement.index]
-                if placement.missing and self._task_refs is not None:
-                    missing_refs = [r for r in self._task_refs[placement.index]
-                                    if r.segment in placement.missing]
-                    drops0 = prefetch_hints_dropped()
-                    prefetch_refs(missing_refs)
-                    timing.prefetch_hints_dropped += prefetch_hints_dropped() - drops0
-                if self._dispatch(lane, placement.index, pending, broken):
-                    # last dispatch wins: a retried task re-scores, so the
-                    # flags describe the attempt that actually produced
-                    # the result
-                    timing.tasks_local = int(placement.local)
-                    timing.tasks_remote = int(not placement.local)
-                    timing.bytes_spill_reads_avoided += placement.bytes_avoided
-                    lane.resident = lane.resident | self._scheduler.names_for(
-                        placement.index)
-                    progress = True
+        """Assign pending tasks to free lanes, in queue order."""
+        for lane in lanes:
+            if not pending:
+                return
+            if lane.busy or lane in broken:
+                continue
+            self._dispatch(lane, pending.popleft(), pending, broken)
 
     def _pump(self, lanes: List[_WorkerLane],
               pending: "deque[int]") -> List[_WorkerLane]:
@@ -928,7 +828,8 @@ class _PooledMapEngine:
                     continue  # a beaten attempt failed; the winner landed
                 self._fail(index, out, pending)
                 continue
-            self._observe_worker(lane, index, out)
+            # read-ahead hints the worker dropped while running this attempt
+            self.timings[index].prefetch_hints_dropped += out[5]
             if index in self._completed:
                 # the losing attempt of a speculated task finished after
                 # the winner: discard its result (and published segments)
@@ -956,31 +857,14 @@ class _PooledMapEngine:
         self._maybe_speculate(lanes, pending)
         return []
 
-    def _observe_worker(self, lane: _WorkerLane, index: int, out: tuple) -> None:
-        """Absorb the worker-reported tail of a result tuple.
-
-        Every successful result carries ``(resident, prefetch_drops)``
-        after the payload fields; with locality on, the worker's
-        resident block names replace the driver's optimistic estimate —
-        ground truth from the process itself.
-        """
-        resident, dropped = out[5], out[6]
-        if dropped:
-            self.timings[index].prefetch_hints_dropped += dropped
-        if resident is not None:
-            lane.resident = resident
-
     def _maybe_speculate(self, lanes: List[_WorkerLane],
                          pending: "deque[int]") -> None:
         """Launch duplicate attempts for tasks straggling past the threshold.
 
         The threshold comes from :func:`_speculation_threshold`.  At
         most one duplicate per task, only onto genuinely free lanes
-        (pending tasks always fill lanes first) with no regard for
-        affinity — a duplicate exists to dodge a slow *worker*, so it
-        must not inherit the placement that put the straggler there —
-        and never through the injector: duplicates cannot fire or
-        consume injected faults.
+        (pending tasks always fill lanes first) and never through the
+        injector: duplicates cannot fire or consume injected faults.
         """
         factor = self.policy.speculation_factor
         if factor is None or pending or not self._durations:
@@ -1008,10 +892,7 @@ class _PooledMapEngine:
         """Broken-lane path: account lost tasks, sweep, rebuild, resubmit.
 
         Only the broken lanes are torn down; healthy lanes keep their
-        workers, queues and resident sets.  Rebuilding resets each
-        broken lane's resident set — a fresh worker holds nothing, so
-        the scheduler must not route tasks on the dead process's
-        affinity.
+        workers and queues.
 
         With a store, what the dead workers left behind is reclaimed
         before resubmitting.  A SIGKILLed worker runs neither ``atexit``
@@ -1065,7 +946,7 @@ class _PooledExecutor(ExecutorBase):
     def _worker_lanes(self) -> List[_WorkerLane]:
         """The executor's lanes, created on first use."""
         if not self._lanes:
-            self._lanes = [_WorkerLane(i) for i in range(self.workers)]
+            self._lanes = [_WorkerLane() for _ in range(self.workers)]
         return self._lanes
 
     def _drop_lanes(self) -> None:
@@ -1148,15 +1029,8 @@ class _PooledExecutor(ExecutorBase):
             except Exception:  # noqa: BLE001 - best-effort reclamation
                 pass
 
-        # payloads carry BlockRefs on the shm transport, and on the pickle
-        # one only where the caller put some in (mixed plane); collect them
-        # so locality placement works wherever refs are present
-        task_refs = None
-        if self.fault_policy is not None and self.fault_policy.locality:
-            task_refs = [collect_refs(item) for item in shipped]
         engine = _PooledMapEngine(self, fn, blobs, on_result,
-                                  on_discard=None if store is None else on_discard,
-                                  task_refs=task_refs)
+                                  on_discard=None if store is None else on_discard)
         engine.run()
         self.timings = engine.timings
         return results

@@ -131,8 +131,8 @@ class FaultPolicy:
         triggers the normal resubmission path.  ``None`` (default)
         disables the check.
     heartbeat_interval_s : float, optional
-        How often the driver wakes up to check for hung workers,
-        stragglers and held tasks while waiting on task completions
+        How often the driver wakes up to check for hung workers and
+        stragglers while waiting on task completions
         (default 0.05 s).
     on_lost_block : str, optional
         ``"recover"`` (default): heal an unresolvable task-payload block
@@ -157,22 +157,6 @@ class FaultPolicy:
         active, journal every n-th completed task per worker process
         (default 1: every completion is durable).  Larger intervals
         trade re-execution after a crash for journal write traffic.
-    locality : bool, optional
-        Process pools on the shm plane only: opt into locality-aware
-        task placement (default ``False``).  Workers report the block
-        names they hold resident with each task's reply, and the
-        driver routes each task to a free worker whose resident set
-        covers the task's refs — steering tasks whose inputs spilled to
-        the worker that still has them mapped instead of paying a disk
-        read on a random one.  Placement is accounted in
-        ``tasks_local`` / ``tasks_remote`` and the disk reads steered
-        around in ``bytes_spill_reads_avoided``.  Executors without a
-        routable pool (or without refs to score) ignore the flag.
-    locality_wait_s : float, optional
-        Delay-scheduling bound (default 0.05 s): how long a pending
-        task may hold out for a busy worker with affinity before any
-        free worker is allowed to steal it.  Affinity must never idle
-        the pool — past the bound, work-stealing wins.
     """
 
     max_retries: int = 2
@@ -184,8 +168,6 @@ class FaultPolicy:
     on_lost_block: str = "recover"
     speculation_factor: Optional[float] = None
     checkpoint_interval_tasks: int = 1
-    locality: bool = False
-    locality_wait_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -202,8 +184,6 @@ class FaultPolicy:
             raise ValueError("speculation_factor must be positive")
         if self.checkpoint_interval_tasks < 1:
             raise ValueError("checkpoint_interval_tasks must be >= 1")
-        if self.locality_wait_s < 0:
-            raise ValueError("locality_wait_s must be non-negative")
 
     def should_retry(self, exc: BaseException, attempt: int) -> bool:
         """Whether a task that failed with ``exc`` on ``attempt`` may rerun.

@@ -112,18 +112,6 @@ class ComputeUnit:
         self.state_history.append(new_state)
 
     @property
-    def __refs_payload__(self) -> tuple:
-        """The walkable payload for :func:`~repro.frameworks.shm.collect_refs`.
-
-        The unit itself is opaque to the generic payload walk; its data
-        — and therefore its :class:`~repro.frameworks.shm.BlockRef`
-        handles on the shm plane — lives in the description's
-        ``args``/``kwargs``, which is what locality-aware placement
-        needs to score.
-        """
-        return (self.description.args, self.description.kwargs)
-
-    @property
     def is_done(self) -> bool:
         """True when the unit finished successfully."""
         return self.state == UnitState.DONE

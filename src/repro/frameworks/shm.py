@@ -111,16 +111,13 @@ __all__ = [
     "mark_handed_off",
     "adopt_payload",
     "refs_nbytes",
-    "collect_refs",
     "maybe_resolve",
     "ResolvingTask",
     "sweep_orphan_segments",
     "unlink_segment_by_name",
     "array_digest",
-    "resident_names",
     "release_stale_mappings",
     "prefetch_hints_dropped",
-    "spill_read_bytes",
 ]
 
 #: Valid values for the ``data_plane`` option on frameworks and the public API.
@@ -185,15 +182,6 @@ _REGISTRY_LOCK = threading.Lock()
 # behind belongs to a crashed task and is unlinked at process exit.
 _PUBLISHED: Dict[str, shared_memory.SharedMemory] = {}
 _PUBLISH_HOOK_INSTALLED = False
-
-# Data-movement accounting for the file tier.  ``_SPILL_READ_NAMES``
-# records which spilled blocks this process has resolved through the
-# disk tier at least once; ``_SPILL_READ_BYTES`` accumulates their full
-# block sizes.  First resolves are what locality-aware placement tries
-# to concentrate: once a process has mapped (and faulted in) a block,
-# later resolves of the same block are registry hits that move nothing.
-_SPILL_READ_NAMES: set = set()
-_SPILL_READ_BYTES = 0
 
 # Prefetch hints dropped because the hint queue was full, process-local
 # (see :func:`prefetch_refs`).  Surfaced through executor timings into
@@ -329,40 +317,6 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         return segment
 
 
-def _simulated_cold_read_seconds(nbytes: int) -> float:
-    """Deterministic cost model for a cold spill-file read, in seconds.
-
-    Controlled by the ``REPRO_COLD_READ_BW_MBS`` environment variable: a
-    positive float models a disk tier with that sequential bandwidth in
-    MB/s, and every *cold* :func:`_attach_file` (first mapping of a
-    block file in this process) sleeps ``nbytes / bandwidth``.  Re-reads
-    through the per-process mapping cache stay free, exactly like pages
-    a live mapping keeps warm.
-
-    The knob exists for benchmarks and tests: CI machines hide the disk
-    tier behind an aggressive page cache, so measuring what placement
-    *saves* needs the cold-read cost pinned rather than left to whatever
-    the host's cache happens to do.  Unset (the default), the model is
-    inert and real I/O timing applies.
-
-    The variable is read in the process that does the cold read, so a
-    pool worker sees the environment it was forked with.  Worker lanes
-    live as long as their executor: set the variable before an
-    executor's first ``map_tasks`` — a change made after its lanes
-    started does not reach them until the executor is shut down.
-    """
-    raw = os.environ.get("REPRO_COLD_READ_BW_MBS")
-    if not raw:
-        return 0.0
-    try:
-        bandwidth = float(raw)
-    except ValueError:
-        return 0.0
-    if bandwidth <= 0:
-        return 0.0
-    return nbytes / (bandwidth * 1e6)
-
-
 def _attach_file(spill_dir: str, name: str) -> Optional[mmap.mmap]:
     """Memory-map the spill file for segment ``name``, if it exists.
 
@@ -389,41 +343,9 @@ def _attach_file(spill_dir: str, name: str) -> Optional[mmap.mmap]:
             mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except (FileNotFoundError, ValueError):
         return None
-    delay = _simulated_cold_read_seconds(len(mapped))
     with _REGISTRY_LOCK:
         # keep the first mapping if another thread raced us here
-        first = path not in _MAPPED
-        mapped = _MAPPED.setdefault(path, mapped)
-    if first and delay > 0:
-        time.sleep(delay)
-    return mapped
-
-
-def resident_names() -> frozenset:
-    """Segment names this process can resolve without touching the disk cold.
-
-    The union of the process-local registries: segments owned by stores
-    in this process, segments attached by name, and spill files already
-    memory-mapped here (reported by their segment name, without the
-    ``.blk`` suffix).  Workers export this set through their resident-set
-    files so the driver's locality-aware placement can route a task to a
-    process that already holds the task's blocks — in particular a
-    *spilled* block whose shared-memory name is gone everywhere except
-    in the processes that mapped it before the spill.
-
-    Returns
-    -------
-    frozenset of str
-        Resolvable-locally segment names at the time of the call.
-    """
-    with _REGISTRY_LOCK:
-        names = set(_OWNED) | set(_ATTACHED)
-        for path in _MAPPED:
-            base = os.path.basename(path)
-            if base.endswith(".blk"):
-                base = base[:-4]
-            names.add(base)
-    return frozenset(names)
+        return _MAPPED.setdefault(path, mapped)
 
 
 def release_stale_mappings() -> None:
@@ -453,18 +375,6 @@ def release_stale_mappings() -> None:
         _retire_or_close(segment)
     for path in stale:
         _invalidate_mapping(path)
-
-
-def spill_read_bytes() -> int:
-    """Cumulative bytes of spilled blocks first-resolved from the disk tier.
-
-    Process-local: each spilled block counts its full size exactly once
-    per process, at the first resolve that had to go through its
-    ``.blk`` file.  The counter is the data-movement cost locality-aware
-    placement minimizes — re-resolves through the cached mapping move
-    nothing and are not counted.
-    """
-    return _SPILL_READ_BYTES
 
 
 def prefetch_hints_dropped() -> int:
@@ -612,7 +522,7 @@ def _release_module_locks_after_fork() -> None:
 
 
 def _reset_prefetcher_in_child() -> None:
-    global _prefetch_queue, _PREFETCH_DROPPED, _SPILL_READ_BYTES
+    global _prefetch_queue, _PREFETCH_DROPPED
     _release_module_locks_after_fork()
     _prefetch_queue = None
     # the parent's stores own their segments, not this child: keep the
@@ -620,12 +530,10 @@ def _reset_prefetcher_in_child() -> None:
     # release_stale_mappings closes them once the parent unlinks them
     _ATTACHED.update(_OWNED)
     _OWNED.clear()
-    # per-process data-movement counters start fresh in the child, so a
-    # worker's deltas describe what *it* moved, not what the driver did
-    # before the fork
+    # the dropped-hint counter starts fresh in the child, so a worker's
+    # deltas describe what *it* dropped, not what the driver did before
+    # the fork
     _PREFETCH_DROPPED = 0
-    _SPILL_READ_BYTES = 0
-    _SPILL_READ_NAMES.clear()
 
 
 if hasattr(os, "register_at_fork"):  # POSIX only, like fork itself
@@ -900,10 +808,6 @@ class BlockRef:
         corrupted block file) is dropped from the per-process cache and
         treated as missing, so the resilience layer sees one uniform
         :class:`BlockLost` signal for every flavour of lost block.
-
-        The first successful file-tier resolve of each block in this
-        process is accounted in :func:`spill_read_bytes` — the
-        data-movement cost locality-aware placement steers around.
         """
         if self.spill_dir is None:
             return None
@@ -911,16 +815,10 @@ class BlockRef:
         if mapped is None:
             return None
         try:
-            view = self._view(mapped)
+            return self._view(mapped)
         except (ValueError, TypeError):
             _invalidate_mapping(os.path.join(self.spill_dir, self.segment + ".blk"))
             return None
-        global _SPILL_READ_BYTES
-        with _REGISTRY_LOCK:
-            if self.segment not in _SPILL_READ_NAMES:
-                _SPILL_READ_NAMES.add(self.segment)
-                _SPILL_READ_BYTES += len(mapped)
-        return view
 
     def slice_rows(self, start: int, stop: int) -> "BlockRef":
         """Return a sub-ref covering rows ``start:stop`` along the first axis.
@@ -1277,11 +1175,8 @@ class SharedMemoryStore:
 
         Only fully spilled blocks are reported — blocks still in the
         write-behind ``enqueued``/``spilling`` states remain readable
-        from shared memory everywhere and carry no disk-read cost yet.
-        The locality-aware scheduler uses this view to recognise task
-        refs whose resolution would hit the file tier, and to credit
-        ``bytes_spill_reads_avoided`` when it routes such a task to a
-        worker that still holds the block mapped.
+        from shared memory everywhere and resolve without touching the
+        file tier yet.
         """
         with self._lock:
             return frozenset(self._spilled)
@@ -1987,29 +1882,6 @@ def refs_nbytes(obj: Any) -> int:
 
     _walk(obj, leaf)
     return total
-
-
-def collect_refs(obj: Any) -> List[BlockRef]:
-    """Every :class:`BlockRef` inside ``obj``, in payload-walk order.
-
-    The locality-aware scheduler calls this once per staged payload to
-    learn which blocks a task will resolve, so it can score candidate
-    workers by how much of the task's data they already hold.
-
-    Payload wrappers that are not walkable containers (plain classes the
-    generic walk cannot descend into, like the pilot's ``ComputeUnit``)
-    can expose a ``__refs_payload__`` attribute holding the walkable
-    part of their payload; it is collected in place of the wrapper.
-    """
-    refs: List[BlockRef] = []
-
-    def leaf(x: Any) -> Any:
-        if isinstance(x, BlockRef):
-            refs.append(x)
-        return x
-
-    _walk(getattr(obj, "__refs_payload__", obj), leaf)
-    return refs
 
 
 def maybe_resolve(value: Any) -> Any:

@@ -113,6 +113,21 @@ class TestAccumulators:
         assert agent.stats.as_dict()[name] == 5
 
 
+class TestPrefetchHintsDropped:
+    def test_run_metrics_merge_and_dict_carry_prefetch_drops(self):
+        one = RunMetrics(prefetch_hints_dropped=2)
+        two = RunMetrics(prefetch_hints_dropped=1)
+        merged = one.merge(two)
+        assert merged.prefetch_hints_dropped == 3
+        view = merged.as_dict()
+        assert view["prefetch_hints_dropped"] == 3
+
+    def test_task_counters_total_carries_prefetch_drops(self):
+        per_task = [TaskCounters(), TaskCounters(prefetch_hints_dropped=4)]
+        totals = TaskCounters.total(per_task)
+        assert totals.prefetch_hints_dropped == 4
+
+
 # --------------------------------------------------------------------------- #
 # pilot: per-task counters cover every agent batch
 # --------------------------------------------------------------------------- #

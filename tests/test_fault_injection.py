@@ -48,6 +48,7 @@ from repro.frameworks.executors import (
     ProcessExecutor,
     SharedMemoryExecutor,
     ThreadExecutor,
+    _speculation_threshold,
     _WorkerLane,
 )
 from repro.frameworks.faults import (
@@ -1045,6 +1046,22 @@ class TestSpeculation:
         assert shm_entries() == before
 
 
+class TestSpeculationThreshold:
+    def test_even_count_uses_midpoint_median(self):
+        policy = FaultPolicy(speculation_factor=2.0, heartbeat_interval_s=0.05)
+        # sorted[len//2] would pick 3.0 and yield 6.0, delaying
+        # speculation; the true median of [1, 2, 3, 4] is 2.5
+        assert _speculation_threshold([4.0, 1.0, 3.0, 2.0], policy) == 5.0
+
+    def test_odd_count_unchanged(self):
+        policy = FaultPolicy(speculation_factor=2.0, heartbeat_interval_s=0.05)
+        assert _speculation_threshold([3.0, 1.0, 2.0], policy) == 4.0
+
+    def test_heartbeat_floor_still_applies(self):
+        policy = FaultPolicy(speculation_factor=3.0, heartbeat_interval_s=0.5)
+        assert _speculation_threshold([0.001, 0.002], policy) == 1.5
+
+
 # --------------------------------------------------------------------------- #
 # the driver signals only its own live lane children
 # --------------------------------------------------------------------------- #
@@ -1119,7 +1136,7 @@ class TestLaneSignals:
             ex.shutdown()
 
     def test_kill_after_join_sends_nothing(self, monkeypatch):
-        lane = _WorkerLane(0)
+        lane = _WorkerLane()
         sent = []
         real_kill = os.kill
         monkeypatch.setattr(os, "kill", lambda pid, sig: (
@@ -1169,18 +1186,17 @@ class TestLaneFailureDomain:
             ex.shutdown()
         assert shm_entries() == before
 
-    def test_lane_kill_under_locality_keeps_exact_accounting(self, tmp_path):
-        """A killed lane under locality placement: results identical,
-        exactly one task lost, and every completed task still carries a
-        placement flag (the rebuilt lane's resident set starts empty, so
-        routing never trusts the dead worker's blocks)."""
+    def test_lane_kill_on_spill_tier_keeps_exact_accounting(self, tmp_path):
+        """A killed lane while most payload blocks sit on the spill tier:
+        results identical and exactly one task lost, with nothing left
+        in ``/dev/shm``."""
         before = shm_entries()
         blocks = [np.full((64, 64), float(i)) for i in range(12)]   # 32 KiB each
         store = SharedMemoryStore(capacity_bytes=64 * 1024, spill_dir=str(tmp_path))
         ex = SharedMemoryExecutor(
             workers=3,
             store=store,
-            fault_policy=FaultPolicy(locality=True, locality_wait_s=0.02),
+            fault_policy=FaultPolicy(),
             fault_injector=FaultInjector(
                 FaultSpec("kill_worker", at_task=4)))
         try:
@@ -1189,18 +1205,17 @@ class TestLaneFailureDomain:
                 assert np.array_equal(block, blocks[i] * 2.0)
             assert ex.totals().tasks_lost == 1
             assert ex.totals().tasks_retried == 1
-            assert (ex.totals().tasks_local + ex.totals().tasks_remote) == 12
         finally:
             ex.shutdown()
             store.cleanup()  # caller-owned: shutdown leaves it alone
         assert shm_entries() == before
 
-    def test_psa_lane_kill_under_locality(self, chaos_ensemble,
-                                          reference_matrix, tmp_path):
+    def test_psa_lane_kill_on_spill_tier(self, chaos_ensemble,
+                                         reference_matrix, tmp_path):
         matrix, report = psa(
             chaos_ensemble, "pilot", executor="shm", workers=3,
             data_plane="shm", spill_dir=str(tmp_path),
-            fault_policy=FaultPolicy(locality=True, locality_wait_s=0.02),
+            fault_policy=FaultPolicy(),
             faults=FaultSpec("kill_worker", at_task=2))
         assert np.array_equal(matrix.values, reference_matrix)
         assert report.metrics.tasks_lost == 1

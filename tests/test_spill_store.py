@@ -14,11 +14,17 @@ put/resolve races stay bit-identical, ``spill_async=False`` is an exact
 behavioural twin, and closing (or crashing a worker) with a non-empty
 queue leaks neither ``/dev/shm`` names nor spill files.
 ``TestLongLivedLanes`` runs warm worker lanes next to the spill writer.
+``TestPrefetchDrops`` pins the file tier's read-ahead queue: a full
+queue drops (and counts) only the hints that do not fit.
+``TestSpillRoundTrip`` sends every dtype and layout through the disk
+tier, and ``TestSpilledRefsOnLanes`` dispatches spilled inputs to worker
+lanes, with no read-ahead issued by the driver.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,12 +32,16 @@ import pytest
 
 from repro.core.psa import psa_serial, run_psa
 from repro.frameworks import make_framework
-from repro.frameworks.executors import SharedMemoryExecutor
+from repro.frameworks import shm as shm_mod
+from repro.frameworks.executors import SharedMemoryExecutor, _WorkerLane
 from repro.frameworks.shm import (
     BlockLost,
+    BlockRef,
     SharedMemoryStore,
     adopt_payload,
     mark_handed_off,
+    prefetch_hints_dropped,
+    prefetch_refs,
     publish_payload,
     unlink_segment_by_name,
 )
@@ -44,6 +54,12 @@ def shm_entries():
         return set(os.listdir("/dev/shm"))
     except FileNotFoundError:  # non-Linux fallback: nothing to compare
         return set()
+
+
+def ref(name, nbytes=80, spill_dir=None):
+    """A BlockRef of ``nbytes`` bytes under segment ``name``."""
+    return BlockRef(segment=name, shape=(nbytes // 8,), dtype="<f8",
+                    spill_dir=spill_dir)
 
 
 @pytest.fixture()
@@ -596,3 +612,111 @@ class TestLongLivedLanes:
                   if name.startswith(("psm_", "rpub-"))}
         assert leaked == set()
         assert os.listdir(spill_dir) == []
+
+
+class TestPrefetchDrops:
+    def test_full_queue_drops_only_the_full_hint(self, tmp_path, monkeypatch):
+        # a one-slot queue with no drain thread: the first hint fills it,
+        # the siblings behind it must still be attempted (and counted as
+        # dropped) instead of being silently abandoned
+        stub = queue.Queue(maxsize=1)
+        monkeypatch.setattr(shm_mod, "_prefetch_queue", stub)
+        spill = str(tmp_path)
+        refs = [ref("pf-a", 80, spill), ref("pf-b", 80, spill),
+                ref("pf-c", 80, spill)]
+        before = prefetch_hints_dropped()
+        hints = prefetch_refs(refs)
+        assert hints == 1
+        assert prefetch_hints_dropped() - before == 2
+
+    def test_refs_without_spill_dir_are_not_hints(self):
+        before = prefetch_hints_dropped()
+        assert prefetch_refs([ref("no-spill", 80)]) == 0
+        assert prefetch_hints_dropped() == before
+
+
+SPILL_DTYPES = ["<f8", "<f4", "<i8", "<i4", "|u1", "<c16", "|b1", ">f8"]
+SPILL_LAYOUTS = ["C", "F", "reversed"]
+
+
+class TestSpillRoundTrip:
+    """Every dtype and memory layout comes back from the disk tier bit for bit."""
+
+    @pytest.mark.parametrize("layout", SPILL_LAYOUTS)
+    @pytest.mark.parametrize("dtype", SPILL_DTYPES)
+    def test_block_resolves_bit_identical_from_disk(self, dtype, layout, tmp_path):
+        rng = np.random.default_rng(5)
+        base = (rng.random((6, 4, 3)) * 100).astype(dtype)
+        array = {"C": base, "F": np.asfortranarray(base),
+                 "reversed": base[::-1]}[layout]
+        store = SharedMemoryStore(capacity_bytes=0, spill_dir=str(tmp_path),
+                                  spill_async=False)
+        try:
+            block = store.put(array)
+            assert store.spilled_names() == frozenset({block.segment})
+            out = block.resolve()
+            assert out.dtype == array.dtype
+            assert out.shape == array.shape
+            assert np.array_equal(out, array)
+            assert np.array_equal(block.slice_rows(1, 4).resolve(), array[1:4])
+        finally:
+            store.cleanup()
+
+
+def _block_sum(payload):
+    return float(np.asarray(payload).sum())
+
+
+class TestSpilledRefsOnLanes:
+    """Spilled inputs dispatched to worker lanes, on deterministic single-lane runs."""
+
+    def spilled_store(self, tmp_path):
+        """A store where block A is deterministically on the disk tier."""
+        a = np.arange(8192, dtype=np.float64)          # 64 KiB
+        b = np.arange(8192, dtype=np.float64) + 1.0
+        store = SharedMemoryStore(capacity_bytes=80 * 1024,
+                                  spill_dir=str(tmp_path),
+                                  spill_async=False)
+        ref_a = store.put(a)
+        store.put(b)                                   # evicts A (cold, largest)
+        assert store.spilled_names() == frozenset({ref_a.segment})
+        return store, ref_a, a
+
+    def test_spilled_block_resolves_on_a_lane(self, tmp_path):
+        store, ref_a, a = self.spilled_store(tmp_path)
+        ex = SharedMemoryExecutor(workers=1, store=store)
+        try:
+            assert ex.map_tasks(_block_sum, [ref_a] * 4) == [float(a.sum())] * 4
+            # the lane outlives the call and keeps reading the spilled block
+            assert ex.map_tasks(_block_sum, [ref_a] * 2) == [float(a.sum())] * 2
+        finally:
+            ex.shutdown()
+        store.cleanup()
+
+    def test_dispatch_issues_no_driver_prefetch(self, tmp_path, monkeypatch):
+        # the driver sends refs down the lanes as they are: any read-ahead
+        # happens in the worker that resolves them, never at dispatch
+        store, ref_a, a = self.spilled_store(tmp_path)
+        stub = queue.Queue(maxsize=1)
+        monkeypatch.setattr(shm_mod, "_prefetch_queue", stub)
+        before = prefetch_hints_dropped()
+        ex = SharedMemoryExecutor(workers=1, store=store)
+        try:
+            assert ex.map_tasks(_block_sum, [ref_a] * 3) == [float(a.sum())] * 3
+            assert ex.totals().prefetch_hints_dropped == 0
+        finally:
+            ex.shutdown()
+        store.cleanup()
+        assert stub.empty()
+        assert prefetch_hints_dropped() == before
+
+    def test_rebuilt_lane_serves_a_fresh_process(self):
+        lane = _WorkerLane()
+        try:
+            pid = lane.proc.pid
+            lane.rebuild()
+            assert lane.proc.pid != pid and lane.proc.is_alive()
+            assert not lane.busy
+        finally:
+            lane.stop()
+            lane.join()
