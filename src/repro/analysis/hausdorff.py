@@ -19,7 +19,12 @@ Implementations provided:
 * :func:`hausdorff_earlybreak` — the early-break algorithm of Taha &
   Hanbury (2015) that the paper cites as a potential optimization, run
   blockwise (our ablation benchmark quantifies the speedup over the
-  literal scan, :func:`repro.analysis.reference.hausdorff_earlybreak`), and
+  literal scan, :func:`repro.analysis.reference.hausdorff_earlybreak`),
+* :func:`hausdorff_windowed` / :func:`window_minima` — per-frame minimum
+  squared distances by the per-pair difference formula, tiled in one
+  byte-bounded scratch buffer; partition independent, so the streamed
+  PSA's merged windows equal one whole pass and :func:`hausdorff_naive`
+  bit-for-bit, and
 * :func:`discrete_frechet` — the discrete Fréchet distance, the other
   metric offered by MDAnalysis' PSA module, included for completeness.
 """
@@ -204,8 +209,27 @@ def _directed_earlybreak_blockwise(points_a: np.ndarray, points_b: np.ndarray,
     return _exact_row_min_d2(points_a[best_row], points_b)
 
 
-def window_minima(win_a: np.ndarray, win_b: np.ndarray,
-                  tile: int = 256) -> tuple[np.ndarray, np.ndarray]:
+#: Byte budget of :func:`window_minima`'s one scratch buffer.  A tile
+#: never shrinks below one frame pair, so a pair whose ``3N + 1``
+#: float64 values exceed it gets a buffer of exactly that size instead.
+_SCRATCH_BYTES = 1 << 20
+
+
+def _tile_shape(n_a: int, n_b: int, width: int) -> tuple[int, int]:
+    """Frames per tile ``(rows, cols)`` within the scratch budget.
+
+    Each frame pair of a tile takes ``width + 1`` float64 values of
+    scratch (its ``3N`` squared differences and their sum).  A tile takes
+    whole columns of ``win_b`` and as many rows as fit; when not even one
+    row fits, it takes one row against as many columns as fit.
+    """
+    pairs = max(1, _SCRATCH_BYTES // (8 * (width + 1)))
+    if pairs >= n_b:
+        return min(n_a, pairs // n_b), n_b
+    return 1, pairs
+
+
+def window_minima(win_a: np.ndarray, win_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame minimum squared distances between two frame windows.
 
     The decomposable core of the streamed Hausdorff computation: for a
@@ -221,13 +245,15 @@ def window_minima(win_a: np.ndarray, win_b: np.ndarray,
     the property the streamed driver's bit-identity guarantee rests on.
     GEMM values are shape-dependent in the last ulp and would break it.
 
+    The call allocates one scratch buffer of at most ``_SCRATCH_BYTES``
+    (1 MiB; more only when a single frame pair needs more) and computes
+    each tile's squares in place inside it, so its memory does not grow
+    with the window or atom count.
+
     Parameters
     ----------
     win_a, win_b : numpy.ndarray
         Frame windows of shape ``(m, n_atoms, 3)`` over the same atoms.
-    tile : int, optional
-        Frames per evaluation tile (bounds the ``tile x tile x 3N``
-        temporary; tiling does not change any entry).
 
     Returns
     -------
@@ -235,24 +261,29 @@ def window_minima(win_a: np.ndarray, win_b: np.ndarray,
         ``(row_min_d2, col_min_d2)`` with shapes ``(len(win_a),)`` and
         ``(len(win_b),)``.
     """
-    if tile < 1:
-        raise ValueError("tile must be >= 1")
     flat_a, flat_b, _ = _flatten_paths(win_a, win_b)
-    n_a, n_b = flat_a.shape[0], flat_b.shape[0]
+    (n_a, width), n_b = flat_a.shape, flat_b.shape[0]
     row_min = np.full(n_a, np.inf)
     col_min = np.full(n_b, np.inf)
-    for i0 in range(0, n_a, tile):
-        i1 = min(i0 + tile, n_a)
-        for j0 in range(0, n_b, tile):
-            j1 = min(j0 + tile, n_b)
-            diff = flat_a[i0:i1, None, :] - flat_b[None, j0:j1, :]
-            # (diff ** 2).sum(axis=-1), NOT einsum/GEMM: numpy's pairwise
-            # summation over the contiguous last axis reduces each (i, j)
-            # entry in the same order as the per-pair rmsd formula, so
-            # the result is bit-identical to the naive double loop
-            d2 = (diff * diff).sum(axis=-1)
-            row_min[i0:i1] = np.minimum(row_min[i0:i1], d2.min(axis=1))
-            col_min[j0:j1] = np.minimum(col_min[j0:j1], d2.min(axis=0))
+    tile_a, tile_b = _tile_shape(n_a, n_b, width)
+    scratch = np.empty(tile_a * tile_b * (width + 1))
+    for i0 in range(0, n_a, tile_a):
+        i1 = min(i0 + tile_a, n_a)
+        for j0 in range(0, n_b, tile_b):
+            j1 = min(j0 + tile_b, n_b)
+            # every view is carved C-contiguous from the front of the
+            # buffer, so each (i, j) entry is reduced by numpy's pairwise
+            # summation over its own contiguous 3N run — the same order as
+            # the per-pair rmsd formula, hence bit-identical to the naive
+            # double loop (einsum/GEMM would not be)
+            n_pairs = (i1 - i0) * (j1 - j0)
+            d = scratch[:n_pairs * width].reshape(i1 - i0, j1 - j0, width)
+            d2 = scratch[n_pairs * width:n_pairs * (width + 1)].reshape(i1 - i0, j1 - j0)
+            np.subtract(flat_a[i0:i1, None, :], flat_b[None, j0:j1, :], out=d)
+            np.multiply(d, d, out=d)
+            np.sum(d, axis=-1, out=d2)
+            np.minimum(row_min[i0:i1], d2.min(axis=1), out=row_min[i0:i1])
+            np.minimum(col_min[j0:j1], d2.min(axis=0), out=col_min[j0:j1])
     return row_min, col_min
 
 

@@ -159,10 +159,10 @@ def execute_psa_block(task: PSABlockTask) -> np.ndarray:
     order.  Squared distances come from
     :func:`repro.analysis.hausdorff.window_minima`, whose per-pair
     difference formula makes the fold bit-identical to a one-window run.
+
+    A one-member diagonal block has no pair: it returns its empty result
+    without loading (on a spill tier, without re-reading) any payload.
     """
-    rows = [_load(item, task.from_files) for item in task.row_data]
-    same = task.block.diagonal and task.row_window == task.col_window
-    cols = rows if same else [_load(item, task.from_files) for item in task.col_data]
     windowed = task.row_window is not None
     if windowed:
         (r0, r1), (c0, c1) = task.row_window, task.col_window
@@ -171,6 +171,11 @@ def execute_psa_block(task: PSABlockTask) -> np.ndarray:
     else:
         metric_fn = PSA_METRICS[task.metric]
         width = 3
+    if task.block.diagonal and task.block.row_stop - task.block.row_start < 2:
+        return np.empty((0, width), dtype=np.float64)
+    rows = [_load(item, task.from_files) for item in task.row_data]
+    same = task.block.diagonal and task.row_window == task.col_window
+    cols = rows if same else [_load(item, task.from_files) for item in task.col_data]
     out: List = []
     for local_i, traj_i in enumerate(rows):
         global_i = task.block.row_start + local_i

@@ -58,6 +58,19 @@ class TestExecutePsaBlock:
         n = small_ensemble.n_trajectories
         assert seen == {(i, j) for i in range(n) for j in range(i + 1, n)}
 
+    @pytest.mark.parametrize("windows", [None, ((0, 4), (0, 4)), ((4, 8), (0, 4))])
+    def test_pairless_block_loads_nothing(self, small_ensemble, windows):
+        """A one-member diagonal block returns its empty rows before any load:
+        its payloads are paths that do not exist, so a load would raise."""
+        task = make_psa_tasks(small_ensemble, group_size=1,
+                              paths=[f"missing-{i}.npy" for i in range(6)])[0]
+        assert task.block.diagonal and task.from_files
+        if windows is not None:
+            task.row_window, task.col_window = windows
+        out = execute_psa_block(task)
+        width = 3 if windows is None else 6 + 4 + 4
+        assert out.shape == (0, width) and out.dtype == np.float64
+
 
 class TestPsaSerial:
     def test_matrix_properties(self, small_ensemble):

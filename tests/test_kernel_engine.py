@@ -6,13 +6,17 @@ against the brute-force scan (bit-identical index sets and edge arrays),
 the min-label-propagation connected components against the union-find
 loop and networkx, the vectorized partial-component merge against the
 dict/union-find merge, and the blockwise early-break Hausdorff against
-the literal Taha & Hanbury scan (equal floats, not approximately equal).
+the literal Taha & Hanbury scan (equal floats, not approximately equal),
+and the tiled windowed Hausdorff kernel against its two-temporary formula
+and the literal double loop (bit-identical minima).
 Degenerate cases — coincident points, empty edge lists, single-frame
 trajectories, singleton partials — are exercised explicitly.
 """
 
+import importlib
 import importlib.util
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +27,13 @@ from repro.analysis.graph import (
     label_components,
     merge_component_sets,
 )
-from repro.analysis.hausdorff import hausdorff, hausdorff_earlybreak
+from repro.analysis.hausdorff import (
+    hausdorff,
+    hausdorff_earlybreak,
+    hausdorff_naive,
+    hausdorff_windowed,
+    window_minima,
+)
 from repro.analysis.neighbors import (
     BallTree,
     GridNeighborSearch,
@@ -436,6 +446,110 @@ class TestEarlybreakEquivalence:
             hausdorff_earlybreak(a, a, block_size=0)
 
 
+# the submodule, not the ``hausdorff`` function that the package re-exports
+hausdorff_module = importlib.import_module("repro.analysis.hausdorff")
+
+
+def two_temporary_minima(win_a, win_b, tile=256):
+    """The formula the scratch-buffer kernel replaced: per tile, a fresh
+    difference array and a fresh array of its squares."""
+    flat_a = win_a.reshape(len(win_a), -1)
+    flat_b = win_b.reshape(len(win_b), -1)
+    row_min = np.full(len(flat_a), np.inf)
+    col_min = np.full(len(flat_b), np.inf)
+    for i0 in range(0, len(flat_a), tile):
+        for j0 in range(0, len(flat_b), tile):
+            diff = flat_a[i0:i0 + tile, None, :] - flat_b[None, j0:j0 + tile, :]
+            d2 = (diff * diff).sum(axis=-1)
+            row_min[i0:i0 + tile] = np.minimum(row_min[i0:i0 + tile], d2.min(axis=1))
+            col_min[j0:j0 + tile] = np.minimum(col_min[j0:j0 + tile], d2.min(axis=0))
+    return row_min, col_min
+
+
+def assert_bit_identical(got, expected):
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
+class TestWindowMinimaEquivalence:
+    """``window_minima`` tiles in one scratch buffer; no tiling may move a bit.
+
+    Shapes are chosen so the 1 MiB budget forces each tiling: several row
+    tiles of whole columns, one row against columns narrower than
+    ``win_b`` (large atom counts), and single-frame windows.
+    """
+
+    # (n_a, n_b, n_atoms, tile shape the 1 MiB budget gives)
+    SHAPES = [
+        (64, 64, 128, (5, 64)),       # 13 row tiles of whole columns
+        (7, 30, 2000, (1, 21)),       # one row, columns narrower than win_b
+        (3, 50, 6000, (1, 7)),        # one row, 8 column tiles
+        (1, 1, 7, (1, 1)),            # 1-frame windows
+        (1, 40, 50, (1, 40)),
+        (40, 1, 50, (40, 1)),
+    ]
+
+    @staticmethod
+    def pair(rng, n_a, n_b, n_atoms, offset=0.0):
+        scale = rng.uniform(0.1, 10.0)
+        a = rng.normal(scale=scale, size=(n_a, n_atoms, 3)) + offset
+        b = rng.normal(scale=scale, size=(n_b, n_atoms, 3)) + offset
+        return a, b
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("n_a, n_b, n_atoms, tiles", SHAPES)
+    def test_equals_two_temporary_formula_and_naive(self, n_a, n_b, n_atoms, tiles, offset):
+        assert hausdorff_module._tile_shape(n_a, n_b, 3 * n_atoms) == tiles
+        rng = np.random.default_rng(n_a * 1000 + n_b + n_atoms)
+        a, b = self.pair(rng, n_a, n_b, n_atoms, offset)
+        assert_bit_identical(window_minima(a, b), two_temporary_minima(a, b))
+        assert hausdorff_windowed(a, b) == hausdorff_naive(a, b)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_any_budget_is_bit_identical(self, seed, monkeypatch):
+        """Budgets from 64 B (one frame pair per tile) up to 1 MiB."""
+        rng = np.random.default_rng(8000 + seed)
+        monkeypatch.setattr(hausdorff_module, "_SCRATCH_BYTES",
+                            int(2 ** rng.uniform(6, 20)))
+        n_a, n_b = (int(n) for n in rng.integers(1, 40, size=2))
+        a, b = self.pair(rng, n_a, n_b, int(rng.integers(1, 300)),
+                         offset=1e3 if seed % 2 else 0.0)
+        assert_bit_identical(window_minima(a, b), two_temporary_minima(a, b))
+        assert hausdorff_windowed(a, b) == hausdorff_naive(a, b)
+
+    @pytest.mark.parametrize("n_a, n_b, n_atoms, tiles", SHAPES[:3])
+    def test_split_across_tile_boundaries_merges_exactly(self, n_a, n_b, n_atoms, tiles):
+        """Windows cut off the tile grid, merged by ``np.minimum``, give the
+        whole pass's minima."""
+        rng = np.random.default_rng(9000 + n_atoms)
+        a, b = self.pair(rng, n_a, n_b, n_atoms, offset=1e3)
+        cuts_a = [0, *sorted({max(1, n_a // 3), max(1, n_a - 2)} - {n_a}), n_a]
+        cuts_b = [0, *sorted({tiles[1] - 1, tiles[1] + 2} & set(range(1, n_b))), n_b]
+        row = np.full(n_a, np.inf)
+        col = np.full(n_b, np.inf)
+        for alo, ahi in zip(cuts_a, cuts_a[1:]):
+            for blo, bhi in zip(cuts_b, cuts_b[1:]):
+                r, c = window_minima(a[alo:ahi], b[blo:bhi])
+                np.minimum(row[alo:ahi], r, out=row[alo:ahi])
+                np.minimum(col[blo:bhi], c, out=col[blo:bhi])
+        assert_bit_identical((row, col), window_minima(a, b))
+        assert_bit_identical((row, col), two_temporary_minima(a, b))
+
+    def test_allocation_stays_within_budget(self):
+        """One call allocates its scratch and the minima, nothing of
+        ``frames x frames x 3N`` size (the two-temporary formula peaks near
+        24 MB on this shape)."""
+        rng = np.random.default_rng(10)
+        a, b = self.pair(rng, 64, 64, 128)
+        tracemalloc.start()
+        try:
+            window_minima(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= hausdorff_module._SCRATCH_BYTES + 64 * 1024
+
+
 class TestReferenceKernels:
     """The literal formulations live in ``repro.analysis.reference`` alone."""
 
@@ -458,6 +572,9 @@ class TestReferenceKernels:
                              ids=lambda kernel: kernel.__name__)
     def test_hot_kernels_take_no_method(self, kernel):
         assert "method" not in inspect.signature(kernel).parameters
+
+    def test_window_minima_takes_no_tile(self):
+        assert list(inspect.signature(window_minima).parameters) == ["win_a", "win_b"]
 
     def test_no_engine_module(self):
         assert importlib.util.find_spec("repro.analysis.engine") is None
