@@ -51,7 +51,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 import uuid
 from typing import Any, Callable, Dict, List, Sequence
@@ -295,20 +294,6 @@ class RunJournal:
 # --------------------------------------------------------------------------- #
 # task wrapping and the driver-side integration point
 # --------------------------------------------------------------------------- #
-_interval_lock = threading.Lock()
-_interval_counts: Dict[str, int] = {}
-
-
-def _should_record(directory: str, interval: int) -> bool:
-    """Per-process completion counter for ``checkpoint_interval_tasks``."""
-    if interval <= 1:
-        return True
-    with _interval_lock:
-        count = _interval_counts.get(directory, 0) + 1
-        _interval_counts[directory] = count
-    return count % interval == 0
-
-
 class JournaledTask:
     """Picklable task wrapper: run the task, then journal its result.
 
@@ -328,26 +313,21 @@ class JournaledTask:
     key_for : callable
         Maps a task item to its stable journal key; module-level (it
         crosses process boundaries by pickle).
-    interval : int, optional
-        Journal every ``interval``-th completion per process (the
-        policy's ``checkpoint_interval_tasks``; default 1).
     """
 
     def __init__(self, fn: Callable[[Any], Any], directory: str,
-                 key_for: Callable[[Any], str], interval: int = 1) -> None:
+                 key_for: Callable[[Any], str]) -> None:
         self.fn = fn
         self.directory = directory
         self.key_for = key_for
-        self.interval = max(1, int(interval))
 
     def __call__(self, item: Any) -> Any:
         """Run the task and journal the completed result."""
         result = self.fn(item)
-        if _should_record(self.directory, self.interval):
-            try:
-                record_entry(self.directory, self.key_for(item), result)
-            except (OSError, TypeError):
-                pass
+        try:
+            record_entry(self.directory, self.key_for(item), result)
+        except (OSError, TypeError):
+            pass
         return result
 
 
@@ -390,9 +370,7 @@ def checkpointed_map(framework: Any, fn: Callable[[Any], Any],
     keys = [key_for(item) for item in items]
     missing = [item for key, item in zip(keys, items) if key not in available]
     restore_seconds = time.perf_counter() - start
-    policy = getattr(framework, "fault_policy", None)
-    interval = getattr(policy, "checkpoint_interval_tasks", 1) if policy else 1
-    wrapped = JournaledTask(fn, journal.directory, key_for, interval)
+    wrapped = JournaledTask(fn, journal.directory, key_for)
     computed = framework.map_tasks(wrapped, missing)
     fresh = iter(computed)
     results = [available[key] if key in available else next(fresh)

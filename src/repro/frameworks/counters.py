@@ -1,7 +1,7 @@
 """The per-task run counters, declared once.
 
 Every number a task contributes to a run's report — the data-plane
-byte split, the spill stall split, retries, speculation and read-ahead —
+byte split, the spill stall split, retries and speculation —
 is a field of :class:`TaskCounters`.  The records that carry those
 numbers are built from it rather than re-declaring them:
 
@@ -83,13 +83,11 @@ class TaskCounters:
     tasks_lost: int = _counter(
         SUM, "Failures that were worker deaths or lost blocks.")
     recovery_seconds: float = _counter(
-        SUM, "Driver time spent recovering: backoff, block healing, pool rebuilds.", 0.0)
+        SUM, "Driver time spent recovering: block healing, pool rebuilds.", 0.0)
     tasks_speculated: int = _counter(
         SUM, "Duplicate attempts launched against stragglers.")
     speculation_wins: int = _counter(
         SUM, "Duplicates whose result beat the original attempt.")
-    prefetch_hints_dropped: int = _counter(
-        SUM, "Read-ahead hints dropped on a full prefetch queue.")
 
     @classmethod
     def total(cls, records: Sequence["TaskCounters"]) -> "TaskCounters":

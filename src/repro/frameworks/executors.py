@@ -121,7 +121,6 @@ from .shm import (
     SharedMemoryStore,
     adopt_payload,
     mark_handed_off,
-    prefetch_hints_dropped,
     publish_payload,
     release_stale_mappings,
     resolve_payload,
@@ -170,8 +169,7 @@ class TaskTiming(TaskCounters):
 
     Besides the fields below, a timing carries every per-task counter
     of :class:`~repro.frameworks.counters.TaskCounters`: the data-plane
-    byte split, the spill stall split, retries, speculation and
-    dropped read-ahead hints.
+    byte split, the spill stall split, retries and speculation.
 
     Parameters
     ----------
@@ -395,13 +393,10 @@ def _timed_call(payload: tuple) -> tuple:
     pid-keyed orphan segments the driver's recovery sweep reclaims), and
     ``run`` the per-run state (:class:`_Run`).
 
-    Returns the 6-tuple ``(index, out, start, stop, bytes_shared,
-    prefetch_drops)``: ``prefetch_drops`` is the worker-local delta of
-    read-ahead hints dropped while this task ran.
+    Returns the 5-tuple ``(index, out, start, stop, bytes_shared)``.
     """
     index, fn, blob, spec, run = payload
     _enter_run(run)
-    drops_before = prefetch_hints_dropped()
     if spec is not None:
         execute_worker_fault(spec)
     start = time.perf_counter()
@@ -423,8 +418,7 @@ def _timed_call(payload: tuple) -> tuple:
         # out and unlinks them; this worker's crash-cleanup hook must
         # leave them alone, and its own mappings can close now
         mark_handed_off(result)
-    return (index, out, start, stop, shared,
-            prefetch_hints_dropped() - drops_before)
+    return index, out, start, stop, shared
 
 
 def _portable(exc: BaseException) -> BaseException:
@@ -828,8 +822,6 @@ class _PooledMapEngine:
                     continue  # a beaten attempt failed; the winner landed
                 self._fail(index, out, pending)
                 continue
-            # read-ahead hints the worker dropped while running this attempt
-            self.timings[index].prefetch_hints_dropped += out[5]
             if index in self._completed:
                 # the losing attempt of a speculated task finished after
                 # the winner: discard its result (and published segments)

@@ -8,11 +8,11 @@ property at the same granularity — the task — and ships the test
 infrastructure to prove it:
 
 * :class:`FaultPolicy` says *what to do* when a task fails: how many
-  times to retry, which exceptions count as transient, how long to back
-  off (deterministically), how long after dispatch a task may run before
-  the driver declares its worker hung, and what to do about lost data
-  blocks.  Threaded through :class:`~repro.frameworks.base.TaskFramework`,
-  every substrate, and every executor.
+  times to retry, which exceptions count as transient, how long after
+  dispatch a task may run before the driver declares its worker hung,
+  and what to do about lost data blocks.  Threaded through
+  :class:`~repro.frameworks.base.TaskFramework`, every substrate, and
+  every executor.
 * :class:`FaultSpec` / :class:`FaultInjector` are the deterministic
   chaos side: *kill the worker running the k-th task*, *raise inside
   the k-th kernel*, *unlink a spilled block when the k-th task is
@@ -20,7 +20,7 @@ infrastructure to prove it:
   driver-side at dispatch time, so a retried task never re-triggers its
   fault and a fault-free re-run of the same workload is bit-identical.
 * :func:`prepare_retry` is the one recovery step every retry path
-  shares (policy check, block healing, backoff, accounting).  Three
+  shares (policy check, block healing, accounting).  Three
   attempt loops launch attempts around it:
 
   - :func:`call_in_process`, run by the serial and thread executors
@@ -117,13 +117,6 @@ class FaultPolicy:
         (:class:`WorkerLost`) is always retryable regardless, and lost
         blocks (:class:`~repro.frameworks.shm.BlockLost`) are governed
         by ``on_lost_block``.
-    backoff_s : float, optional
-        Deterministic pause before the first retry of a task; the n-th
-        retry waits ``backoff_s * backoff_factor**n``.  Default 0 (no
-        pause): local substrates recover by re-executing, not by
-        waiting out an external service.
-    backoff_factor : float, optional
-        Multiplier between successive backoffs (default 2.0).
     heartbeat_timeout_s : float, optional
         Process pools only: a worker whose current task was dispatched
         more than this many seconds ago without completing is declared
@@ -152,28 +145,18 @@ class FaultPolicy:
         real, treat an injected ``"delay"`` fault on a speculative
         policy as a straggler whose duplicate wins immediately — the
         deterministic simulation the chaos suite asserts against.
-    checkpoint_interval_tasks : int, optional
-        When a :class:`~repro.frameworks.checkpoint.RunJournal` is
-        active, journal every n-th completed task per worker process
-        (default 1: every completion is durable).  Larger intervals
-        trade re-execution after a crash for journal write traffic.
     """
 
     max_retries: int = 2
     retry_on: Tuple[type, ...] = (Exception,)
-    backoff_s: float = 0.0
-    backoff_factor: float = 2.0
     heartbeat_timeout_s: Optional[float] = None
     heartbeat_interval_s: float = 0.05
     on_lost_block: str = "recover"
     speculation_factor: Optional[float] = None
-    checkpoint_interval_tasks: int = 1
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be non-negative")
         if self.heartbeat_timeout_s is not None and self.heartbeat_timeout_s <= 0:
             raise ValueError("heartbeat_timeout_s must be positive")
         if self.heartbeat_interval_s <= 0:
@@ -182,8 +165,6 @@ class FaultPolicy:
             raise ValueError("on_lost_block must be 'recover' or 'raise'")
         if self.speculation_factor is not None and self.speculation_factor <= 0:
             raise ValueError("speculation_factor must be positive")
-        if self.checkpoint_interval_tasks < 1:
-            raise ValueError("checkpoint_interval_tasks must be >= 1")
 
     def should_retry(self, exc: BaseException, attempt: int) -> bool:
         """Whether a task that failed with ``exc`` on ``attempt`` may rerun.
@@ -207,12 +188,6 @@ class FaultPolicy:
         if isinstance(exc, BlockLost):
             return self.on_lost_block == "recover"
         return isinstance(exc, self.retry_on)
-
-    def backoff_for(self, attempt: int) -> float:
-        """Deterministic pause before retrying after failed ``attempt``."""
-        if self.backoff_s == 0.0:
-            return 0.0
-        return self.backoff_s * self.backoff_factor ** attempt
 
 
 #: Fail-fast policy: the pre-resilience behaviour of every substrate.
@@ -518,8 +493,8 @@ def prepare_retry(exc: BaseException, policy: FaultPolicy,
 
     The recovery step every retry path shares: ask the policy (the
     failed attempt's number is ``counts.tasks_retried``), heal a lost
-    payload block from its registered source array, back off, and count
-    the retry, the loss (worker death or lost block) and the time spent
+    payload block from its registered source array, and count the
+    retry, the loss (worker death or lost block) and the time spent
     into ``counts``.  Launching the next attempt is the caller's part.
 
     Parameters
@@ -539,15 +514,11 @@ def prepare_retry(exc: BaseException, policy: FaultPolicy,
         ``False`` when the task must not rerun; the caller surfaces
         ``exc``.
     """
-    attempt = counts.tasks_retried
-    if not policy.should_retry(exc, attempt):
+    if not policy.should_retry(exc, counts.tasks_retried):
         return False
     start = time.perf_counter()
     if isinstance(exc, BlockLost) and store is not None:
         store.recover_spilled_block(exc.segment)
-    pause = policy.backoff_for(attempt)
-    if pause:
-        time.sleep(pause)
     counts.tasks_retried += 1
     counts.tasks_lost += int(isinstance(exc, (WorkerLost, BlockLost)))
     counts.recovery_seconds += time.perf_counter() - start

@@ -50,10 +50,6 @@ cost for NumPy payloads — on the inbound *task* path and on the outbound
   time is recorded as ``spill_hidden_seconds``.
   :meth:`SharedMemoryStore.flush_spill` is the barrier that waits for
   the queue to drain.
-* The resolve side pipelines reads the same way:
-  :func:`resolve_payload` issues :func:`prefetch_refs` hints for the
-  sibling refs of a multi-block payload, so file-tier blocks stream
-  into the page cache while the first block is being consumed.
 
 Every framework substrate accepts ``data_plane="pickle"|"shm"``; with
 ``"shm"`` the payloads that cross the (real or accounted) process
@@ -82,7 +78,6 @@ import copy
 import itertools
 import mmap
 import os
-import queue
 import sys
 import tempfile
 import threading
@@ -106,7 +101,6 @@ __all__ = [
     "share_payload",
     "stand_in_refs",
     "resolve_payload",
-    "prefetch_refs",
     "publish_payload",
     "mark_handed_off",
     "adopt_payload",
@@ -117,7 +111,6 @@ __all__ = [
     "unlink_segment_by_name",
     "array_digest",
     "release_stale_mappings",
-    "prefetch_hints_dropped",
 ]
 
 #: Valid values for the ``data_plane`` option on frameworks and the public API.
@@ -169,7 +162,7 @@ class BlockLost(FileNotFoundError):
 # mapping;
 # ``_MAPPED`` caches memory-mapped spill files the same way.  A forked
 # child owns nothing: its inherited ``_OWNED`` entries become
-# attachments (see ``_reset_prefetcher_in_child``), which
+# attachments (see ``_disown_segments_in_child``), which
 # :func:`release_stale_mappings` closes once their names are gone.
 _OWNED: Dict[str, shared_memory.SharedMemory] = {}
 _ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
@@ -182,12 +175,6 @@ _REGISTRY_LOCK = threading.Lock()
 # behind belongs to a crashed task and is unlinked at process exit.
 _PUBLISHED: Dict[str, shared_memory.SharedMemory] = {}
 _PUBLISH_HOOK_INSTALLED = False
-
-# Prefetch hints dropped because the hint queue was full, process-local
-# (see :func:`prefetch_refs`).  Surfaced through executor timings into
-# ``RunMetrics.prefetch_hints_dropped`` so tuning ``spill_queue_depth``
-# against the prefetch depth is observable.
-_PREFETCH_DROPPED = 0
 
 # Unlinked segments whose mappings are still pinned by live NumPy views.
 # NumPy does not hold a Py_buffer export on the mapping — closing (or
@@ -377,11 +364,6 @@ def release_stale_mappings() -> None:
         _invalidate_mapping(path)
 
 
-def prefetch_hints_dropped() -> int:
-    """Process-local count of prefetch hints dropped on a full queue."""
-    return _PREFETCH_DROPPED
-
-
 def _invalidate_mapping(path: str) -> None:
     """Drop a cached spill-file mapping (after a rewrite or corruption).
 
@@ -492,19 +474,16 @@ def sweep_orphan_segments(live_pids: Sequence[int] = ()) -> int:
     return swept
 
 
-# Fork safety for the background threads.  The spill writer and the
-# prefetcher take _REGISTRY_LOCK — and, through the shm create/unlink
-# calls, the resource tracker's internal lock — for short critical
-# sections.  A process pool that forks in exactly such a window would
-# inherit a lock no surviving thread can ever release, deadlocking the
-# worker's first resolve or publish (observed as a hang inside
-# ``resource_tracker.ensure_running``).  Holding the locks across the
-# fork closes the window; the child additionally drops the prefetch
-# queue — its serving thread did not survive the fork, so a fresh one
-# is started on demand.
+# Fork safety for the background spill writer.  It takes _REGISTRY_LOCK
+# — and, through the shm create/unlink calls, the resource tracker's
+# internal lock — for short critical sections.  A process pool that
+# forks in exactly such a window would inherit a lock no surviving
+# thread can ever release, deadlocking the worker's first resolve or
+# publish (observed as a hang inside ``resource_tracker.ensure_running``).
+# Holding the locks across the fork closes the window.
 def _fork_critical_locks() -> List[Any]:
     """The locks that must not be mid-acquisition while forking."""
-    locks: List[Any] = [_REGISTRY_LOCK, _prefetch_lock]
+    locks: List[Any] = [_REGISTRY_LOCK]
     tracker_lock = getattr(resource_tracker._resource_tracker, "_lock", None)  # noqa: SLF001
     if tracker_lock is not None:
         locks.append(tracker_lock)
@@ -521,108 +500,19 @@ def _release_module_locks_after_fork() -> None:
         lock.release()
 
 
-def _reset_prefetcher_in_child() -> None:
-    global _prefetch_queue, _PREFETCH_DROPPED
+def _disown_segments_in_child() -> None:
     _release_module_locks_after_fork()
-    _prefetch_queue = None
     # the parent's stores own their segments, not this child: keep the
     # inherited mappings resolvable, but as attachments, so that
     # release_stale_mappings closes them once the parent unlinks them
     _ATTACHED.update(_OWNED)
     _OWNED.clear()
-    # the dropped-hint counter starts fresh in the child, so a worker's
-    # deltas describe what *it* dropped, not what the driver did before
-    # the fork
-    _PREFETCH_DROPPED = 0
 
 
 if hasattr(os, "register_at_fork"):  # POSIX only, like fork itself
     os.register_at_fork(before=_hold_module_locks_before_fork,
                         after_in_parent=_release_module_locks_after_fork,
-                        after_in_child=_reset_prefetcher_in_child)
-
-
-# Read-ahead for the file tier.  resolve_payload hints the sibling refs
-# of a multi-block payload so their spill files are mapped (and madvised)
-# by a background thread while the first block is being consumed.  Purely
-# best-effort: hints are dropped when the queue is full and every failure
-# is swallowed — prefetch must never change semantics, only warm the page
-# cache.
-_PREFETCH_DEPTH = 64
-_prefetch_queue: Optional["queue.Queue[Tuple[str, str]]"] = None
-_prefetch_lock = threading.Lock()
-
-
-def _prefetch_worker() -> None:
-    """Serve read-ahead hints: map the spill file and advise the kernel."""
-    while True:
-        spill_dir, name = _prefetch_queue.get()
-        try:
-            with _REGISTRY_LOCK:
-                if name in _OWNED or name in _ATTACHED:
-                    continue  # resident again (or never left): nothing to warm
-            mapped = _attach_file(spill_dir, name)
-            if mapped is not None and hasattr(mapped, "madvise"):
-                mapped.madvise(mmap.MADV_WILLNEED)
-        except Exception:
-            pass
-
-
-def prefetch_refs(refs: Sequence["BlockRef"]) -> int:
-    """Issue read-ahead hints for refs that may live in the file tier.
-
-    Each hint asks a background thread to memory-map the ref's spill
-    file (populating the per-process mapping cache that
-    :meth:`BlockRef.resolve` consults) and to ``madvise(WILLNEED)`` it,
-    so the kernel starts paging the block in before the first access.
-    Refs that are resident in shared memory, already mapped, or carry no
-    spill directory are skipped; a hint that finds the queue full is
-    dropped (never blocking the caller) and counted in
-    :func:`prefetch_hints_dropped`, while the remaining refs of the
-    batch still get their chance — the writer drains concurrently, so a
-    momentarily full queue must not abandon every sibling.
-
-    Parameters
-    ----------
-    refs : sequence of BlockRef
-        Candidate refs, usually the siblings of the block about to be
-        consumed (see :func:`resolve_payload`).
-
-    Returns
-    -------
-    int
-        Number of hints actually enqueued.
-    """
-    global _prefetch_queue, _PREFETCH_DROPPED
-    hints = 0
-    dropped = 0
-    for ref in refs:
-        if not isinstance(ref, BlockRef) or ref.spill_dir is None:
-            continue
-        name = ref.segment
-        path = os.path.join(ref.spill_dir, name + ".blk")
-        with _REGISTRY_LOCK:
-            if name in _OWNED or name in _ATTACHED or path in _MAPPED:
-                continue  # already resolvable without touching the disk
-        if _prefetch_queue is None:
-            with _prefetch_lock:
-                if _prefetch_queue is None:
-                    _prefetch_queue = queue.Queue(maxsize=_PREFETCH_DEPTH)
-                    threading.Thread(target=_prefetch_worker,
-                                     name="repro-spill-prefetch",
-                                     daemon=True).start()
-        try:
-            _prefetch_queue.put_nowait((ref.spill_dir, name))
-        except queue.Full:
-            # skip only this hint: the worker drains concurrently, so a
-            # later sibling may well find a free slot
-            dropped += 1
-            continue
-        hints += 1
-    if dropped:
-        with _prefetch_lock:
-            _PREFETCH_DROPPED += dropped
-    return hints
+                        after_in_child=_disown_segments_in_child)
 
 
 def _copy_into_segment(array: np.ndarray,
@@ -1724,24 +1614,7 @@ def stand_in_refs(obj: Any, spill_dir: Optional[str] = None) -> Tuple[Any, int]:
 
 
 def resolve_payload(obj: Any) -> Any:
-    """Swap every :class:`BlockRef` in ``obj`` back to a NumPy view.
-
-    Payloads carrying more than one ref get read-ahead: before the
-    first block is resolved, :func:`prefetch_refs` hints are issued for
-    its siblings, so blocks that were spilled to the file tier stream
-    into the page cache while the earlier blocks are being consumed —
-    the resolve-side half of the write-behind spill pipeline.
-    """
-    refs: List[BlockRef] = []
-
-    def collect(x: Any) -> Any:
-        if isinstance(x, BlockRef):
-            refs.append(x)
-        return x
-
-    _walk(obj, collect)
-    if len(refs) > 1:
-        prefetch_refs(refs[1:])
+    """Swap every :class:`BlockRef` in ``obj`` back to a NumPy view."""
 
     def leaf(x: Any) -> Any:
         if isinstance(x, BlockRef):

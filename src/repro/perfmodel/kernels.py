@@ -165,9 +165,9 @@ class KernelCosts:
 
         Task-granular recovery (the resilience layer of
         :mod:`repro.frameworks.faults`) pays, per retry, the task's own
-        runtime again, the framework's redispatch latency, and the
-        policy's deterministic backoff (``backoff_s * backoff_factor**n``
-        before the n-th retry) — but never the rest of the run, which is
+        runtime again, the framework's redispatch latency, and any
+        deterministic backoff (``backoff_s * backoff_factor**n`` before
+        the n-th retry) — but never the rest of the run, which is
         the point of task-level replay over job-level restart.  The
         experiments subtract this from a faulty run's wall time to check
         the measured ``recovery_seconds`` against the model.
@@ -179,8 +179,8 @@ class KernelCosts:
         retries : int, optional
             Number of re-executions (default 1: one fault, one replay).
         backoff_s : float, optional
-            First retry's backoff pause (default 0, the local-substrate
-            default of :class:`~repro.frameworks.faults.FaultPolicy`).
+            First retry's backoff pause (default 0: the local
+            substrates re-execute without pausing).
         backoff_factor : float, optional
             Multiplier between successive backoffs.
         redispatch_s : float, optional

@@ -170,13 +170,6 @@ class TestFaultPlumbing:
         with pytest.raises(ValueError):
             FaultPolicy(on_lost_block="ignore")
 
-    def test_policy_backoff_is_deterministic(self):
-        policy = FaultPolicy(backoff_s=0.5, backoff_factor=3.0)
-        assert policy.backoff_for(0) == 0.5
-        assert policy.backoff_for(1) == 1.5
-        assert policy.backoff_for(2) == 4.5
-        assert FaultPolicy().backoff_for(5) == 0.0
-
     def test_policy_should_retry_taxonomy(self):
         policy = FaultPolicy(max_retries=1, retry_on=(OSError,))
         assert policy.should_retry(WorkerLost("x"), 0)          # always transient
@@ -383,16 +376,6 @@ class TestPolicyGating:
                 assert fw.metrics.tasks_lost == 0
             finally:
                 fw.close()
-
-    def test_deterministic_backoff_lands_in_recovery_seconds(self):
-        fw = make_framework("dasklite", executor="serial",
-                            fault_policy=FaultPolicy(backoff_s=0.05),
-                            faults=FaultSpec("raise", at_task=0))
-        try:
-            fw.map_tasks(square, list(range(2)))
-            assert fw.metrics.recovery_seconds >= 0.05
-        finally:
-            fw.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -875,19 +858,6 @@ class TestCheckpointResume:
             assert np.array_equal(matrix.values, reference_matrix)
             assert report.metrics.tasks_restored == crash_at
 
-    def test_checkpoint_interval_thins_the_journal(self, chaos_ensemble,
-                                                   reference_matrix, tmp_path):
-        ckpt = tmp_path / "journal"
-        psa(chaos_ensemble, "dasklite", executor="serial", group_size=2,
-            fault_policy=FaultPolicy(checkpoint_interval_tasks=2),
-            checkpoint_dir=str(ckpt))
-        n_entries = len(list(ckpt.glob("e-*.json")))
-        assert 0 < n_entries < 6  # every 2nd of the 6 completions
-        matrix, report = psa(chaos_ensemble, "dasklite", executor="serial",
-                             group_size=2, checkpoint_dir=str(ckpt))
-        assert np.array_equal(matrix.values, reference_matrix)
-        assert report.metrics.tasks_restored == n_entries
-
     def test_faulted_task_is_not_journalled(self, chaos_ensemble, tmp_path):
         """A task that dies mid-run must not leave a journal entry: the
         journal records completions, so resume counts stay exact."""
@@ -985,10 +955,7 @@ class TestSpeculation:
             FaultPolicy(speculation_factor=0.0)
         with pytest.raises(ValueError, match="speculation_factor"):
             FaultPolicy(speculation_factor=-1.0)
-        with pytest.raises(ValueError, match="checkpoint_interval_tasks"):
-            FaultPolicy(checkpoint_interval_tasks=0)
         assert FaultPolicy().speculation_factor is None
-        assert FaultPolicy().checkpoint_interval_tasks == 1
 
     @pytest.mark.parametrize("plane", DATA_PLANES)
     @pytest.mark.parametrize("name", FRAMEWORK_NAMES)

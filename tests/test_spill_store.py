@@ -14,17 +14,17 @@ put/resolve races stay bit-identical, ``spill_async=False`` is an exact
 behavioural twin, and closing (or crashing a worker) with a non-empty
 queue leaks neither ``/dev/shm`` names nor spill files.
 ``TestLongLivedLanes`` runs warm worker lanes next to the spill writer.
-``TestPrefetchDrops`` pins the file tier's read-ahead queue: a full
-queue drops (and counts) only the hints that do not fit.
+``TestResolveFromDisk`` resolves a payload of spilled and resident refs
+in the calling thread, starting no thread to read ahead.
 ``TestSpillRoundTrip`` sends every dtype and layout through the disk
 tier, and ``TestSpilledRefsOnLanes`` dispatches spilled inputs to worker
-lanes, with no read-ahead issued by the driver.
+lanes, without the driver mapping them.
 """
 
 from __future__ import annotations
 
 import os
-import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,13 +36,11 @@ from repro.frameworks import shm as shm_mod
 from repro.frameworks.executors import SharedMemoryExecutor, _WorkerLane
 from repro.frameworks.shm import (
     BlockLost,
-    BlockRef,
     SharedMemoryStore,
     adopt_payload,
     mark_handed_off,
-    prefetch_hints_dropped,
-    prefetch_refs,
     publish_payload,
+    resolve_payload,
     unlink_segment_by_name,
 )
 from repro.trajectory import EnsembleSpec, make_clustered_ensemble
@@ -54,12 +52,6 @@ def shm_entries():
         return set(os.listdir("/dev/shm"))
     except FileNotFoundError:  # non-Linux fallback: nothing to compare
         return set()
-
-
-def ref(name, nbytes=80, spill_dir=None):
-    """A BlockRef of ``nbytes`` bytes under segment ``name``."""
-    return BlockRef(segment=name, shape=(nbytes // 8,), dtype="<f8",
-                    spill_dir=spill_dir)
 
 
 @pytest.fixture()
@@ -614,25 +606,28 @@ class TestLongLivedLanes:
         assert os.listdir(spill_dir) == []
 
 
-class TestPrefetchDrops:
-    def test_full_queue_drops_only_the_full_hint(self, tmp_path, monkeypatch):
-        # a one-slot queue with no drain thread: the first hint fills it,
-        # the siblings behind it must still be attempted (and counted as
-        # dropped) instead of being silently abandoned
-        stub = queue.Queue(maxsize=1)
-        monkeypatch.setattr(shm_mod, "_prefetch_queue", stub)
-        spill = str(tmp_path)
-        refs = [ref("pf-a", 80, spill), ref("pf-b", 80, spill),
-                ref("pf-c", 80, spill)]
-        before = prefetch_hints_dropped()
-        hints = prefetch_refs(refs)
-        assert hints == 1
-        assert prefetch_hints_dropped() - before == 2
-
-    def test_refs_without_spill_dir_are_not_hints(self):
-        before = prefetch_hints_dropped()
-        assert prefetch_refs([ref("no-spill", 80)]) == 0
-        assert prefetch_hints_dropped() == before
+class TestResolveFromDisk:
+    def test_spilled_payload_resolves_in_the_calling_thread(self, tmp_path):
+        # two of the three blocks are on the disk tier: resolving the
+        # payload maps each file where its ref is resolved and starts no
+        # background thread
+        rng = np.random.default_rng(3)
+        arrays = [rng.random((64, 32)) for _ in range(3)]     # 16 KiB each
+        store = SharedMemoryStore(capacity_bytes=arrays[0].nbytes,
+                                  spill_dir=str(tmp_path), spill_async=True)
+        try:
+            refs = tuple(store.put(a) for a in arrays)
+            store.flush_spill()
+            assert len(store.spilled_names() & {r.segment for r in refs}) == 2
+            threads = threading.active_count()
+            out = resolve_payload(refs)
+            assert threading.active_count() == threads
+            for got, want in zip(out, arrays):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            del out
+        finally:
+            store.close()
 
 
 SPILL_DTYPES = ["<f8", "<f4", "<i8", "<i4", "|u1", "<c16", "|b1", ">f8"]
@@ -693,22 +688,19 @@ class TestSpilledRefsOnLanes:
             ex.shutdown()
         store.cleanup()
 
-    def test_dispatch_issues_no_driver_prefetch(self, tmp_path, monkeypatch):
-        # the driver sends refs down the lanes as they are: any read-ahead
-        # happens in the worker that resolves them, never at dispatch
+    def test_dispatch_leaves_spilled_refs_unmapped_in_the_driver(self, tmp_path):
+        # the driver sends refs down the lanes as they are: only the
+        # worker that resolves a spilled block maps its file
         store, ref_a, a = self.spilled_store(tmp_path)
-        stub = queue.Queue(maxsize=1)
-        monkeypatch.setattr(shm_mod, "_prefetch_queue", stub)
-        before = prefetch_hints_dropped()
+        path = os.path.join(str(tmp_path), ref_a.segment + ".blk")
+        assert path not in shm_mod._MAPPED
         ex = SharedMemoryExecutor(workers=1, store=store)
         try:
             assert ex.map_tasks(_block_sum, [ref_a] * 3) == [float(a.sum())] * 3
-            assert ex.totals().prefetch_hints_dropped == 0
+            assert path not in shm_mod._MAPPED
         finally:
             ex.shutdown()
         store.cleanup()
-        assert stub.empty()
-        assert prefetch_hints_dropped() == before
 
     def test_rebuilt_lane_serves_a_fresh_process(self):
         lane = _WorkerLane()
