@@ -11,12 +11,14 @@ dropped after a failed call, and receive each run's state (its run
 token, released mappings of unlinked segments) with the run itself.
 A lane is one worker process and one pipe: it leaves no driver thread
 behind, and a task exception that does not pickle still reaches the
-driver as an exception.
+driver as an exception.  Its reply to each task is the 5-tuple
+``(index, out, start, stop, bytes_shared)``.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -38,7 +40,7 @@ from repro.frameworks.executors import (
     make_executor,
 )
 from repro.frameworks.faults import NO_RETRIES, FaultPolicy
-from repro.frameworks.shm import SharedMemoryStore, maybe_resolve
+from repro.frameworks.shm import SharedMemoryStore, adopt_payload, maybe_resolve
 
 EXECUTOR_KINDS = ("serial", "threads", "processes", "shm")
 POOLED_KINDS = ("processes", "shm")
@@ -70,6 +72,10 @@ def array_total(arrays):
 
 def worker_pid(_):
     return os.getpid()
+
+
+def negate_first(arrays):
+    return -arrays[0]
 
 
 def blas_threads(_):
@@ -254,6 +260,39 @@ class TestByteAccounting:
         assert len(ex.store) == 1
         ex.shutdown()
         assert ex.store.closed
+
+
+class TestLaneReply:
+    """A lane answers each task with ``(index, out, start, stop, bytes_shared)``."""
+
+    def call(self, monkeypatch, fn, item, shm):
+        # the shim records the run it served in a module global
+        monkeypatch.setattr(executors, "_served_run", None)
+        run = executors._Run(next(executors._RUN_TOKENS), shm)
+        reply = executors._timed_call((3, fn, pickle.dumps(item), None, run))
+        assert len(reply) == 5
+        index, out, start, stop, shared = reply
+        assert index == 3
+        assert start <= stop
+        return pickle.loads(out), shared
+
+    def test_pickle_plane_reply(self, monkeypatch):
+        assert self.call(monkeypatch, square, 7, shm=False) == (49, 0)
+
+    def test_shm_plane_reply_counts_published_bytes(self, monkeypatch):
+        store = SharedMemoryStore()
+        block = np.arange(30.0).reshape(10, 3)
+        try:
+            result, shared = self.call(monkeypatch, array_total,
+                                       [store.put(block)], shm=True)
+            assert shared == 0       # a scalar result publishes nothing
+            assert result == block.sum()
+            result, shared = self.call(monkeypatch, negate_first,
+                                       [store.put(block)], shm=True)
+            assert shared == block.nbytes
+            assert np.array_equal(adopt_payload(result, store), -block)
+        finally:
+            store.cleanup()
 
 
 class TestFactoryAndDefaults:

@@ -27,6 +27,7 @@ run continues fault-free and re-runs are reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
 import threading
@@ -41,8 +42,14 @@ from hypothesis import strategies as st
 from repro.core.api import leaflet_finder, psa, stream_windows
 from repro.core.leaflet import leaflet_serial
 from repro.core.psa import psa_serial
+from repro.frameworks import faults as faults_mod
 from repro.frameworks import make_framework
-from repro.frameworks.checkpoint import RunJournal, StaleJournal, run_fingerprint
+from repro.frameworks.checkpoint import (
+    JournaledTask,
+    RunJournal,
+    StaleJournal,
+    run_fingerprint,
+)
 from repro.frameworks.base import TaskFramework
 from repro.frameworks.executors import (
     ProcessExecutor,
@@ -169,6 +176,19 @@ class TestFaultPlumbing:
             FaultPolicy(heartbeat_timeout_s=0.0)
         with pytest.raises(ValueError):
             FaultPolicy(on_lost_block="ignore")
+
+    def test_policy_has_six_settings(self):
+        assert [f.name for f in dataclasses.fields(FaultPolicy)] == [
+            "max_retries", "retry_on", "heartbeat_timeout_s",
+            "heartbeat_interval_s", "on_lost_block", "speculation_factor"]
+
+    @pytest.mark.parametrize("setting", ["backoff_s", "backoff_factor",
+                                         "checkpoint_interval_tasks"])
+    def test_policy_rejects_removed_settings(self, setting):
+        # a retry does not wait and every completion is journalled: a
+        # caller still asking for either gets an error, not a silent no-op
+        with pytest.raises(TypeError, match=setting):
+            FaultPolicy(**{setting: 1})
 
     def test_policy_should_retry_taxonomy(self):
         policy = FaultPolicy(max_retries=1, retry_on=(OSError,))
@@ -361,6 +381,34 @@ class TestPolicyGating:
         finally:
             fw.close()
         assert "injected worker kill" in str(info.value)
+
+    @pytest.mark.parametrize("name,executor", [
+        ("dasklite", "serial"),       # call_in_process
+        ("mpilite", "serial"),        # call_in_process on the ranks
+        ("pilot", "serial"),          # pilot's unit rescheduling
+        ("dasklite", "processes"),    # the process-lane engine
+    ])
+    def test_retry_recovers_without_pausing(self, name, executor, monkeypatch):
+        """Every attempt loop re-executes a failed task at once."""
+        pauses = []
+
+        class Clock:
+            def sleep(self, seconds):
+                pauses.append(seconds)
+
+            def __getattr__(self, attr):
+                return getattr(time, attr)
+
+        monkeypatch.setattr(faults_mod, "time", Clock())
+        fw = make_framework(name, executor=executor, workers=1,
+                            fault_policy=FaultPolicy(),
+                            faults=FaultSpec("raise", at_task=1))
+        try:
+            assert fw.map_tasks(square, list(range(4))) == [0, 1, 4, 9]
+            assert fw.metrics.tasks_retried == 1
+        finally:
+            fw.close()
+        assert pauses == []
 
     def test_user_code_failures_retry_on_every_substrate(self, tmp_path):
         """A genuinely flaky task (no injector) recovers everywhere."""
@@ -857,6 +905,42 @@ class TestCheckpointResume:
                                  group_size=2, checkpoint_dir=ckpt)
             assert np.array_equal(matrix.values, reference_matrix)
             assert report.metrics.tasks_restored == crash_at
+
+    def test_every_completion_is_journalled_on_every_run(self, chaos_ensemble,
+                                                         reference_matrix, tmp_path):
+        """Each run into a fresh journal records all six completions,
+        also when an earlier run in this process used the same path."""
+        ckpt = tmp_path / "journal"
+        for _ in range(2):
+            if ckpt.exists():
+                for entry in ckpt.iterdir():
+                    entry.unlink()
+                ckpt.rmdir()
+            psa(chaos_ensemble, "dasklite", executor="serial", group_size=2,
+                checkpoint_dir=str(ckpt))
+            assert len(list(ckpt.glob("e-*.json"))) == 6
+        matrix, report = psa(chaos_ensemble, "dasklite", executor="serial",
+                             group_size=2, checkpoint_dir=str(ckpt))
+        assert np.array_equal(matrix.values, reference_matrix)
+        assert report.metrics.tasks_restored == 6
+
+    def test_lane_completions_are_all_journalled(self, chaos_ensemble,
+                                                 reference_matrix, tmp_path):
+        """Forked lanes journal every task they complete."""
+        ckpt = tmp_path / "journal"
+        psa(chaos_ensemble, "dasklite", executor="processes", workers=2,
+            group_size=2, checkpoint_dir=str(ckpt))
+        assert len(list(ckpt.glob("e-*.json"))) == 6
+        matrix, report = psa(chaos_ensemble, "dasklite", executor="serial",
+                             group_size=2, checkpoint_dir=str(ckpt))
+        assert np.array_equal(matrix.values, reference_matrix)
+        assert report.metrics.tasks_restored == 6
+
+    def test_journaled_task_records_each_call(self, tmp_path):
+        task = JournaledTask(make_block, str(tmp_path), str)
+        for x in range(5):
+            assert np.array_equal(task(x), make_block(x))
+        assert len(list(tmp_path.glob("e-*.json"))) == 5
 
     def test_faulted_task_is_not_journalled(self, chaos_ensemble, tmp_path):
         """A task that dies mid-run must not leave a journal entry: the

@@ -14,8 +14,9 @@ put/resolve races stay bit-identical, ``spill_async=False`` is an exact
 behavioural twin, and closing (or crashing a worker) with a non-empty
 queue leaks neither ``/dev/shm`` names nor spill files.
 ``TestLongLivedLanes`` runs warm worker lanes next to the spill writer.
-``TestResolveFromDisk`` resolves a payload of spilled and resident refs
-in the calling thread, starting no thread to read ahead.
+``TestResolveFromDisk`` resolves payloads of spilled and resident refs,
+nested in tuples, lists and dicts, in the calling thread: no thread
+starts, and a spilled file is mapped only when a ref to it resolves.
 ``TestSpillRoundTrip`` sends every dtype and layout through the disk
 tier, and ``TestSpilledRefsOnLanes`` dispatches spilled inputs to worker
 lanes, without the driver mapping them.
@@ -606,19 +607,48 @@ class TestLongLivedLanes:
         assert os.listdir(spill_dir) == []
 
 
+def _nest_as_tuple(r):
+    return (r[0], (r[1], r[2]))
+
+
+def _nest_as_list(r):
+    return [r[0], [r[1], {"last": r[2]}]]
+
+
+def _nest_as_dict(r):
+    return {"first": r[0], "rest": [r[1], (r[2], "tag")], "n": 3}
+
+
+def _leaves(obj):
+    """The arrays inside ``obj`` in traversal order."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [leaf for item in obj for leaf in _leaves(item)]
+    return []
+
+
 class TestResolveFromDisk:
+    def spilled_three(self, tmp_path):
+        """Three 16 KiB blocks under a one-block cap: the first two spill."""
+        rng = np.random.default_rng(3)
+        arrays = [rng.random((64, 32)) for _ in range(3)]
+        store = SharedMemoryStore(capacity_bytes=arrays[0].nbytes,
+                                  spill_dir=str(tmp_path), spill_async=True)
+        refs = tuple(store.put(a) for a in arrays)
+        store.flush_spill()
+        assert store.spilled_names() & {r.segment for r in refs} == {
+            refs[0].segment, refs[1].segment}
+        return store, refs, arrays
+
     def test_spilled_payload_resolves_in_the_calling_thread(self, tmp_path):
         # two of the three blocks are on the disk tier: resolving the
         # payload maps each file where its ref is resolved and starts no
         # background thread
-        rng = np.random.default_rng(3)
-        arrays = [rng.random((64, 32)) for _ in range(3)]     # 16 KiB each
-        store = SharedMemoryStore(capacity_bytes=arrays[0].nbytes,
-                                  spill_dir=str(tmp_path), spill_async=True)
+        store, refs, arrays = self.spilled_three(tmp_path)
         try:
-            refs = tuple(store.put(a) for a in arrays)
-            store.flush_spill()
-            assert len(store.spilled_names() & {r.segment for r in refs}) == 2
             threads = threading.active_count()
             out = resolve_payload(refs)
             assert threading.active_count() == threads
@@ -626,6 +656,42 @@ class TestResolveFromDisk:
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
             del out
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("nest", [_nest_as_tuple, _nest_as_list, _nest_as_dict],
+                             ids=["tuple", "list", "dict"])
+    def test_nested_payload_resolves_bit_identical(self, nest, tmp_path):
+        # spilled and resident refs at every depth of a container come
+        # back as views equal to their sources, in the container's shape
+        store, refs, arrays = self.spilled_three(tmp_path)
+        try:
+            threads = threading.active_count()
+            got = resolve_payload(nest(refs))
+            assert threading.active_count() == threads
+            want = nest(arrays)
+            assert type(got) is type(want)
+            leaves = list(zip(_leaves(got), _leaves(want)))
+            assert len(leaves) == 3
+            for g, w in leaves:
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w)
+            del got, leaves
+        finally:
+            store.close()
+
+    def test_resolving_one_spilled_ref_maps_only_its_file(self, tmp_path):
+        # nothing reads ahead: the sibling block on the disk tier stays
+        # unmapped until a ref to it is itself resolved
+        store, refs, arrays = self.spilled_three(tmp_path)
+        paths = [os.path.join(str(tmp_path), r.segment + ".blk") for r in refs[:2]]
+        try:
+            assert not any(p in shm_mod._MAPPED for p in paths)
+            got = resolve_payload([refs[0]])
+            assert np.array_equal(got[0], arrays[0])
+            assert paths[0] in shm_mod._MAPPED
+            assert paths[1] not in shm_mod._MAPPED
+            del got
         finally:
             store.close()
 
