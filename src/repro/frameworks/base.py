@@ -26,8 +26,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .cluster import ClusterSpec, local_cluster
 from .counters import COUNTERS, MIRROR, SUM, TaskCounters
 from .executors import PROCESS_KINDS, SHM_KINDS, ExecutorBase, make_executor
@@ -39,6 +37,7 @@ from .shm import (
     SharedMemoryStore,
     adopt_payload,  # noqa: F401 - benchmarks/e2e/spans.py wraps base.adopt_payload
     share_payload,
+    shareable,
     stand_in_refs,
 )
 
@@ -386,8 +385,7 @@ class TaskFramework:
     # ------------------------------------------------------------------ #
     def _share_value(self, value: Any):
         """Store ``value`` on the shm plane if eligible; the ref or None."""
-        if (self.data_plane == "shm" and self.store is not None
-                and isinstance(value, np.ndarray) and value.nbytes > 0):
+        if self.data_plane == "shm" and self.store is not None and shareable(value):
             return self.store.put(value)
         return None
 

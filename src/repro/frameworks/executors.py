@@ -45,8 +45,8 @@ so the driver chooses which worker runs which task), a worker death
 (detected by its process sentinel or an end-of-file on its pipe, or
 caused by the driver killing a worker whose task overran
 ``heartbeat_timeout_s``) marks that lane's in-flight task lost, the
-orphaned result segments of the dead worker are swept, the lane is
-rebuilt, and the lost task is resubmitted — the other lanes keep
+result segments its attempt may have published are unlinked, the lane
+is rebuilt, and the lost task is resubmitted — the other lanes keep
 executing throughout, so one killed worker costs one task re-execution
 instead of the whole run.  Per-task ``tasks_retried`` / ``tasks_lost``
 / ``recovery_seconds`` land in the :class:`TaskTiming` records and roll
@@ -115,17 +115,16 @@ from .faults import (
     call_in_process,
     execute_worker_fault,
     prepare_retry,
-    unlink_result_refs,
 )
 from .shm import (
+    PUBLISH_PREFIX,
     SharedMemoryStore,
     adopt_payload,
-    mark_handed_off,
     publish_payload,
     release_stale_mappings,
     resolve_payload,
     share_payload,
-    sweep_orphan_segments,
+    unlink_published,
 )
 
 __all__ = [
@@ -385,39 +384,34 @@ def _timed_call(payload: tuple) -> tuple:
     of the shared segments and the result's arrays are published into
     fresh segments, so only refs travel through the pickle channel — the
     attach and the publish are that plane's deserialization and
-    serialization costs.
+    serialization costs.  The published segments carry ``name``, which
+    the driver chose for this attempt, so the driver alone reclaims
+    them if the result is never adopted.
 
     ``spec`` carries a claimed task-side fault to execute here (a real
     SIGKILL for ``kill_worker``; with ``when="after_publish"`` it fires
-    *between* publishing and the hand-off, the crash window whose
-    pid-keyed orphan segments the driver's recovery sweep reclaims), and
-    ``run`` the per-run state (:class:`_Run`).
+    *between* publishing and the reply, leaving segments that only the
+    driver's reclaim of ``name`` removes), and ``run`` the per-run state
+    (:class:`_Run`).
 
     Returns the 5-tuple ``(index, out, start, stop, bytes_shared)``.
     """
-    index, fn, blob, spec, run = payload
+    index, fn, blob, spec, run, name = payload
     _enter_run(run)
     if spec is not None:
         execute_worker_fault(spec)
     start = time.perf_counter()
     item = pickle.loads(blob)
     if run.shm:
-        result, shared = publish_payload(fn(resolve_payload(item)))
+        result, shared = publish_payload(fn(resolve_payload(item)), name)
     else:
         result, shared = fn(item), 0
     out = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     stop = time.perf_counter()
     if (spec is not None and spec.kind == "kill_worker"
             and spec.when == "after_publish"):
-        # die with the result unreturned: published segments are
-        # orphans only the pid-keyed sweep can reclaim (SIGKILL skips
-        # every hook)
+        # die with the result published but unreturned
         os.kill(os.getpid(), signal.SIGKILL)
-    if run.shm:
-        # the blob is on its way to the driver, which copies the blocks
-        # out and unlinks them; this worker's crash-cleanup hook must
-        # leave them alone, and its own mappings can close now
-        mark_handed_off(result)
     return index, out, start, stop, shared
 
 
@@ -508,6 +502,12 @@ def _lane_main(conn: Connection) -> None:
         conn.send(reply)
 
 
+def _unlink_attempt(name: Optional[str]) -> None:
+    """Unlink an attempt's result segments (it has none on the pickle transport)."""
+    if name is not None:
+        unlink_published(name)
+
+
 def _speculation_threshold(durations: Sequence[float],
                            policy: FaultPolicy) -> float:
     """Straggler cutoff: ``factor × median(durations)``, floored at one
@@ -542,13 +542,19 @@ class _WorkerLane:
     The worker is the driver's own child and is signalled only through
     :meth:`kill`, which sends nothing once the child has been reaped —
     and until then its pid cannot be recycled.
+
+    ``name`` is the result-segment name of the attempt in flight
+    (``None`` when idle or on the pickle transport): the lane keeps it
+    so the driver can unlink whatever the attempt published if its
+    result is never adopted.
     """
 
-    __slots__ = ("proc", "conn", "index", "is_dup", "launched")
+    __slots__ = ("proc", "conn", "index", "is_dup", "launched", "name")
 
     def __init__(self) -> None:
         self.index: Optional[int] = None
         self.is_dup = False
+        self.name: Optional[str] = None
         self.launched = 0.0
         self._start()
 
@@ -569,7 +575,8 @@ class _WorkerLane:
         """Whether a task is currently in flight on this lane."""
         return self.index is not None
 
-    def submit(self, payload: tuple, index: int, is_dup: bool = False) -> bool:
+    def submit(self, payload: tuple, index: int, name: Optional[str],
+               is_dup: bool = False) -> bool:
         """Send one attempt to the worker; ``False`` if its pipe is broken."""
         try:
             self.conn.send(payload)
@@ -577,6 +584,7 @@ class _WorkerLane:
             return False
         self.index = index
         self.is_dup = is_dup
+        self.name = name
         self.launched = time.monotonic()
         return True
 
@@ -584,6 +592,7 @@ class _WorkerLane:
         """Forget the in-flight task (completed or handed to recovery)."""
         self.index = None
         self.is_dup = False
+        self.name = None
 
     def kill(self) -> None:
         """SIGKILL the worker unless it has exited (then this reaps it)."""
@@ -622,11 +631,16 @@ class _PooledMapEngine:
     :meth:`_PooledExecutor._worker_lanes`, and outlive the call; the
     engine only owns the run: its :class:`_Run` state (token and
     transport), shipped with every payload as
-    ``(index, fn, blob, spec, run)`` to :func:`_timed_call`.  A run that
-    raises kills its busy lanes and shuts every lane down before the
-    exception leaves, so a task still in flight cannot return into a
-    later call.  The engine waits on the busy lanes' pipes and process
-    sentinels at once, and implements the whole recovery protocol:
+    ``(index, fn, blob, spec, run, name)`` to :func:`_timed_call`.  On
+    the shm transport ``name`` is a fresh result-segment name per
+    attempt, kept by the lane while the attempt is in flight; the driver
+    adopts a normal reply's segments and unlinks the attempt's names
+    (:func:`~repro.frameworks.shm.unlink_published`) on every other
+    path.  A run that raises kills its busy lanes, shuts every lane down
+    and unlinks their attempts' names before the exception leaves, so a
+    task still in flight cannot return into a later call.  The engine
+    waits on the busy lanes' pipes and process sentinels at once, and
+    implements the whole recovery protocol:
 
     * a *task exception* returned by a worker is retried per the policy
       (lost payload blocks are healed from their registered sources
@@ -634,11 +648,11 @@ class _PooledMapEngine:
     * a *broken lane* (its sentinel is ready or its pipe reads
       end-of-file: the worker was SIGKILLed, OOM-killed, or killed by
       the hung-worker check below) marks that lane's in-flight task
-      lost, reaps the dead worker, sweeps its orphaned result segments
-      and settles the spill pipeline (when the owner holds a store),
-      rebuilds the lane and resubmits — tasks queued or in flight on
-      healthy lanes are never touched.  A reply the worker sent before
-      it died is still taken;
+      lost, reaps the dead worker, unlinks its attempt's result
+      segments and settles the spill pipeline (when the owner holds a
+      store), rebuilds the lane and resubmits — tasks queued or in
+      flight on healthy lanes are never touched.  A reply the worker
+      sent before it died is still taken;
     * with ``heartbeat_timeout_s`` set, the driver wakes every
       ``heartbeat_interval_s`` and SIGKILLs any worker whose task was
       dispatched more than the timeout ago — converting a hang into the
@@ -646,10 +660,10 @@ class _PooledMapEngine:
     * with ``speculation_factor`` set, a task still in flight past
       :func:`_speculation_threshold` gets a *duplicate attempt*
       submitted to a free lane.  The first attempt to return wins and is
-      recorded; the loser's result is discarded (``on_discard``, so
-      published segments never leak), and a loser that never returns —
-      the straggler itself — is SIGKILLed once every result is in, its
-      leftovers reclaimed by the ordinary broken-lane sweep;
+      recorded; the loser's result is discarded and its segments
+      unlinked, and a loser that never returns — the straggler itself —
+      is SIGKILLed once every result is in, its segments unlinked by
+      the ordinary broken-lane path;
     * a result whose blocks cannot be adopted (``on_result`` raises
       :class:`~repro.frameworks.shm.BlockLost`) is treated as lost and
       the task re-executed.
@@ -657,7 +671,7 @@ class _PooledMapEngine:
     Faults are claimed from the injector once per first-attempt dispatch
     in dispatch order; task-side faults ship to the worker inside the
     payload, driver-side block faults are applied at dispatch (or, for
-    ``target="result"``, remembered and applied to the returned refs
+    ``target="result"``, remembered, and the attempt's segments unlinked
     before adoption).  Speculative duplicates never touch the injector:
     the exactly-once injection contract counts real dispatches only.
 
@@ -670,13 +684,11 @@ class _PooledMapEngine:
 
     def __init__(self, owner: "_PooledExecutor", fn: Callable[[Any], Any],
                  blobs: List[bytes],
-                 on_result: Callable[[int, tuple, Optional[FaultSpec], TaskTiming], None],
-                 on_discard: Optional[Callable[[tuple], None]] = None) -> None:
+                 on_result: Callable[[int, tuple, TaskTiming], None]) -> None:
         self.owner = owner
         self.fn = fn
         self.blobs = blobs
         self.on_result = on_result
-        self.on_discard = on_discard
         self.n_tasks = n_tasks = len(blobs)
         self._run: Optional[_Run] = None
         policy, injector, store = owner._fault_context()
@@ -718,9 +730,16 @@ class _PooledMapEngine:
             return None
         return spec
 
-    def _payload(self, index: int, spec: Optional[FaultSpec]) -> tuple:
-        """The worker payload of one attempt of task ``index``."""
-        return (index, self.fn, self.blobs[index], spec, self._run)
+    def _submit(self, lane: _WorkerLane, index: int, spec: Optional[FaultSpec],
+                is_dup: bool = False) -> bool:
+        """Send one attempt of task ``index`` to ``lane``, under a fresh name.
+
+        The name is fixed-width and random, so it does not depend on
+        which process publishes under it.
+        """
+        name = f"{PUBLISH_PREFIX}-{os.urandom(8).hex()}" if self._run.shm else None
+        return lane.submit((index, self.fn, self.blobs[index], spec, self._run, name),
+                           index, name, is_dup)
 
     # ------------------------------------------------------------------ #
     def run(self) -> None:
@@ -752,7 +771,7 @@ class _PooledMapEngine:
         """
         first_attempt = self.timings[index].tasks_retried == 0
         spec = self._dispatch_spec(index)
-        if lane.submit(self._payload(index, spec), index):
+        if self._submit(lane, index, spec):
             return True
         if self.injector is not None and first_attempt:
             self.injector.unclaim(spec or self.result_faults.pop(index, None))
@@ -805,7 +824,7 @@ class _PooledMapEngine:
             exited = lane.proc.sentinel in ready
             if lane.conn not in ready and not exited:
                 continue
-            index, was_dup = lane.index, lane.is_dup
+            index, was_dup, name = lane.index, lane.is_dup, lane.name
             try:
                 # a reply the worker sent before exiting is still taken
                 ok, out = lane.conn.recv() if lane.conn.poll() else (None, None)
@@ -817,16 +836,12 @@ class _PooledMapEngine:
             lane.clear()
             if exited:
                 broken.append(lane)  # nothing in flight: only the rebuild
-            if not ok:
-                if index in self._completed:
-                    continue  # a beaten attempt failed; the winner landed
-                self._fail(index, out, pending)
-                continue
-            if index in self._completed:
-                # the losing attempt of a speculated task finished after
-                # the winner: discard its result (and published segments)
-                if self.on_discard is not None:
-                    self.on_discard(out)
+            if not ok or index in self._completed:
+                # a failed attempt, or one the winner beat: nothing of it
+                # is adopted, so unlink whatever it published
+                _unlink_attempt(name)
+                if index not in self._completed:
+                    self._fail(index, out, pending)
                 continue
             self._completed.add(index)
             timing = self.timings[index]
@@ -835,9 +850,17 @@ class _PooledMapEngine:
             if self.policy.speculation_factor is not None:
                 self._durations.append(max(0.0, out[3] - out[2]))
             timing.start, timing.stop = out[2], out[3]
+            if self.result_faults.pop(index, None) is not None:
+                # injected hand-off crash: the segments vanish before
+                # adoption, which surfaces as BlockLost → re-execution
+                _unlink_attempt(name)
             try:
-                self.on_result(index, out, self.result_faults.pop(index, None), timing)
-            except BlockLost as exc:
+                self.on_result(index, out, timing)
+            except BaseException as exc:
+                # adoption stopped: unlink what it did not receive
+                _unlink_attempt(name)
+                if not isinstance(exc, BlockLost):
+                    raise
                 # the result's segments vanished before adoption:
                 # re-execute the producing task
                 self._completed.discard(index)
@@ -876,34 +899,33 @@ class _PooledMapEngine:
             if now - lane.launched <= threshold:
                 continue
             dup_lane = free.pop(0)
-            if not dup_lane.submit(self._payload(index, None), index, is_dup=True):
+            if not self._submit(dup_lane, index, None, is_dup=True):
                 return  # the next dispatch to that lane finds it broken
             self.timings[index].tasks_speculated += 1
 
     def _recover(self, broken: List[_WorkerLane], pending: "deque[int]") -> None:
-        """Broken-lane path: account lost tasks, sweep, rebuild, resubmit.
+        """Broken-lane path: account lost tasks, reclaim, rebuild, resubmit.
 
         Only the broken lanes are torn down; healthy lanes keep their
         workers and queues.
 
         With a store, what the dead workers left behind is reclaimed
-        before resubmitting.  A SIGKILLed worker runs neither ``atexit``
-        nor its ``multiprocessing.util.Finalize`` hooks, so result
-        segments it published but never handed off would outlive the run
-        — :func:`~repro.frameworks.shm.sweep_orphan_segments` reclaims
-        them by their pid-keyed names once the lanes' processes are
-        joined.  The spill pipeline is settled too, so resubmitted tasks
-        resolve through a consistent tier state; a sticky spill-writer
-        failure is tolerated here — the flush reinstates the enqueued
-        blocks as resident (no names leak) and the recovery proceeds
-        with spilling disabled.
+        before resubmitting.  A SIGKILLed worker runs no exit hook, so
+        the result segments of its attempt are unlinked here by the
+        name the lane kept, once the worker is joined and can publish
+        nothing more.  The spill pipeline is settled too, so resubmitted
+        tasks resolve through a consistent tier state; a sticky
+        spill-writer failure is tolerated here — the flush reinstates
+        the enqueued blocks as resident (no names leak) and the recovery
+        proceeds with spilling disabled.
         """
         recover_start = time.perf_counter()
         doomed = sorted({lane.index for lane in broken if lane.busy})
         for lane in broken:
-            lane.rebuild()  # joins the dead worker before the sweep below
+            name = lane.name
+            lane.rebuild()  # joins the dead worker before the unlink
+            _unlink_attempt(name)
         if self.store is not None:
-            sweep_orphan_segments()
             try:
                 self.store.flush_spill()
             except RuntimeError:
@@ -945,14 +967,17 @@ class _PooledExecutor(ExecutorBase):
         """Stop and join every lane's worker and forget the lanes.
 
         Idle workers exit on their own; a worker still busy with a task
-        is killed, not waited out.  Joining reaps every worker, so
-        ``RUSAGE_CHILDREN`` counts them all.
+        is killed, not waited out, and once it is joined the result
+        segments of its attempt are unlinked (the driver never adopts
+        them, even if the reply already sits in the pipe).  Joining
+        reaps every worker, so ``RUSAGE_CHILDREN`` counts them all.
         """
         lanes, self._lanes = self._lanes, []
         for lane in lanes:
             lane.stop()
         for lane in lanes:
             lane.join()
+            _unlink_attempt(lane.name)
 
     def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """Run the tasks on the worker lanes, measuring both crossings.
@@ -992,19 +1017,12 @@ class _PooledExecutor(ExecutorBase):
                  for item in shipped]
         results: List[Any] = [None] * len(items)
 
-        def on_result(i: int, out_tuple: tuple, result_fault: Optional[FaultSpec],
-                      timing: TaskTiming) -> None:
+        def on_result(i: int, out_tuple: tuple, timing: TaskTiming) -> None:
             out = out_tuple[1]
             payload = pickle.loads(out)
             if store is None:
-                # result-target block faults act on shm segments; whole
-                # pickles have none, so they are inert here
                 results[i] = payload
             else:
-                if result_fault is not None:
-                    # injected handoff crash: the refs' segments vanish before
-                    # adoption, which must surface as BlockLost → re-execution
-                    unlink_result_refs(payload)
                 results[i] = adopt_payload(payload, store)
                 timing.bytes_shared = referenced[i]
                 timing.bytes_shared_results = out_tuple[4]
@@ -1012,17 +1030,7 @@ class _PooledExecutor(ExecutorBase):
             timing.bytes_pickled = len(blobs[i])
             timing.bytes_results_pickled = len(out)
 
-        def on_discard(out_tuple: tuple) -> None:
-            # a beaten speculative attempt still published its result
-            # segments (and marked them handed off, so its own crash
-            # cleanup leaves them alone); unlink them here or they leak
-            try:
-                unlink_result_refs(pickle.loads(out_tuple[1]))
-            except Exception:  # noqa: BLE001 - best-effort reclamation
-                pass
-
-        engine = _PooledMapEngine(self, fn, blobs, on_result,
-                                  on_discard=None if store is None else on_discard)
+        engine = _PooledMapEngine(self, fn, blobs, on_result)
         engine.run()
         self.timings = engine.timings
         return results

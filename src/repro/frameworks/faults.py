@@ -57,11 +57,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from .counters import TaskCounters
-from .shm import (
-    BlockLost,
-    SharedMemoryStore,
-    unlink_segment_by_name,
-)
+from .shm import BlockLost, SharedMemoryStore
 
 __all__ = [
     "FAULT_KINDS",
@@ -225,8 +221,8 @@ class FaultSpec:
             ``target="spill"``: unlink the oldest spilled ``.blk`` file
             of the run's store at dispatch time.  ``target="result"``:
             unlink the task's published result segments after the
-            worker returns but before the driver adopts them — the
-            crashed-before-handoff window.
+            worker returns but before the driver adopts them — a result
+            lost between publish and receipt.
         ``"corrupt_block"``
             Truncate the oldest spilled ``.blk`` file to half its size
             (resolves fail exactly like an unlinked block).
@@ -237,8 +233,8 @@ class FaultSpec:
     when : str, optional
         ``"kill_worker"`` timing: ``"before"`` (default) kills before
         the task body runs; ``"after_publish"`` runs the task, publishes
-        its result segments, then kills — orphaning pid-keyed segments
-        for the sweep to reclaim.
+        its result segments, then kills — leaving segments that only
+        the driver's unlink of the attempt's name reclaims.
     target : str, optional
         Block-fault target: ``"spill"`` (default) or ``"result"``.
     message : str, optional
@@ -420,8 +416,8 @@ def apply_block_fault(spec: FaultSpec, store: Optional[SharedMemoryStore]) -> bo
     the store's spill directory (name order, so the choice is
     deterministic): ``unlink_block`` removes it, ``corrupt_block``
     truncates it to half.  ``target="result"`` faults are applied by the
-    executor to the task's returned refs instead (see
-    :func:`unlink_result_refs`).
+    process-lane engine instead, which unlinks the attempt's result
+    segments before adopting them.
 
     Parameters
     ----------
@@ -460,28 +456,6 @@ def apply_block_fault(spec: FaultSpec, store: Optional[SharedMemoryStore]) -> bo
     from .shm import _invalidate_mapping  # drop the driver's stale mapping
     _invalidate_mapping(path)
     return True
-
-
-def unlink_result_refs(payload: Any) -> int:
-    """Unlink the segments behind a published result payload's refs.
-
-    The executor applies this for ``unlink_block`` faults with
-    ``target="result"``, between receiving a task's refs and adopting
-    them — simulating a result segment that vanished in the handoff
-    window.  Returns the number of segments removed.
-    """
-    from .shm import BlockRef, _walk
-
-    removed = 0
-
-    def leaf(x: Any) -> Any:
-        nonlocal removed
-        if isinstance(x, BlockRef):
-            removed += int(unlink_segment_by_name(x.segment))
-        return x
-
-    _walk(payload, leaf)
-    return removed
 
 
 # --------------------------------------------------------------------------- #

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..serialization import nbytes_of, serialized_size
-from ..shm import BlockRef, SharedMemoryStore, maybe_resolve, stand_in_refs
+from ..shm import BlockRef, SharedMemoryStore, maybe_resolve, shareable, stand_in_refs
 
 __all__ = ["WorldContext", "Communicator", "ReduceOp"]
 
@@ -118,8 +118,7 @@ class WorldContext:
 
     def share(self, obj: Any) -> Any:
         """Publish ``obj`` via the store if the transport applies; else obj."""
-        if (self.store is not None and isinstance(obj, np.ndarray)
-                and obj.nbytes > 0):
+        if self.store is not None and shareable(obj):
             return self.store.put(obj)
         return obj
 

@@ -64,11 +64,12 @@ which is also registered with :mod:`atexit` *and* as a
 ``multiprocessing.util.Finalize`` hook: ``atexit`` covers normal
 interpreter exit, while the finalizer covers pool worker processes
 (which exit through ``os._exit`` and never run ``atexit`` handlers).
-Worker-published result segments that were never handed back to a
-driver — the worker crashed mid-publish — are unlinked by the same
-worker-side finalizer, so repeated test runs do not leak ``/dev/shm``
-entries.  A worker SIGKILLed between publish and receipt runs no hook;
-its pid-keyed names are reclaimed by :func:`sweep_orphan_segments`.
+Result segments belong to the driver from the start: it names each
+attempt's segments before the task is sent (``<name>-0``, ``-1``, …),
+the worker creates them in that order and keeps no mapping, and the
+driver either adopts them or, on every other path (a failed, beaten,
+killed or abandoned attempt), unlinks them with
+:func:`unlink_published` once the attempt is over.
 """
 
 from __future__ import annotations
@@ -82,10 +83,9 @@ import sys
 import tempfile
 import threading
 import time
-import uuid
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,16 +98,16 @@ __all__ = [
     "BlockLost",
     "BlockRef",
     "SharedMemoryStore",
+    "shareable",
     "share_payload",
     "stand_in_refs",
     "resolve_payload",
     "publish_payload",
-    "mark_handed_off",
+    "unlink_published",
     "adopt_payload",
     "refs_nbytes",
     "maybe_resolve",
     "ResolvingTask",
-    "sweep_orphan_segments",
     "unlink_segment_by_name",
     "array_digest",
     "release_stale_mappings",
@@ -116,12 +116,11 @@ __all__ = [
 #: Valid values for the ``data_plane`` option on frameworks and the public API.
 DATA_PLANES = ("pickle", "shm")
 
-#: Name prefix of worker-published result segments.  The worker pid is
-#: embedded right after it (``rpub-<pid>-<nonce>``) so a driver can sweep
-#: the orphans a SIGKILLed worker left behind — a worker killed between
-#: ``publish_payload`` and the driver's adopt runs neither its ``atexit``
-#: handlers nor its ``multiprocessing.util.Finalize`` hooks, so name-keyed
-#: crash cleanup is the only path that reclaims those segments.
+#: Name prefix of published result segments.  The driver names each
+#: attempt ``rpub-<16 hex digits>`` and the worker appends ``-0``, ``-1``,
+#: … in publish order (:func:`publish_payload`), so the driver can unlink
+#: what an attempt left without asking the worker
+#: (:func:`unlink_published`).
 PUBLISH_PREFIX = "rpub"
 
 
@@ -168,13 +167,6 @@ _OWNED: Dict[str, shared_memory.SharedMemory] = {}
 _ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
 _MAPPED: Dict[str, mmap.mmap] = {}
 _REGISTRY_LOCK = threading.Lock()
-
-# Result segments published by this (worker) process that have not yet
-# been handed off to a driver: name -> SharedMemory.  Emptied by
-# ``mark_handed_off`` the moment the refs are returned; anything left
-# behind belongs to a crashed task and is unlinked at process exit.
-_PUBLISHED: Dict[str, shared_memory.SharedMemory] = {}
-_PUBLISH_HOOK_INSTALLED = False
 
 # Unlinked segments whose mappings are still pinned by live NumPy views.
 # NumPy does not hold a Py_buffer export on the mapping — closing (or
@@ -387,11 +379,11 @@ def _invalidate_mapping(path: str) -> None:
 def unlink_segment_by_name(name: str) -> bool:
     """Unlink a shared-memory segment by name; whether one was removed.
 
-    Used by the fault injector (simulating a segment that vanished
-    before adoption) and by the orphan sweep.  Attaching just to unlink
-    would register the name with the resource tracker, so the ``/dev/shm``
-    file is removed directly where that directory exists, falling back
-    to an attach-and-unlink elsewhere.
+    Used by :func:`unlink_published` to reclaim an attempt's result
+    segments.  Attaching just to unlink would register the name with the
+    resource tracker, so the ``/dev/shm`` file is removed directly where
+    that directory exists, falling back to an attach-and-unlink
+    elsewhere.
 
     Parameters
     ----------
@@ -420,58 +412,6 @@ def unlink_segment_by_name(name: str) -> bool:
     except Exception:
         pass
     return True
-
-
-def sweep_orphan_segments(live_pids: Sequence[int] = ()) -> int:
-    """Unlink published result segments whose worker process is dead.
-
-    Worker-published segments are named ``rpub-<pid>-<nonce>``
-    (:data:`PUBLISH_PREFIX`), and a worker killed between
-    ``publish_payload`` and the driver's adopt runs no exit hooks — its
-    segments would outlive the run.  This sweep walks ``/dev/shm`` for
-    publish-prefixed names, checks whether the embedded pid is still
-    alive, and unlinks the segments of dead publishers.  Callers run it
-    from a pool-recovery path, after the broken pool's workers have been
-    reaped.
-
-    Parameters
-    ----------
-    live_pids : sequence of int, optional
-        Pids to leave alone even if the liveness probe cannot see them
-        (e.g. freshly spawned replacement workers).
-
-    Returns
-    -------
-    int
-        Number of segments unlinked.  0 on platforms without a
-        ``/dev/shm`` directory, where orphan names cannot be enumerated.
-    """
-    if not os.path.isdir("/dev/shm"):
-        return 0
-    keep = {int(pid) for pid in live_pids}
-    keep.add(os.getpid())
-    swept = 0
-    prefix = PUBLISH_PREFIX + "-"
-    for entry in os.listdir("/dev/shm"):
-        if not entry.startswith(prefix):
-            continue
-        parts = entry.split("-")
-        try:
-            pid = int(parts[1])
-        except (IndexError, ValueError):
-            continue
-        if pid in keep:
-            continue
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            pass  # publisher is gone: the segment is an orphan
-        except PermissionError:
-            continue  # alive, owned by someone else
-        else:
-            continue  # publisher still alive: adoption may be in flight
-        swept += int(unlink_segment_by_name(entry))
-    return swept
 
 
 # Fork safety for the background spill writer.  It takes _REGISTRY_LOCK
@@ -517,7 +457,7 @@ if hasattr(os, "register_at_fork"):  # POSIX only, like fork itself
 
 def _copy_into_segment(array: np.ndarray,
                        spill_dir: Optional[str] = None,
-                       name_prefix: Optional[str] = None
+                       name: Optional[str] = None
                        ) -> Tuple[shared_memory.SharedMemory, "BlockRef"]:
     """Copy an array into a fresh shm segment and build its ref.
 
@@ -529,14 +469,14 @@ def _copy_into_segment(array: np.ndarray,
     Parameters
     ----------
     array : numpy.ndarray
-        Array to copy (made C-contiguous; zero-byte arrays rejected).
+        Array to copy (made C-contiguous; zero-byte arrays and arrays
+        holding Python objects rejected).
     spill_dir : str, optional
         Spill directory to embed in the returned ref.
-    name_prefix : str, optional
-        When given, the segment is created under an explicit name
-        ``<prefix>-<nonce>`` instead of a platform-chosen one — how
-        :func:`publish_payload` keys result segments by worker pid so
-        crashed publishers can be swept.
+    name : str, optional
+        When given, the segment is created under exactly this name
+        instead of a platform-chosen one — how :func:`publish_payload`
+        uses the names the driver chose.
 
     Returns
     -------
@@ -545,54 +485,20 @@ def _copy_into_segment(array: np.ndarray,
     ref : BlockRef
         Handle to the copied bytes.
     """
+    if array.dtype.hasobject:
+        # the bytes are pointers into this process's heap
+        raise TypeError(f"cannot share an array of dtype {array.dtype}: it holds "
+                        "Python objects")
     data = np.ascontiguousarray(array)
     if data.nbytes == 0:
         raise ValueError("cannot share a zero-byte array")
-    if name_prefix is None:
-        segment = shared_memory.SharedMemory(create=True, size=data.nbytes)
-    else:
-        while True:
-            name = f"{name_prefix}-{uuid.uuid4().hex[:12]}"
-            try:
-                segment = shared_memory.SharedMemory(name=name, create=True,
-                                                     size=data.nbytes)
-                break
-            except FileExistsError:  # nonce collision: draw again
-                continue
+    segment = shared_memory.SharedMemory(name=name, create=True, size=data.nbytes)
     view = np.ndarray(data.shape, dtype=data.dtype, buffer=segment.buf)
     np.copyto(view, data)
     del view
     ref = BlockRef(segment=segment.name, shape=tuple(data.shape),
                    dtype=data.dtype.str, spill_dir=spill_dir)
     return segment, ref
-
-
-def _install_publish_hook() -> None:
-    """Install the process-exit hook that unlinks orphaned published segments.
-
-    Registered lazily on first publish so the hook exists in whichever
-    process actually publishes (pool workers clear finalizers inherited
-    from the parent, so a hook installed driver-side would not cover
-    them).  Both ``atexit`` (normal interpreter exit) and
-    ``multiprocessing.util.Finalize`` (worker processes, which exit via
-    ``os._exit``) paths are covered.
-    """
-    global _PUBLISH_HOOK_INSTALLED
-    if _PUBLISH_HOOK_INSTALLED:
-        return
-    _PUBLISH_HOOK_INSTALLED = True
-    atexit.register(_cleanup_published)
-    mp_util.Finalize(None, _cleanup_published, exitpriority=10)
-
-
-def _cleanup_published() -> None:
-    """Unlink any published result segments that were never handed off."""
-    with _REGISTRY_LOCK:
-        leftovers = list(_PUBLISHED.values())
-        _PUBLISHED.clear()
-    for segment in leftovers:
-        _quiet_unlink(segment)
-        _retire_or_close(segment)
 
 
 @dataclass(frozen=True)
@@ -887,7 +793,9 @@ class SharedMemoryStore:
         ----------
         array : numpy.ndarray
             Array to share; copied into the segment (made C-contiguous
-            if needed).  Zero-byte arrays are rejected.
+            if needed).  Zero-byte arrays are rejected, and so are
+            arrays that hold Python objects (``dtype.hasobject``), with
+            ``TypeError``: their bytes are pointers into this process.
         dedup : bool, optional
             With the default ``True`` the same array *object* is shared
             at most once and later puts return the original ref; the
@@ -1531,8 +1439,19 @@ def _walk(obj: Any, leaf) -> Any:
     return clone
 
 
+def shareable(x: Any) -> bool:
+    """Whether ``x`` is an array the plane moves: non-empty, no Python objects.
+
+    An object array's bytes are pointers into its process's heap, so it
+    stays in the pickle.
+    """
+    return isinstance(x, np.ndarray) and x.nbytes > 0 and not x.dtype.hasobject
+
+
 def share_payload(obj: Any, store: SharedMemoryStore) -> Tuple[Any, int, int]:
     """Swap every non-empty ndarray in ``obj`` for a :class:`BlockRef`.
+
+    Arrays that hold Python objects stay in the payload as they are.
 
     Parameters
     ----------
@@ -1562,7 +1481,7 @@ def share_payload(obj: Any, store: SharedMemoryStore) -> Tuple[Any, int, int]:
         nonlocal referenced
         if isinstance(x, BlockRef):
             referenced += x.nbytes
-        elif isinstance(x, np.ndarray) and x.nbytes > 0:
+        elif shareable(x):
             referenced += x.nbytes
             return store.put(x)
         return x
@@ -1573,6 +1492,9 @@ def share_payload(obj: Any, store: SharedMemoryStore) -> Tuple[Any, int, int]:
 
 def stand_in_refs(obj: Any, spill_dir: Optional[str] = None) -> Tuple[Any, int]:
     """Swap every non-empty ndarray in ``obj`` for a ref that names no segment.
+
+    Arrays that hold Python objects stay as they are, as in
+    :func:`share_payload`.
 
     The accounting side of a result that stays in the heap: each
     stand-in is shaped like the ref ``SharedMemoryStore.put`` would
@@ -1604,7 +1526,7 @@ def stand_in_refs(obj: Any, spill_dir: Optional[str] = None) -> Tuple[Any, int]:
         nonlocal referenced
         if isinstance(x, BlockRef):
             referenced += x.nbytes
-        elif isinstance(x, np.ndarray) and x.nbytes > 0:
+        elif shareable(x):
             referenced += x.nbytes
             return BlockRef(segment=f"psm_{next(names):08x}", shape=tuple(x.shape),
                             dtype=x.dtype.str, spill_dir=spill_dir)
@@ -1624,46 +1546,47 @@ def resolve_payload(obj: Any) -> Any:
     return _walk(obj, leaf)
 
 
-def publish_payload(obj: Any) -> Tuple[Any, int]:
+def publish_payload(obj: Any, name: str) -> Tuple[Any, int]:
     """Publish a result payload's arrays into fresh shm segments (worker side).
 
     The cross-process counterpart of :func:`share_payload` for the
     *result* path: no store object survives pickling into a pool worker,
     so the worker creates standalone segments and returns refs, and the
     driver copies each block out and unlinks it with
-    :func:`adopt_payload`.  Segments are tracked process-locally until
-    :func:`mark_handed_off`; anything a crashed task leaves behind is
-    unlinked at process exit.
+    :func:`adopt_payload`.  The segments are named ``<name>-0``,
+    ``<name>-1``, … in walk order, and this process closes its mappings
+    at once and keeps no record of them: the driver chose ``name``, so
+    the driver alone reclaims what a failed or abandoned attempt left
+    (:func:`unlink_published`).  Arrays that hold Python objects stay in
+    the payload as they are.
 
     Parameters
     ----------
     obj : Any
         The task's result (arbitrarily nested).
+    name : str
+        The attempt's segment name, chosen by the driver.
 
     Returns
     -------
     converted : Any
-        The result with every non-empty array replaced by a
+        The result with every shareable array replaced by a
         :class:`BlockRef`.
     bytes_published : int
         Array bytes written into the published segments.
     """
-    _install_publish_hook()
     published = 0
+    names = (f"{name}-{k}" for k in itertools.count())
 
     def leaf(x: Any) -> Any:
         nonlocal published
-        if isinstance(x, np.ndarray) and x.nbytes > 0:
-            # pid-keyed name: a publisher that dies before hand-off can
-            # be identified and its segments swept by the driver
-            segment, ref = _copy_into_segment(
-                x, name_prefix=f"{PUBLISH_PREFIX}-{os.getpid()}")
-            # the driver unlinks the segment on receipt; drop the
-            # tracker registration so this process's exit does not
-            # tear it down before then
+        if shareable(x):
+            segment, ref = _copy_into_segment(x, name=next(names))
+            # the driver unlinks the segment; drop the tracker
+            # registration so this process's exit does not tear it
+            # down before then
             _unregister_from_tracker(segment)
-            with _REGISTRY_LOCK:
-                _PUBLISHED[segment.name] = segment
+            segment.close()
             published += ref.nbytes
             return ref
         return x
@@ -1672,30 +1595,28 @@ def publish_payload(obj: Any) -> Tuple[Any, int]:
     return converted, published
 
 
-def mark_handed_off(obj: Any) -> None:
-    """Close this process's mappings of a published payload's segments.
+def unlink_published(name: str) -> int:
+    """Unlink an attempt's result segments: ``<name>-0``, ``-1``, … (driver side).
 
-    Call once the converted payload is definitely on its way to the
-    driver (serialized for return): from that point the driver's adopt
-    copies the blocks out and unlinks them, so the publisher's exit hook
-    must not unlink them, and the publisher keeps no mapping (nor fd) of
-    its own.
+    :func:`publish_payload` creates the names in order, so the walk
+    stops at the first missing one.  The driver calls this on every path
+    that does not adopt a result, once the attempt can publish nothing
+    more: its reply arrived, or its worker is dead and reaped.
 
     Parameters
     ----------
-    obj : Any
-        A payload previously converted by :func:`publish_payload`.
+    name : str
+        The attempt's segment name, as passed to :func:`publish_payload`.
+
+    Returns
+    -------
+    int
+        Number of segments unlinked.
     """
-
-    def leaf(x: Any) -> Any:
-        if isinstance(x, BlockRef):
-            with _REGISTRY_LOCK:
-                segment = _PUBLISHED.pop(x.segment, None)
-            if segment is not None:
-                segment.close()
-        return x
-
-    _walk(obj, leaf)
+    removed = 0
+    while unlink_segment_by_name(f"{name}-{removed}"):
+        removed += 1
+    return removed
 
 
 def adopt_payload(obj: Any, store: SharedMemoryStore) -> Any:

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from ..serialization import nbytes_of, serialized_size
-from ..shm import SharedMemoryStore
+from ..shm import SharedMemoryStore, shareable
 
 __all__ = ["Broadcast"]
 
@@ -39,8 +37,7 @@ class Broadcast:
         self.id = Broadcast._counter
         #: array bytes resident in shared memory (shm plane only)
         self.bytes_shared = 0
-        if (store is not None and isinstance(value, np.ndarray)
-                and value.nbytes > 0):
+        if store is not None and shareable(value):
             ref = store.put(value)
             self._value = ref
             self.nbytes = serialized_size(ref)

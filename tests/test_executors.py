@@ -12,7 +12,10 @@ token, released mappings of unlinked segments) with the run itself.
 A lane is one worker process and one pipe: it leaves no driver thread
 behind, and a task exception that does not pickle still reaches the
 driver as an exception.  Its reply to each task is the 5-tuple
-``(index, out, start, stop, bytes_shared)``.
+``(index, out, start, stop, bytes_shared)``.  On the shm transport the
+driver names each attempt's result segments and is the only one that
+unlinks them: adopted on a normal reply, unlinked on every other path,
+including the busy lanes a failed call kills.
 """
 
 from __future__ import annotations
@@ -40,7 +43,12 @@ from repro.frameworks.executors import (
     make_executor,
 )
 from repro.frameworks.faults import NO_RETRIES, FaultPolicy
-from repro.frameworks.shm import SharedMemoryStore, adopt_payload, maybe_resolve
+from repro.frameworks.shm import (
+    PUBLISH_PREFIX,
+    SharedMemoryStore,
+    adopt_payload,
+    maybe_resolve,
+)
 
 EXECUTOR_KINDS = ("serial", "threads", "processes", "shm")
 POOLED_KINDS = ("processes", "shm")
@@ -103,6 +111,50 @@ def raise_or_sleep(x):
 def slow_echo(x):
     time.sleep(0.4)
     return x
+
+
+def wait_for(path, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not os.path.exists(path):
+        if time.monotonic() > deadline:
+            raise TimeoutError(path)
+        time.sleep(0.002)
+
+
+def adopt_race(item):
+    """The three tasks of the fail-fast race: see TestResultSegmentOwnership."""
+    kind, marker_dir = item
+    if kind == "first":
+        return np.ones(8)
+    if kind == "small":
+        wait_for(os.path.join(marker_dir, "adopting"))
+        open(os.path.join(marker_dir, "small"), "w").close()
+        return np.arange(4.0)
+    wait_for(os.path.join(marker_dir, "small"))
+    raise ValueError("raised while a result waits in its pipe")
+
+
+def block_and_lock_once(marker_dir):
+    """First call: a result whose array publishes but whose lock does not
+    pickle; later calls: the array alone."""
+    marker = os.path.join(marker_dir, "failed")
+    if os.path.exists(marker):
+        return np.ones(4)
+    open(marker, "w").close()
+    return np.ones(4), threading.Lock()
+
+
+def block_under_pid(pid):
+    """A block published by a worker whose ``os.getpid()`` reads ``pid``."""
+    os.getpid = lambda: pid
+    return np.arange(6.0)
+
+
+def rpub_entries():
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith(PUBLISH_PREFIX)}
+    except FileNotFoundError:
+        return set()
 
 
 class UnpicklableError(Exception):
@@ -265,11 +317,11 @@ class TestByteAccounting:
 class TestLaneReply:
     """A lane answers each task with ``(index, out, start, stop, bytes_shared)``."""
 
-    def call(self, monkeypatch, fn, item, shm):
+    def call(self, monkeypatch, fn, item, shm, name=None):
         # the shim records the run it served in a module global
         monkeypatch.setattr(executors, "_served_run", None)
         run = executors._Run(next(executors._RUN_TOKENS), shm)
-        reply = executors._timed_call((3, fn, pickle.dumps(item), None, run))
+        reply = executors._timed_call((3, fn, pickle.dumps(item), None, run, name))
         assert len(reply) == 5
         index, out, start, stop, shared = reply
         assert index == 3
@@ -283,16 +335,74 @@ class TestLaneReply:
         store = SharedMemoryStore()
         block = np.arange(30.0).reshape(10, 3)
         try:
+            name = f"{PUBLISH_PREFIX}-{os.urandom(8).hex()}"
             result, shared = self.call(monkeypatch, array_total,
-                                       [store.put(block)], shm=True)
+                                       [store.put(block)], shm=True, name=name)
             assert shared == 0       # a scalar result publishes nothing
             assert result == block.sum()
             result, shared = self.call(monkeypatch, negate_first,
-                                       [store.put(block)], shm=True)
+                                       [store.put(block)], shm=True, name=name)
             assert shared == block.nbytes
+            assert result.segment == f"{name}-0"  # the driver's name, in order
             assert np.array_equal(adopt_payload(result, store), -block)
+            assert not any(entry.startswith(name) for entry in rpub_entries())
         finally:
             store.cleanup()
+
+
+class TestResultSegmentOwnership:
+    """The driver names every result segment and alone reclaims it."""
+
+    def test_fail_fast_call_leaves_no_result_segment(self, monkeypatch, tmp_path):
+        """One lane raises while another lane's result waits unread in its
+        pipe and the driver is busy adopting a third: the call raises,
+        kills the busy lanes, and leaves no published segment behind."""
+        before = rpub_entries()
+        real_adopt = executors.adopt_payload
+
+        def slow_adopt(payload, store):
+            open(tmp_path / "adopting", "w").close()
+            time.sleep(0.3)
+            return real_adopt(payload, store)
+
+        monkeypatch.setattr(executors, "adopt_payload", slow_adopt)
+        ex = SharedMemoryExecutor(workers=3)
+        try:
+            with pytest.raises(ValueError, match="waits in its pipe"):
+                ex.map_tasks(adopt_race, [(kind, str(tmp_path))
+                                          for kind in ("first", "raise", "small")])
+        finally:
+            ex.shutdown()
+        assert (tmp_path / "small").exists()  # the result was published
+        assert rpub_entries() - before == set()
+
+    def test_failed_reply_after_publish_leaves_no_result_segment(self, tmp_path):
+        """The worker published the array, then failed to pickle the
+        result: the driver unlinks that attempt's segment on the failed
+        reply, while the lane lives on and the retry succeeds."""
+        before = rpub_entries()
+        ex = SharedMemoryExecutor(workers=1, fault_policy=FaultPolicy(max_retries=1))
+        try:
+            [block] = ex.map_tasks(block_and_lock_once, [str(tmp_path)])
+            assert np.array_equal(block, np.ones(4))
+            assert ex.totals().tasks_retried == 1
+            assert rpub_entries() - before == set()
+        finally:
+            ex.shutdown()
+
+    def test_published_ref_size_does_not_depend_on_the_worker_pid(self):
+        """The names are the driver's, so a result pickles to the same
+        size whatever the pid of the worker that published it."""
+        sizes = []
+        for pid in (7, 4194303):
+            ex = SharedMemoryExecutor(workers=1)
+            try:
+                [block] = ex.map_tasks(block_under_pid, [pid])
+                assert np.array_equal(block, np.arange(6.0))
+                sizes.append(ex.timings[0].bytes_results_pickled)
+            finally:
+                ex.shutdown()
+        assert sizes[0] == sizes[1]
 
 
 class TestFactoryAndDefaults:

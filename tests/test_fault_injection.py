@@ -8,11 +8,12 @@ with results *bit-identical* to a fault-free run, exact
 ``tasks_retried`` / ``tasks_lost`` metrics, and no ``/dev/shm`` or
 spill-file leaks.  The pool executors additionally cover the real
 failure machinery: SIGKILL mid-task and between publish and adoption
-(the orphan-segment sweep), hung workers killed once their task
-overruns ``heartbeat_timeout_s`` (the driver signals only its own live,
-unreaped lane children), unresolvable result blocks re-executed, and
-spilled payload blocks unlinked or corrupted under a live run and
-healed from their registered sources.
+(the driver names each attempt's result segments, so it unlinks a
+killed attempt's segments by that name, and only those), hung workers
+killed once their task overruns ``heartbeat_timeout_s`` (the driver
+signals only its own live, unreaped lane children), unresolvable
+result blocks re-executed, and spilled payload blocks unlinked or
+corrupted under a live run and healed from their registered sources.
 
 The spill-writer failure tests reproduce (and pin the fix for) the
 latent leak where an eviction waiting on backpressure when the writer
@@ -42,6 +43,7 @@ from hypothesis import strategies as st
 from repro.core.api import leaflet_finder, psa, stream_windows
 from repro.core.leaflet import leaflet_serial
 from repro.core.psa import psa_serial
+from repro.frameworks import executors as executors_mod
 from repro.frameworks import faults as faults_mod
 from repro.frameworks import make_framework
 from repro.frameworks.checkpoint import (
@@ -67,11 +69,7 @@ from repro.frameworks.faults import (
     WorkerLost,
     as_injector,
 )
-from repro.frameworks.shm import (
-    PUBLISH_PREFIX,
-    SharedMemoryStore,
-    sweep_orphan_segments,
-)
+from repro.frameworks.shm import PUBLISH_PREFIX, SharedMemoryStore
 from repro.trajectory import (
     BilayerSpec,
     EnsembleSpec,
@@ -139,6 +137,12 @@ def make_block(x):
 def scale_block(a):
     """A task over an ndarray payload (rides the shm plane both ways)."""
     return a * 2.0
+
+
+def block_after(seconds):
+    """A task returning an ndarray after ``seconds``: a result still in flight."""
+    time.sleep(seconds)
+    return np.full((12, 12), seconds)
 
 
 def flaky_once(marker_dir):
@@ -388,7 +392,8 @@ class TestPolicyGating:
         ("pilot", "serial"),          # pilot's unit rescheduling
         ("dasklite", "processes"),    # the process-lane engine
     ])
-    def test_retry_recovers_without_pausing(self, name, executor, monkeypatch):
+    def test_retry_recovers_without_pausing(self, name, executor, monkeypatch,
+                                            tmp_path):
         """Every attempt loop re-executes a failed task at once."""
         pauses = []
 
@@ -400,12 +405,20 @@ class TestPolicyGating:
                 return getattr(time, attr)
 
         monkeypatch.setattr(faults_mod, "time", Clock())
+        if name == "pilot":
+            # the agent's executor would consume an injected fault; a unit
+            # whose body fails once reaches pilot's own rescheduling
+            fn, faults = flaky_once(str(tmp_path)), None
+        else:
+            fn, faults = square, FaultSpec("raise", at_task=1)
         fw = make_framework(name, executor=executor, workers=1,
-                            fault_policy=FaultPolicy(),
-                            faults=FaultSpec("raise", at_task=1))
+                            fault_policy=FaultPolicy(), faults=faults)
         try:
-            assert fw.map_tasks(square, list(range(4))) == [0, 1, 4, 9]
+            assert fw.map_tasks(fn, list(range(4))) == [0, 1, 4, 9]
             assert fw.metrics.tasks_retried == 1
+            if name == "pilot":
+                # 4 units and the one replacement unit
+                assert fw.pilot.agent.stats.units_executed == 5
         finally:
             fw.close()
         assert pauses == []
@@ -480,7 +493,8 @@ class TestRealWorkerDeath:
         assert shm_entries() == before
 
     def test_shm_pool_kill_between_publish_and_adoption(self):
-        """The crash window SIGKILL leaves: pid-keyed orphans get swept."""
+        """The crash window SIGKILL leaves: the driver unlinks the killed
+        attempt's segments by the name it gave them."""
         before = shm_entries()
         ex = SharedMemoryExecutor(workers=1, fault_policy=FaultPolicy(),
                                   fault_injector=FaultInjector(
@@ -497,6 +511,44 @@ class TestRealWorkerDeath:
         leaked = {name for name in shm_entries() - before
                   if name.startswith(PUBLISH_PREFIX)}
         assert not leaked
+        assert shm_entries() == before
+
+    def test_reclaim_touches_only_its_own_attempts_names(self, monkeypatch):
+        """A lane killed after publishing is reclaimed while another lane's
+        published result is still unread: only the killed attempt's
+        names go, and the live result is adopted bit-identically."""
+        before = shm_entries()
+        reclaims = []
+        real_unlink = executors_mod.unlink_published
+
+        def unlink_once_the_other_result_is_out(name):
+            # hold the reclaim until the live lane has published
+            deadline = time.monotonic() + 30.0
+            while not (others := {e for e in shm_entries() - before
+                                  if e.startswith(PUBLISH_PREFIX)
+                                  and not e.startswith(name + "-")}):
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            removed = real_unlink(name)
+            reclaims.append((removed, others <= shm_entries()))
+            return removed
+
+        monkeypatch.setattr(executors_mod, "unlink_published",
+                            unlink_once_the_other_result_is_out)
+        ex = SharedMemoryExecutor(workers=2, fault_policy=FaultPolicy(),
+                                  fault_injector=FaultInjector(
+                                      FaultSpec("kill_worker", at_task=0,
+                                                when="after_publish")))
+        try:
+            results = ex.map_tasks(block_after, [0.0, 0.2])
+            assert np.array_equal(results[0], block_after(0.0))
+            assert np.array_equal(results[1], block_after(0.2))
+            assert ex.totals().tasks_lost == 1
+        finally:
+            ex.shutdown()
+        # one reclaim, of the one segment the killed attempt published,
+        # and the other lane's segment was still there after it
+        assert reclaims == [(1, True)]
         assert shm_entries() == before
 
     def test_heartbeat_monitor_reaps_hung_worker(self):
@@ -747,9 +799,6 @@ class TestResilienceMetrics:
         assert merged.recovery_seconds == 0.75
         for key in ("tasks_retried", "tasks_lost", "recovery_seconds"):
             assert key in merged.as_dict()
-
-    def test_orphan_sweep_is_a_noop_without_orphans(self):
-        assert sweep_orphan_segments() == 0
 
     def test_timings_carry_retry_attribution(self):
         ex = ProcessExecutor(workers=1, fault_policy=FaultPolicy(),

@@ -9,6 +9,9 @@ strictly fewer pickled/moved bytes on the shm plane.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,14 +30,17 @@ from repro.frameworks import make_framework, shm
 from repro.frameworks.base import TaskFramework
 from repro.frameworks.serialization import serialized_size
 from repro.frameworks.shm import (
+    PUBLISH_PREFIX,
     BlockRef,
     SharedMemoryStore,
     _walk,
     maybe_resolve,
+    publish_payload,
     refs_nbytes,
     resolve_payload,
     share_payload,
     stand_in_refs,
+    unlink_published,
 )
 from repro.frameworks.sparklite.partitioner import split_array_into_partitions
 from repro.trajectory import (
@@ -545,6 +551,95 @@ class TestPerRunPlaneOverride:
                 fw.close()
         assert spilled["shm"] > 0
         assert spilled["pickle"] == spilled["shm"]
+
+
+def object_array(n):
+    """An array of Python objects: its bytes are pointers, not data."""
+    return np.array([{"n": n}, "x" * n, None], dtype=object)
+
+
+def describe(arrays):
+    """What a task sees of an object array and a numeric one."""
+    objects, numbers = arrays
+    return [repr(x) for x in objects], float(np.asarray(numbers).sum())
+
+
+OBJECT_RESULT_SCRIPT = textwrap.dedent("""
+    import numpy as np
+    from repro.frameworks import make_framework
+
+    def build(n):
+        return np.array([{"n": n}, "x" * n, None], dtype=object), np.full(4, float(n))
+
+    if __name__ == "__main__":
+        fw = make_framework("dasklite", executor="shm", workers=2)
+        try:
+            results = fw.map_tasks(build, [1, 2, 3])
+        finally:
+            fw.close()
+        for n, (objects, numbers) in zip([1, 2, 3], results):
+            assert list(objects) == [{"n": n}, "x" * n, None], objects
+            assert np.array_equal(numbers, np.full(4, float(n)))
+        print("ok")
+""")
+
+
+class TestObjectArrays:
+    """Arrays of Python objects never enter shared memory: they ride the pickle."""
+
+    def test_put_refuses_them(self, store):
+        with pytest.raises(TypeError, match="Python objects"):
+            store.put(object_array(2))
+        with pytest.raises(TypeError, match="Python objects"):
+            store.put(np.zeros(3, dtype=[("a", "f8"), ("b", "O")]))
+        assert len(store) == 0
+
+    def test_walkers_leave_them_in_the_payload(self, store):
+        objects, numbers = object_array(2), np.arange(3.0)
+        converted, newly, referenced = share_payload([objects, numbers], store)
+        assert converted[0] is objects and isinstance(converted[1], BlockRef)
+        assert newly == referenced == numbers.nbytes
+        stand_in, referenced = stand_in_refs([objects, numbers])
+        assert stand_in[0] is objects and isinstance(stand_in[1], BlockRef)
+        assert referenced == numbers.nbytes
+        name = f"{PUBLISH_PREFIX}-{os.urandom(8).hex()}"
+        published, nbytes = publish_payload([objects, numbers], name)
+        try:
+            assert published[0] is objects and published[1].segment == f"{name}-0"
+            assert nbytes == numbers.nbytes
+        finally:
+            assert unlink_published(name) == 1
+
+    @pytest.mark.parametrize("name", FRAMEWORK_NAMES)
+    def test_broadcast_keeps_them_whole(self, name):
+        fw = make_framework(name, executor="threads", workers=2, data_plane="shm")
+        try:
+            handle = fw.broadcast(object_array(2))
+            assert handle.bytes_shared == 0
+            assert len(fw.store) == 0
+        finally:
+            fw.close()
+
+    def test_object_array_input_on_shm_executor(self):
+        """Warm lanes forked before these objects existed, so pointer bytes
+        in a segment would name nothing in them."""
+        fw = make_framework("dasklite", executor="shm", workers=2)
+        try:
+            fw.map_tasks(describe, [(object_array(0), np.zeros(4))] * 2)  # forks the lanes
+            items = [(object_array(n), np.full(4, float(n))) for n in (1, 2, 3)]
+            assert fw.map_tasks(describe, items) == [describe(item) for item in items]
+        finally:
+            fw.close()
+
+    def test_object_array_result_on_shm_executor(self, tmp_path):
+        """At the parent the driver read pointer bytes back and crashed, so
+        the case runs in its own interpreter."""
+        script = tmp_path / "object_result.py"
+        script.write_text(OBJECT_RESULT_SCRIPT)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (done.returncode, done.stdout.strip()) == (0, "ok"), done.stderr[-2000:]
 
 
 class TestAcceptance:

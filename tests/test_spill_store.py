@@ -36,12 +36,13 @@ from repro.frameworks import make_framework
 from repro.frameworks import shm as shm_mod
 from repro.frameworks.executors import SharedMemoryExecutor, _WorkerLane
 from repro.frameworks.shm import (
+    PUBLISH_PREFIX,
     BlockLost,
     SharedMemoryStore,
     adopt_payload,
-    mark_handed_off,
     publish_payload,
     resolve_payload,
+    unlink_published,
     unlink_segment_by_name,
 )
 from repro.trajectory import EnsembleSpec, make_clustered_ensemble
@@ -53,6 +54,11 @@ def shm_entries():
         return set(os.listdir("/dev/shm"))
     except FileNotFoundError:  # non-Linux fallback: nothing to compare
         return set()
+
+
+def attempt_name():
+    """A fresh result-segment name, drawn as the lane engine draws one."""
+    return f"{PUBLISH_PREFIX}-{os.urandom(8).hex()}"
 
 
 @pytest.fixture()
@@ -153,9 +159,10 @@ class TestSpillToDisk:
         """Adoption consumes a published block: its bytes are copied out
         and its segment unlinked on receipt, so a result never joins the
         store's resident set and never spills."""
-        published, _ = publish_payload([arrays[0], arrays[1]])
-        mark_handed_off(published)
+        name = attempt_name()
+        published, _ = publish_payload([arrays[0], arrays[1]], name)
         names = {ref.segment for ref in published}
+        assert names == {f"{name}-0", f"{name}-1"}
         assert names <= shm_entries()
         store = SharedMemoryStore(capacity_bytes=4_000)
         try:
@@ -172,8 +179,7 @@ class TestSpillToDisk:
     def test_a_lost_block_leaves_no_other_segment_of_its_result(self, arrays):
         """When one segment of a result is gone before receipt, adoption
         still consumes the result's other segments before it raises."""
-        published, _ = publish_payload([arrays[0], arrays[1], arrays[2]])
-        mark_handed_off(published)
+        published, _ = publish_payload([arrays[0], arrays[1], arrays[2]], attempt_name())
         names = {ref.segment for ref in published}
         assert unlink_segment_by_name(published[1].segment)
         store = SharedMemoryStore()
@@ -184,6 +190,21 @@ class TestSpillToDisk:
             assert len(store) == 0
         finally:
             store.cleanup()
+
+    def test_unlink_published_removes_the_attempts_names_in_order(self, arrays):
+        """The driver reclaims an attempt it never adopts by its name
+        alone: ``<name>-0``, ``-1``, … up to the first missing one, and
+        nothing of another attempt."""
+        name, other = attempt_name(), attempt_name()
+        published, nbytes = publish_payload({"a": arrays[0], "b": [arrays[1], 3]}, name)
+        kept, _ = publish_payload([arrays[2]], other)
+        assert nbytes == 8_000
+        assert unlink_published(name) == 2
+        assert not {f"{name}-0", f"{name}-1"} & shm_entries()
+        assert unlink_published(name) == 0
+        assert kept[0].segment in shm_entries()
+        assert unlink_published(other) == 1
+        assert kept[0].segment not in shm_entries()
 
     def test_cleanup_removes_spill_files(self, arrays):
         store = SharedMemoryStore(capacity_bytes=4_000)
