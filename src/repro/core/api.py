@@ -5,12 +5,14 @@ by name, run PSA on an ensemble, run the Leaflet Finder on a membrane,
 and compare frameworks/approaches on the same workload.
 
 Every entry point accepts a ``data_plane`` option (``"pickle"`` or
-``"shm"``); on the shm plane task payloads *and results* travel as
-zero-copy shared-memory refs, and ``store_capacity_bytes`` bounds the
-resident shared memory by spilling least-recently-used blocks to disk
-— write-behind by default (``spill_async``), so evictions enqueue onto
-a background writer instead of stalling the hot path (see
-:mod:`repro.frameworks.shm` and ``docs/data_plane.md``).
+``"shm"``) for the framework it builds by name; a framework passed in
+already built keeps the plane it was built with.  On the shm plane task
+payloads *and results* travel as zero-copy shared-memory refs, and
+``store_capacity_bytes`` bounds the resident shared memory by spilling
+least-recently-used blocks to disk — write-behind by default
+(``spill_async``), so evictions enqueue onto a background writer
+instead of stalling the hot path (see :mod:`repro.frameworks.shm` and
+``docs/data_plane.md``).
 """
 
 from __future__ import annotations
@@ -35,11 +37,22 @@ __all__ = [
 ]
 
 
-def _resolve_framework(framework: str | TaskFramework, **kwargs) -> TaskFramework:
-    """Return ``framework`` itself, or build one by name with ``kwargs``."""
+def _resolve_framework(framework: str | TaskFramework, data_plane: str | None,
+                       default_plane: str = "pickle", **kwargs) -> TaskFramework:
+    """Return ``framework`` itself, or build one by name with ``kwargs``.
+
+    A framework's plane is fixed when it is built: a pre-built one is
+    returned only when ``data_plane`` is ``None`` or its own plane, and
+    one built here gets ``data_plane`` (``default_plane`` when ``None``).
+    """
     if isinstance(framework, TaskFramework):
+        if data_plane not in (None, framework.data_plane):
+            raise ValueError(
+                f"data_plane={data_plane!r} does not match the framework's "
+                f"{framework.data_plane!r} plane, which is fixed when it is built"
+            )
         return framework
-    return make_framework(framework, **kwargs)
+    return make_framework(framework, data_plane=data_plane or default_plane, **kwargs)
 
 
 def psa(ensemble: TrajectoryEnsemble, framework: str | TaskFramework = "dasklite",
@@ -85,13 +98,14 @@ def psa(ensemble: TrajectoryEnsemble, framework: str | TaskFramework = "dasklite
         Physical executor kind (``"serial"``, ``"threads"``,
         ``"processes"``, ``"shm"``).
     data_plane : str, optional
-        ``None`` (default) uses the framework's configured plane
-        (``"pickle"`` when constructing by name).  ``"pickle"`` ships
-        each task's trajectory blocks whole; ``"shm"`` registers every
-        trajectory in shared memory once, tasks carry zero-copy refs,
-        and distance blocks return through the same plane (see
-        :mod:`repro.frameworks.shm`).  An explicit value overrides an
-        already constructed framework's plane for this run.
+        The plane of a framework constructed by name: ``"pickle"``
+        (the default for ``None``) ships each task's trajectory blocks
+        whole; ``"shm"`` registers every trajectory in shared memory
+        once, tasks carry zero-copy refs, and distance blocks return
+        through the same plane (see :mod:`repro.frameworks.shm`).  An
+        already constructed framework runs on the plane it was built
+        with: ``None`` or that plane is accepted, any other value raises
+        :class:`ValueError` before anything is shared.
     store_capacity_bytes : int, optional
         Watermark for the shm store when constructing a framework by
         name: resident segment bytes past it spill to memory-mapped
@@ -137,17 +151,15 @@ def psa(ensemble: TrajectoryEnsemble, framework: str | TaskFramework = "dasklite
         Timings, task counts and data-plane byte accounting.
     """
     created = isinstance(framework, str)
-    fw = _resolve_framework(framework, executor=executor, workers=workers,
-                            data_plane=data_plane or "pickle",
+    fw = _resolve_framework(framework, data_plane, executor=executor, workers=workers,
                             store_capacity_bytes=store_capacity_bytes,
                             spill_dir=spill_dir, spill_async=spill_async,
                             spill_queue_depth=spill_queue_depth,
-                            fault_policy=fault_policy, faults=faults) \
-        if created else framework
+                            fault_policy=fault_policy, faults=faults)
     try:
         return run_psa(ensemble, fw, metric=metric, n_tasks=n_tasks,
-                       group_size=group_size, data_plane=data_plane,
-                       window=window, checkpoint_dir=checkpoint_dir)
+                       group_size=group_size, window=window,
+                       checkpoint_dir=checkpoint_dir)
     finally:
         # a framework constructed here is closed here: the matrix and
         # report are plain copies, and closing releases the store's
@@ -207,11 +219,13 @@ def stream_windows(source, framework: str | TaskFramework = "dasklite", *,
         PSA trajectory-block decomposition (as in :func:`psa`).
     workers, executor, data_plane, store_capacity_bytes, spill_dir, \
 spill_async, spill_queue_depth, fault_policy, faults :
-        As in :func:`psa`, except ``data_plane`` defaults to ``"shm"``
-        here: chunks ingest into the store and ride as zero-copy refs,
-        and a ``store_capacity_bytes`` watermark spills cold chunks
-        between waves.  Pass ``data_plane="pickle"`` explicitly to
-        stream windows as serialized arrays instead.
+        As in :func:`psa`, except that a framework constructed by name
+        defaults to the ``"shm"`` plane here: chunks ingest into the
+        store and ride as zero-copy refs, and a ``store_capacity_bytes``
+        watermark spills cold chunks between waves.  Pass
+        ``data_plane="pickle"`` explicitly to stream windows as
+        serialized arrays instead.  An already constructed framework
+        keeps its own plane, as in :func:`psa`.
     checkpoint_dir : str, optional
         Journal directory for checkpoint/restart (as in :func:`psa`);
         every wave consults the same journal, so a killed streaming run
@@ -228,16 +242,14 @@ spill_async, spill_queue_depth, fault_policy, faults :
     if analysis not in ("psa", "leaflet"):
         raise ValueError(f"unknown analysis {analysis!r}; choose 'psa' or 'leaflet'")
     created = isinstance(framework, str)
-    # unlike psa()/leaflet(), streaming defaults to the shm plane: the
-    # whole point is ingesting chunks into the store as shared blocks
-    data_plane = data_plane or "shm"
-    fw = _resolve_framework(framework, executor=executor, workers=workers,
-                            data_plane=data_plane,
-                            store_capacity_bytes=store_capacity_bytes,
+    # unlike psa()/leaflet(), streaming builds its framework on the shm
+    # plane: the whole point is ingesting chunks into the store as
+    # shared blocks
+    fw = _resolve_framework(framework, data_plane, "shm", executor=executor,
+                            workers=workers, store_capacity_bytes=store_capacity_bytes,
                             spill_dir=spill_dir, spill_async=spill_async,
                             spill_queue_depth=spill_queue_depth,
-                            fault_policy=fault_policy, faults=faults) \
-        if created else framework
+                            fault_policy=fault_policy, faults=faults)
     try:
         if analysis == "psa":
             if window_frames is None:
@@ -245,9 +257,9 @@ spill_async, spill_queue_depth, fault_policy, faults :
                 window_frames = first_stop - first_start
             return run_psa(source, fw, metric=metric, window_frames=window_frames,
                            n_tasks=n_tasks, group_size=group_size,
-                           data_plane=data_plane, checkpoint_dir=checkpoint_dir)
+                           checkpoint_dir=checkpoint_dir)
         return run_leaflet_finder(source, cutoff, fw, approach="parallel-cc",
-                                  data_plane=data_plane, checkpoint_dir=checkpoint_dir)
+                                  checkpoint_dir=checkpoint_dir)
     finally:
         # see psa(): frameworks constructed by name are closed here
         if created:
@@ -290,11 +302,12 @@ def leaflet_finder(system, framework: str | TaskFramework = "dasklite", *,
     executor : str, optional
         Physical executor kind.
     data_plane : str, optional
-        ``data_plane="shm"`` puts the system in shared memory once,
+        The plane of a framework constructed by name (``"pickle"`` for
+        ``None``): ``"shm"`` puts the system in shared memory once,
         hands tasks zero-copy chunk refs and returns edge lists /
-        partial components through the same plane; ``None`` (default)
-        uses the framework's configured plane, and an explicit value
-        overrides an already constructed framework's plane for this run.
+        partial components through the same plane.  An already
+        constructed framework keeps the plane it was built with, as in
+        :func:`psa`.
     store_capacity_bytes : int, optional
         Spill watermark for the shm store when constructing by name.
     spill_dir : str, optional
@@ -328,17 +341,14 @@ def leaflet_finder(system, framework: str | TaskFramework = "dasklite", *,
     else:
         positions = np.asarray(system, dtype=np.float64)
     created = isinstance(framework, str)
-    fw = _resolve_framework(framework, executor=executor, workers=workers,
-                            data_plane=data_plane or "pickle",
+    fw = _resolve_framework(framework, data_plane, executor=executor, workers=workers,
                             store_capacity_bytes=store_capacity_bytes,
                             spill_dir=spill_dir, spill_async=spill_async,
                             spill_queue_depth=spill_queue_depth,
-                            fault_policy=fault_policy, faults=faults) \
-        if created else framework
+                            fault_policy=fault_policy, faults=faults)
     try:
         return run_leaflet_finder(positions, cutoff, fw, approach=approach,
-                                  n_tasks=n_tasks, data_plane=data_plane,
-                                  checkpoint_dir=checkpoint_dir)
+                                  n_tasks=n_tasks, checkpoint_dir=checkpoint_dir)
     finally:
         # see psa(): frameworks constructed by name are closed here
         if created:
@@ -429,8 +439,7 @@ def compare_leaflet_approaches(positions: np.ndarray, cutoff: float = 15.0,
     """
     approaches = list(approaches or LEAFLET_APPROACHES)
     created = isinstance(framework, str)
-    fw = _resolve_framework(framework, executor="threads", workers=workers) \
-        if created else framework
+    fw = _resolve_framework(framework, None, executor="threads", workers=workers)
     reports: Dict[str, RunReport] = {}
     reference_sizes = None
     try:

@@ -256,7 +256,6 @@ def _with_singletons(packed: np.ndarray, n_atoms: int) -> List[np.ndarray]:
 def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
                        approach: str = "tree-search",
                        n_tasks: int | None = None,
-                       data_plane: str | None = None,
                        checkpoint_dir: str | None = None) -> Tuple[LeafletResult, RunReport]:
     """Task-parallel Leaflet Finder with the named architectural approach.
 
@@ -274,7 +273,8 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
     cutoff : float
         Neighbor cutoff in Angstrom.
     framework : TaskFramework
-        Substrate to run on.
+        Substrate to run on, on the plane and with the store it was
+        built with.
     approach : str, optional
         One of :data:`LEAFLET_APPROACHES`.  Chunk files take the 2-D
         approaches only: ``broadcast-1d`` raises :class:`ValueError`.
@@ -282,10 +282,6 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
         Target task count of an in-memory system (default 16).  A chunk
         file's chunks fix its blocks, so giving it raises
         :class:`ValueError`.
-    data_plane : str, optional
-        Defaults to the framework's configured plane; ``"pickle"`` or
-        ``"shm"`` overrides it for this run only (see
-        :meth:`~repro.frameworks.base.TaskFramework.run_plane`).
     checkpoint_dir : str, optional
         Enables checkpoint/restart: every block result (edge list or
         partial-component set) is journalled as it completes, and a
@@ -373,31 +369,31 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
             edges = np.concatenate([edges, *(e for e in results if e.size)])
         reduce_s += time.perf_counter() - start
 
-    with framework.run_plane(data_plane) as store:
-        plane = framework.data_plane
-        journal = None
-        if checkpoint_dir is not None:
-            fingerprint = run_fingerprint(
-                arrays=arrays, source=source, algorithm="leaflet_finder",
-                approach=approach, cutoff=float(cutoff), n_tasks=n_tasks,
-                data_plane=plane, substrate=framework.name,
-                # a journal of another result format is stale, never replayed
-                result_format="packed-csr" if spec.partial else "edges")
-            journal = RunJournal(checkpoint_dir, fingerprint).open()
-        start = time.perf_counter()
-        tasks = ([spec.task(block=b, rows=rows(b.row_start, b.row_stop),
-                            cols=rows(b.col_start, b.col_stop), cutoff=cutoff)
-                  for b in blocks]
-                 for blocks, rows in waves(store))
-        run = run_waves(framework, _run_task, leaflet_task_key, tasks, fold,
-                        journal=journal, store=store)
-        reduce_start = time.perf_counter()
-        if spec.partial:
-            components, n_edges = _with_singletons(state, n), None
-        else:
-            components, n_edges = connected_components(edges, n), edges.shape[0]
-        reduce_s += time.perf_counter() - reduce_start
-        wall = time.perf_counter() - start
+    plane = framework.data_plane
+    store = framework.store if plane == "shm" else None
+    journal = None
+    if checkpoint_dir is not None:
+        fingerprint = run_fingerprint(
+            arrays=arrays, source=source, algorithm="leaflet_finder",
+            approach=approach, cutoff=float(cutoff), n_tasks=n_tasks,
+            data_plane=plane, substrate=framework.name,
+            # a journal of another result format is stale, never replayed
+            result_format="packed-csr" if spec.partial else "edges")
+        journal = RunJournal(checkpoint_dir, fingerprint).open()
+    start = time.perf_counter()
+    tasks = ([spec.task(block=b, rows=rows(b.row_start, b.row_stop),
+                        cols=rows(b.col_start, b.col_stop), cutoff=cutoff)
+              for b in blocks]
+             for blocks, rows in waves(store))
+    run = run_waves(framework, _run_task, leaflet_task_key, tasks, fold,
+                    journal=journal)
+    reduce_start = time.perf_counter()
+    if spec.partial:
+        components, n_edges = _with_singletons(state, n), None
+    else:
+        components, n_edges = connected_components(edges, n), edges.shape[0]
+    reduce_s += time.perf_counter() - reduce_start
+    wall = time.perf_counter() - start
 
     phases.update(map_s=run.map_s, reduce_s=reduce_s)
     metrics = run.metrics

@@ -319,7 +319,6 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
             *, group_size: int | None = None, n_tasks: int | None = None,
             metric: str = "hausdorff",
             paths: Sequence[str] | None = None,
-            data_plane: str | None = None,
             window: Window | None = None,
             window_frames: int | None = None,
             checkpoint_dir: str | None = None) -> Tuple[DistanceMatrix, RunReport]:
@@ -332,7 +331,12 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
         (:class:`~repro.trajectory.streaming.StreamingEnsemble`) whose
         frames are ingested window by window.
     framework : TaskFramework
-        The substrate to run on.
+        The substrate to run on.  Its plane and store, fixed when it was
+        built, are the run's: on the shm plane each trajectory enters
+        the framework's store once and tasks carry refs, the *result*
+        direction rides the plane as well, and with a store capacity
+        blocks past the watermark spill to disk (``bytes_spilled`` in
+        the report).
     group_size, n_tasks : int, optional
         Algorithm 2 trajectory-block decomposition (see
         :func:`make_psa_tasks`).
@@ -341,15 +345,6 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
     paths : sequence of str, optional
         Per-trajectory files that the tasks read themselves (the paper's
         I/O pattern); not combinable with ``window``/``window_frames``.
-    data_plane : str, optional
-        Defaults to the framework's own plane; pass ``"shm"`` to force
-        zero-copy task payloads (each trajectory enters shared memory
-        once, tasks carry refs) or ``"pickle"`` to force whole-array
-        payloads, for this run only (see
-        :meth:`~repro.frameworks.base.TaskFramework.run_plane`).  On the
-        shm plane the *result* direction rides the plane as well, and
-        with a store capacity blocks past the watermark spill to disk
-        (``bytes_spilled`` in the report).
     window : tuple of int, optional
         ``(start, stop)``: analyse only those frames of every member, in
         one window (any metric).  A window out of any member's bounds
@@ -408,45 +403,45 @@ def run_psa(ensemble: TrajectoryEnsemble, framework: TaskFramework,
         fwd = {pair: np.full(n_frames, np.inf) for pair in pairs}
         bwd = {pair: np.full(n_frames, np.inf) for pair in pairs}
 
-    with framework.run_plane(data_plane) as store:
-        plane = framework.data_plane
-        journal = None
-        if checkpoint_dir is not None:
-            fingerprint = _ensemble_fingerprint(
-                ensemble, algorithm="psa", metric=metric, data_plane=plane,
-                substrate=framework.name, group_size=group_size,
-                n_tasks_hint=n_tasks, window=window, window_frames=window_frames,
-                paths=tuple(paths) if paths is not None else None)
-            journal = RunJournal(checkpoint_dir, fingerprint).open()
+    plane = framework.data_plane
+    store = framework.store if plane == "shm" else None
+    journal = None
+    if checkpoint_dir is not None:
+        fingerprint = _ensemble_fingerprint(
+            ensemble, algorithm="psa", metric=metric, data_plane=plane,
+            substrate=framework.name, group_size=group_size,
+            n_tasks_hint=n_tasks, window=window, window_frames=window_frames,
+            paths=tuple(paths) if paths is not None else None)
+        journal = RunJournal(checkpoint_dir, fingerprint).open()
 
-        def waves():
-            for w, win_w in enumerate(windows):
-                pay_w = _payloads(ensemble, paths, store, win_w)
-                wave = [(win_w, pay_w, win_w, pay_w)]
-                for win_v in windows[:w]:
-                    pay_v = _payloads(ensemble, paths, store, win_v)
-                    wave += [(win_v, pay_v, win_w, pay_w), (win_w, pay_w, win_v, pay_v)]
-                yield [task
-                       for row_win, row_pay, col_win, col_pay in wave
-                       for task in _block_tasks(blocks, row_pay, col_pay, metric,
-                                                from_files=paths is not None,
-                                                windows=(row_win, col_win) if fold else None)]
+    def waves():
+        for w, win_w in enumerate(windows):
+            pay_w = _payloads(ensemble, paths, store, win_w)
+            wave = [(win_w, pay_w, win_w, pay_w)]
+            for win_v in windows[:w]:
+                pay_v = _payloads(ensemble, paths, store, win_v)
+                wave += [(win_v, pay_v, win_w, pay_w), (win_w, pay_w, win_v, pay_v)]
+            yield [task
+                   for row_win, row_pay, col_win, col_pay in wave
+                   for task in _block_tasks(blocks, row_pay, col_pay, metric,
+                                            from_files=paths is not None,
+                                            windows=(row_win, col_win) if fold else None)]
 
-        def fold_wave(results):
-            for block in results:
-                block = np.asarray(block, dtype=np.float64)
-                if fold:
-                    _fold(fwd, bwd, block)
-                else:
-                    _scatter(values, block)
+    def fold_wave(results):
+        for block in results:
+            block = np.asarray(block, dtype=np.float64)
+            if fold:
+                _fold(fwd, bwd, block)
+            else:
+                _scatter(values, block)
 
-        run = run_waves(framework, execute_psa_block, psa_block_key, waves(), fold_wave,
-                        journal=journal, store=store)
-        if fold:
-            for (i, j) in pairs:
-                d = np.sqrt(max(fwd[(i, j)].max(), bwd[(i, j)].max()) / n_atoms)
-                values[i, j] = values[j, i] = float(d)
-        wall = time.perf_counter() - run.started
+    run = run_waves(framework, execute_psa_block, psa_block_key, waves(), fold_wave,
+                    journal=journal)
+    if fold:
+        for (i, j) in pairs:
+            d = np.sqrt(max(fwd[(i, j)].max(), bwd[(i, j)].max()) / n_atoms)
+            values[i, j] = values[j, i] = float(d)
+    wall = time.perf_counter() - run.started
     report = RunReport(
         algorithm=f"psa[{metric}]",
         framework=framework.name,

@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, List
 
 from ..frameworks.base import RunMetrics, TaskFramework
 from ..frameworks.checkpoint import RunJournal, checkpointed_map
-from ..frameworks.shm import SharedMemoryStore, refs_nbytes
+from ..frameworks.shm import refs_nbytes
 
 __all__ = ["WaveRun", "run_waves"]
 
@@ -50,15 +50,15 @@ class WaveRun:
 def run_waves(framework: TaskFramework, fn: Callable[[Any], Any],
               key_for: Callable[[Any], str], waves: Iterable[List[Any]],
               fold: Callable[[List[Any]], None], *,
-              journal: RunJournal | None,
-              store: SharedMemoryStore | None) -> WaveRun:
+              journal: RunJournal | None) -> WaveRun:
     """Dispatch each wave of tasks and fold its results, in order.
 
     Parameters
     ----------
     framework : TaskFramework
         The substrate; its metrics are reset by every dispatch, so each
-        wave's are combined into the returned totals.
+        wave's are combined into the returned totals.  On the shm plane
+        its store is the run's.
     fn, key_for : callable
         The task function and its journal key (module level, as they
         cross process boundaries).
@@ -72,14 +72,13 @@ def run_waves(framework: TaskFramework, fn: Callable[[Any], Any],
         the fold may keep them.
     journal : RunJournal or None
         Checkpoint journal that every wave restores from and records to.
-    store : SharedMemoryStore or None
-        The run's store on the shm plane.
 
     Returns
     -------
     WaveRun
         Combined metrics, task and wave counts, and dispatch timings.
     """
+    store = framework.store if framework.data_plane == "shm" else None
     totals = None
     n_tasks = n_waves = 0
     started = None

@@ -22,9 +22,8 @@ algorithms use them where the paper's implementation did.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, List, Optional, Sequence, Tuple
 
 from .cluster import ClusterSpec, local_cluster
 from .counters import COUNTERS, MIRROR, SUM, TaskCounters
@@ -42,10 +41,6 @@ from .shm import (
 )
 
 __all__ = ["RunMetrics", "BroadcastHandle", "TaskFramework"]
-
-#: the store settings of a framework constructed without any
-_DEFAULT_STORE_SETTINGS = dict(capacity_bytes=None, spill_dir=None, spill_async=True,
-                               spill_queue_depth=4)
 
 
 @dataclass
@@ -187,9 +182,9 @@ class TaskFramework:
         The store settings.  The framework builds its one
         :class:`~repro.frameworks.shm.SharedMemoryStore` from them when
         the shm plane or an ``"shm"`` executor needs a store, hands it
-        down to that executor, and releases it on :meth:`close`; a run
-        that forces the shm plane (:meth:`run_plane`) builds its
-        temporary store from the same settings.
+        down to that executor, and releases it on :meth:`close`.  The
+        plane and the store are fixed here: every run on the framework
+        uses them.
 
         * ``store_capacity_bytes`` — watermark for resident segment
           bytes: past it, blocks spill least-recently-used-first to
@@ -251,14 +246,12 @@ class TaskFramework:
         if crosses and self._in_process_only:
             raise ValueError(f"{self.name} cannot run on executor {executor!r}: "
                              f"{self._in_process_only}; use 'threads' or 'serial'")
-        self._store_settings = dict(capacity_bytes=store_capacity_bytes,
-                                    spill_dir=spill_dir, spill_async=spill_async,
-                                    spill_queue_depth=spill_queue_depth)
         # a pre-built executor may bring its own store; otherwise the
         # framework owns the one store its plane or executor needs
         self.store: SharedMemoryStore | None = (
             executor.store if isinstance(executor, ExecutorBase) else None)
-        if self.store is not None and self._store_settings != _DEFAULT_STORE_SETTINGS:
+        if self.store is not None and (store_capacity_bytes, spill_dir, spill_async,
+                                       spill_queue_depth) != (None, None, True, 4):
             raise ValueError(
                 "the pre-built executor brings its own store, so the store "
                 "settings given here would be ignored; configure that store instead"
@@ -266,7 +259,9 @@ class TaskFramework:
         self._owns_store = self.store is None and (data_plane == "shm"
                                                    or executor in SHM_KINDS)
         if self._owns_store:
-            self.store = self._build_store()
+            self.store = SharedMemoryStore(capacity_bytes=store_capacity_bytes,
+                                           spill_dir=spill_dir, spill_async=spill_async,
+                                           spill_queue_depth=spill_queue_depth)
         self.fault_policy = fault_policy
         self.fault_injector = as_injector(faults)
         if isinstance(executor, ExecutorBase):
@@ -296,49 +291,6 @@ class TaskFramework:
         # from, wherever the retry loop runs; on a process pool the store
         # also carries the payloads and results across
         self.executor.store = self.store
-
-    def _build_store(self) -> SharedMemoryStore:
-        """A new store with this framework's store settings."""
-        return SharedMemoryStore(**self._store_settings)
-
-    @contextmanager
-    def run_plane(self, data_plane: str | None) -> Iterator[SharedMemoryStore | None]:
-        """Run one analysis on ``data_plane``, restoring the framework after.
-
-        ``None`` keeps the configured plane.  Forcing the other plane
-        switches ``data_plane`` for the duration, so payload conversion
-        and the reported label agree; a forced shm run on a framework
-        without a store gets a temporary one built from the framework's
-        store settings, handed to the executor and released when the run
-        ends.  A forced pickle run leaves the executor's store in place,
-        so a process pool that holds one keeps shipping refs.
-
-        Parameters
-        ----------
-        data_plane : str or None
-            ``"pickle"``, ``"shm"`` or ``None``.
-
-        Yields
-        ------
-        SharedMemoryStore or None
-            The store the run's payloads go into on the shm plane;
-            ``None`` on the pickle plane.
-        """
-        plane = self.data_plane if data_plane is None else data_plane
-        if plane not in DATA_PLANES:
-            raise ValueError(f"unknown data_plane {plane!r}; choose from {DATA_PLANES}")
-        configured_plane = self.data_plane
-        temporary = self._build_store() if plane == "shm" and self.store is None else None
-        self.data_plane = plane
-        if temporary is not None:
-            self.store = self.executor.store = temporary
-        try:
-            yield self.store if plane == "shm" else None
-        finally:
-            self.data_plane = configured_plane
-            if temporary is not None:
-                self.store = self.executor.store = None
-                temporary.cleanup()
 
     # ------------------------------------------------------------------ #
     # the uniform surface used by repro.core

@@ -98,13 +98,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as wait_ready
-from typing import Any, Callable, ClassVar, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..bench.stats import median as _median
 from .counters import TaskCounters
 from .faults import (
+    HEARTBEAT_INTERVAL_S,
     NO_RETRIES,
     BlockLost,
     FaultInjector,
@@ -511,8 +512,9 @@ def _unlink_attempt(name: Optional[str]) -> None:
 def _speculation_threshold(durations: Sequence[float],
                            policy: FaultPolicy) -> float:
     """Straggler cutoff: ``factor × median(durations)``, floored at one
-    heartbeat interval so a batch of microsecond tasks cannot trip
-    speculation on dispatch jitter.
+    heartbeat interval (:data:`~repro.frameworks.faults.HEARTBEAT_INTERVAL_S`)
+    so a batch of microsecond tasks cannot trip speculation on dispatch
+    jitter.
 
     Uses the statistically honest :func:`repro.bench.stats.median`
     (midpoint average on even counts) — indexing ``sorted[n // 2]``
@@ -520,8 +522,7 @@ def _speculation_threshold(durations: Sequence[float],
     threshold upward and delays speculation exactly when half the
     completed durations are fast.
     """
-    return policy.speculation_factor * max(_median(durations),
-                                           policy.heartbeat_interval_s)
+    return policy.speculation_factor * max(_median(durations), HEARTBEAT_INTERVAL_S)
 
 
 class _WorkerLane:
@@ -546,15 +547,19 @@ class _WorkerLane:
     ``name`` is the result-segment name of the attempt in flight
     (``None`` when idle or on the pickle transport): the lane keeps it
     so the driver can unlink whatever the attempt published if its
-    result is never adopted.
+    result is never adopted.  ``result_fault`` is the
+    ``target="result"`` fault the attempt claimed at dispatch, if any:
+    it fires on that attempt's reply only and goes with the attempt on
+    every other path.
     """
 
-    __slots__ = ("proc", "conn", "index", "is_dup", "launched", "name")
+    __slots__ = ("proc", "conn", "index", "is_dup", "launched", "name", "result_fault")
 
     def __init__(self) -> None:
         self.index: Optional[int] = None
         self.is_dup = False
         self.name: Optional[str] = None
+        self.result_fault: Optional[FaultSpec] = None
         self.launched = 0.0
         self._start()
 
@@ -576,7 +581,7 @@ class _WorkerLane:
         return self.index is not None
 
     def submit(self, payload: tuple, index: int, name: Optional[str],
-               is_dup: bool = False) -> bool:
+               is_dup: bool = False, result_fault: Optional[FaultSpec] = None) -> bool:
         """Send one attempt to the worker; ``False`` if its pipe is broken."""
         try:
             self.conn.send(payload)
@@ -585,6 +590,7 @@ class _WorkerLane:
         self.index = index
         self.is_dup = is_dup
         self.name = name
+        self.result_fault = result_fault
         self.launched = time.monotonic()
         return True
 
@@ -593,6 +599,7 @@ class _WorkerLane:
         self.index = None
         self.is_dup = False
         self.name = None
+        self.result_fault = None
 
     def kill(self) -> None:
         """SIGKILL the worker unless it has exited (then this reaps it)."""
@@ -654,9 +661,9 @@ class _PooledMapEngine:
       flight on healthy lanes are never touched.  A reply the worker
       sent before it died is still taken;
     * with ``heartbeat_timeout_s`` set, the driver wakes every
-      ``heartbeat_interval_s`` and SIGKILLs any worker whose task was
-      dispatched more than the timeout ago — converting a hang into the
-      broken-lane path above;
+      :data:`~repro.frameworks.faults.HEARTBEAT_INTERVAL_S` and SIGKILLs
+      any worker whose task was dispatched more than the timeout ago —
+      converting a hang into the broken-lane path above;
     * with ``speculation_factor`` set, a task still in flight past
       :func:`_speculation_threshold` gets a *duplicate attempt*
       submitted to a free lane.  The first attempt to return wins and is
@@ -671,9 +678,10 @@ class _PooledMapEngine:
     Faults are claimed from the injector once per first-attempt dispatch
     in dispatch order; task-side faults ship to the worker inside the
     payload, driver-side block faults are applied at dispatch (or, for
-    ``target="result"``, remembered, and the attempt's segments unlinked
-    before adoption).  Speculative duplicates never touch the injector:
-    the exactly-once injection contract counts real dispatches only.
+    ``target="result"``, kept by the lane with the attempt that claimed
+    them, and that attempt's segments unlinked before adoption).
+    Speculative duplicates never touch the injector: the exactly-once
+    injection contract counts real dispatches only.
 
     The per-task state is ``timings``, one :class:`TaskTiming` per task
     that the owner returns as its own: the engine counts retries and
@@ -696,7 +704,6 @@ class _PooledMapEngine:
         self.injector = injector
         self.store = store
         self.timings = [TaskTiming(i, 0.0, 0.0) for i in range(n_tasks)]
-        self.result_faults: Dict[int, FaultSpec] = {}
         self._durations: List[float] = []
         self._completed: set = set()
         # whether the engine must wake up while waiting: to kill hung
@@ -715,31 +722,21 @@ class _PooledMapEngine:
         else:
             pending.append(index)
 
-    def _dispatch_spec(self, index: int) -> Optional[FaultSpec]:
-        """Claim and pre-process this dispatch's fault; the worker-side part."""
-        if self.injector is None:
-            return None
-        spec = self.injector.claim(self.timings[index].tasks_retried)
-        if spec is None:
-            return None
-        if spec.is_block_fault:
-            if spec.target == "result":
-                self.result_faults[index] = spec
-            else:
-                apply_block_fault(spec, self.store)
-            return None
-        return spec
-
     def _submit(self, lane: _WorkerLane, index: int, spec: Optional[FaultSpec],
                 is_dup: bool = False) -> bool:
         """Send one attempt of task ``index`` to ``lane``, under a fresh name.
 
         The name is fixed-width and random, so it does not depend on
-        which process publishes under it.
+        which process publishes under it.  Only a task-side fault in
+        ``spec`` ships; the lane keeps a ``target="result"`` one with
+        the attempt.
         """
         name = f"{PUBLISH_PREFIX}-{os.urandom(8).hex()}" if self._run.shm else None
-        return lane.submit((index, self.fn, self.blobs[index], spec, self._run, name),
-                           index, name, is_dup)
+        block = spec is not None and spec.is_block_fault
+        return lane.submit((index, self.fn, self.blobs[index], None if block else spec,
+                            self._run, name),
+                           index, name, is_dup,
+                           spec if block and spec.target == "result" else None)
 
     # ------------------------------------------------------------------ #
     def run(self) -> None:
@@ -770,11 +767,14 @@ class _PooledMapEngine:
         stays exact), and the lane is handed to recovery.
         """
         first_attempt = self.timings[index].tasks_retried == 0
-        spec = self._dispatch_spec(index)
+        spec = (self.injector.claim(self.timings[index].tasks_retried)
+                if self.injector is not None else None)
+        if spec is not None:
+            apply_block_fault(spec, self.store)  # only a spill fault fires here
         if self._submit(lane, index, spec):
             return True
         if self.injector is not None and first_attempt:
-            self.injector.unclaim(spec or self.result_faults.pop(index, None))
+            self.injector.unclaim(spec)
         pending.appendleft(index)
         broken.append(lane)
         return False
@@ -816,7 +816,7 @@ class _PooledMapEngine:
             if stragglers or (timeout_s is not None and now - lane.launched > timeout_s):
                 lane.kill()
         ready = wait_ready([w for lane in busy for w in (lane.conn, lane.proc.sentinel)],
-                           self.policy.heartbeat_interval_s if self._monitored else None)
+                           HEARTBEAT_INTERVAL_S if self._monitored else None)
         if not ready:
             self._maybe_speculate(lanes, pending)
             return []
@@ -824,7 +824,8 @@ class _PooledMapEngine:
             exited = lane.proc.sentinel in ready
             if lane.conn not in ready and not exited:
                 continue
-            index, was_dup, name = lane.index, lane.is_dup, lane.name
+            index, was_dup, name, result_fault = (lane.index, lane.is_dup, lane.name,
+                                                  lane.result_fault)
             try:
                 # a reply the worker sent before exiting is still taken
                 ok, out = lane.conn.recv() if lane.conn.poll() else (None, None)
@@ -850,7 +851,7 @@ class _PooledMapEngine:
             if self.policy.speculation_factor is not None:
                 self._durations.append(max(0.0, out[3] - out[2]))
             timing.start, timing.stop = out[2], out[3]
-            if self.result_faults.pop(index, None) is not None:
+            if result_fault is not None:
                 # injected hand-off crash: the segments vanish before
                 # adoption, which surfaces as BlockLost → re-execution
                 _unlink_attempt(name)

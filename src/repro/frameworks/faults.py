@@ -61,6 +61,7 @@ from .shm import BlockLost, SharedMemoryStore
 
 __all__ = [
     "FAULT_KINDS",
+    "HEARTBEAT_INTERVAL_S",
     "InjectedFault",
     "WorkerLost",
     "BlockLost",
@@ -82,6 +83,10 @@ FAULT_KINDS = ("kill_worker", "raise", "delay", "unlink_block", "corrupt_block")
 
 #: Kinds applied driver-side to the data plane rather than inside a task.
 _BLOCK_KINDS = ("unlink_block", "corrupt_block")
+
+#: Seconds between the process-pool driver's wake-ups to check for hung
+#: workers and stragglers while it waits on task completions.
+HEARTBEAT_INTERVAL_S = 0.05
 
 
 class InjectedFault(RuntimeError):
@@ -118,11 +123,8 @@ class FaultPolicy:
         more than this many seconds ago without completing is declared
         hung and killed, which surfaces as :class:`WorkerLost` and
         triggers the normal resubmission path.  ``None`` (default)
-        disables the check.
-    heartbeat_interval_s : float, optional
-        How often the driver wakes up to check for hung workers and
-        stragglers while waiting on task completions
-        (default 0.05 s).
+        disables the check.  The driver checks every
+        :data:`HEARTBEAT_INTERVAL_S`.
     on_lost_block : str, optional
         ``"recover"`` (default): heal an unresolvable task-payload block
         from its registered source array and retry, or re-execute the
@@ -132,7 +134,7 @@ class FaultPolicy:
     speculation_factor : float, optional
         Straggler mitigation: a task still running after
         ``speculation_factor * median(completed task durations)``
-        (floored at one ``heartbeat_interval_s``) gets a duplicate
+        (floored at one :data:`HEARTBEAT_INTERVAL_S`) gets a duplicate
         attempt launched on a free worker.  First result wins; the
         loser is discarded (and its worker SIGKILLed if it never
         returns), counted into ``tasks_speculated`` /
@@ -146,7 +148,6 @@ class FaultPolicy:
     max_retries: int = 2
     retry_on: Tuple[type, ...] = (Exception,)
     heartbeat_timeout_s: Optional[float] = None
-    heartbeat_interval_s: float = 0.05
     on_lost_block: str = "recover"
     speculation_factor: Optional[float] = None
 
@@ -155,8 +156,6 @@ class FaultPolicy:
             raise ValueError("max_retries must be non-negative")
         if self.heartbeat_timeout_s is not None and self.heartbeat_timeout_s <= 0:
             raise ValueError("heartbeat_timeout_s must be positive")
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be positive")
         if self.on_lost_block not in ("recover", "raise"):
             raise ValueError("on_lost_block must be 'recover' or 'raise'")
         if self.speculation_factor is not None and self.speculation_factor <= 0:

@@ -61,6 +61,7 @@ from repro.frameworks.executors import (
     _WorkerLane,
 )
 from repro.frameworks.faults import (
+    HEARTBEAT_INTERVAL_S,
     BlockLost,
     FaultInjector,
     FaultPolicy,
@@ -145,6 +146,15 @@ def block_after(seconds):
     return np.full((12, 12), seconds)
 
 
+def block_after_one_failure(marker):
+    """A task returning an ndarray that raises once: on its first call
+    for the ``marker`` path, in whichever process runs it."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        raise OSError("transient failure")
+    return np.full((12, 12), 1.0)
+
+
 def flaky_once(marker_dir):
     """A task function that fails its first invocation per marker dir."""
     def task(x):
@@ -181,16 +191,18 @@ class TestFaultPlumbing:
         with pytest.raises(ValueError):
             FaultPolicy(on_lost_block="ignore")
 
-    def test_policy_has_six_settings(self):
+    def test_policy_has_five_settings(self):
         assert [f.name for f in dataclasses.fields(FaultPolicy)] == [
             "max_retries", "retry_on", "heartbeat_timeout_s",
-            "heartbeat_interval_s", "on_lost_block", "speculation_factor"]
+            "on_lost_block", "speculation_factor"]
 
     @pytest.mark.parametrize("setting", ["backoff_s", "backoff_factor",
-                                         "checkpoint_interval_tasks"])
+                                         "checkpoint_interval_tasks",
+                                         "heartbeat_interval_s"])
     def test_policy_rejects_removed_settings(self, setting):
-        # a retry does not wait and every completion is journalled: a
-        # caller still asking for either gets an error, not a silent no-op
+        # a retry does not wait, every completion is journalled and the
+        # driver wakes every HEARTBEAT_INTERVAL_S: a caller still asking
+        # for any of these gets an error, not a silent no-op
         with pytest.raises(TypeError, match=setting):
             FaultPolicy(**{setting: 1})
 
@@ -555,8 +567,7 @@ class TestRealWorkerDeath:
         start = time.monotonic()
         ex = SharedMemoryExecutor(
             workers=1,
-            fault_policy=FaultPolicy(heartbeat_timeout_s=0.5,
-                                     heartbeat_interval_s=0.05),
+            fault_policy=FaultPolicy(heartbeat_timeout_s=0.5),
             fault_injector=FaultInjector(
                 FaultSpec("delay", at_task=1, delay_s=60.0)))
         try:
@@ -608,6 +619,26 @@ class TestLostBlocks:
                 assert np.array_equal(block, make_block(i))
             assert ex.totals().tasks_lost == 1
             assert ex.totals().tasks_retried == 1
+        finally:
+            ex.shutdown()
+        assert shm_entries() == before
+
+    @pytest.mark.parametrize("max_retries", [1, 2])
+    def test_result_fault_goes_with_the_attempt_that_claimed_it(self, max_retries,
+                                                               tmp_path):
+        # task 0's first attempt claims the result fault and raises; the
+        # fault goes with that attempt, so the retry's result is adopted
+        before = shm_entries()
+        ex = SharedMemoryExecutor(workers=1,
+                                  fault_policy=FaultPolicy(max_retries=max_retries),
+                                  fault_injector=FaultInjector(
+                                      FaultSpec("unlink_block", at_task=0,
+                                                target="result")))
+        try:
+            results = ex.map_tasks(block_after_one_failure, [str(tmp_path / "fired")])
+            assert np.array_equal(results[0], np.full((12, 12), 1.0))
+            assert ex.totals().tasks_retried == 1
+            assert ex.totals().tasks_lost == 0
         finally:
             ex.shutdown()
         assert shm_entries() == before
@@ -1148,18 +1179,18 @@ class TestSpeculation:
 
 class TestSpeculationThreshold:
     def test_even_count_uses_midpoint_median(self):
-        policy = FaultPolicy(speculation_factor=2.0, heartbeat_interval_s=0.05)
+        policy = FaultPolicy(speculation_factor=2.0)
         # sorted[len//2] would pick 3.0 and yield 6.0, delaying
         # speculation; the true median of [1, 2, 3, 4] is 2.5
         assert _speculation_threshold([4.0, 1.0, 3.0, 2.0], policy) == 5.0
 
     def test_odd_count_unchanged(self):
-        policy = FaultPolicy(speculation_factor=2.0, heartbeat_interval_s=0.05)
+        policy = FaultPolicy(speculation_factor=2.0)
         assert _speculation_threshold([3.0, 1.0, 2.0], policy) == 4.0
 
     def test_heartbeat_floor_still_applies(self):
-        policy = FaultPolicy(speculation_factor=3.0, heartbeat_interval_s=0.5)
-        assert _speculation_threshold([0.001, 0.002], policy) == 1.5
+        policy = FaultPolicy(speculation_factor=3.0)
+        assert _speculation_threshold([0.001, 0.002], policy) == 3.0 * HEARTBEAT_INTERVAL_S
 
 
 # --------------------------------------------------------------------------- #
@@ -1209,8 +1240,7 @@ class TestLaneSignals:
     def test_hung_worker_kill_targets_its_live_lane(self, monkeypatch):
         ex = SharedMemoryExecutor(
             workers=1,
-            fault_policy=FaultPolicy(heartbeat_timeout_s=0.5,
-                                     heartbeat_interval_s=0.05),
+            fault_policy=FaultPolicy(heartbeat_timeout_s=0.5),
             fault_injector=FaultInjector(
                 FaultSpec("delay", at_task=1, delay_s=60.0)))
         sent = record_kills(monkeypatch, ex)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro.core.api import leaflet_finder
+from repro.core.api import leaflet_finder, psa, stream_windows
 from repro.core.leaflet import (
     LEAFLET_APPROACHES,
     leaflet_serial,
@@ -49,7 +49,6 @@ from repro.trajectory import (
     make_bilayer,
     make_clustered_ensemble,
 )
-from repro.trajectory.streaming import ChunkedPositions, write_position_chunks
 
 FRAMEWORK_NAMES = ("sparklite", "dasklite", "pilot", "mpilite")
 
@@ -452,20 +451,6 @@ class TestFrameworkDataPlane:
             fw_pickle.close()
             fw_shm.close()
 
-    def test_forced_plane_overrides_and_restores(self, bilayer):
-        """An explicit data_plane overrides the framework's configured
-        plane for the run, labels the report correctly, and restores."""
-        fw = make_framework("dasklite", executor="threads", workers=2,
-                            data_plane="shm")
-        try:
-            _, report = run_leaflet_finder(bilayer, 15.0, fw, approach="task-2d",
-                                           data_plane="pickle")
-            assert report.parameters["data_plane"] == "pickle"
-            assert report.metrics.bytes_shared == 0
-            assert fw.data_plane == "shm"
-        finally:
-            fw.close()
-
     def test_close_releases_owned_store(self):
         fw = make_framework("dasklite", executor="threads", workers=2,
                             data_plane="shm")
@@ -487,70 +472,56 @@ def _canonical_components(result):
     return sorted(tuple(sorted(c)) for c in result.components)
 
 
-def _run_driver(driver, ensemble, bilayer, chunk_path, fw, plane):
-    """Run one of the four drivers with a forced plane; (matches, report)."""
-    if driver == "psa":
-        matrix, report = run_psa(ensemble, fw, n_tasks=4, data_plane=plane)
-        return np.array_equal(matrix.values, psa_serial(ensemble).values), report
-    if driver == "psa_windows":
-        matrix, report = run_psa(ensemble, fw, metric="hausdorff_windowed",
-                                 window_frames=3, n_tasks=4, data_plane=plane)
-        reference = psa_serial(ensemble, metric="hausdorff_windowed")
-        return np.array_equal(matrix.values, reference.values), report
-    reference = _canonical_components(leaflet_serial(bilayer, 15.0))
-    if driver == "leaflet":
-        result, report = run_leaflet_finder(bilayer, 15.0, fw, n_tasks=6,
-                                            data_plane=plane)
-    else:
-        result, report = run_leaflet_finder(ChunkedPositions(chunk_path), 15.0, fw,
-                                            approach="parallel-cc", data_plane=plane)
-    return _canonical_components(result) == reference, report
+#: (substrate, executor, plane): every substrate on both planes on
+#: threads, and the two whose tasks run on a process pool on ``"shm"``
+PREBUILT_CASES = ([(name, "threads", plane) for name in FRAMEWORK_NAMES
+                   for plane in ("pickle", "shm")]
+                  + [(name, "shm", plane) for name in ("dasklite", "pilot")
+                     for plane in ("pickle", "shm")])
 
 
-class TestPerRunPlaneOverride:
-    """A forced ``data_plane`` holds for one run of any driver, then the
-    framework's own plane and store come back and nothing leaks."""
+class TestPrebuiltFrameworkPlane:
+    """A framework's plane and store are fixed when it is built: the API
+    functions run a pre-built framework on them, accept its own plane,
+    and refuse any other before anything is shared."""
 
-    @pytest.mark.parametrize("configured,forced", [("pickle", "shm"), ("shm", "pickle")])
-    @pytest.mark.parametrize("driver", ["psa", "psa_windows", "leaflet", "leaflet_stream"])
-    def test_forced_plane_is_scoped_to_the_run(self, driver, configured, forced,
-                                               ensemble, bilayer, tmp_path):
-        chunk_path = write_position_chunks(bilayer, str(tmp_path / "bilayer.fchunk"),
-                                           atoms_per_chunk=120)
+    @pytest.mark.parametrize("name,executor,plane", PREBUILT_CASES)
+    def test_api_keeps_the_plane_and_store(self, name, executor, plane,
+                                          ensemble, bilayer):
         before_fw = shm_entries()
-        fw = make_framework("dasklite", executor="threads", workers=2,
-                            data_plane=configured)
+        fw = make_framework(name, executor=executor, workers=2, data_plane=plane)
+        store, executor_store = fw.store, fw.executor.store
         try:
-            store = fw.store
-            before_run = shm_entries()
-            matches, report = _run_driver(driver, ensemble, bilayer, chunk_path, fw,
-                                          forced)
-            assert matches
-            assert report.parameters["data_plane"] == forced
-            assert fw.data_plane == configured
+            matrix, report = psa(ensemble, fw, n_tasks=4)
+            assert np.array_equal(matrix.values, psa_serial(ensemble).values)
+            assert report.parameters["data_plane"] == plane
+            result, report = leaflet_finder(bilayer, fw, n_tasks=6, data_plane=plane)
+            assert (_canonical_components(result)
+                    == _canonical_components(leaflet_serial(bilayer, 15.0)))
+            assert report.parameters["data_plane"] == plane
+            matrix, report = stream_windows(ensemble, fw, window_frames=3, n_tasks=4)
+            reference = psa_serial(ensemble, metric="hausdorff_windowed")
+            assert np.array_equal(matrix.values, reference.values)
+            assert report.parameters["data_plane"] == plane
+            assert fw.data_plane == plane
             assert fw.store is store
-            assert shm_entries() <= before_run
+            assert fw.executor.store is executor_store
+
+            other = "shm" if plane == "pickle" else "pickle"
+            before_run = shm_entries()
+            for call in (lambda: psa(ensemble, fw, data_plane=other),
+                         lambda: leaflet_finder(bilayer, fw, data_plane=other),
+                         lambda: stream_windows(ensemble, fw, window_frames=3,
+                                                data_plane=other)):
+                with pytest.raises(ValueError, match="fixed when it is built"):
+                    call()
+            assert shm_entries() == before_run
+            assert fw.data_plane == plane
+            assert fw.store is store
+            assert fw.executor.store is executor_store
         finally:
             fw.close()
         assert shm_entries() <= before_fw
-
-    def test_forced_shm_honours_configured_capacity(self):
-        """A temporary store built for a forced shm run uses the
-        framework's store settings, so it spills like the configured
-        plane does."""
-        ensemble = make_clustered_ensemble(
-            EnsembleSpec(n_trajectories=6, n_frames=16, n_atoms=32, seed=7))
-        spilled = {}
-        for configured in ("pickle", "shm"):
-            fw = make_framework("dasklite", executor="threads", workers=2,
-                                data_plane=configured, store_capacity_bytes=4096)
-            try:
-                _, report = run_psa(ensemble, fw, data_plane="shm")
-                spilled[configured] = report.metrics.bytes_spilled
-            finally:
-                fw.close()
-        assert spilled["shm"] > 0
-        assert spilled["pickle"] == spilled["shm"]
 
 
 def object_array(n):

@@ -71,8 +71,7 @@ class TestPsaOnSpillTier:
         matrix, report = psa(
             ensemble, "pilot", executor="shm", workers=2, data_plane=plane,
             store_capacity_bytes=STORE_CAP, spill_dir=str(tmp_path),
-            fault_policy=FaultPolicy(speculation_factor=50.0,
-                                     heartbeat_interval_s=0.05))
+            fault_policy=FaultPolicy(speculation_factor=50.0))
         assert np.array_equal(matrix.values, reference)
         if plane == "shm":
             assert report.metrics.bytes_spilled > 0

@@ -404,17 +404,15 @@ class TestStreamedLeaflet:
         positions, _ = make_bilayer(BilayerSpec(n_atoms=400, seed=9))
         path = write_position_chunks(positions, str(tmp_path / "bilayer.fchunk"),
                                      atoms_per_chunk=100)
-        fw = make_framework("dasklite", executor="threads", workers=2)
+        fw = make_framework("dasklite", executor="threads", workers=2, data_plane=plane)
         ckpt = str(tmp_path / "journal")
         try:
             _, batch = run_leaflet_finder(positions, 15.0, fw, approach="parallel-cc",
-                                          n_tasks=10, data_plane=plane)
+                                          n_tasks=10)
             _, streamed = run_leaflet_finder(ChunkedPositions(path), 15.0, fw,
-                                             approach="parallel-cc", data_plane=plane,
-                                             checkpoint_dir=ckpt)
+                                             approach="parallel-cc", checkpoint_dir=ckpt)
             _, resumed = run_leaflet_finder(ChunkedPositions(path), 15.0, fw,
-                                            approach="parallel-cc", data_plane=plane,
-                                            checkpoint_dir=ckpt)
+                                            approach="parallel-cc", checkpoint_dir=ckpt)
         finally:
             fw.close()
         assert batch.n_tasks == 10
