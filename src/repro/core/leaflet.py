@@ -304,6 +304,8 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
             f"unknown approach {approach!r}; choose from {sorted(LEAFLET_APPROACHES)}"
         )
     spec = LEAFLET_APPROACHES[approach]
+    plane = framework.data_plane
+    store = framework.store if plane == "shm" else None
     phases: Dict[str, float] = {}
     bytes_broadcast = bytes_shuffled = 0
     reduce_s = 0.0
@@ -325,7 +327,7 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
         chunks = [system.chunk_range(i) for i in range(system.n_chunks)]
         arrays, source = [], (os.path.abspath(system.path), n, system.atoms_per_chunk)
 
-        def waves(store):
+        def waves():
             for w, chunk_w in enumerate(chunks):
                 order = [w, *range(w)]
                 payloads = {chunks[v]: (system.ingest_chunk(store, v) if store is not None
@@ -345,7 +347,7 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
             blocks = two_dimensional_partition(n, size)
         arrays, source = [system], None
 
-        def waves(store):
+        def waves():
             nonlocal bytes_broadcast
             if spec.broadcast:
                 start = time.perf_counter()
@@ -369,8 +371,6 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
             edges = np.concatenate([edges, *(e for e in results if e.size)])
         reduce_s += time.perf_counter() - start
 
-    plane = framework.data_plane
-    store = framework.store if plane == "shm" else None
     journal = None
     if checkpoint_dir is not None:
         fingerprint = run_fingerprint(
@@ -384,7 +384,7 @@ def run_leaflet_finder(system, cutoff: float, framework: TaskFramework, *,
     tasks = ([spec.task(block=b, rows=rows(b.row_start, b.row_stop),
                         cols=rows(b.col_start, b.col_stop), cutoff=cutoff)
               for b in blocks]
-             for blocks, rows in waves(store))
+             for blocks, rows in waves())
     run = run_waves(framework, _run_task, leaflet_task_key, tasks, fold,
                     journal=journal)
     reduce_start = time.perf_counter()
